@@ -16,12 +16,17 @@ step t+1 on.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import (
     FULL,
+    POINT_ONE,
+    POINT_ZERO,
     Belief,
     EventOccurrence,
     EventStream,
@@ -59,17 +64,18 @@ class CharFn:
         return self.past_len + self.future_len
 
     def evaluate(self, trajectory: Trajectory, t: int) -> ProbInterval:
-        if t - self.past_len < 0 or t + self.future_len > len(trajectory):
+        steps = trajectory.steps
+        if t - self.past_len < 0 or t + self.future_len > len(steps):
             return FULL
-        past = trajectory.steps[t - self.past_len : t]
-        future = trajectory.steps[t : t + self.future_len]
         if self.kind == "action-match":
-            act = future[0].act
+            act = steps[t].act
             if act is None:
                 return FULL
-            return ProbInterval.point(1.0 if act == self.action else 0.0)
+            return POINT_ONE if act == self.action else POINT_ZERO
         if self.kind == "obs-match":
-            return ProbInterval.point(1.0 if future[0].obs == self.obs else 0.0)
+            return POINT_ONE if steps[t].obs == self.obs else POINT_ZERO
+        past = steps[t - self.past_len : t]
+        future = steps[t : t + self.future_len]
         if self.kind == "pattern":
             past_word = ",".join(s.obs for s in past)
             future_word = ",".join(s.obs for s in future)
@@ -78,7 +84,7 @@ class CharFn:
                 ok = ok and re.fullmatch(self.past_pattern, past_word) is not None
             if self.future_pattern is not None:
                 ok = ok and re.fullmatch(self.future_pattern, future_word) is not None
-            return ProbInterval.point(1.0 if ok else 0.0)
+            return POINT_ONE if ok else POINT_ZERO
         if self.kind == "table":
             key = (tuple(s.obs for s in past), tuple(s.obs for s in future))
             return self.table.get(key, FULL)
@@ -92,32 +98,19 @@ def detect_direct(
     emitted when the interval's lower bound clears the threshold.
 
     When same-named functions disagree at a step, the verdict of the one
-    with the longer combined window stands.
+    with the longer combined window stands (the first listed among equals).
     """
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)
+    chosen = [(name, max(by_name[name], key=lambda f: f.window)) for name in sorted(by_name)]
     occurrences = []
     for t in range(len(trajectory)):
-        for name in sorted(by_name):
-            variants = sorted(by_name[name], key=lambda f: -f.window)
-            value = variants[0].evaluate(trajectory, t)
+        for name, fn in chosen:
+            value = fn.evaluate(trajectory, t)
             if value.lo >= threshold:
                 occurrences.append(EventOccurrence(t, name, value, "direct"))
     return EventStream(tuple(occurrences))
-
-
-def _distribution(window) -> dict:
-    counts: dict = {}
-    for o in window:
-        counts[o] = counts.get(o, 0) + 1
-    total = len(window)
-    return {o: c / total for o, c in counts.items()}
-
-
-def _tv_distance(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def detect_indirect(
@@ -125,32 +118,53 @@ def detect_indirect(
 ) -> Tuple[EventStream, List[Tuple[int, int]]]:
     """Sliding two-window total-variation change-point scan.
 
+    The distance between the observation counts of the windows before and
+    after step t is tv = d / (2 * window), with d their integer L1 distance.
+    Step t is a boundary hit when tv exceeds the threshold, compared exactly
+    (as rationals, the threshold at its binary value), so a distance equal
+    to the threshold is not a hit.  Both counts slide one step at a time:
+    the scan costs O(n) for n steps, whatever the window.
+
     Boundary hits closer than `window` steps merge into the maximal-distance
     point, so detection latency is up to `window` steps.  Two regimes with
     identical observation distributions are invisible to this method: loops
     cannot be found indirectly.
     """
     n = len(trajectory)
+    if window < 1:
+        raise ModelError(f"window must be positive, got {window}")
     if n < 2 * window:
         raise ModelError(f"trajectory of {n} steps is too short for window {window}")
+    if math.isfinite(threshold):
+        cut = math.floor(2 * window * Fraction(threshold)) + 1
+    else:  # nothing exceeds +inf or nan, everything exceeds -inf
+        cut = 0 if threshold < 0 else 2 * window + 1
     obs = trajectory.observations()
+    diff = Counter(obs[:window])  # count before t minus count from t on
+    diff.subtract(obs[window : 2 * window])
+    d = sum(map(abs, diff.values()))
     hits = []
     for t in range(window, n - window + 1):
-        tv = _tv_distance(
-            _distribution(obs[t - window : t]), _distribution(obs[t : t + window])
-        )
-        if tv > threshold:
-            hits.append((t, tv))
+        if t > window:
+            # obs[t - 1 - window] leaves the first window, obs[t - 1] crosses
+            # into it, obs[t - 1 + window] joins the second
+            for o, k in ((obs[t - 1 - window], -1), (obs[t - 1], 2), (obs[t - 1 + window], -1)):
+                c = diff[o]
+                diff[o] = c + k
+                d += abs(c + k) - abs(c)
+        if d >= cut:
+            hits.append((t, d))
     merged: list = []
-    for t, tv in hits:
+    for t, d in hits:
         if merged and t - merged[-1][-1][0] <= window:
-            merged[-1].append((t, tv))
+            merged[-1].append((t, d))
         else:
-            merged.append([(t, tv)])
+            merged.append([(t, d)])
     occurrences = []
     boundaries = []
     for cluster in merged:
-        t, tv = max(cluster, key=lambda item: (item[1], -item[0]))
+        t, d = max(cluster, key=lambda item: (item[1], -item[0]))
+        tv = d / (2 * window)
         lo = (tv - threshold) / (1.0 - threshold) if threshold < 1.0 else 1.0
         occurrences.append(
             EventOccurrence(t, "invisible", ProbInterval(min(max(lo, 0.0), 1.0), 1.0), "indirect")
@@ -175,33 +189,74 @@ class TrackResult:
     warnings: List[str]
 
 
-def _event_rank(model: Model, label: str) -> tuple:
-    return (model.priorities.get(label, float("inf")), label)
+class _Tables:
+    """Lookup tables built once per tracking or validity call.
+
+    - ``labels_at[t]``: the known labels of the events at step t, in
+      collision order (by priority rank, then label; only the first under
+      the priority rule).  Unknown labels are dropped with a warning.
+    - ``allowed[obs]``: the states whose trace admits the observation, for
+      every observation of the trajectory.
+    - ``moves[(state, label)]``: the label's positive-weight arrows out of
+      the state as (target, share) pairs, and whether any weight is an
+      interval midpoint.  Absent where the event cannot leave the state.
+    """
+
+    def __init__(
+        self,
+        model: Model,
+        trajectory: Trajectory,
+        events: EventStream,
+        collision: Optional[str],
+        warnings: list,
+    ):
+        if model.kind != "ed":
+            raise ModelError("tracking needs an event-driven model")
+        if collision is None:
+            collision = "priority" if model.priorities else "both-arrows"
+        if collision not in ("priority", "both-arrows"):
+            raise ModelError(f"unknown collision rule {collision!r}")
+        known = set(model.labels)
+        by_time: dict = {}
+        for occ in events.occurrences:
+            if occ.label not in known:
+                warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
+                continue
+            by_time.setdefault(occ.time, set()).add(occ.label)
+        keep = 1 if collision == "priority" else None
+        self.labels_at = {
+            t: tuple(sorted(labels, key=lambda l: (model.priorities.get(l, math.inf), l))[:keep])
+            for t, labels in by_time.items()
+        }
+        self.allowed = {
+            o: frozenset(s.id for s in model.states if s.trace.prob(o).hi > 0.0)
+            for o in set(trajectory.observations())
+        }
+        self.moves: dict = {}
+        for key, arrows in model.out_by_label.items():
+            weights = [a.arrow_prob.mid for a in arrows]
+            total = sum(weights)
+            if total > 0.0:
+                shares = tuple((a.target, w / total) for a, w in zip(arrows, weights) if w > 0.0)
+                self.moves[key] = (shares, any(not a.arrow_prob.is_point for a in arrows))
 
 
-def _apply_event(model: Model, belief: dict, label: str, warnings: list, t: int) -> tuple:
+def _apply_event(moves: dict, belief: dict, label: str, warnings: list, t: int) -> tuple:
     """Move belief mass through the event's arrows; mass in states the event
     cannot leave stays put (with a warning)."""
     moved: dict = {}
     stuck = []
     approx = False
     for sid, mass in belief.items():
-        arrows = model.out_by_label.get((sid, label), ())
-        if not arrows:
+        entry = moves.get((sid, label))
+        if entry is None:
             stuck.append(sid)
             moved[sid] = moved.get(sid, 0.0) + mass
             continue
-        weights = [a.arrow_prob.mid for a in arrows]
-        if any(not a.arrow_prob.is_point for a in arrows):
-            approx = True
-        total = sum(weights)
-        if total <= 0.0:
-            stuck.append(sid)
-            moved[sid] = moved.get(sid, 0.0) + mass
-            continue
-        for a, w in zip(arrows, weights):
-            if w > 0.0:
-                moved[a.target] = moved.get(a.target, 0.0) + mass * (w / total)
+        shares, midpoints = entry
+        approx = approx or midpoints
+        for target, share in shares:
+            moved[target] = moved.get(target, 0.0) + mass * share
     if stuck:
         warnings.append(
             f"step {t}: event {label!r} impossible in {' '.join(sorted(stuck))}; belief kept"
@@ -219,30 +274,18 @@ def _track(
 ) -> tuple:
     """Run the tracker from `start`; returns (beliefs, final_belief, memory,
     warnings, failed_at) where failed_at is None on full success."""
-    if model.kind != "ed":
-        raise ModelError("tracking needs an event-driven model")
-    if collision is None:
-        collision = "priority" if model.priorities else "both-arrows"
-    if collision not in ("priority", "both-arrows"):
-        raise ModelError(f"unknown collision rule {collision!r}")
+    warnings: list = []
+    tables = _Tables(model, trajectory, events, collision, warnings)
     belief = dict(initial) if initial is not None else {model.initial_state.id: 1.0}
+    remembering = {s.id for s in model.states if s.trace.memory}
     approx = False
     beliefs: list = []
     memory: TraceMemory = {}
-    warnings: list = []
-    by_time: dict = {}
-    for occ in events.occurrences:
-        if occ.label not in model.labels:
-            warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
-            continue
-        by_time.setdefault(occ.time, []).append(occ.label)
-    for t in range(start, len(trajectory)):
-        obs = trajectory.steps[t].obs
-        conditioned = {
-            sid: mass
-            for sid, mass in belief.items()
-            if model.by_id[sid].trace.prob(obs).hi > 0.0
-        }
+    steps = trajectory.steps
+    for t in range(start, len(steps)):
+        obs = steps[t].obs
+        allowed = tables.allowed[obs]
+        conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
         if len(conditioned) != len(belief):
             approx = True
         total = sum(conditioned.values())
@@ -250,14 +293,12 @@ def _track(
             return beliefs, None, memory, warnings, t
         belief = {sid: mass / total for sid, mass in conditioned.items()}
         beliefs.append(Belief(belief, approximate=approx))
-        top = min(belief, key=lambda s: (-belief[s], s))
-        if model.by_id[top].trace.memory:
-            memory[top] = obs
-        labels = sorted(set(by_time.get(t, ())), key=lambda l: _event_rank(model, l))
-        if labels and collision == "priority":
-            labels = labels[:1]
-        for label in labels:
-            belief, moved_approx = _apply_event(model, belief, label, warnings, t)
+        if remembering:
+            top = min(belief, key=lambda s: (-belief[s], s))
+            if top in remembering:
+                memory[top] = obs
+        for label in tables.labels_at.get(t, ()):
+            belief, moved_approx = _apply_event(tables.moves, belief, label, warnings, t)
             approx = approx or moved_approx
     return beliefs, Belief(belief, approximate=approx), memory, warnings, None
 
@@ -293,21 +334,44 @@ def phenomenon_validity(
     Restarts use a uniform belief (the phenomenon may re-emerge in any
     state).  A span covering everything recorded is flagged permanent so
     far; whether it stays permanent beyond the data is unknowable.
+
+    A restart at step i fails at the first step whose observation no state
+    of its belief's support can show.  Supports grow with the start: the
+    support of a later restart contains that of an earlier one.  So one
+    forward pass keeps, per state, the earliest restart whose support holds
+    it: a restart enters every state, a trace mismatch drops the state, an
+    event carries each value to the targets of its positive-weight arrows
+    (keeping the minimum) and leaves it on states the event cannot leave.
+    Restart i fails at the first step t >= i after whose observation every
+    state's earliest restart is later than i.  The cost is
+    O(n * (|S| + |arrows|)) for n steps.
     """
     n = len(trajectory)
-    uniform = {s.id: 1.0 / len(model.states) for s in model.states}
-
-    def run(i: int) -> int:
-        _, _, _, _, failed = _track(model, trajectory, events, start=i, initial=uniform)
-        return n if failed is None else failed
-
-    spans = []
-    best = -1
+    tables = _Tables(model, trajectory, events, None, [])
+    # oldest[t]: the earliest restart still tracking after step t's
+    # observation, n when none is
+    oldest = []
+    earliest: dict = {}
+    for t, step in enumerate(trajectory.steps):
+        earliest = {s: earliest.get(s, t) for s in tables.allowed[step.obs]}
+        oldest.append(min(earliest.values(), default=n))
+        for label in tables.labels_at.get(t, ()):
+            moved: dict = {}
+            for s, i in earliest.items():
+                entry = tables.moves.get((s, label))
+                targets = (s,) if entry is None else [target for target, _ in entry[0]]
+                for target in targets:
+                    if i < moved.get(target, n):
+                        moved[target] = i
+            earliest = moved
+    spans: list = []
+    end = 0
     for i in range(n):
-        end = run(i)
-        if end > i and end > best:
+        end = max(end, i)
+        while end < n and oldest[end] <= i:
+            end += 1
+        if end > i and (not spans or end > spans[-1].end):
             spans.append(ValiditySpan(i, end, permanent_so_far=(i == 0 and end == n)))
-            best = end
     return spans
 
 

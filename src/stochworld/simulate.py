@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .core import (
     ACTION_KINDS,
@@ -401,6 +400,10 @@ def check_markov(
     that state.  Contexts with fewer than ``min_count`` occurrences are
     skipped; if every context is skipped the report is inconclusive.
     """
+    # imported here: scipy.stats takes most of a second to import, and no
+    # other command needs it
+    from scipy import stats as scipy_stats
+
     seq = trajectory.observations()
     tests = []
     for sym in sorted(set(seq)):

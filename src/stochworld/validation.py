@@ -146,7 +146,10 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
         ):
             bad.append(f"arrow {a.source} {a.label} {a.target}: the event \"true\" has probability 1")
 
-    _check_sums(model, report)
+    if kind != "smdp":  # smdp intervals are structural: their sums constrain nothing
+        _check_sums(model, report)
+    if kind in ("smdp", "mdp-plus", "ed"):
+        _check_traces(model, report)
 
 
 def _check_point_trace(model: Model, s, bad: list) -> None:
@@ -167,8 +170,6 @@ def _check_sums(model: Model, report: ValidationReport) -> None:
     from .analysis import find_white_peak
 
     kind = model.kind
-    if kind == "smdp":
-        return
     white = find_white_peak(model)
     groups: dict = {}
     for a in model.arrows:
@@ -228,14 +229,15 @@ def _check_sums(model: Model, report: ValidationReport) -> None:
                         f"state {s.id}: interval sums exclude any policy (upper bounds sum to {hi:g})",
                     )
 
-    # imperfect traces must admit a distribution over the listed observations
-    if kind in ("smdp", "mdp-plus", "ed"):
-        for s in model.states:
-            if s.trace.is_empty:
-                continue
-            lo = sum(p.lo for p in s.trace.probs.values())
-            hi = sum(p.hi for p in s.trace.probs.values())
-            if lo > 1.0 + _SUM_TOL or hi < 1.0 - _SUM_TOL:
-                report.violations.append(
-                    f"state {s.id}: trace intervals exclude any observation distribution"
-                )
+
+def _check_traces(model: Model, report: ValidationReport) -> None:
+    """Imperfect traces must admit a distribution over the listed observations."""
+    for s in model.states:
+        if s.trace.is_empty:
+            continue
+        lo = sum(p.lo for p in s.trace.probs.values())
+        hi = sum(p.hi for p in s.trace.probs.values())
+        if lo > 1.0 + _SUM_TOL or hi < 1.0 - _SUM_TOL:
+            report.violations.append(
+                f"state {s.id}: trace intervals exclude any observation distribution"
+            )

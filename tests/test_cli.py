@@ -247,6 +247,15 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ok"
 
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, stochworld.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
     def test_stdin_dash(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stochworld.cli", "analyze", "-"],

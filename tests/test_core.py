@@ -213,6 +213,17 @@ class TestValidate:
         report = validate(model)
         assert any("[0,0], [0,1] or [1,1]" in v for v in report.violations)
 
+    @pytest.mark.parametrize("kind", ["smdp", "mdp-plus"])
+    def test_trace_intervals_must_admit_a_distribution(self, kind):
+        from stochworld import parse_model
+
+        model = parse_model(
+            f"model {kind}\nobs a b\nact x\nstate s initial trace a=[0,0.2] b=[0,0.2]\n"
+            "arrow s x s lp=[0,1] ap=[0,1]\n"
+        )
+        report = validate(model)
+        assert report.violations == ["state s: trace intervals exclude any observation distribution"]
+
     def test_idempotent_and_pure(self, fig3):
         first = validate(fig3)
         second = validate(fig3)

@@ -1,18 +1,29 @@
 """ed-runtime: characteristic functions, detection, tracking, validity,
 derived events and hierarchical composition."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from stochworld import (
+    Arrow,
     CharFn,
     EventOccurrence,
     EventStream,
+    Model,
     ModelError,
     ProbInterval,
+    State,
+    TraceSpec,
     TrackingError,
     Trajectory,
+    ValiditySpan,
     derived_events,
     detect_direct,
     detect_indirect,
@@ -23,6 +34,7 @@ from stochworld import (
     serialize_event_stream,
     track,
 )
+from stochworld.events import _track
 
 
 def traj_of(obs, acts=None):
@@ -108,6 +120,43 @@ class TestCharFns:
         assert fns[3].table[(("y",), ("x",))] == ProbInterval(0.0, 0.5)
 
 
+def run_python(script: str, **env) -> str:
+    """Stdout of ``script`` run by a fresh interpreter that imports this
+    checkout's package."""
+    import stochworld
+
+    src = str(Path(stochworld.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout
+
+
+def indirect_by_recount(obs, window: int, threshold: float):
+    """Reference scan: both windows recounted at every step, distances as
+    exact fractions.  Returns the boundary times and their lower confidences."""
+    hits = []
+    for t in range(window, len(obs) - window + 1):
+        before, after = Counter(obs[t - window : t]), Counter(obs[t : t + window])
+        d = sum(abs(before[o] - after[o]) for o in before.keys() | after.keys())
+        if Fraction(d, 2 * window) > Fraction(threshold):
+            hits.append((t, Fraction(d, 2 * window)))
+    clusters: list = []
+    for t, tv in hits:
+        if clusters and t - clusters[-1][-1][0] <= window:
+            clusters[-1].append((t, tv))
+        else:
+            clusters.append([(t, tv)])
+    best = [max(c, key=lambda item: (item[1], -item[0])) for c in clusters]
+    los = [min(max((float(tv) - threshold) / (1.0 - threshold), 0.0), 1.0) for _, tv in best]
+    return [t for t, _ in best], los
+
+
 class TestDetectIndirect:
     def test_synthetic_change_point(self):
         rng = random.Random(3)
@@ -136,6 +185,49 @@ class TestDetectIndirect:
     def test_too_short(self):
         with pytest.raises(ModelError):
             detect_indirect(traj_of(["a"] * 10), window=50, threshold=0.5)
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ModelError):
+            detect_indirect(traj_of(["a"] * 10), window=0, threshold=-1.0)
+
+    def test_matches_exact_recount(self):
+        rng = random.Random(2024)
+        hits = 0
+        for _ in range(500):
+            window = rng.choice((1, 2, 5, 10, 25, 50))
+            threshold = rng.choice((0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9))
+            symbols = "abcde"[: rng.randint(1, 5)]
+            obs = [rng.choice(symbols) for _ in range(rng.randint(2 * window, 300))]
+            stream, segments = detect_indirect(traj_of(obs), window, threshold)
+            times, los = indirect_by_recount(obs, window, threshold)
+            assert [o.time for o in stream.occurrences] == times
+            assert [o.confidence for o in stream.occurrences] == [ProbInterval(lo, 1.0) for lo in los]
+            cuts = [0] + times + [len(obs)]
+            assert segments == list(zip(cuts, cuts[1:]))
+            hits += len(times)
+        assert hits > 500
+
+    def test_distance_equal_to_threshold_is_no_boundary(self):
+        # window 10: before a:2 b:8, after a:4 b:6, distance exactly 4/20
+        obs = ["a"] * 2 + ["b"] * 8 + ["a"] * 4 + ["b"] * 6
+        assert len(detect_indirect(traj_of(obs), window=10, threshold=0.2)[0]) == 0
+        assert detect_indirect(traj_of(obs), window=10, threshold=0.19)[0].labels() == ("invisible",)
+        # a threshold the float holds exactly: distance 2/8
+        obs = ["a"] * 4 + ["a"] * 3 + ["b"]
+        assert len(detect_indirect(traj_of(obs), window=4, threshold=0.25)[0]) == 0
+
+    def test_output_independent_of_hash_seed(self):
+        script = (
+            "import random\n"
+            "from stochworld import Trajectory, detect_indirect\n"
+            "rng = random.Random(5)\n"
+            "for _ in range(300):\n"
+            "    symbols = 'abcdef'[: rng.randint(3, 6)]\n"
+            "    obs = [(rng.choice(symbols), None) for _ in range(300)]\n"
+            "    print(detect_indirect(Trajectory.of(obs), 50, 0.4))\n"
+        )
+        outputs = [run_python(script, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert outputs[0] == outputs[1]
 
 
 class TestTrack:
@@ -246,8 +338,6 @@ class TestPhenomenonValidity:
         assert spans == []
 
     def test_intervals_are_maximal(self, daynight_glare):
-        from stochworld.events import _track
-
         obs = ["glare"] * 3 + ["sun", "dark"] * 5 + ["glare"] * 4
         events = stream_of(
             *(((t, "sunset") if t % 2 == 1 else (t, "sunrise")) for t in range(3, 13))
@@ -264,6 +354,88 @@ class TestPhenomenonValidity:
                     daynight_glare, traj, events, start=span.start - 1, initial=uniform
                 )
                 assert earlier is not None and earlier < span.end
+
+
+    def test_matches_restart_oracle(self):
+        rng = random.Random(11)
+        seen: Counter = Counter()
+        for _ in range(1000):
+            model, trajectory, events = random_ed_log(rng)
+            spans = phenomenon_validity(model, trajectory, events)
+            assert spans == validity_by_restarts(model, trajectory, events)
+            traces = [p for s in model.states for p in s.trace.probs.values()]
+            seen["interval trace"] += any(not p.is_point for p in traces)
+            seen["untraced state"] += any(s.trace.is_empty for s in model.states)
+            seen["zero-weight arrow"] += any(a.arrow_prob.hi == 0.0 for a in model.arrows)
+            seen["stuck event"] += any(
+                o.label in model.labels
+                and all(a.arrow_prob.hi == 0.0 for a in model.out_by_label.get((s.id, o.label), ()))
+                for o in events.occurrences
+                for s in model.states
+            )
+            seen["unknown label"] += any(o.label not in model.labels for o in events.occurrences)
+            seen["priorities"] += bool(model.priorities)
+            seen["empty log"] += len(trajectory) == 0
+            seen["restarts"] += len(spans) > 1
+            seen["permanent"] += any(s.permanent_so_far for s in spans)
+        assert len(seen) == 9 and min(seen.values()) >= 20, seen
+
+
+def validity_by_restarts(model: Model, trajectory: Trajectory, events: EventStream) -> list:
+    """Reference validity: a full tracker run from a uniform belief at every
+    step; a span opens where a run outlasts every earlier one."""
+    n = len(trajectory)
+    uniform = {s.id: 1.0 / len(model.states) for s in model.states}
+    spans = []
+    best = -1
+    for i in range(n):
+        _, _, _, _, failed = _track(model, trajectory, events, start=i, initial=uniform)
+        end = n if failed is None else failed
+        if end > i and end > best:
+            spans.append(ValiditySpan(i, end, permanent_so_far=(i == 0 and end == n)))
+            best = end
+    return spans
+
+
+def random_ed_log(rng: random.Random) -> tuple:
+    """Seeded random ED model with a random log of up to 30 steps: point,
+    interval and absent traces, zero-weight and interval arrows, events
+    some states cannot take, unknown labels, priorities half the time."""
+    obs = tuple(f"o{i}" for i in range(rng.randint(1, 3)))
+    labels = tuple(f"e{i}" for i in range(rng.randint(1, 3)))
+    ids = [f"n{i}" for i in range(rng.randint(1, 5))]
+    states = []
+    for i, sid in enumerate(ids):
+        trace = {}
+        if rng.random() > 0.15:
+            for o in rng.sample(obs, rng.randint(1, len(obs))):
+                if rng.random() < 0.6:
+                    trace[o] = ProbInterval.point(rng.choice((0.0, 0.25, 0.5, 1.0)))
+                else:
+                    trace[o] = ProbInterval(0.0, rng.choice((0.3, 1.0)))
+        states.append(State(sid, i == 0, TraceSpec(trace, memory=rng.random() < 0.3)))
+    arrows = []
+    for sid in ids:
+        for e in labels:
+            if rng.random() < 0.6:
+                for target in rng.sample(ids, rng.randint(1, len(ids))):
+                    k = rng.random()
+                    if k < 0.2:
+                        ap = ProbInterval.point(0.0)
+                    elif k < 0.7:
+                        ap = ProbInterval.point(rng.choice((0.25, 0.5, 1.0)))
+                    else:
+                        ap = ProbInterval(0.1, 0.7)
+                    arrows.append(Arrow(sid, e, target, ProbInterval(0.0, 1.0), ap))
+    priorities = {}
+    if rng.random() < 0.5:
+        priorities = {e: r for r, e in enumerate(rng.sample(labels, len(labels)), start=1)}
+    model = Model("ed", obs, labels, tuple(states), tuple(arrows), priorities)
+    n = 0 if rng.random() < 0.1 else rng.randint(1, 30)
+    trajectory = traj_of([rng.choice(obs) for _ in range(n)])
+    times = sorted(rng.randrange(n) for _ in range(rng.randint(0, 2 * n)))
+    events = stream_of(*((t, rng.choice(labels + ("unknown",))) for t in times))
+    return model, trajectory, events
 
 
 class TestDerivedEvents:
