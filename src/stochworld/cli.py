@@ -141,7 +141,7 @@ def cmd_minimize(args) -> int:
     model = _load_model(args.model)
     if args.determinize:
         model = constructions.belief_determinize(model, args.depth)
-    reduced, partition = constructions.minimize_forward(model, args.depth)
+    reduced, partition = constructions.minimize_forward(model)
     if args.partition_out:
         _write(fmt.serialize_partition(partition), args.partition_out)
     _write(fmt.serialize_model(reduced), args.output)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minimize", cmd_minimize, help="merge states whose futures coincide")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True, help="bounds --determinize only")
     p.add_argument("--determinize", action="store_true", help="belief-determinize first")
     p.add_argument("--partition-out", default=None)
     out(p)

@@ -342,88 +342,107 @@ def _belief_label_prob(model: Model, belief, label: str) -> ProbInterval:
 # -- minimization -----------------------------------------------------------------
 
 
-def _trace_signature(s: State):
-    return (
-        frozenset((o, p.lo, p.hi) for o, p in s.trace.probs.items()),
-        s.trace.memory,
-    )
+def _coarsest_blocks(model: Model) -> list:
+    """Coarsest stable partition by splitter-based lumping (Valmari and
+    Franceschinis, TACAS 2010), as sets of state indices (some empty).
+
+    Equivalent states have equal traces and label probabilities and, per
+    label and class, equal exact weight into the class and an arrow there
+    or not alike.  Popping a splitter block B regroups every block by its
+    members' per-label weights into B.  Of a split block's parts, all but the
+    largest go on the worklist: its weights follow from the others' by
+    subtraction, so each arrow is rescanned O(log n) times, O(m log n) in
+    all.  Presence does not subtract when an arrow of weight 0 enters the
+    block, so such a block queues every part.
+    """
+    index = {s.id: i for i, s in enumerate(model.states)}
+    labels = {label: k for k, label in enumerate(model.labels)}
+    preds: list = [[] for _ in model.states]  # target -> (source, label, weight)
+    arrows = [a for a in model.arrows if a.label in labels]
+    ratios = [a.arrow_prob.lo.as_integer_ratio() for a in arrows]
+    scale = max((den for _, den in ratios), default=1)  # floats are dyadic: weights stay exact
+    for a, (num, den) in zip(arrows, ratios):
+        preds[index[a.target]].append((index[a.source], labels[a.label], num * (scale // den)))
+    zero_in = [any(w == 0 for _, _, w in p) for p in preds]
+
+    initial: dict = {}
+    out = model.out_by_label
+    for i, s in enumerate(model.states):
+        offered = tuple((l, out[s.id, l][0].label_prob) for l in model.labels if (s.id, l) in out)
+        initial.setdefault((frozenset(s.trace.probs.items()), s.trace.memory, offered), set()).add(i)
+    members = list(initial.values())
+    block_of = {i: b for b, m in enumerate(members) for i in m}
+    zeros = [sum(zero_in[i] for i in m) for m in members]
+    work = list(range(len(members)))
+    queued = set(work)
+
+    while work:
+        b = work.pop()
+        queued.discard(b)
+        weight: dict = {}  # predecessor -> label -> weight into b
+        for t in members[b]:
+            for s, k, w in preds[t]:
+                row = weight.setdefault(s, {})
+                row[k] = row.get(k, 0) + w
+        touched: dict = {}  # block -> weights -> members
+        for s, row in weight.items():
+            touched.setdefault(block_of[s], {}).setdefault(tuple(sorted(row.items())), []).append(s)
+        for d, by_weight in touched.items():
+            parts = list(by_weight.values())
+            if len(parts) == 1 and len(parts[0]) == len(members[d]):
+                continue
+            queue_all = d in queued or zeros[d] > 0
+            split = [d]
+            for part in parts:
+                split.append(len(members))
+                members.append(set(part))
+                members[d].difference_update(part)
+                for s in part:
+                    block_of[s] = split[-1]
+                zeros.append(sum(zero_in[s] for s in part))
+                zeros[d] -= zeros[-1]
+            if not queue_all:
+                split.remove(max(split, key=lambda x: len(members[x])))
+            for x in split:
+                if x not in queued:
+                    queued.add(x)
+                    work.append(x)
+    return members
 
 
-def minimize_forward(model: Model, depth: int = 1_000):
-    """Partition refinement: start from trace classes, split by per-label
-    successor distributions until stable (or `depth` rounds); quotient by
-    the result.  Returns (model, partition witness)."""
+def minimize_forward(model: Model):
+    """Bisimulation minimization: the coarsest partition refining the trace
+    classes in which equivalent states have equal per-label successor
+    distributions over the classes; quotient by it.  Always the exact
+    fixpoint.  Returns (model, partition witness), classes ordered by their
+    smallest state id."""
     if not model.has_point_probs():
         raise ModelError("minimization needs point probabilities")
-    block: dict = {}
-    groups: dict = {}
-    for s in model.states:
-        groups.setdefault(_trace_signature(s), []).append(s.id)
-    for i, sig in enumerate(sorted(groups, key=lambda g: sorted(groups[g])[0])):
-        for sid in groups[sig]:
-            block[sid] = i
+    ids = [s.id for s in model.states]
+    classes = sorted((frozenset(ids[i] for i in m) for m in _coarsest_blocks(model) if m), key=min)
+    partition = Partition(tuple(classes))
 
-    for _ in range(depth):
-        signatures: dict = {}
-        for s in model.states:
-            per_label = []
-            for label in model.labels:
-                arrows = model.out_by_label.get((s.id, label), ())
-                if not arrows:
-                    continue
-                mass: dict = {}
-                for a in arrows:
-                    mass[block[a.target]] = mass.get(block[a.target], Fraction(0)) + Fraction(
-                        a.arrow_prob.lo
-                    )
-                lp = arrows[0].label_prob
-                per_label.append((label, (lp.lo, lp.hi), tuple(sorted(mass.items()))))
-            signatures[s.id] = (block[s.id], tuple(per_label))
-        regroup: dict = {}
-        for sid, sig in signatures.items():
-            regroup.setdefault(sig, []).append(sid)
-        if len(regroup) == len(set(block.values())):
-            break
-        block = {}
-        for i, sig in enumerate(sorted(regroup, key=lambda g: sorted(regroup[g])[0])):
-            for sid in regroup[sig]:
-                block[sid] = i
-
-    classes: dict = {}
-    for sid, b in block.items():
-        classes.setdefault(b, set()).add(sid)
-    partition = Partition(tuple(frozenset(c) for c in classes.values()))
-
-    def class_id(c) -> str:
-        return "+".join(sorted(c))
-
-    id_of = {sid: class_id(partition.class_of(sid)) for sid in block}
+    name = {c: "+".join(sorted(c)) for c in classes}
+    id_of = {sid: name[c] for c in classes for sid in c}
     s0 = model.initial_state.id
-    merged_any = any(len(c) > 1 for c in partition.classes)
+    merged_any = len(classes) < len(ids)
     states = []
-    for c in sorted(partition.classes, key=class_id):
-        rep = model.by_id[min(c)]
-        memory = any(model.by_id[m].trace.memory for m in c)
-        phenomena = tuple(sorted({p for m in c for p in model.by_id[m].trace.phenomena}))
-        states.append(
-            State(
-                class_id(c),
-                initial=(s0 in c),
-                trace=TraceSpec(dict(rep.trace.probs), memory, phenomena),
-            )
-        )
     arrows = []
-    for c in sorted(partition.classes, key=class_id):
-        rep = min(c)
+    for c in sorted(classes, key=name.__getitem__):
+        rep = model.by_id[min(c)]
+        members = [model.by_id[m] for m in c]
+        memory = any(m.trace.memory for m in members)
+        phenomena = tuple(sorted({p for m in members for p in m.trace.phenomena}))
+        states.append(State(name[c], initial=(s0 in c), trace=TraceSpec(dict(rep.trace.probs), memory, phenomena)))
         for label in model.labels:
-            outgoing = model.out_by_label.get((rep, label), ())
+            outgoing = model.out_by_label.get((rep.id, label), ())
             if not outgoing:
                 continue
             mass: dict = {}
             for a in outgoing:
                 mass[id_of[a.target]] = mass.get(id_of[a.target], 0.0) + a.arrow_prob.lo
             for tgt, p in sorted(mass.items()):
-                arrows.append(Arrow(class_id(c), label, tgt, outgoing[0].label_prob, ProbInterval.point(p)))
+                arrows.append(Arrow(name[c], label, tgt, outgoing[0].label_prob, ProbInterval.point(p)))
 
     kind = model.kind
     if kind == "fomm" and merged_any:

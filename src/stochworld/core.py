@@ -30,12 +30,6 @@ ACTION_KINDS = ("mdp", "mdp-fixed", "smdp", "mdp-plus")
 TRUE_LABEL = "true"
 
 
-def check_symbol(sym: str, what: str = "symbol") -> str:
-    if not sym or any(c.isspace() for c in sym):
-        raise ModelError(f"invalid {what}: {sym!r}")
-    return sym
-
-
 @dataclass(frozen=True)
 class ProbInterval:
     """Closed subinterval of [0, 1]; a point value p is stored as [p, p]."""
@@ -204,19 +198,9 @@ class Model:
             index.setdefault((a.source, a.label), []).append(a)
         return {k: tuple(v) for k, v in index.items()}
 
-    @cached_property
-    def in_index(self) -> Mapping[str, tuple]:
-        index: dict = {s.id: [] for s in self.states}
-        for a in self.arrows:
-            index.setdefault(a.target, []).append(a)
-        return {k: tuple(v) for k, v in index.items()}
-
     @property
     def single_label(self) -> bool:
         return len(self.labels) == 1
-
-    def state_ids(self) -> tuple:
-        return tuple(s.id for s in self.states)
 
     def labels_from(self, state_id: str) -> tuple:
         """Labels with at least one arrow out of the state, in alphabet order."""
@@ -232,9 +216,6 @@ class Model:
 
     def has_point_probs(self) -> bool:
         return all(a.label_prob.is_point and a.arrow_prob.is_point for a in self.arrows)
-
-    def with_meta(self, *notes: str) -> "Model":
-        return replace(self, meta=self.meta + tuple(notes))
 
 
 def canonical(model: Model) -> Model:
@@ -326,18 +307,6 @@ class FutureSet:
         dev = Development(self.direction, tuple(word))
         return self.entries.get(dev, POINT_ZERO)
 
-    def obs_marginal(self) -> dict:
-        """Interval-sum of entries grouped by observation word."""
-        out: dict = {}
-        for dev, p in self.entries.items():
-            w = dev.obs_word()
-            if w in out:
-                q = out[w]
-                out[w] = ProbInterval(min(q.lo + p.lo, 1.0), min(q.hi + p.hi, 1.0))
-            else:
-                out[w] = p
-        return out
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -364,11 +333,14 @@ class Partition:
                 f"partition does not cover the states (missing {sorted(missing)}, unknown {sorted(extra)})"
             )
 
+    @cached_property
+    def _class_by_state(self) -> Mapping[str, frozenset]:
+        return {sid: c for c in reversed(self.classes) for sid in c}  # the first class wins
+
     def class_of(self, state_id: str) -> frozenset:
-        for c in self.classes:
-            if state_id in c:
-                return c
-        raise ModelError(f"state {state_id!r} not in partition")
+        if state_id not in self._class_by_state:
+            raise ModelError(f"state {state_id!r} not in partition")
+        return self._class_by_state[state_id]
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class CapExceededError(ToolkitError):
 
     code = "cap-exceeded"
 
-    def __init__(self, detail: str, partial=None):
-        self.partial = partial
-        super().__init__(detail)
-
 
 class TrackingError(ToolkitError):
     """Trajectory inconsistent with the tracked model."""

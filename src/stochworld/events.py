@@ -95,7 +95,8 @@ def detect_direct(
     trajectory: Trajectory, fns, threshold: float = 0.5
 ) -> EventStream:
     """Evaluate characteristic functions at every step; an occurrence is
-    emitted when the interval's lower bound clears the threshold.
+    emitted when the interval's lower bound clears the threshold and its
+    upper bound is above 0 (a [0,0] answer is never an occurrence).
 
     When same-named functions disagree at a step, the verdict of the one
     with the longer combined window stands (the first listed among equals).
@@ -108,7 +109,7 @@ def detect_direct(
     for t in range(len(trajectory)):
         for name, fn in chosen:
             value = fn.evaluate(trajectory, t)
-            if value.lo >= threshold:
+            if value.lo >= threshold and value.hi > 0.0:
                 occurrences.append(EventOccurrence(t, name, value, "direct"))
     return EventStream(tuple(occurrences))
 

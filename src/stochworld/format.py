@@ -12,7 +12,9 @@ The model document::
 
 Numbers are decimal with up to 12 significant digits; point intervals print
 without brackets.  Serialization is canonical (sorted alphabets, states and
-arrows), so serialize . parse . serialize is byte-stable.
+arrows), so serialize . parse . serialize is byte-stable.  Symbols must read
+back from a trajectory line, so ``obs``, ``act``, ``t0`` (its header words),
+``-`` (no action) and anything starting with ``#`` (a comment) are refused.
 """
 
 from __future__ import annotations
@@ -74,6 +76,16 @@ def _default_ap(kind: str) -> ProbInterval:
     return ProbInterval(0.0, 1.0) if kind == "smdp" else ProbInterval(1.0, 1.0)
 
 
+RESERVED_SYMBOLS = frozenset(("obs", "act", "t0", "-"))
+
+
+def _check_symbols(symbols, what: str, line: Optional[int] = None) -> None:
+    """Refuse symbols that a trajectory line would not read back."""
+    for sym in symbols:
+        if sym in RESERVED_SYMBOLS or sym.startswith("#") or sym.split() != [sym]:
+            raise FormatError(f"{what} {sym!r} is reserved: a trajectory line would not read it back", line)
+
+
 def _lines(text: str):
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -108,6 +120,7 @@ def parse_model(text: str) -> Model:
         if kind is None:
             raise FormatError("the model line must come first", num)
         if head == "obs":
+            _check_symbols(tokens[1:], "observation", num)
             obs.extend(tokens[1:])
         elif head in ("act", "event"):
             expected = "event" if kind == "ed" else "act"
@@ -115,6 +128,7 @@ def parse_model(text: str) -> Model:
                 raise FormatError(f"{kind} models have no {head} alphabet", num)
             if head != expected:
                 raise FormatError(f"{kind} models declare labels with {expected!r}", num)
+            _check_symbols(tokens[1:], "label", num)
             labels.extend(tokens[1:])
         elif head == "state":
             states.append(_parse_state(tokens, num))
@@ -285,6 +299,9 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
 
 
 def serialize_trajectory(trajectory: Trajectory) -> str:
+    """Text form; refuses symbols that would not parse back."""
+    _check_symbols({s.obs for s in trajectory.steps}, "observation")
+    _check_symbols({s.act for s in trajectory.steps} - {None}, "action")
     lines = [f"t0 {trajectory.t0}"]
     for s in trajectory.steps:
         lines.append(f"{s.obs} {s.act if s.act is not None else '-'}")
@@ -361,11 +378,6 @@ def parse_preference(text: str) -> Preference:
             raise FormatError(f"no actions ranked for state {sid}", num)
         order[sid] = ranked
     return Preference(order)
-
-
-def serialize_preference(pref: Preference) -> str:
-    lines = [f"state {s}: " + " > ".join(ranked) for s, ranked in sorted(pref.order.items())]
-    return "\n".join(lines) + "\n"
 
 
 def parse_policy(text: str) -> Policy:

@@ -85,8 +85,9 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     n = len(others)
     q = np.zeros((n, n))
     c = np.zeros(n)
+    nt_set = set(nt)
     for a in model.arrows:
-        if a.source not in set(nt) or a.target not in pos:
+        if a.source not in nt_set or a.target not in pos:
             continue
         p = a.effective().mid
         j = pos[a.target]
@@ -106,7 +107,6 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     arrow_counts: dict = {}
     return_count = 0.0
     absorption: dict = {}
-    nt_set = set(nt)
     for a in model.arrows:
         if a.source not in nt_set:
             continue

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
-from stochworld import Arrow, Model, ProbInterval, State, TraceSpec, parse_model
+from stochworld import Arrow, Model, Partition, ProbInterval, State, TraceSpec, parse_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -84,3 +85,101 @@ def walk(model: Model, steps: int, seed: int):
         state = chosen.target
         visited.append(state)
     return visited, taken
+
+
+def cycle_model(n: int) -> Model:
+    """Deterministic n-cycle c0 -> c1 -> ... -> c0 in which only c0 shows "b":
+    no two states are bisimilar, and round-based refinement needs about n
+    rounds to see it."""
+    names = [f"c{i}" for i in range(n)]
+    states = tuple(
+        State(s, initial=(i == 0), trace=TraceSpec({"b" if i == 0 else "a": ProbInterval.point(1.0)}))
+        for i, s in enumerate(names)
+    )
+    arrows = tuple(Arrow(s, "true", names[(i + 1) % n]) for i, s in enumerate(names))
+    return Model("hmm", ("a", "b"), ("true",), states, arrows)
+
+
+def refine_by_rounds(model: Model):
+    """Reference bisimulation partition: round-based signature refinement.
+
+    Start from the classes of equal traces; each round re-signs every state
+    by its class and, per label with arrows, the label probability and the
+    exact (Fraction) mass into each class; stop when a round splits nothing.
+    Returns the classes ordered by smallest member id.
+    """
+
+    def regroup(signature: dict) -> dict:
+        groups: dict = {}
+        for sid, sig in signature.items():
+            groups.setdefault(sig, []).append(sid)
+        ordered = sorted(groups.values(), key=min)
+        return {sid: i for i, group in enumerate(ordered) for sid in group}
+
+    block = regroup(
+        {
+            s.id: (frozenset((o, p.lo, p.hi) for o, p in s.trace.probs.items()), s.trace.memory)
+            for s in model.states
+        }
+    )
+    while True:
+        signature = {}
+        for s in model.states:
+            per_label = []
+            for label in model.labels:
+                arrows = model.out_by_label.get((s.id, label), ())
+                if not arrows:
+                    continue
+                mass: dict = {}
+                for a in arrows:
+                    mass[block[a.target]] = mass.get(block[a.target], Fraction(0)) + Fraction(a.arrow_prob.lo)
+                lp = arrows[0].label_prob
+                per_label.append((label, lp.lo, lp.hi, tuple(sorted(mass.items()))))
+            signature[s.id] = (block[s.id], tuple(per_label))
+        refined = regroup(signature)
+        if len(set(refined.values())) == len(set(block.values())):
+            break
+        block = refined
+    classes: dict = {}
+    for sid, b in block.items():
+        classes.setdefault(b, set()).add(sid)
+    return Partition(tuple(frozenset(classes[b]) for b in sorted(classes)))
+
+
+def random_point_model(rng: random.Random) -> Model:
+    """Small point-probability model (fomm, hmm or multi-label mdp-fixed) of
+    1-8 states for bisimulation properties.
+
+    Traces come from a pool of two point traces and one interval trace, and
+    arrow weights are quarters, some of them zero, so that states often tie
+    and refinement takes several rounds.  Self-loops, differing label
+    probabilities and labels missing from some states all occur.
+    """
+    kind = rng.choice(("fomm", "hmm", "mdp-fixed"))
+    n = rng.randint(1, 8)
+    labels = ("true",) if kind != "mdp-fixed" else tuple(f"a{i}" for i in range(rng.randint(2, 3)))
+    pool = (
+        {"x": ProbInterval.point(1.0)},
+        {"y": ProbInterval.point(1.0)},
+        {"x": ProbInterval(0.25, 0.5), "y": ProbInterval(0.5, 0.75)},
+    )
+    if kind == "fomm":
+        pool = pool[:2]
+    names = [f"s{i}" for i in range(n)]
+    states = tuple(
+        State(s, initial=(i == 0), trace=TraceSpec(dict(rng.choice(pool)))) for i, s in enumerate(names)
+    )
+    arrows = []
+    for src in names:
+        for label in labels:
+            if kind == "mdp-fixed" and rng.random() < 0.2:
+                continue  # this action is not offered here
+            lp = ProbInterval.point(rng.choice((0.25, 0.5)) if kind == "mdp-fixed" else 1.0)
+            targets = rng.sample(names, rng.randint(1, min(n, 3)))
+            quarters = [0] * len(targets)
+            for _ in range(4):
+                quarters[rng.randrange(len(targets))] += 1
+            for dst, q in zip(targets, quarters):
+                if q or rng.random() < 0.3:  # keep some zero-weight arrows
+                    arrows.append(Arrow(src, label, dst, lp, ProbInterval.point(q / 4)))
+    return Model(kind, ("x", "y"), labels, states, tuple(arrows))

@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from stochworld import parse_model
+from stochworld import parse_model, serialize_model
 from stochworld.cli import main
 from stochworld.events import parse_event_stream
 
-from helpers import MODELS_DIR
+from helpers import MODELS_DIR, cycle_model
 from test_format import check_dot_grammar
 
 M1 = str(MODELS_DIR / "m1_coin.model")
@@ -180,6 +180,35 @@ class TestPipelines:
         assert code == 0
         joined = parse_model(out)
         assert joined.initial_state.id == "now"
+
+    def test_minimize_depth_bounds_determinization_only(self, capsys, tmp_path):
+        cycle = tmp_path / "cycle30.model"
+        cycle.write_text(serialize_model(cycle_model(30)))
+        code, out, _ = run(capsys, "minimize", str(cycle), "--depth", "10")
+        assert code == 0
+        assert len(parse_model(out).states) == 30
+
+    def test_detect_threshold_zero_emits_only_possible_events(self, capsys, tmp_path):
+        traj_path = tmp_path / "x.traj"
+        traj_path.write_text("a -\nb -\na -\n")
+        fn_path = tmp_path / "s.charfn"
+        fn_path.write_text("charfn seen obs=a\n")
+        code, out, err = run(
+            capsys, "detect", str(traj_path), "--direct", str(fn_path), "--threshold", "0"
+        )
+        assert code == 0, err
+        stream = parse_event_stream(out)
+        assert [(o.time, o.label) for o in stream.occurrences] == [(0, "seen"), (2, "seen")]
+
+    def test_reserved_observation_refused_at_parse(self, capsys, tmp_path):
+        model = tmp_path / "obs.model"
+        model.write_text(
+            "model fomm\nobs obs x\nstate s initial trace obs=1\nstate t trace x=1\n"
+            "arrow s true t\narrow t true s\n"
+        )
+        code, _, err = run(capsys, "simulate", str(model), "--steps", "4", "--seed", "1")
+        assert code == 1
+        assert err.startswith("error: format:") and "'obs'" in err
 
     def test_policy_from_preference(self, capsys, tmp_path):
         pref = tmp_path / "royal.pref"

@@ -1,7 +1,9 @@
 """constructions: fact/event doubling, parity, quotient, determinize, minimize,
 and the minimal-model pipeline."""
 
+import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,14 @@ from stochworld import (
 )
 from stochworld.analysis import find_black_hole, find_white_peak
 
-from helpers import chain_model, load_model, walk
+from helpers import (
+    chain_model,
+    cycle_model,
+    load_model,
+    random_point_model,
+    refine_by_rounds,
+    walk,
+)
 
 
 def base_id(doubled_id: str) -> str:
@@ -320,6 +329,67 @@ class TestMinimizeForward:
             sig = (tuple(sorted(s.trace.probs)), row)
             assert sig not in sigs
             sigs.add(sig)
+
+    def test_equals_round_based_oracle(self):
+        rng = random.Random(20261018)
+        seen: Counter = Counter()
+        for _ in range(1200):
+            model = random_point_model(rng)
+            _, partition = minimize_forward(model)
+            assert partition == refine_by_rounds(model), model
+            traces = {frozenset(s.trace.probs.items()) for s in model.states}
+            seen[model.kind] += 1
+            seen["merged"] += len(partition.classes) < len(model.states)
+            seen["split a trace class"] += len(partition.classes) > len(traces)
+            seen["zero-weight arrow"] += any(a.arrow_prob.lo == 0.0 for a in model.arrows)
+            seen["self-loop"] += any(a.source == a.target for a in model.arrows)
+            seen["interval trace"] += any(
+                not p.is_point for s in model.states for p in s.trace.probs.values()
+            )
+            seen["label probabilities differ"] += len({a.label_prob for a in model.arrows}) > 1
+            seen[len(model.states)] += 1
+        features = ["fomm", "hmm", "mdp-fixed", "merged", "split a trace class", "zero-weight arrow",
+                    "self-loop", "interval trace", "label probabilities differ", *range(1, 9)]
+        assert all(seen[f] >= 100 for f in features), seen
+
+    def test_zero_weight_arrows_keep_presence_apart(self):
+        # s and s2 differ only in s's zero-weight arrow into {b1, b1b}, a class
+        # that splits off {b2} after the whole block was a splitter
+        model = parse_model(
+            "model hmm\nobs u v x y\n"
+            "state z trace u=1\nstate w trace v=1\n"
+            "state s initial trace y=1\nstate s2 trace y=1\n"
+            "state b1 trace x=1\nstate b1b trace x=1\nstate b2 trace x=1\n"
+            "arrow z true z\narrow w true w\n"
+            "arrow s true b1 ap=0\narrow s true b2 ap=0\narrow s true z ap=1\n"
+            "arrow s2 true b2 ap=0\narrow s2 true z ap=1\n"
+            "arrow b1 true z\narrow b1b true z\narrow b2 true w\n"
+        )
+        _, partition = minimize_forward(model)
+        assert partition == refine_by_rounds(model)
+        assert partition.class_of("s") == {"s"}
+
+    def test_cycle_keeps_every_state(self):
+        model = cycle_model(30)
+        reduced, partition = minimize_forward(model)
+        assert len(reduced.states) == 30 and len(partition.classes) == 30
+        assert exact_future(reduced, 40) == exact_future(model, 40)
+
+    def test_long_cycle_keeps_every_state(self):
+        reduced, _ = minimize_forward(cycle_model(1000))
+        assert len(reduced.states) == 1000
+
+    def test_always_runs_to_the_fixpoint(self):
+        assert list(inspect.signature(minimize_forward).parameters) == ["model"]
+
+
+class TestPartition:
+    def test_class_of(self):
+        partition = Partition((frozenset({"a", "b"}), frozenset({"c"})))
+        assert partition.class_of("b") == {"a", "b"}
+        assert partition.class_of("c") == {"c"}
+        with pytest.raises(ModelError):
+            partition.class_of("d")
 
 
 def _reinitialized(model, sid):

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stochworld import (
     FormatError,
@@ -16,7 +17,7 @@ from stochworld import (
     serialize_model,
     serialize_trajectory,
 )
-from stochworld.format import fmt_interval, fmt_num
+from stochworld.format import RESERVED_SYMBOLS, fmt_interval, fmt_num
 
 from genmodels import random_model
 from helpers import load_model
@@ -114,6 +115,12 @@ class TestRandomRoundTrip:
             assert serialize_model(parsed) == text
 
 
+#: Every symbol a model document can declare: one token, not reserved.
+SYMBOLS = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6).filter(
+    lambda s: s.split() == [s] and s not in RESERVED_SYMBOLS and not s.startswith("#")
+)
+
+
 class TestTrajectoryFormat:
     def test_t0_header(self):
         t = parse_trajectory("t0 2\nB -\nW -\nB -\nW -\n")
@@ -139,6 +146,31 @@ class TestTrajectoryFormat:
     def test_bad_t0(self):
         with pytest.raises(FormatError):
             parse_trajectory("t0 7\nB -\n")
+
+    @pytest.mark.parametrize("sym", ["obs", "act", "t0", "#x"])
+    def test_reserved_observation_refused(self, sym):
+        with pytest.raises(FormatError, match="reserved"):
+            parse_model(f"model fomm\nobs {sym} y\nstate s initial trace y=1\narrow s true s\n")
+        with pytest.raises(FormatError, match="reserved"):
+            serialize_trajectory(Trajectory.of([("y", None), (sym, None)]))
+
+    @pytest.mark.parametrize("sym", ["obs", "act", "t0", "-"])
+    def test_reserved_label_refused(self, sym):
+        with pytest.raises(FormatError, match="reserved"):
+            parse_model(f"model mdp\nobs y\nact go {sym}\nstate s initial trace y=1\n")
+        with pytest.raises(FormatError, match="reserved"):
+            serialize_trajectory(Trajectory.of([("y", sym)]))
+
+    @given(
+        st.lists(
+            st.tuples(SYMBOLS, st.one_of(st.none(), SYMBOLS)),
+            max_size=8,
+        ),
+        st.data(),
+    )
+    def test_round_trip_of_arbitrary_symbols(self, steps, data):
+        t = Trajectory.of(steps, t0=data.draw(st.integers(0, len(steps))))
+        assert parse_trajectory(serialize_trajectory(t)) == t
 
 
 DOT_EDGE = re.compile(r'^\s+"[^"]*" -> "[^"]*" \[label="[^"]*", color="[^"]*"\];$')
