@@ -33,7 +33,6 @@ from .core import (
     TraceSpec,
     Trajectory,
     canonical,
-    interval_product,
     memory_bits,
     step_belief,
 )
@@ -56,19 +55,19 @@ from .events import (
     derived_events,
     detect_direct,
     detect_indirect,
-    parse_charfns,
-    parse_event_stream,
     phenomenon_validity,
-    serialize_event_stream,
     track,
 )
 from .format import (
     export_dot,
+    parse_charfns,
+    parse_event_stream,
     parse_model,
     parse_partition,
     parse_policy,
     parse_preference,
     parse_trajectory,
+    serialize_event_stream,
     serialize_model,
     serialize_trajectory,
 )

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import analysis, constructions, events
 from . import format as fmt
 from . import inversion
 from .core import memory_bits
-from .errors import ToolkitError
+from .errors import ModelError, ToolkitError
 from .simulate import (
     SimulationConfig,
     check_markov,
@@ -47,7 +48,12 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _load_model(path: str):
-    return fmt.parse_model(_read(path))
+    """Parse a model and refuse it unless it satisfies its kind."""
+    model = fmt.parse_model(_read(path))
+    violations = validate(model).violations
+    if violations:
+        raise ModelError(violations[0])
+    return model
 
 
 def _usage_error(message: str) -> int:
@@ -63,7 +69,7 @@ def _render_future(fs) -> str:
 
 
 def cmd_validate(args) -> int:
-    model = _load_model(args.model)
+    model = fmt.parse_model(_read(args.model))
     report = validate(model)
     for line in report.warnings:
         print(f"warning: {line}")
@@ -223,10 +229,8 @@ def cmd_detect(args) -> int:
     if args.direct and args.indirect:
         return _usage_error("choose one of --direct and --indirect")
     if args.direct:
-        from pathlib import Path
-
         base = None if args.direct == "-" else Path(args.direct).parent
-        fns = events.parse_charfns(_read(args.direct), base_dir=base)
+        fns = fmt.parse_charfns(_read(args.direct), base_dir=base)
         stream = events.detect_direct(trajectory, fns, args.threshold)
     elif args.indirect:
         if args.window is None:
@@ -236,14 +240,14 @@ def cmd_detect(args) -> int:
             print(f"segment {start} {end}", file=sys.stderr)
     else:
         return _usage_error("choose one of --direct and --indirect")
-    _write(events.serialize_event_stream(stream), args.output)
+    _write(fmt.serialize_event_stream(stream), args.output)
     return 0
 
 
 def cmd_track(args) -> int:
     model = _load_model(args.model)
     trajectory = fmt.parse_trajectory(_read(args.trajectory))
-    stream = events.parse_event_stream(_read(args.events))
+    stream = fmt.parse_event_stream(_read(args.events))
     result = events.track(model, trajectory, stream, collision=args.collision)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)

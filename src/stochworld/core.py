@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InconsistentObservationError, ModelError
+from .errors import InconsistentObservationError, ModelError, PolicyError
 
 TOL = 1e-9
 
@@ -77,11 +77,6 @@ class ProbInterval:
 POINT_ONE = ProbInterval(1.0, 1.0)
 POINT_ZERO = ProbInterval(0.0, 0.0)
 FULL = ProbInterval(0.0, 1.0)
-
-
-def interval_product(a: ProbInterval, b: ProbInterval) -> ProbInterval:
-    """Product of the two per-arrow probabilities, as an interval."""
-    return a.times(b)
 
 
 @dataclass(frozen=True)
@@ -358,8 +353,6 @@ class Policy:
 
     def check(self, model: Model) -> None:
         """Require per-state sums of 1 inside the model's agent intervals."""
-        from .errors import PolicyError
-
         per_state: dict = {}
         for (s, a), p in self.probs.items():
             per_state.setdefault(s, []).append((a, p))
@@ -478,8 +471,6 @@ def memory_bits(model: Model) -> int:
     groups: dict = {}
     for s in model.states:
         colour = s.trace.colour()
-        if model.kind == "fomm" and s.trace.is_empty:
-            colour = s.id
         groups[colour] = groups.get(colour, 0) + 1
     m = max(groups.values(), default=1)
     return math.ceil(math.log2(m)) if m > 1 else 0

@@ -34,7 +34,7 @@ from .core import (
     ProbInterval,
     Trajectory,
 )
-from .errors import FormatError, ModelError, TrackingError
+from .errors import ModelError, TrackingError
 
 #: Last observation per memory-flagged state, absent until first visit.
 TraceMemory = Dict[str, str]
@@ -391,141 +391,3 @@ def derived_events(model: Model, beliefs, threshold: float = 0.5) -> EventStream
                     EventOccurrence(t, f"{name}.{s.id}", ProbInterval.point(now), "derived")
                 )
     return EventStream(tuple(occurrences))
-
-
-# -- companion file formats ----------------------------------------------------------
-
-
-def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
-    """Characteristic function documents::
-
-        charfn <name> action=<a>
-        charfn <name> obs=<o>
-        charfn <name> pattern [past=<regex>] [future=<regex>] [plen=<n>] [flen=<n>]
-        charfn <name> table <file>
-        charfn <name> table plen=<n> flen=<n>
-        row <past-csv|-> <future-csv|-> <p|[lo,hi]>   # rows attach to the table above
-
-    Pattern regexes match the comma-joined observation word of the window.
-    Table rows live inline or in a referenced file of the same row syntax
-    (resolved against ``base_dir``); window lengths default to the longest row.
-    """
-    from pathlib import Path
-
-    from .format import parse_interval
-
-    fns: list = []
-    pending_table: Optional[dict] = None
-
-    def parse_row(tokens, num):
-        if len(tokens) != 3:
-            raise FormatError("expected: <past-csv|-> <future-csv|-> <interval>", num)
-        past = tuple(tokens[0].split(",")) if tokens[0] != "-" else ()
-        future = tuple(tokens[1].split(",")) if tokens[1] != "-" else ()
-        return (past, future), parse_interval(tokens[2], num)
-
-    def flush():
-        nonlocal pending_table
-        if pending_table is not None:
-            rows = pending_table["rows"]
-            plen = pending_table["plen"] or max((len(p) for p, _ in rows), default=0)
-            flen = pending_table["flen"] or max((len(f) for _, f in rows), default=0)
-            fns.append(CharFn(pending_table["name"], "table", plen, flen, table=rows))
-            pending_table = None
-
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "row":
-            if pending_table is None:
-                raise FormatError("row outside a table charfn", num)
-            key, value = parse_row(tokens[1:], num)
-            pending_table["rows"][key] = value
-            continue
-        flush()
-        if tokens[0] != "charfn" or len(tokens) < 3:
-            raise FormatError("expected: charfn <name> <spec>", num)
-        name = tokens[1]
-        spec = tokens[2]
-        if spec.startswith("action="):
-            fns.append(CharFn(name, "action-match", 0, 1, action=spec[len("action=") :]))
-        elif spec.startswith("obs="):
-            fns.append(CharFn(name, "obs-match", 0, 1, obs=spec[len("obs=") :]))
-        elif spec == "pattern":
-            past = future = None
-            plen = 0
-            flen = 1
-            for t in tokens[3:]:
-                key, _, val = t.partition("=")
-                if key == "past":
-                    past = val
-                elif key == "future":
-                    future = val
-                elif key == "plen":
-                    plen = int(val)
-                elif key == "flen":
-                    flen = int(val)
-                else:
-                    raise FormatError(f"unexpected token {t!r}", num)
-            if past is None and future is None:
-                raise FormatError("pattern needs past= or future=", num)
-            fns.append(
-                CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future)
-            )
-        elif spec == "table":
-            pending_table = {"name": name, "plen": 0, "flen": 0, "rows": {}}
-            for t in tokens[3:]:
-                key, _, val = t.partition("=")
-                if key == "plen":
-                    pending_table["plen"] = int(val)
-                elif key == "flen":
-                    pending_table["flen"] = int(val)
-                elif not val:  # a bare token names the row file
-                    path = Path(base_dir) / t if base_dir else Path(t)
-                    for rnum, rline in enumerate(path.read_text().splitlines(), start=1):
-                        rline = rline.strip()
-                        if not rline or rline.startswith("#"):
-                            continue
-                        rkey, rvalue = parse_row(rline.split(), rnum)
-                        pending_table["rows"][rkey] = rvalue
-                else:
-                    raise FormatError(f"unexpected token {t!r}", num)
-        else:
-            raise FormatError(f"unknown charfn spec {spec!r}", num)
-    flush()
-    return fns
-
-
-def parse_event_stream(text: str) -> EventStream:
-    """Lines of the form `<time> <label> <interval> <provenance>`."""
-    from .format import parse_interval
-
-    occurrences = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (3, 4):
-            raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
-        try:
-            time = int(tokens[0])
-        except ValueError:
-            raise FormatError(f"bad time {tokens[0]!r}", num)
-        confidence = parse_interval(tokens[2], num)
-        provenance = tokens[3] if len(tokens) == 4 else "direct"
-        occurrences.append(EventOccurrence(time, tokens[1], confidence, provenance))
-    occurrences.sort(key=lambda o: o.time)
-    return EventStream(tuple(occurrences))
-
-
-def serialize_event_stream(stream: EventStream) -> str:
-    from .format import fmt_num
-
-    lines = []
-    for o in stream.occurrences:
-        iv = f"[{fmt_num(o.confidence.lo)},{fmt_num(o.confidence.hi)}]"
-        lines.append(f"{o.time} {o.label} {iv} {o.provenance}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
-"""Line-oriented text formats for models, trajectories and companions.
+"""Every line-oriented text format of the toolkit: models, trajectories,
+event streams, characteristic functions and the smaller companions.
 
 The model document::
 
@@ -19,14 +20,19 @@ back from a trajectory line, so ``obs``, ``act``, ``t0`` (its header words),
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import Path
+from typing import List, Optional
 
+from .constructions import EventSet
 from .core import (
     ACTION_KINDS,
     KINDS,
+    POINT_ONE,
     SINGLE_LABEL_KINDS,
     TRUE_LABEL,
     Arrow,
+    EventOccurrence,
+    EventStream,
     Model,
     Partition,
     Policy,
@@ -39,6 +45,7 @@ from .core import (
     canonical,
 )
 from .errors import FormatError, ModelError
+from .events import CharFn
 from .validation import validate
 
 
@@ -131,7 +138,7 @@ def parse_model(text: str) -> Model:
             _check_symbols(tokens[1:], "label", num)
             labels.extend(tokens[1:])
         elif head == "state":
-            states.append(_parse_state(tokens, num))
+            states.append(_parse_state(tokens, num, kind))
         elif head == "arrow":
             arrows.append(_parse_arrow(tokens, num, kind))
         elif head == "priority":
@@ -166,7 +173,7 @@ def parse_model(text: str) -> Model:
     return model
 
 
-def _parse_state(tokens: list, num: int) -> State:
+def _parse_state(tokens: list, num: int, kind: str) -> State:
     if len(tokens) < 2:
         raise FormatError("expected: state <id> ...", num)
     sid = tokens[1]
@@ -196,6 +203,8 @@ def _parse_state(tokens: list, num: int) -> State:
             i = len(tokens)
         else:
             raise FormatError(f"unexpected token {t!r} in state line", num)
+    if kind == "fomm" and not probs:  # a fomm state observes its own symbol
+        probs = {sid: POINT_ONE}
     return State(sid, initial, TraceSpec(probs, memory, tuple(phenomena)))
 
 
@@ -398,10 +407,8 @@ def serialize_policy(policy: Policy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_event_arrows(text: str, model: Model, name: str = "event"):
+def parse_event_arrows(text: str, model: Model, name: str = "event") -> EventSet:
     """Arrow triples `<from> <label> <to>`, resolved against the model."""
-    from .constructions import EventSet
-
     by_key = {a.key: a for a in model.arrows}
     picked = []
     for num, tokens in _lines(text):
@@ -412,3 +419,122 @@ def parse_event_arrows(text: str, model: Model, name: str = "event"):
             raise FormatError(f"no arrow {' '.join(key)} in the model", num)
         picked.append(by_key[key])
     return EventSet(name, frozenset(picked))
+
+
+# -- event-runtime formats -------------------------------------------------------
+
+
+def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
+    """Characteristic function documents::
+
+        charfn <name> action=<a>
+        charfn <name> obs=<o>
+        charfn <name> pattern [past=<regex>] [future=<regex>] [plen=<n>] [flen=<n>]
+        charfn <name> table <file>
+        charfn <name> table plen=<n> flen=<n>
+        row <past-csv|-> <future-csv|-> <p|[lo,hi]>   # rows attach to the table above
+
+    Pattern regexes match the comma-joined observation word of the window.
+    Table rows live inline or in a referenced file of the same row syntax
+    (resolved against ``base_dir``); window lengths default to the longest row.
+    """
+    fns: list = []
+    pending_table: Optional[dict] = None
+
+    def parse_row(tokens, num):
+        if len(tokens) != 3:
+            raise FormatError("expected: <past-csv|-> <future-csv|-> <interval>", num)
+        past = tuple(tokens[0].split(",")) if tokens[0] != "-" else ()
+        future = tuple(tokens[1].split(",")) if tokens[1] != "-" else ()
+        return (past, future), parse_interval(tokens[2], num)
+
+    def flush():
+        nonlocal pending_table
+        if pending_table is not None:
+            rows = pending_table["rows"]
+            plen = pending_table["plen"] or max((len(p) for p, _ in rows), default=0)
+            flen = pending_table["flen"] or max((len(f) for _, f in rows), default=0)
+            fns.append(CharFn(pending_table["name"], "table", plen, flen, table=rows))
+            pending_table = None
+
+    for num, tokens in _lines(text):
+        if tokens[0] == "row":
+            if pending_table is None:
+                raise FormatError("row outside a table charfn", num)
+            key, value = parse_row(tokens[1:], num)
+            pending_table["rows"][key] = value
+            continue
+        flush()
+        if tokens[0] != "charfn" or len(tokens) < 3:
+            raise FormatError("expected: charfn <name> <spec>", num)
+        name = tokens[1]
+        spec = tokens[2]
+        if spec.startswith("action="):
+            fns.append(CharFn(name, "action-match", 0, 1, action=spec[len("action=") :]))
+        elif spec.startswith("obs="):
+            fns.append(CharFn(name, "obs-match", 0, 1, obs=spec[len("obs=") :]))
+        elif spec == "pattern":
+            past = future = None
+            plen = 0
+            flen = 1
+            for t in tokens[3:]:
+                key, _, val = t.partition("=")
+                if key == "past":
+                    past = val
+                elif key == "future":
+                    future = val
+                elif key == "plen":
+                    plen = int(val)
+                elif key == "flen":
+                    flen = int(val)
+                else:
+                    raise FormatError(f"unexpected token {t!r}", num)
+            if past is None and future is None:
+                raise FormatError("pattern needs past= or future=", num)
+            fns.append(
+                CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future)
+            )
+        elif spec == "table":
+            pending_table = {"name": name, "plen": 0, "flen": 0, "rows": {}}
+            for t in tokens[3:]:
+                key, _, val = t.partition("=")
+                if key == "plen":
+                    pending_table["plen"] = int(val)
+                elif key == "flen":
+                    pending_table["flen"] = int(val)
+                elif not val:  # a bare token names the row file
+                    path = Path(base_dir) / t if base_dir else Path(t)
+                    for rnum, rtokens in _lines(path.read_text()):
+                        rkey, rvalue = parse_row(rtokens, rnum)
+                        pending_table["rows"][rkey] = rvalue
+                else:
+                    raise FormatError(f"unexpected token {t!r}", num)
+        else:
+            raise FormatError(f"unknown charfn spec {spec!r}", num)
+    flush()
+    return fns
+
+
+def parse_event_stream(text: str) -> EventStream:
+    """Lines of the form `<time> <label> <interval> <provenance>`."""
+    occurrences = []
+    for num, tokens in _lines(text):
+        if len(tokens) not in (3, 4):
+            raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
+        try:
+            time = int(tokens[0])
+        except ValueError:
+            raise FormatError(f"bad time {tokens[0]!r}", num)
+        confidence = parse_interval(tokens[2], num)
+        provenance = tokens[3] if len(tokens) == 4 else "direct"
+        occurrences.append(EventOccurrence(time, tokens[1], confidence, provenance))
+    occurrences.sort(key=lambda o: o.time)
+    return EventStream(tuple(occurrences))
+
+
+def serialize_event_stream(stream: EventStream) -> str:
+    lines = []
+    for o in stream.occurrences:
+        iv = f"[{fmt_num(o.confidence.lo)},{fmt_num(o.confidence.hi)}]"
+        lines.append(f"{o.time} {o.label} {iv} {o.provenance}")
+    return "\n".join(lines) + "\n"

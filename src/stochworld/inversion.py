@@ -37,26 +37,11 @@ class JourneyStatistics:
     absorption_counts: Mapping[str, float]
 
 
-def _reachable(model: Model, start: str) -> set:
-    adj: dict = {s.id: [] for s in model.states}
-    for a in model.arrows:
-        if a.effective().hi > 0.0:
-            adj[a.source].append(a.target)
-    seen, stack = {start}, [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def _propagating_states(model: Model) -> tuple:
     """States journeys can stand on: reachable and outside black holes."""
-    s0 = model.initial_state.id
     black = find_black_hole(model)
-    reach = _reachable(model, s0)
-    nt = [s.id for s in model.states if s.id in reach and s.id not in black]
+    white = find_white_peak(model)
+    nt = [s.id for s in model.states if s.id not in white and s.id not in black]
     for sid in nt:
         total = 0.0
         for a in model.out_index.get(sid, ()):

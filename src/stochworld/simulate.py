@@ -11,6 +11,7 @@ observation.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ import numpy as np
 
 from .core import (
     ACTION_KINDS,
+    POINT_ONE,
     SINGLE_LABEL_KINDS,
     TOL,
     TRUE_LABEL,
@@ -72,19 +74,6 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
     raise ModelError("interval agent probabilities need a policy or preference")
 
 
-def _sample_trace(model: Model, state: State, rng) -> str:
-    probs = [(o, _point(p, f"trace of {state.id}")) for o, p in sorted(state.trace.probs.items())]
-    if not probs:
-        raise ModelError(f"state {state.id} has no trace to observe")
-    u = rng.random()
-    acc = 0.0
-    for o, p in probs:
-        acc += p
-        if u < acc:
-            return o
-    return probs[-1][0]
-
-
 def _sample(pairs, rng):
     u = rng.random()
     acc = 0.0
@@ -93,6 +82,23 @@ def _sample(pairs, rng):
         if u < acc:
             return item
     return pairs[-1][0]
+
+
+def _sample_trace(state: State, rng) -> str:
+    probs = [(o, _point(p, f"trace of {state.id}")) for o, p in sorted(state.trace.probs.items())]
+    if not probs:
+        raise ModelError(f"state {state.id} has no trace to observe")
+    return _sample(probs, rng)
+
+
+def _move(model: Model, state: State, label: str, rng) -> Optional[State]:
+    """Draw one of the label's arrows out of the state and return its
+    target; None when the label has no arrows there."""
+    arrows = model.out_by_label.get((state.id, label))
+    if not arrows:
+        return None
+    pairs = [(a, _point(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
+    return model.by_id[_sample(pairs, rng).target]
 
 
 def _event_order(model: Model) -> tuple:
@@ -111,7 +117,7 @@ def simulate_events(model: Model, config: SimulationConfig):
     steps = []
     occurrences = []
     for t in range(config.steps):
-        obs = _sample_trace(resolved, state, rng)
+        obs = _sample_trace(state, rng)
         if resolved.kind == "ed":
             fired = []
             for e in order:
@@ -123,13 +129,11 @@ def simulate_events(model: Model, config: SimulationConfig):
             if fired and config.collision == "priority":
                 fired = fired[:1]
             for e in fired:
-                arrows = resolved.out_by_label.get((state.id, e))
-                if not arrows:
+                target = _move(resolved, state, e, rng)
+                if target is None:
                     continue  # the walk moved; the event cannot fire here
-                pairs = [(a, _point(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
-                chosen = _sample(pairs, rng)
-                occurrences.append(EventOccurrence(t, e, ProbInterval.point(1.0), "direct"))
-                state = resolved.by_id[chosen.target]
+                occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
+                state = target
             steps.append(Step(obs, None))
             continue
         act = None
@@ -142,13 +146,11 @@ def simulate_events(model: Model, config: SimulationConfig):
             label = act
         else:
             label = TRUE_LABEL
-        arrows = resolved.out_by_label.get((state.id, label))
-        if not arrows:
+        target = _move(resolved, state, label, rng)
+        if target is None:
             raise JourneyError(f"state {state.id} has no {label!r} arrows")
-        pairs = [(a, _point(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
-        chosen = _sample(pairs, rng)
         steps.append(Step(obs, act))
-        state = resolved.by_id[chosen.target]
+        state = target
     return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
 
 
@@ -161,75 +163,80 @@ def simulate(model: Model, config: SimulationConfig) -> Trajectory:
 # -- future and past enumeration -------------------------------------------------
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(x)  # exact binary expansion of the stored double
+def _is_exact(model: Model) -> bool:
+    """Exact rationals apply when every arrow and trace probability is a
+    point and every state is traced (an untraced state observes anything)."""
+    return model.has_point_probs() and all(
+        s.trace.probs and all(p.is_point for p in s.trace.probs.values()) for s in model.states
+    )
+
+
+def _times_bounds(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0], x[1] * y[1])
+
+
+def _plus_bounds(x: tuple, y: tuple) -> tuple:
+    return (x[0] + y[0], min(x[1] + y[1], 1.0))
+
+
+def _total_bounds(values) -> tuple:
+    return (min(sum(v[0] for v in values), 1.0), min(sum(v[1] for v in values), 1.0))
+
+
+def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
+    """Layered expansion of the development words to the given depth.
+
+    Each layer maps a word to its mass per end state.  The exact backend
+    multiplies Fractions of the stored doubles, an arrow weighing
+    lp.lo * ap.lo; the other multiplies (lo, hi) float bounds and caps sums
+    at 1.  Moves and emissions whose upper bound is zero are dropped once,
+    in per-call tables.  Returns {word: Fraction} or {word: (lo, hi)}.
+    """
+    if exact:
+        one, times, plus, total = Fraction(1), operator.mul, operator.add, sum
+        positive = lambda w: w > 0
+        weights = [Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo) for a in m.arrows]
+        emits = {s.id: [(o, Fraction(p.lo)) for o, p in sorted(s.trace.probs.items())] for s in m.states}
+    else:
+        one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds
+        positive = lambda w: w[1] > 0.0
+        weights = [(eff.lo, eff.hi) for eff in map(Arrow.effective, m.arrows)]
+        emits = {s.id: [(o, (p.lo, p.hi)) for o in m.obs for p in (s.trace.prob(o),)] for s in m.states}
+    emits = {sid: [(o, p) for o, p in pairs if positive(p)] for sid, pairs in emits.items()}
+    moves: dict = {s.id: [] for s in m.states}
+    for a, weight in zip(m.arrows, weights):
+        if positive(weight):
+            moves.setdefault(a.source, []).append((a.label, a.target, weight, emits[a.target]))
+    layer = {(): {m.initial_state.id: one}}
+    for _ in range(depth):
+        nxt: dict = {}
+        for word, dist in layer.items():
+            for sid, mass in dist.items():
+                for label, target, weight, emitted in moves[sid]:
+                    moved = times(mass, weight)
+                    for obs, p in emitted:
+                        bucket = nxt.setdefault(word + ((label, obs),), {})
+                        w = times(moved, p)
+                        bucket[target] = plus(bucket[target], w) if target in bucket else w
+        layer = nxt
+        if len(layer) > cap:
+            raise CapExceededError(f"future enumeration exceeds {cap} developments")
+    return {word: total(list(dist.values())) for word, dist in layer.items()}
 
 
 def exact_future(
     model: Model, depth: int, policy: Optional[Policy] = None, cap: int = 200_000
 ) -> dict:
-    """Exact development distribution of a point-probability model.
+    """Exact development distribution of a point-probability model whose
+    states are all traced.
 
     Returns {(label, obs) word tuple: Fraction}; rational arithmetic keeps
     desk-scale comparisons exact.
     """
     m = compose_policy(model, policy) if policy is not None else model
-    if not m.has_point_probs():
+    if not _is_exact(m):
         raise ModelError("exact enumeration needs point probabilities")
-    layer = {(): {m.initial_state.id: Fraction(1)}}
-    for _ in range(depth):
-        nxt: dict = {}
-        for word, dist in layer.items():
-            for sid, mass in dist.items():
-                for a in m.out_index.get(sid, ()):
-                    eff = _frac(a.label_prob.lo) * _frac(a.arrow_prob.lo)
-                    if eff == 0:
-                        continue
-                    trace = m.by_id[a.target].trace
-                    for obs in sorted(trace.probs):
-                        tp = _frac(trace.probs[obs].lo)
-                        if tp == 0:
-                            continue
-                        w = word + ((a.label, obs),)
-                        bucket = nxt.setdefault(w, {})
-                        bucket[a.target] = bucket.get(a.target, Fraction(0)) + mass * eff * tp
-        layer = nxt
-        if len(layer) > cap:
-            raise CapExceededError(f"future enumeration exceeds {cap} developments")
-    return {word: sum(dist.values()) for word, dist in layer.items()}
-
-
-def _interval_future(model: Model, depth: int, cap: int) -> dict:
-    """Sound interval bounds per development word, multiplicative per step."""
-    layer = {(): {model.initial_state.id: (1.0, 1.0)}}
-    for _ in range(depth):
-        nxt: dict = {}
-        for word, dist in layer.items():
-            for sid, (lo, hi) in dist.items():
-                for a in model.out_index.get(sid, ()):
-                    eff = a.effective()
-                    if eff.hi <= 0.0:
-                        continue
-                    trace = model.by_id[a.target].trace
-                    for obs in model.obs:
-                        tp = trace.prob(obs)
-                        if tp.hi <= 0.0:
-                            continue
-                        w = word + ((a.label, obs),)
-                        nlo = lo * eff.lo * tp.lo
-                        nhi = hi * eff.hi * tp.hi
-                        bucket = nxt.setdefault(w, {})
-                        old = bucket.get(a.target, (0.0, 0.0))
-                        bucket[a.target] = (old[0] + nlo, min(old[1] + nhi, 1.0))
-        layer = nxt
-        if len(layer) > cap:
-            raise CapExceededError(f"future enumeration exceeds {cap} developments")
-    out = {}
-    for word, dist in layer.items():
-        lo = min(sum(v[0] for v in dist.values()), 1.0)
-        hi = min(sum(v[1] for v in dist.values()), 1.0)
-        out[word] = (lo, hi)
-    return out
+    return _develop(m, depth, cap, exact=True)
 
 
 def enumerate_future(
@@ -238,26 +245,17 @@ def enumerate_future(
     """Perfect or quasi-perfect description of the future to the given depth.
 
     Point models (after an optional policy) get exact probabilities; interval
-    models get sound multiplicative bounds.  Developments with an upper
-    probability of zero are absent.
+    models get sound multiplicative bounds, and so do models with an
+    untraced state, whose observations each get [0, 1].  Developments with an
+    upper probability of zero are absent.
     """
     m = compose_policy(model, policy) if policy is not None else model
-    if m.has_point_probs() and all(
-        p.is_point for s in m.states for p in s.trace.probs.values()
-    ):
-        dist = exact_future(m, depth, cap=cap)
-        entries = {
-            Development("future", w): ProbInterval.point(float(p))
-            for w, p in dist.items()
-            if p > 0
-        }
-    else:
-        dist = _interval_future(m, depth, cap)
-        entries = {
-            Development("future", w): ProbInterval(lo, hi)
-            for w, (lo, hi) in dist.items()
-            if hi > 0.0
-        }
+    exact = _is_exact(m)
+    entries = {}
+    for word, p in _develop(m, depth, cap, exact).items():
+        lo, hi = (p, p) if exact else p
+        if hi > 0:
+            entries[Development("future", word)] = ProbInterval(float(lo), float(hi))
     return FutureSet(depth, "future", entries)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis import find_white_peak
 from .core import (
     KINDS,
     SINGLE_LABEL_KINDS,
@@ -103,8 +104,6 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
         if set(model.obs) != {s.id for s in model.states}:
             bad.append("fomm states must coincide with the observation alphabet")
         for s in model.states:
-            if s.trace.is_empty:
-                continue  # empty trace defaults to the state's own symbol
             if s.trace.deterministic_obs != s.id:
                 bad.append(f"fomm state {s.id} must observe exactly itself")
 
@@ -167,13 +166,8 @@ def _check_point_trace(model: Model, s, bad: list) -> None:
 
 
 def _check_sums(model: Model, report: ValidationReport) -> None:
-    from .analysis import find_white_peak
-
     kind = model.kind
     white = find_white_peak(model)
-    groups: dict = {}
-    for a in model.arrows:
-        groups.setdefault((a.source, a.label), []).append(a)
 
     def note_deficit(src: str, detail: str) -> None:
         if src in white:
@@ -181,7 +175,7 @@ def _check_sums(model: Model, report: ValidationReport) -> None:
         else:
             report.violations.append(detail)
 
-    for (src, label), arrows in groups.items():
+    for (src, label), arrows in model.out_by_label.items():
         lo = sum(a.arrow_prob.lo for a in arrows)
         hi = sum(a.arrow_prob.hi for a in arrows)
         where = f"state {src}" if len(model.labels) == 1 else f"state {src}, {label!r}"

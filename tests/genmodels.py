@@ -43,6 +43,8 @@ def random_model(rng: random.Random) -> Model:
         trace = {}
         for o in rng.sample(obs, rng.randint(0, len(obs))):
             trace[o] = _interval(rng, point_only)
+        if kind == "fomm" and not trace:  # a fomm document gives an untraced state its own symbol
+            trace = {obs[0]: ProbInterval.point(1.0)}
         states.append(
             State(
                 sid,

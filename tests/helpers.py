@@ -6,7 +6,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from stochworld import Arrow, Model, Partition, ProbInterval, State, TraceSpec, parse_model
+from stochworld import (
+    Arrow,
+    CapExceededError,
+    Development,
+    FutureSet,
+    Model,
+    Partition,
+    ProbInterval,
+    State,
+    TraceSpec,
+    parse_model,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -183,3 +194,127 @@ def random_point_model(rng: random.Random) -> Model:
                 if q or rng.random() < 0.3:  # keep some zero-weight arrows
                     arrows.append(Arrow(src, label, dst, lp, ProbInterval.point(q / 4)))
     return Model(kind, ("x", "y"), labels, states, tuple(arrows))
+
+
+def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict:
+    """Reference exact expansion: Fractions of the stored doubles, arrows
+    re-weighed at every step.  Takes the lower trace bounds as points."""
+    layer = {(): {model.initial_state.id: Fraction(1)}}
+    for _ in range(depth):
+        nxt: dict = {}
+        for word, dist in layer.items():
+            for sid, mass in dist.items():
+                for a in model.out_index.get(sid, ()):
+                    eff = Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo)
+                    if eff == 0:
+                        continue
+                    trace = model.by_id[a.target].trace
+                    for obs in sorted(trace.probs):
+                        tp = Fraction(trace.probs[obs].lo)
+                        if tp == 0:
+                            continue
+                        w = word + ((a.label, obs),)
+                        bucket = nxt.setdefault(w, {})
+                        bucket[a.target] = bucket.get(a.target, Fraction(0)) + mass * eff * tp
+        layer = nxt
+        if len(layer) > cap:
+            raise CapExceededError(f"future enumeration exceeds {cap} developments")
+    return {word: sum(dist.values()) for word, dist in layer.items()}
+
+
+def interval_future_by_layers(model: Model, depth: int, cap: int) -> dict:
+    """Reference interval expansion: float (lo, hi) bounds per word,
+    multiplied per step, sums capped at 1."""
+    layer = {(): {model.initial_state.id: (1.0, 1.0)}}
+    for _ in range(depth):
+        nxt: dict = {}
+        for word, dist in layer.items():
+            for sid, (lo, hi) in dist.items():
+                for a in model.out_index.get(sid, ()):
+                    eff = a.effective()
+                    if eff.hi <= 0.0:
+                        continue
+                    trace = model.by_id[a.target].trace
+                    for obs in model.obs:
+                        tp = trace.prob(obs)
+                        if tp.hi <= 0.0:
+                            continue
+                        w = word + ((a.label, obs),)
+                        nlo = lo * eff.lo * tp.lo
+                        nhi = hi * eff.hi * tp.hi
+                        bucket = nxt.setdefault(w, {})
+                        old = bucket.get(a.target, (0.0, 0.0))
+                        bucket[a.target] = (old[0] + nlo, min(old[1] + nhi, 1.0))
+        layer = nxt
+        if len(layer) > cap:
+            raise CapExceededError(f"future enumeration exceeds {cap} developments")
+    out = {}
+    for word, dist in layer.items():
+        lo = min(sum(v[0] for v in dist.values()), 1.0)
+        hi = min(sum(v[1] for v in dist.values()), 1.0)
+        out[word] = (lo, hi)
+    return out
+
+
+def future_by_layers(model: Model, depth: int, cap: int) -> FutureSet:
+    """Reference future description: the exact expansion on point models
+    with point traces, the interval expansion otherwise.  It drops every
+    word through an untraced state of a point model."""
+    if model.has_point_probs() and all(
+        p.is_point for s in model.states for p in s.trace.probs.values()
+    ):
+        dist = exact_future_by_layers(model, depth, cap)
+        entries = {
+            Development("future", w): ProbInterval.point(float(p)) for w, p in dist.items() if p > 0
+        }
+    else:
+        dist = interval_future_by_layers(model, depth, cap)
+        entries = {
+            Development("future", w): ProbInterval(lo, hi) for w, (lo, hi) in dist.items() if hi > 0.0
+        }
+    return FutureSet(depth, "future", entries)
+
+
+def random_future_model(rng: random.Random, kind: str) -> Model:
+    """Small model of the given kind for comparing future expansions.
+
+    Arrow weights are quarters, some of them zero; agent intervals are
+    [0,1] for mdp and smdp, random for mdp-plus, points otherwise.  A
+    state's trace is a point distribution, a set of intervals (one time in
+    four) or empty (one time in eight).  Validity is not a goal.
+    """
+    n = rng.randint(1, 4)
+    names = [f"s{i}" for i in range(n)]
+    obs = ("x", "y", "z")[: rng.randint(1, 3)]
+    labels = ("true",) if kind in ("fomm", "hmm") else tuple(f"e{i}" for i in range(rng.randint(1, 2)))
+    def quarter():
+        return ProbInterval.point(rng.randint(0, 4) / 4)
+
+    def interval():
+        lo, hi = sorted((rng.randint(0, 4) / 4, rng.randint(0, 4) / 4))
+        return ProbInterval(lo, hi)
+
+    states = []
+    for i, sid in enumerate(names):
+        roll = rng.random()
+        seen = rng.sample(obs, rng.randint(1, len(obs)))
+        if roll < 0.125:
+            trace = {}
+        elif roll < 0.375:
+            trace = {o: interval() for o in seen}
+        else:
+            trace = {o: quarter() for o in seen}
+        states.append(State(sid, initial=(i == 0), trace=TraceSpec(trace)))
+    arrows = []
+    for src in names:
+        for label in labels:
+            if kind in ("mdp", "smdp"):
+                lp = ProbInterval(0.0, 1.0)
+            elif kind == "mdp-plus":
+                lp = interval()
+            else:
+                lp = ProbInterval.point(1.0) if kind in ("fomm", "hmm") else quarter()
+            for dst in rng.sample(names, rng.randint(1, n)):
+                ap = interval() if kind in ("smdp", "mdp-plus") and rng.random() < 0.5 else quarter()
+                arrows.append(Arrow(src, label, dst, lp, ap))
+    return Model(kind, obs, labels, tuple(states), tuple(arrows))

@@ -7,7 +7,7 @@ import pytest
 
 from stochworld import parse_model, serialize_model
 from stochworld.cli import main
-from stochworld.events import parse_event_stream
+from stochworld.format import parse_event_stream
 
 from helpers import MODELS_DIR, cycle_model
 from test_format import check_dot_grammar
@@ -70,6 +70,52 @@ class TestBasics:
         code, _, err = run(capsys, "validate", str(broken))
         assert code == 1
         assert err.startswith("error: format: line 3")
+
+
+ABOVE_ONE = (
+    "model hmm\nobs a b c\nstate s initial trace a=1\nstate t1 trace b=1\nstate t2 trace {t2}=1\n"
+    "arrow s true t1 ap=0.75\narrow s true t2 ap=0.5\narrow t1 true s\narrow t2 true s\n"
+)
+
+
+class TestModelDocuments:
+    def test_future_bounds_untraced_state(self, capsys, tmp_path):
+        model = tmp_path / "untraced.model"
+        model.write_text(
+            "model ed\nobs x y\nevent go\nstate a initial trace x=1\nstate b\n"
+            "arrow a go b lp=1 ap=1\narrow b go a lp=1 ap=1\n"
+        )
+        code, out, err = run(capsys, "future", str(model), "--depth", "2")
+        assert code == 0, err
+        assert out.splitlines() == ["go:x,go:x [0,1]", "go:y,go:x [0,1]"]
+
+    def test_untraced_fomm_state_observes_itself(self, capsys, tmp_path):
+        model = tmp_path / "fomm.model"
+        model.write_text(
+            "model fomm\nobs a b\nstate a initial\nstate b\n"
+            "arrow a true a ap=0.5\narrow a true b ap=0.5\narrow b true a\n"
+        )
+        code, out, err = run(capsys, "future", str(model), "--depth", "2")
+        assert code == 0, err
+        assert out.splitlines() == ["a,a 0.25", "a,b 0.25", "b,a 0.5"]
+        code, out, err = run(capsys, "simulate", str(model), "--steps", "6", "--seed", "1")
+        assert code == 0, err
+        assert {line.split()[0] for line in out.splitlines()[1:]} <= {"a", "b"}
+
+    @pytest.mark.parametrize(
+        "t2, argv",
+        [
+            ("b", ("minimize", "--depth", "1")),  # t1 and t2 merge
+            ("c", ("minimize", "--depth", "1")),  # nothing merges
+            ("b", ("future", "--depth", "1")),
+        ],
+    )
+    def test_kind_violation_refused(self, capsys, tmp_path, t2, argv):
+        model = tmp_path / "above.model"
+        model.write_text(ABOVE_ONE.format(t2=t2))
+        code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+        assert code == 1 and out == ""
+        assert err.strip() == "error: model: state s: outgoing probabilities sum to 1.25, above 1"
 
 
 class TestSeedDiscipline:

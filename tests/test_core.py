@@ -12,7 +12,6 @@ from stochworld import (
     ProbInterval,
     State,
     TraceSpec,
-    interval_product,
     memory_bits,
     step_belief,
     validate,
@@ -27,13 +26,13 @@ def iv(lo, hi=None):
 
 class TestProbInterval:
     def test_point_identity(self):
-        assert interval_product(iv(1), iv(0.5)) == iv(0.5)
+        assert iv(1).times(iv(0.5)) == iv(0.5)
 
     def test_bound_arithmetic(self):
-        assert interval_product(iv(0, 1), iv(0.3, 0.7)) == iv(0.0, 0.7)
+        assert iv(0, 1).times(iv(0.3, 0.7)) == iv(0.0, 0.7)
 
     def test_endpoint_multiplication(self):
-        got = interval_product(iv(0.1, 0.8), iv(0.5))
+        got = iv(0.1, 0.8).times(iv(0.5))
         assert got.lo == pytest.approx(0.05)
         assert got.hi == pytest.approx(0.4)
 
@@ -50,8 +49,8 @@ class TestProbInterval:
     def test_product_monotone_under_widening(self, a, b):
         a_lo, a_in_lo, a_in_hi, a_hi = a
         b_lo, b_in_lo, b_in_hi, b_hi = b
-        narrow = interval_product(iv(a_in_lo, a_in_hi), iv(b_in_lo, b_in_hi))
-        wide = interval_product(iv(a_lo, a_hi), iv(b_lo, b_hi))
+        narrow = iv(a_in_lo, a_in_hi).times(iv(b_in_lo, b_in_hi))
+        wide = iv(a_lo, a_hi).times(iv(b_lo, b_hi))
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
 
@@ -177,6 +176,10 @@ class TestValidate:
         )
         report = validate(squeezed)
         assert any("exclude any policy" in v for v in report.violations)
+
+    def test_untraced_fomm_state_is_a_violation(self):
+        model = Model("fomm", ("a",), ("true",), (State("a", True),), (Arrow("a", "true", "a"),))
+        assert validate(model).violations == ["fomm state a must observe exactly itself"]
 
     def test_structural_dangling_state(self):
         broken = Model(

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from stochworld import (
     FormatError,
     ProbInterval,
+    TraceSpec,
     Trajectory,
     canonical,
     export_dot,
@@ -16,6 +17,7 @@ from stochworld import (
     parse_trajectory,
     serialize_model,
     serialize_trajectory,
+    validate,
 )
 from stochworld.format import RESERVED_SYMBOLS, fmt_interval, fmt_num
 
@@ -57,6 +59,14 @@ class TestParseModel:
 
     def test_rain_agent_interval(self, rain):
         assert rain.agent_interval("w", "rain") == ProbInterval(0.1, 0.8)
+
+    def test_untraced_fomm_state_observes_itself(self):
+        model = parse_model(
+            "model fomm\nobs A B\nstate A initial\nstate B memory\narrow A true B\narrow B true A\n"
+        )
+        assert model.by_id["A"].trace == TraceSpec({"A": ProbInterval.point(1.0)})
+        assert model.by_id["B"].trace == TraceSpec({"B": ProbInterval.point(1.0)}, memory=True)
+        assert validate(model).ok
 
     def test_kind_violations_do_not_abort(self):
         # fomm whose states do not match the alphabet still parses

@@ -1,11 +1,14 @@
 """oracle-sim: simulation, enumeration, estimation, preference, Markov check."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochworld import (
+    CapExceededError,
     ModelError,
     PolicyError,
     Preference,
@@ -23,7 +26,15 @@ from stochworld import (
     simulate_events,
 )
 
-from helpers import chain_model, random_connected_chain
+from stochworld.core import KINDS
+
+from helpers import (
+    chain_model,
+    exact_future_by_layers,
+    future_by_layers,
+    random_connected_chain,
+    random_future_model,
+)
 
 
 class TestSimulate:
@@ -77,6 +88,14 @@ class TestSimulate:
         acts = traj.actions()
         assert set(acts) <= {"rain", "dry"}
         assert acts.count("rain") > acts.count("dry")  # 80% rain under Royal rain
+
+
+def _outcome(call):
+    """The call's result, or the type and text of the toolkit error it raised."""
+    try:
+        return call()
+    except (CapExceededError, ModelError) as exc:
+        return type(exc), str(exc)
 
 
 class TestEnumerateFuture:
@@ -145,6 +164,51 @@ class TestEnumerateFuture:
         assert probs[key].is_point
         assert probs[key].mid == pytest.approx(0.25)
         assert sum(p.mid for p in probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_exact_future_refuses_untraced_state(self):
+        model = parse_model(
+            "model ed\nobs x y\nevent go\nstate a initial trace x=1\nstate b\n"
+            "arrow a go b lp=1 ap=1\narrow b go a lp=1 ap=1\n"
+        )
+        with pytest.raises(ModelError):
+            exact_future(model, 2)
+
+    def test_equals_two_expansion_oracle(self):
+        """One expansion, two backends: bit-for-bit the entries, order and
+        cap refusals of the former exact and interval expansions, except on
+        point models with an untraced state, where the former exact path
+        dropped every word through that state."""
+        rng = random.Random(20261018)
+        seen: Counter = Counter()
+        for i in range(1400):
+            kind = KINDS[i % len(KINDS)]
+            model = random_future_model(rng, kind)
+            depth = rng.randint(0, 6)
+            cap = rng.choice((1, 4, 16, 64, 256))
+            untraced = any(not s.trace.probs for s in model.states)
+            if untraced and model.has_point_probs():
+                continue
+            seen[kind] += 1
+            seen["untraced"] += untraced
+            seen["interval trace"] += any(not p.is_point for s in model.states for p in s.trace.probs.values())
+            seen["zero weight"] += any(a.arrow_prob.hi == 0.0 for a in model.arrows)
+            want = _outcome(lambda: list(future_by_layers(model, depth, cap).entries.items()))
+            assert _outcome(lambda: list(enumerate_future(model, depth, cap=cap).entries.items())) == want, i
+            seen["cap"] += isinstance(want, tuple) and want[0] is CapExceededError
+            exact = model.has_point_probs() and all(
+                s.trace.probs and all(p.is_point for p in s.trace.probs.values()) for s in model.states
+            )
+            got = _outcome(lambda: list(exact_future(model, depth, cap=cap).items()))
+            if exact:
+                seen["exact"] += 1
+                assert got == _outcome(lambda: list(exact_future_by_layers(model, depth, cap).items())), i
+            else:
+                assert got == (ModelError, "exact enumeration needs point probabilities"), i
+        assert sum(seen[k] for k in KINDS) >= 1000
+        assert all(seen[k] >= 100 for k in KINDS), seen
+        for feature in ("untraced", "interval trace", "zero weight", "cap", "exact"):
+            assert seen[feature] >= 50, seen
 
 
 class TestEnumeratePast:
