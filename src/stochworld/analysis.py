@@ -14,38 +14,29 @@ from dataclasses import dataclass, replace
 from .core import Model
 
 
-def _edges(model: Model, reverse: bool = False) -> dict:
-    adj: dict = {s.id: set() for s in model.states}
-    for a in model.arrows:
-        if a.effective().hi > 0.0:
-            if reverse:
-                adj[a.target].add(a.source)
-            else:
-                adj[a.source].add(a.target)
-    return adj
-
-
-def _closure(adj: dict, start: str) -> set:
-    seen = {start}
+def _unreached(model: Model, adjacency: list) -> frozenset:
+    """The states the closure of the adjacency misses from the initial state."""
+    compiled = model.compiled
+    start = compiled.index[model.initial_state.id]
+    seen = [False] * len(adjacency)
+    seen[start] = True
     stack = [start]
     while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
+        for nxt in adjacency[stack.pop()]:
+            if not seen[nxt]:
+                seen[nxt] = True
                 stack.append(nxt)
-    return seen
+    return frozenset(sid for sid, reached in zip(compiled.ids, seen) if not reached)
 
 
 def find_white_peak(model: Model) -> frozenset:
     """Maximal white peak: states the initial state cannot reach."""
-    reachable = _closure(_edges(model), model.initial_state.id)
-    return frozenset(s.id for s in model.states if s.id not in reachable)
+    return _unreached(model, model.compiled.forward)
 
 
 def find_black_hole(model: Model) -> frozenset:
     """Maximal black hole: states that cannot reach the initial state."""
-    coreachable = _closure(_edges(model, reverse=True), model.initial_state.id)
-    return frozenset(s.id for s in model.states if s.id not in coreachable)
+    return _unreached(model, model.compiled.backward)
 
 
 @dataclass(frozen=True)

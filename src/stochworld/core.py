@@ -212,6 +212,152 @@ class Model:
     def has_point_probs(self) -> bool:
         return all(a.label_prob.is_point and a.arrow_prob.is_point for a in self.arrows)
 
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        """The model's numbered tables, built on first use (see CompiledModel)."""
+        return CompiledModel(self)
+
+
+def _cumulative(intervals) -> Optional[list]:
+    """Running sums of the midpoints of point intervals, the last replaced
+    by +inf so that a draw at or above the rounded total takes the last
+    item; None when one of them is an interval."""
+    cum = []
+    total = 0.0
+    for iv in intervals:
+        if not iv.is_point:
+            return None
+        total += iv.mid
+        cum.append(total)
+    if cum:
+        cum[-1] = math.inf
+    return cum
+
+
+class CompiledModel:
+    """Numbered tables of one model, shared by the walks and solvers over it.
+
+    States, observations and labels are numbered in the model's order
+    (``index``, ``obs_index``, ``label_index``), arrows by their position in
+    ``model.arrows``.  Per arrow ``k``: source and target ``src[k]`` and
+    ``dst[k]``, and the bounds ``Arrow.effective()`` gives as ``hi[k]``,
+    ``mid[k]`` and whether it is a point, ``point[k]``.  ``out[i]`` maps each
+    label to its arrows out of state ``i``, in model order.  The other tables
+    are built on first use.  Each costs O(|S| + |arrows|) once per model; the
+    view holds the model's tuples, not the model.
+    """
+
+    def __init__(self, model: Model):
+        self._states, self._arrows = model.states, model.arrows
+        self._labels, self._priorities = model.labels, model.priorities
+        self.ids = tuple(s.id for s in model.states)
+        self.index = {sid: i for i, sid in enumerate(self.ids)}
+        self.obs_index = {o: i for i, o in enumerate(model.obs)}
+        self.label_index = {l: i for i, l in enumerate(model.labels)}
+        self.src, self.dst, self.hi, self.mid, self.point = [], [], [], [], []
+        self.out = [{} for _ in self.ids]
+        for k, a in enumerate(model.arrows):
+            i, j = self.index.get(a.source), self.index.get(a.target)
+            if i is None or j is None:
+                raise ModelError(f"arrow {a.source} {a.label} {a.target} joins an undeclared state")
+            lp, ap = a.label_prob, a.arrow_prob
+            lo, hi = lp.lo * ap.lo, lp.hi * ap.hi  # as Arrow.effective(), whose clamps are no-ops here
+            self.src.append(i)
+            self.dst.append(j)
+            self.hi.append(hi)
+            self.mid.append((lo + hi) / 2.0)
+            self.point.append(hi - lo <= TOL)
+            self.out[i].setdefault(a.label, []).append(k)
+
+    def _adjacency(self, sources: list, targets: list) -> list:
+        adj: list = [[] for _ in self.ids]
+        for i, j, hi in zip(sources, targets, self.hi):
+            if hi > 0.0:
+                adj[i].append(j)
+        return adj
+
+    @cached_property
+    def forward(self) -> list:
+        """Per state, the targets of its arrows whose upper bound is above 0."""
+        return self._adjacency(self.src, self.dst)
+
+    @cached_property
+    def backward(self) -> list:
+        """Per state, the sources of its arrows into it whose upper bound is above 0."""
+        return self._adjacency(self.dst, self.src)
+
+    @cached_property
+    def draws(self) -> list:
+        """Per state: label -> (label probability, arrows in key order,
+        their cumulative arrow probabilities; see ``_cumulative``).  The label
+        probability is the first arrow's midpoint, None when an interval."""
+        ids, dst, arrows = self.ids, self.dst, self._arrows
+        table = []
+        for row in self.out:
+            entry = {}
+            for label, ks in row.items():
+                lp = arrows[ks[0]].label_prob
+                ordered = sorted(ks, key=lambda k: ids[dst[k]])
+                cum = _cumulative([arrows[k].arrow_prob for k in ordered])
+                entry[label] = (lp.mid if lp.is_point else None, ordered, cum)
+            table.append(entry)
+        return table
+
+    @cached_property
+    def agents(self) -> list:
+        """Per state: the labels with arrows out of it, in alphabet order, and
+        their cumulative label probabilities (see ``_cumulative``)."""
+        table = []
+        for row in self.out:
+            labels = [l for l in self._labels if l in row]
+            table.append((labels, _cumulative([self._arrows[row[l][0]].label_prob for l in labels])))
+        return table
+
+    @cached_property
+    def traces(self) -> list:
+        """Per state: its trace symbols, sorted, and their cumulative
+        probabilities (see ``_cumulative``)."""
+        table = []
+        for s in self._states:
+            symbols = sorted(s.trace.probs)
+            table.append((symbols, _cumulative([s.trace.probs[o] for o in symbols])))
+        return table
+
+    @cached_property
+    def emissions(self) -> list:
+        """Per state: its trace as {observation: (midpoint, whether a point)}
+        and the pair for an unlisted observation, as ``TraceSpec.prob``
+        gives them."""
+        table = []
+        for s in self._states:
+            unlisted = FULL if s.trace.is_empty else POINT_ZERO
+            listed = {o: (p.mid, p.is_point) for o, p in s.trace.probs.items()}
+            table.append((listed, (unlisted.mid, unlisted.is_point)))
+        return table
+
+    @cached_property
+    def event_order(self) -> tuple:
+        """The labels in collision order: by priority rank, unranked last,
+        then by label."""
+        return tuple(sorted(self._labels, key=lambda e: (self._priorities.get(e, math.inf), e)))
+
+    @cached_property
+    def shares(self) -> Mapping[tuple, tuple]:
+        """(state id, label) -> the label's arrows of positive arrow
+        probability out of the state as (target id, share of the midpoints'
+        sum) in model order, and whether any midpoint is an interval's.
+        Absent where the midpoints sum to 0."""
+        ids, dst, arrows = self.ids, self.dst, self._arrows
+        table = {}
+        for i, row in enumerate(self.out):
+            for label, ks in row.items():
+                weights = [arrows[k].arrow_prob.mid for k in ks]
+                total = sum(weights)
+                if total > 0.0:
+                    shares = tuple((ids[dst[k]], w / total) for k, w in zip(ks, weights) if w > 0.0)
+                    table[(ids[i], label)] = (shares, any(not arrows[k].arrow_prob.is_point for k in ks))
+        return table
+
 
 def canonical(model: Model) -> Model:
     """Sort alphabets, states, arrows and priorities into canonical order."""
@@ -482,23 +628,28 @@ def step_belief(model: Model, belief: Belief, label: str, obs: str) -> Belief:
     Interval probabilities are collapsed to their midpoints and the result
     is flagged approximate.
     """
-    if obs not in model.obs:
+    compiled = model.compiled
+    if obs not in compiled.obs_index:
         raise ModelError(f"observation {obs!r} not in the model's alphabet")
-    if label not in model.labels:
+    if label not in compiled.label_index:
         raise ModelError(f"label {label!r} not in the model's alphabet")
+    ids, dst, mid, point = compiled.ids, compiled.dst, compiled.mid, compiled.point
+    emissions = compiled.emissions
     approx = belief.approximate
     posterior: dict = {}
     for src, mass in belief.probs.items():
-        if src not in model.by_id:
+        i = compiled.index.get(src)
+        if i is None:
             raise ModelError(f"belief over unknown state {src!r}")
-        for a in model.out_by_label.get((src, label), ()):
-            eff = a.effective()
-            trace_p = model.by_id[a.target].trace.prob(obs)
-            if not (eff.is_point and trace_p.is_point):
+        for k in compiled.out[i].get(label, ()):
+            j = dst[k]
+            listed, unlisted = emissions[j]
+            trace_mid, trace_point = listed.get(obs, unlisted)
+            if not (point[k] and trace_point):
                 approx = True
-            w = mass * eff.mid * trace_p.mid
+            w = mass * mid[k] * trace_mid
             if w > 0.0:
-                posterior[a.target] = posterior.get(a.target, 0.0) + w
+                posterior[ids[j]] = posterior.get(ids[j], 0.0) + w
     total = sum(posterior.values())
     if total <= 0.0:
         raise InconsistentObservationError(

@@ -193,14 +193,13 @@ class TrackResult:
 class _Tables:
     """Lookup tables built once per tracking or validity call.
 
-    - ``labels_at[t]``: the known labels of the events at step t, in
-      collision order (by priority rank, then label; only the first under
-      the priority rule).  Unknown labels are dropped with a warning.
+    - ``labels_at[t]``: the known labels of the events at step t, in the
+      model's collision order (``CompiledModel.event_order``; only the first
+      under the priority rule).  Unknown labels are dropped with a warning.
     - ``allowed[obs]``: the states whose trace admits the observation, for
       every observation of the trajectory.
-    - ``moves[(state, label)]``: the label's positive-weight arrows out of
-      the state as (target, share) pairs, and whether any weight is an
-      interval midpoint.  Absent where the event cannot leave the state.
+    - ``moves[(state, label)]``: the model's ``CompiledModel.shares``, absent
+      where the event cannot leave the state.
     """
 
     def __init__(
@@ -217,29 +216,23 @@ class _Tables:
             collision = "priority" if model.priorities else "both-arrows"
         if collision not in ("priority", "both-arrows"):
             raise ModelError(f"unknown collision rule {collision!r}")
-        known = set(model.labels)
+        compiled = model.compiled
+        rank = {e: r for r, e in enumerate(compiled.event_order)}
         by_time: dict = {}
         for occ in events.occurrences:
-            if occ.label not in known:
+            if occ.label not in rank:
                 warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
                 continue
             by_time.setdefault(occ.time, set()).add(occ.label)
         keep = 1 if collision == "priority" else None
         self.labels_at = {
-            t: tuple(sorted(labels, key=lambda l: (model.priorities.get(l, math.inf), l))[:keep])
-            for t, labels in by_time.items()
+            t: tuple(sorted(labels, key=rank.__getitem__)[:keep]) for t, labels in by_time.items()
         }
         self.allowed = {
             o: frozenset(s.id for s in model.states if s.trace.prob(o).hi > 0.0)
             for o in set(trajectory.observations())
         }
-        self.moves: dict = {}
-        for key, arrows in model.out_by_label.items():
-            weights = [a.arrow_prob.mid for a in arrows]
-            total = sum(weights)
-            if total > 0.0:
-                shares = tuple((a.target, w / total) for a, w in zip(arrows, weights) if w > 0.0)
-                self.moves[key] = (shares, any(not a.arrow_prob.is_point for a in arrows))
+        self.moves = compiled.shares
 
 
 def _apply_event(moves: dict, belief: dict, label: str, warnings: list, t: int) -> tuple:

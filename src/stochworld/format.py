@@ -46,7 +46,7 @@ from .core import (
 )
 from .errors import FormatError, ModelError
 from .events import CharFn
-from .validation import validate
+from .validation import structural_problems
 
 
 def fmt_num(x: float) -> str:
@@ -167,9 +167,9 @@ def parse_model(text: str) -> Model:
         priorities=priorities,
         name=name,
     )
-    report = validate(model)
-    if report.structural:
-        raise FormatError("; ".join(report.structural))
+    problems = structural_problems(model)
+    if problems:
+        raise FormatError("; ".join(problems))
     return model
 
 

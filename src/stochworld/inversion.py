@@ -38,48 +38,63 @@ class JourneyStatistics:
 
 
 def _propagating_states(model: Model) -> tuple:
-    """States journeys can stand on: reachable and outside black holes."""
+    """The states journeys can stand on, reachable and outside black holes,
+    as a mask over the state numbers, and the black hole.
+
+    Refuses an interval arrow out of such a state, and an outgoing sum other
+    than 1; the first such state in model order is named.
+    """
+    compiled = model.compiled
     black = find_black_hole(model)
     white = find_white_peak(model)
-    nt = [s.id for s in model.states if s.id not in white and s.id not in black]
-    for sid in nt:
-        total = 0.0
-        for a in model.out_index.get(sid, ()):
-            eff = a.effective()
-            if not eff.is_point:
-                raise JourneyError(
-                    f"journey statistics need point probabilities (arrow {a.source} "
-                    f"{a.label} {a.target} is an interval)"
-                )
-            total += eff.mid
-        if abs(total - 1.0) > 1e-6:
+    standing = np.array([sid not in white and sid not in black for sid in compiled.ids], dtype=bool)
+    src = np.array(compiled.src, dtype=np.intp)
+    live = standing[src]
+    totals = np.zeros(len(compiled.ids))
+    np.add.at(totals, src[live], np.array(compiled.mid)[live])
+    interval = np.zeros(len(compiled.ids), dtype=bool)
+    interval[src[live & ~np.array(compiled.point, dtype=bool)]] = True
+    bad = np.flatnonzero(standing & (interval | (np.abs(totals - 1.0) > 1e-6)))
+    if bad.size:
+        i = int(bad[0])
+        if interval[i]:
+            k = next(k for k, s in enumerate(compiled.src) if s == i and not compiled.point[k])
+            a = model.arrows[k]
             raise JourneyError(
-                f"journeys do not terminate: state {sid} outgoing probability sum {total:g}"
+                f"journey statistics need point probabilities (arrow {a.source} "
+                f"{a.label} {a.target} is an interval)"
             )
-    return tuple(nt), black
+        raise JourneyError(
+            f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {float(totals[i]):g}"
+        )
+    return standing, black
 
 
 def journey_statistics(model: Model) -> JourneyStatistics:
     """Solve the journey flow system for expected visit and arrow counts."""
-    s0 = model.initial_state.id
-    nt, black = _propagating_states(model)
-    others = [s for s in nt if s != s0]
-    pos = {s: i for i, s in enumerate(others)}
-
-    # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k
+    compiled = model.compiled
+    ids = compiled.ids
+    s0 = compiled.index[model.initial_state.id]
+    standing, black = _propagating_states(model)
+    src = np.array(compiled.src, dtype=np.intp)
+    dst = np.array(compiled.dst, dtype=np.intp)
+    mid = np.array(compiled.mid)
+    others = np.flatnonzero(standing)
+    others = others[others != s0]
     n = len(others)
+    pos = np.full(len(ids), -1)
+    pos[others] = np.arange(n)
+
+    # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in
+    # model order as np.add.at applies repeated indices one after another
+    live = standing[src]
+    inner = live & (pos[dst] >= 0)
+    first = inner & (src == s0)
+    inner &= ~first
     q = np.zeros((n, n))
     c = np.zeros(n)
-    nt_set = set(nt)
-    for a in model.arrows:
-        if a.source not in nt_set or a.target not in pos:
-            continue
-        p = a.effective().mid
-        j = pos[a.target]
-        if a.source == s0:
-            c[j] += p
-        else:
-            q[pos[a.source], j] += p
+    np.add.at(q, (pos[src[inner]], pos[dst[inner]]), mid[inner])
+    np.add.at(c, pos[dst[first]], mid[first])
     try:
         x = np.linalg.solve(np.eye(n) - q.T, c) if n else np.zeros(0)
     except np.linalg.LinAlgError as exc:
@@ -87,20 +102,22 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     if not np.all(np.isfinite(x)):
         raise JourneyError("flow system produced non-finite visit counts")
 
-    visits = {s0: 1.0}
-    visits.update({s: float(x[i]) for s, i in pos.items()})
-    arrow_counts: dict = {}
+    visits = {ids[s0]: 1.0}
+    visits.update(zip((ids[i] for i in others), x.tolist()))
+    per_state = np.zeros(len(ids))
+    per_state[s0] = 1.0
+    per_state[others] = x
+    counts = (per_state[src[live]] * mid[live]).tolist()
+    used = np.flatnonzero(live).tolist()
+    arrow_counts = {model.arrows[k].key: count for k, count in zip(used, counts)}
     return_count = 0.0
     absorption: dict = {}
-    for a in model.arrows:
-        if a.source not in nt_set:
-            continue
-        count = visits[a.source] * a.effective().mid
-        arrow_counts[a.key] = count
-        if a.target == s0:
+    for k, count in zip(used, counts):
+        j = compiled.dst[k]
+        if j == s0:
             return_count += count
-        elif a.target in black:
-            absorption[a.target] = absorption.get(a.target, 0.0) + count
+        elif ids[j] in black:
+            absorption[ids[j]] = absorption.get(ids[j], 0.0) + count
     return JourneyStatistics(visits, arrow_counts, return_count, absorption)
 
 
@@ -180,35 +197,33 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
     """Empirical journey statistics from vectorized random walks."""
     if journeys <= 0:
         raise JourneyError("no statistics: journeys must be positive")
-    s0 = model.initial_state.id
-    nt, black = _propagating_states(model)
-    nt_set = set(nt)
-    ids = [s.id for s in model.states]
-    index = {sid: i for i, sid in enumerate(ids)}
-    arrows = sorted((a for a in model.arrows if a.source in nt_set), key=lambda a: a.key)
+    compiled = model.compiled
+    ids = compiled.ids
+    standing, black = _propagating_states(model)
+    # per standing state, in id order, its arrows in key order
+    per_state = {}
+    for i in sorted(np.flatnonzero(standing).tolist(), key=ids.__getitem__):
+        row = compiled.draws[i]
+        per_state[i] = [k for label in sorted(row) for k in row[label][1]]
+    arrows = [k for ks in per_state.values() for k in ks]
     if not arrows:
         raise JourneyError("no statistics: the initial state has no outgoing arrows")
 
-    per_state: dict = {index[s]: [] for s in nt}
-    for ai, a in enumerate(arrows):
-        per_state[index[a.source]].append(ai)
-    max_deg = max(len(v) for v in per_state.values())
+    max_deg = max(len(ks) for ks in per_state.values())
     cum = np.ones((len(ids), max_deg))
     aid = np.zeros((len(ids), max_deg), dtype=np.int64)
-    tgt = np.array([index[a.target] for a in arrows], dtype=np.int64)
-    for si, alist in per_state.items():
-        probs = np.array([arrows[ai].effective().mid for ai in alist])
-        cum[si, : len(alist)] = np.cumsum(probs)
-        cum[si, len(alist) :] = 1.0 + _EPS
-        aid[si, : len(alist)] = alist
-        if len(alist) < max_deg:
-            aid[si, len(alist) :] = alist[-1]
+    tgt = np.array([compiled.dst[k] for k in arrows], dtype=np.int64)
+    first = 0
+    for si, ks in per_state.items():
+        cum[si, : len(ks)] = np.cumsum([compiled.mid[k] for k in ks])
+        cum[si, len(ks) :] = 1.0 + _EPS
+        aid[si, : len(ks)] = np.arange(first, first + len(ks))
+        aid[si, len(ks) :] = first + len(ks) - 1
+        first += len(ks)
 
     rng = np.random.default_rng(seed)
-    s0_idx = index[s0]
-    black_mask = np.zeros(len(ids), dtype=bool)
-    for b in black:
-        black_mask[index[b]] = True
+    s0_idx = compiled.index[model.initial_state.id]
+    black_mask = np.array([sid in black for sid in ids], dtype=bool)
 
     cur = np.full(journeys, s0_idx, dtype=np.int64)
     arrow_counts = np.zeros(len(arrows))
@@ -237,7 +252,7 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
     scale = 1.0 / journeys
     return JourneyStatistics(
         visit_counts={ids[i]: float(v) * scale for i, v in enumerate(visit_counts) if v},
-        arrow_counts={a.key: float(c) * scale for a, c in zip(arrows, arrow_counts)},
+        arrow_counts={model.arrows[k].key: float(c) * scale for k, c in zip(arrows, arrow_counts)},
         return_count=returns * scale,
         absorption_counts={
             ids[i]: float(v) * scale for i, v in enumerate(absorbed_at) if v

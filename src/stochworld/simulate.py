@@ -12,6 +12,7 @@ observation.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,12 +53,6 @@ class SimulationConfig:
     collision: str = "priority"  # or "both-arrows"
 
 
-def _point(iv: ProbInterval, what: str) -> float:
-    if not iv.is_point:
-        raise ModelError(f"unresolved interval for {what}; supply a policy or resolution")
-    return iv.mid
-
-
 def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
     if model.kind == "ed" or model.kind in SINGLE_LABEL_KINDS:
         if config.policy or config.preference:
@@ -74,83 +69,94 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
     raise ModelError("interval agent probabilities need a policy or preference")
 
 
-def _sample(pairs, rng):
-    u = rng.random()
-    acc = 0.0
-    for item, p in pairs:
-        acc += p
-        if u < acc:
-            return item
-    return pairs[-1][0]
+#: Uniforms drawn per call to the generator: enough to amortize the call,
+#: few enough that a short walk draws little it does not use.
+_BLOCK = 1024
 
 
-def _sample_trace(state: State, rng) -> str:
-    probs = [(o, _point(p, f"trace of {state.id}")) for o, p in sorted(state.trace.probs.items())]
-    if not probs:
-        raise ModelError(f"state {state.id} has no trace to observe")
-    return _sample(probs, rng)
+def _uniforms(rng):
+    """The generator's uniforms, drawn in blocks: the same sequence as one
+    ``rng.random()`` call per value."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
-def _move(model: Model, state: State, label: str, rng) -> Optional[State]:
-    """Draw one of the label's arrows out of the state and return its
-    target; None when the label has no arrows there."""
-    arrows = model.out_by_label.get((state.id, label))
-    if not arrows:
-        return None
-    pairs = [(a, _point(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
-    return model.by_id[_sample(pairs, rng).target]
-
-
-def _event_order(model: Model) -> tuple:
-    ranked = sorted(model.labels, key=lambda e: (model.priorities.get(e, float("inf")), e))
-    return tuple(ranked)
+def _unresolved(what: str) -> ModelError:
+    return ModelError(f"unresolved interval for {what}; supply a policy or resolution")
 
 
 def simulate_events(model: Model, config: SimulationConfig):
-    """Walk the generator; returns the trajectory and, for ed, the events fired."""
+    """Walk the generator; returns the trajectory and, for ed, the events fired.
+
+    The walk reads the model's compiled tables: per step it draws one
+    observation, for ed one uniform per event that can fire and one arrow
+    per fired event, else the action of an action kind and one arrow, each
+    by bisection into cumulative probabilities.  An interval the walk
+    reaches is refused there.
+    """
     if config.collision not in ("priority", "both-arrows"):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
-    rng = np.random.default_rng(config.seed)
-    state = resolved.initial_state
-    order = _event_order(resolved)
+    compiled = resolved.compiled
+    ids, dst, traces, draws = compiled.ids, compiled.dst, compiled.traces, compiled.draws
+    agents = compiled.agents if resolved.kind in ACTION_KINDS else None
+    draw = _uniforms(np.random.default_rng(config.seed)).__next__
+    state = compiled.index[resolved.initial_state.id]
+    interned: dict = {}
+    ed = resolved.kind == "ed"
     steps = []
     occurrences = []
     for t in range(config.steps):
-        obs = _sample_trace(state, rng)
-        if resolved.kind == "ed":
+        symbols, cum = traces[state]
+        if cum is None:
+            raise _unresolved(f"trace of {ids[state]}")
+        if not symbols:
+            raise ModelError(f"state {ids[state]} has no trace to observe")
+        obs = symbols[bisect_right(cum, draw())]
+        act = None
+        if ed:
             fired = []
-            for e in order:
-                arrows = resolved.out_by_label.get((state.id, e))
-                if not arrows:
+            row = draws[state]
+            for e in compiled.event_order:
+                entry = row.get(e)
+                if entry is None:
                     continue
-                if rng.random() < _point(arrows[0].label_prob, f"event {e} in {state.id}"):
+                if entry[0] is None:
+                    raise _unresolved(f"event {e} in {ids[state]}")
+                if draw() < entry[0]:
                     fired.append(e)
             if fired and config.collision == "priority":
                 fired = fired[:1]
             for e in fired:
-                target = _move(resolved, state, e, rng)
-                if target is None:
+                entry = draws[state].get(e)
+                if entry is None:
                     continue  # the walk moved; the event cannot fire here
+                _, arrows, cum = entry
+                if cum is None:
+                    raise _unresolved("arrow")
+                state = dst[arrows[bisect_right(cum, draw())]]
                 occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
-                state = target
-            steps.append(Step(obs, None))
-            continue
-        act = None
-        if resolved.kind in ACTION_KINDS:
-            labels = resolved.labels_from(state.id)
-            if not labels:
-                raise JourneyError(f"state {state.id} has no outgoing actions")
-            pairs = [(l, _point(resolved.agent_interval(state.id, l), f"agent in {state.id}")) for l in labels]
-            act = _sample(pairs, rng)
-            label = act
         else:
-            label = TRUE_LABEL
-        target = _move(resolved, state, label, rng)
-        if target is None:
-            raise JourneyError(f"state {state.id} has no {label!r} arrows")
-        steps.append(Step(obs, act))
-        state = target
+            if agents is not None:
+                labels, cum = agents[state]
+                if not labels:
+                    raise JourneyError(f"state {ids[state]} has no outgoing actions")
+                if cum is None:
+                    raise _unresolved(f"agent in {ids[state]}")
+                act = label = labels[bisect_right(cum, draw())]
+            else:
+                label = TRUE_LABEL
+            entry = draws[state].get(label)
+            if entry is None:
+                raise JourneyError(f"state {ids[state]} has no {label!r} arrows")
+            _, arrows, cum = entry
+            if cum is None:
+                raise _unresolved("arrow")
+            state = dst[arrows[bisect_right(cum, draw())]]
+        step = interned.get((obs, act))
+        if step is None:
+            step = interned[(obs, act)] = Step(obs, act)
+        steps.append(step)
     return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
 
 

@@ -10,6 +10,7 @@ the sums short of one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .analysis import find_white_peak
@@ -52,6 +53,14 @@ def validate(model: Model) -> ValidationReport:
     return report
 
 
+def structural_problems(model: Model) -> list:
+    """The structural problems alone, without the kind checks: what a
+    model document may not have."""
+    report = ValidationReport()
+    _check_structure(model, report)
+    return report.structural
+
+
 def _check_structure(model: Model, report: ValidationReport) -> None:
     out = report.structural
     if model.kind not in KINDS:
@@ -64,32 +73,34 @@ def _check_structure(model: Model, report: ValidationReport) -> None:
     ids = [s.id for s in model.states]
     if not ids:
         out.append("model has no states")
-    dup = {i for i in ids if ids.count(i) > 1}
+    dup = sorted(i for i, n in Counter(ids).items() if n > 1)
     if dup:
-        out.append(f"duplicate state ids: {sorted(dup)}")
+        out.append(f"duplicate state ids: {dup}")
     initials = [s.id for s in model.states if s.initial]
     if len(initials) != 1:
         out.append(f"expected exactly one initial state, found {len(initials)}")
     known = set(ids)
+    labels = set(model.labels)
     seen_arrows = set()
     for a in model.arrows:
         if a.source not in known:
             out.append(f"arrow from undeclared state {a.source!r}")
         if a.target not in known:
             out.append(f"arrow to undeclared state {a.target!r}")
-        if a.label not in model.labels:
+        if a.label not in labels:
             out.append(f"arrow label {a.label!r} not in the label alphabet")
         if a.key in seen_arrows:
             out.append(f"duplicate arrow {a.source} {a.label} {a.target}")
         seen_arrows.add(a.key)
+    obs = set(model.obs)
     for s in model.states:
         for o in s.trace.probs:
-            if o not in model.obs:
+            if o not in obs:
                 out.append(f"state {s.id}: trace observation {o!r} not in the alphabet")
     if model.priorities and model.kind != "ed":
         report.violations.append("event priorities are only meaningful for ed models")
     for e in model.priorities:
-        if e not in model.labels:
+        if e not in labels:
             out.append(f"priority for unknown event {e!r}")
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: model builders and checked-in model loading."""
+"""Shared test helpers: model builders, checked-in model loading, and the
+reference implementations that fast paths are compared against."""
 
 from __future__ import annotations
 
@@ -6,18 +7,33 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from stochworld import (
     Arrow,
     CapExceededError,
     Development,
+    EventOccurrence,
+    EventStream,
     FutureSet,
+    JourneyError,
+    JourneyStatistics,
     Model,
+    ModelError,
     Partition,
+    Policy,
+    Preference,
     ProbInterval,
+    SimulationConfig,
     State,
+    Step,
     TraceSpec,
+    Trajectory,
     parse_model,
 )
+from stochworld.core import ACTION_KINDS, POINT_ONE
+from stochworld.inversion import compose_policy
+from stochworld.simulate import _resolve_agent
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -318,3 +334,274 @@ def random_future_model(rng: random.Random, kind: str) -> Model:
                 ap = interval() if kind in ("smdp", "mdp-plus") and rng.random() < 0.5 else quarter()
                 arrows.append(Arrow(src, label, dst, lp, ap))
     return Model(kind, obs, labels, tuple(states), tuple(arrows))
+
+
+# -- reference walk and journey flow ---------------------------------------------
+
+
+def _point_mid(iv: ProbInterval, what: str) -> float:
+    if not iv.is_point:
+        raise ModelError(f"unresolved interval for {what}; supply a policy or resolution")
+    return iv.mid
+
+
+def _sample_sequentially(pairs, rng):
+    u = rng.random()
+    acc = 0.0
+    for item, p in pairs:
+        acc += p
+        if u < acc:
+            return item
+    return pairs[-1][0]
+
+
+def _move_by_scan(model: Model, state: State, label: str, rng):
+    arrows = model.out_by_label.get((state.id, label))
+    if not arrows:
+        return None
+    pairs = [(a, _point_mid(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
+    return model.by_id[_sample_sequentially(pairs, rng).target]
+
+
+def simulate_by_steps(model: Model, config: SimulationConfig):
+    """Reference walk: re-sorts the state's arrows and re-reads every
+    probability at each step, one ``rng.random()`` per draw, in the order
+    ``simulate_events`` draws them."""
+    if config.collision not in ("priority", "both-arrows"):
+        raise ModelError(f"unknown collision rule {config.collision!r}")
+    resolved = _resolve_agent(model, config)
+    rng = np.random.default_rng(config.seed)
+    state = resolved.initial_state
+    order = sorted(resolved.labels, key=lambda e: (resolved.priorities.get(e, float("inf")), e))
+    steps = []
+    occurrences = []
+    for t in range(config.steps):
+        trace = [(o, _point_mid(p, f"trace of {state.id}")) for o, p in sorted(state.trace.probs.items())]
+        if not trace:
+            raise ModelError(f"state {state.id} has no trace to observe")
+        obs = _sample_sequentially(trace, rng)
+        if resolved.kind == "ed":
+            fired = []
+            for e in order:
+                arrows = resolved.out_by_label.get((state.id, e))
+                if not arrows:
+                    continue
+                if rng.random() < _point_mid(arrows[0].label_prob, f"event {e} in {state.id}"):
+                    fired.append(e)
+            if fired and config.collision == "priority":
+                fired = fired[:1]
+            for e in fired:
+                target = _move_by_scan(resolved, state, e, rng)
+                if target is None:
+                    continue
+                occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
+                state = target
+            steps.append(Step(obs, None))
+            continue
+        act = None
+        if resolved.kind in ACTION_KINDS:
+            labels = resolved.labels_from(state.id)
+            if not labels:
+                raise JourneyError(f"state {state.id} has no outgoing actions")
+            pairs = [(l, _point_mid(resolved.agent_interval(state.id, l), f"agent in {state.id}")) for l in labels]
+            act = _sample_sequentially(pairs, rng)
+            label = act
+        else:
+            label = "true"
+        target = _move_by_scan(resolved, state, label, rng)
+        if target is None:
+            raise JourneyError(f"state {state.id} has no {label!r} arrows")
+        steps.append(Step(obs, act))
+        state = target
+    return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
+
+
+def _edges_by_scan(model: Model, reverse: bool) -> dict:
+    adj: dict = {s.id: set() for s in model.states}
+    for a in model.arrows:
+        if a.effective().hi > 0.0:
+            if reverse:
+                adj[a.target].add(a.source)
+            else:
+                adj[a.source].add(a.target)
+    return adj
+
+
+def unreached_by_scan(model: Model, reverse: bool) -> frozenset:
+    """Reference reachability: the white peak, or with ``reverse`` the
+    black hole, from sets of ids rebuilt per call."""
+    start = model.initial_state.id
+    adj = _edges_by_scan(model, reverse)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(s.id for s in model.states if s.id not in seen)
+
+
+def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
+    """Reference journey flow: the system filled arrow by arrow in model
+    order, per-arrow ``Arrow.effective()`` values, the same dense solve."""
+    s0 = model.initial_state.id
+    black = unreached_by_scan(model, reverse=True)
+    white = unreached_by_scan(model, reverse=False)
+    nt = [s.id for s in model.states if s.id not in white and s.id not in black]
+    for sid in nt:
+        total = 0.0
+        for a in model.out_index.get(sid, ()):
+            eff = a.effective()
+            if not eff.is_point:
+                raise JourneyError(
+                    f"journey statistics need point probabilities (arrow {a.source} "
+                    f"{a.label} {a.target} is an interval)"
+                )
+            total += eff.mid
+        if abs(total - 1.0) > 1e-6:
+            raise JourneyError(f"journeys do not terminate: state {sid} outgoing probability sum {total:g}")
+    others = [s for s in nt if s != s0]
+    pos = {s: i for i, s in enumerate(others)}
+    n = len(others)
+    q = np.zeros((n, n))
+    c = np.zeros(n)
+    nt_set = set(nt)
+    for a in model.arrows:
+        if a.source not in nt_set or a.target not in pos:
+            continue
+        p = a.effective().mid
+        j = pos[a.target]
+        if a.source == s0:
+            c[j] += p
+        else:
+            q[pos[a.source], j] += p
+    try:
+        x = np.linalg.solve(np.eye(n) - q.T, c) if n else np.zeros(0)
+    except np.linalg.LinAlgError as exc:
+        raise JourneyError(f"singular flow system: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise JourneyError("flow system produced non-finite visit counts")
+    visits = {s0: 1.0}
+    visits.update({s: float(x[i]) for s, i in pos.items()})
+    arrow_counts: dict = {}
+    return_count = 0.0
+    absorption: dict = {}
+    for a in model.arrows:
+        if a.source not in nt_set:
+            continue
+        count = visits[a.source] * a.effective().mid
+        arrow_counts[a.key] = count
+        if a.target == s0:
+            return_count += count
+        elif a.target in black:
+            absorption[a.target] = absorption.get(a.target, 0.0) + count
+    return JourneyStatistics(visits, arrow_counts, return_count, absorption)
+
+
+def random_walk_model(rng: random.Random, kind: str) -> Model:
+    """Small model of the given kind for comparing walks, validity not a goal.
+
+    Probabilities are quarters or, one time in twelve, intervals; traces are
+    sometimes empty; some labels are missing from some states, and some
+    states have no arrows.  A state ``w`` no arrow enters carries interval
+    trace and arrow probabilities, and outside the action kinds interval
+    label probabilities, that a walk never reaches.  ed models rank
+    some events, with ties, and leave others unranked.
+    """
+    n = rng.randint(1, 4)
+    names = [f"s{i}" for i in range(n)]
+    obs = ("x", "y", "z")[: rng.randint(1, 3)]
+    labels = ("true",) if kind in ("fomm", "hmm") else tuple(f"e{i}" for i in range(rng.randint(1, 3)))
+
+    def prob(interval_odds: float = 1 / 12) -> ProbInterval:
+        if rng.random() < interval_odds:
+            lo, hi = sorted((rng.randint(0, 4) / 4, rng.randint(0, 4) / 4))
+            if lo < hi:
+                return ProbInterval(lo, hi)
+        return ProbInterval.point(rng.randint(0, 4) / 4)
+
+    states = []
+    for i, sid in enumerate(names):
+        roll = rng.random()
+        trace = {} if roll < 0.03 else {o: prob() for o in rng.sample(obs, rng.randint(1, len(obs)))}
+        states.append(State(sid, initial=(i == 0), trace=TraceSpec(trace)))
+    states.append(State("w", trace=TraceSpec({o: ProbInterval(0.25, 0.75) for o in obs})))
+    arrows = []
+    for src in names + ["w"]:
+        if src != "w" and rng.random() < 0.03:
+            continue  # a state with no arrows
+        for label in labels:
+            if kind not in ("fomm", "hmm") and rng.random() < 0.15:
+                continue
+            if src == "w":  # an agent is never asked about w
+                lp = ProbInterval.point(0.5) if kind in ACTION_KINDS else ProbInterval(0.25, 0.75)
+            elif kind in ("fomm", "hmm"):
+                lp = ProbInterval.point(1.0)
+            elif kind in ("mdp", "smdp"):
+                lp = ProbInterval(0.0, 1.0)
+            elif kind == "mdp-plus":
+                lp = prob(0.5)
+            else:
+                lp = prob()
+            for dst in rng.sample(names, rng.randint(1, n)):
+                ap = ProbInterval(0.25, 0.75) if src == "w" else prob()
+                arrows.append(Arrow(src, label, dst, lp, ap))
+    priorities = {}
+    if kind == "ed":
+        priorities = {e: rng.randint(1, 2) for e in labels if rng.random() < 0.6}
+    return Model(kind, obs, labels, tuple(states), tuple(arrows), priorities)
+
+
+def random_agent(rng: random.Random, model: Model):
+    """A policy or a preference for the model's states but ``w`` (or None),
+    drawn at random: the policy splits four quarters between each state's
+    labels."""
+    roll = rng.random()
+    if roll < 0.3:
+        return None
+    order = {s.id: model.labels_from(s.id) for s in model.states if s.id != "w"}
+    if roll < 0.6:
+        return Preference({sid: tuple(rng.sample(ranked, len(ranked))) for sid, ranked in order.items() if ranked})
+    probs = {}
+    for sid, ranked in order.items():
+        quarters = [0] * len(ranked)
+        for _ in range(4 if ranked else 0):
+            quarters[rng.randrange(len(ranked))] += 1
+        probs.update({(sid, l): q / 4 for l, q in zip(ranked, quarters)})
+    return Policy(probs)
+
+
+def random_flow_model(rng: random.Random) -> Model:
+    """Point model for comparing journey flows: a chain of 1-12 states, or an
+    mdp of 1-8 states composed with a random policy.  Arrow probabilities
+    are random doubles normalized per state and label, so sums round; some
+    states are absorbing or unreachable, a few fall short of 1 or carry an
+    interval, and the arrows come in shuffled order."""
+    composed = rng.random() < 0.4
+    n = rng.randint(1, 8 if composed else 12)
+    names = [f"s{i}" for i in range(n)]
+    labels = ("a", "b", "c")[: rng.randint(2, 3)] if composed else ("true",)
+    states = tuple(
+        State(s, initial=(i == 0), trace=TraceSpec({"x": ProbInterval.point(1.0)})) for i, s in enumerate(names)
+    )
+    lp = ProbInterval(0.0, 1.0) if composed else ProbInterval.point(1.0)
+    arrows = []
+    policy = {}
+    for src in names:
+        if rng.random() < 0.1:
+            continue  # absorbing: a black hole unless it is s0
+        present = [l for l in labels if rng.random() < 0.7] or [labels[0]]
+        split = [rng.random() for _ in present]
+        policy.update({(src, l): w / sum(split) for l, w in zip(present, split)})
+        for label in present:
+            targets = rng.sample(names, rng.randint(1, min(n, 3)))
+            weights = [rng.random() for _ in targets]
+            total = sum(weights) * (2.0 if rng.random() < 0.03 else 1.0)
+            for dst, w in zip(targets, weights):
+                p = w / total
+                ap = ProbInterval(p / 2, p) if rng.random() < 0.01 else ProbInterval.point(p)
+                arrows.append(Arrow(src, label, dst, lp, ap))
+    rng.shuffle(arrows)
+    model = Model("mdp" if composed else rng.choice(("fomm", "hmm")), ("x",), labels, states, tuple(arrows))
+    return compose_policy(model, Policy(policy)) if composed else model

@@ -5,7 +5,9 @@ import random
 
 from stochworld import analyze, find_black_hole, find_white_peak, remove_redundant
 
-from helpers import chain_model, random_connected_chain
+from stochworld.core import KINDS
+
+from helpers import chain_model, random_connected_chain, random_walk_model, unreached_by_scan
 
 
 def brute_force_qualifying_sets(model, kind):
@@ -104,6 +106,16 @@ class TestStructure:
             for kind, maximal in (("black-hole", black), ("white-peak", white)):
                 for qualifying in brute_force_qualifying_sets(model, kind):
                     assert qualifying <= maximal, (kind, qualifying, maximal)
+
+
+    def test_equals_scan_oracle(self):
+        """Reachability over the compiled adjacency equals the closure over
+        id sets rebuilt per call, zero upper bounds and intervals included."""
+        rng = random.Random(11)
+        for i in range(700):
+            model = random_walk_model(rng, KINDS[i % len(KINDS)])
+            assert find_white_peak(model) == unreached_by_scan(model, reverse=False), i
+            assert find_black_hole(model) == unreached_by_scan(model, reverse=True), i
 
 
 class TestRemoveRedundant:

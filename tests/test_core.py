@@ -205,6 +205,13 @@ class TestValidate:
         )
         assert validate(broken).structural
 
+    def test_duplicate_ids_reported_once_in_sorted_order(self):
+        trace = TraceSpec({"a": ProbInterval.point(1)})
+        ids = ("z", "b", "z", "a", "b", "z", "c")
+        states = tuple(State(sid, sid == "c", trace) for sid in ids)
+        report = validate(Model("hmm", ("a",), ("true",), states, ()))
+        assert report.structural == ["duplicate state ids: ['b', 'z']"]
+
     def test_smdp_interval_rule(self):
         model = Model(
             "smdp",

@@ -52,6 +52,27 @@ class TestParseModel:
         with pytest.raises(FormatError):
             parse_model(text)
 
+    def test_kind_violations_still_parse(self):
+        text = (
+            "model hmm\nobs a\nstate s initial trace a=1\nstate t trace a=1\n"
+            "arrow s true t ap=0.75\narrow s true s ap=0.5\narrow t true s ap=1\n"
+        )
+        model = parse_model(text)
+        assert validate(model).violations == ["state s: outgoing probabilities sum to 1.25, above 1"]
+
+    def test_structural_faults_keep_their_text(self):
+        text = (
+            "model ed\nobs x\nevent go\nstate s initial trace x=1 y=1\nstate s\n"
+            "arrow s stop t\npriority halt 1\n"
+        )
+        with pytest.raises(FormatError) as err:
+            parse_model(text)
+        assert str(err.value) == (
+            "duplicate state ids: ['s']; arrow to undeclared state 't'; "
+            "arrow label 'stop' not in the label alphabet; "
+            "state s: trace observation 'y' not in the alphabet; priority for unknown event 'halt'"
+        )
+
     def test_inverted_interval(self):
         text = "model mdp-plus\nobs x\nact a\nstate s initial\narrow s a s lp=[0.8,0.2] ap=1\n"
         with pytest.raises(FormatError):

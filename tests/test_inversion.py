@@ -1,6 +1,7 @@
 """inversion: journey statistics, analytic/Monte-Carlo/interval inversion."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from stochworld import (
     simulate_journeys,
 )
 
-from helpers import chain_model, random_connected_chain
+from helpers import chain_model, journey_statistics_by_loops, random_connected_chain, random_flow_model
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,42 @@ class TestJourneyStatistics:
         )
         with pytest.raises(JourneyError):
             journey_statistics(leaky)
+
+
+    def test_equals_loop_oracle(self):
+        """The array-built flow system gives the loop-built one's counts bit
+        for bit, in the same order, and its refusals, on chains and on
+        composed mdp-fixed models with rounding sums, black holes and white
+        peaks."""
+        rng = random.Random(20261018)
+        seen: Counter = Counter()
+        for i in range(1000):
+            model = random_flow_model(rng)
+            want = _flow_outcome(journey_statistics_by_loops, model)
+            assert _flow_outcome(journey_statistics, model) == want, i
+            solved = not isinstance(want[0], type)
+            seen[model.kind] += solved
+            seen["refused"] += not solved
+            seen["absorbed"] += solved and bool(want[3])
+            seen["white peak"] += solved and len(want[0]) + len(want[3]) < len(model.states)
+        assert seen["fomm"] + seen["hmm"] >= 300 and seen["mdp-fixed"] >= 200, seen
+        for feature in ("refused", "absorbed", "white peak"):
+            assert seen[feature] >= 30, seen
+
+
+def _flow_outcome(solve, model):
+    """Counts as (key, float.hex) lists in their order, or the refusal."""
+    try:
+        stats = solve(model)
+    except JourneyError as exc:
+        return type(exc), str(exc)
+    bits = lambda counts: [(k, float(v).hex()) for k, v in counts.items()]
+    return (
+        bits(stats.visit_counts),
+        bits(stats.arrow_counts),
+        float(stats.return_count).hex(),
+        bits(stats.absorption_counts),
+    )
 
 
 class TestInvertChain:

@@ -9,10 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from stochworld import (
     CapExceededError,
+    EventOccurrence,
+    EventStream,
     ModelError,
+    Policy,
     PolicyError,
     Preference,
     SimulationConfig,
+    ToolkitError,
     Trajectory,
     WhitePeakError,
     check_markov,
@@ -24,16 +28,20 @@ from stochworld import (
     preference_to_policy,
     simulate,
     simulate_events,
+    track,
 )
 
-from stochworld.core import KINDS
+from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE
 
 from helpers import (
     chain_model,
     exact_future_by_layers,
     future_by_layers,
     random_connected_chain,
+    random_agent,
     random_future_model,
+    random_walk_model,
+    simulate_by_steps,
 )
 
 
@@ -77,6 +85,57 @@ class TestSimulate:
         )
         assert both.labels() == ("e1", "e2")  # both arrows walked, in rank order
 
+    def test_one_collision_order(self):
+        """Equal ranks fall back to the label and unranked events come last,
+        in the walk and in the tracker alike."""
+        model = parse_model(
+            "model ed\nobs x a b c\nevent a b c\nstate s initial trace x=1\n"
+            "state ta trace a=1\nstate tb trace b=1\nstate tc trace c=1\n"
+            "arrow s a ta lp=1 ap=1\narrow s b tb lp=1 ap=1\narrow s c tc lp=1 ap=1\n"
+            "priority c 1\npriority b 1\n"
+        )
+        trajectory, fired = simulate_events(model, SimulationConfig(steps=2, seed=0, collision="priority"))
+        assert fired.labels() == ("b",)
+        everything = EventStream(tuple(EventOccurrence(0, e, POINT_ONE) for e in ("a", "c", "b")))
+        result = track(model, trajectory, everything, collision="priority")
+        assert result.final_belief.probs == {"tb": 1.0}
+
+    def test_walk_equals_step_oracle(self):
+        """The table walk gives the reference walk's trajectory, events and
+        refusals (class and text): under policies and preferences, both
+        collision rules, and with intervals the walk reaches or never does."""
+        rng = random.Random(20261018)
+        seen: Counter = Counter()
+        for i in range(1400):
+            kind = KINDS[i % len(KINDS)]
+            model = random_walk_model(rng, kind)
+            agent = random_agent(rng, model) if kind in ACTION_KINDS else None
+            if kind not in ACTION_KINDS and rng.random() < 0.02:
+                agent = Policy({})  # refused: this kind takes no policy
+            config = SimulationConfig(
+                rng.randint(0, 30),
+                rng.randrange(2**31),
+                policy=agent if isinstance(agent, Policy) else None,
+                preference=agent if isinstance(agent, Preference) else None,
+                collision=rng.choice(("priority", "both-arrows")),
+            )
+            want = _walk_outcome(simulate_by_steps, model, config)
+            assert _walk_outcome(simulate_events, model, config) == want, i
+            walked = not isinstance(want[0], type)
+            seen[kind] += 1
+            seen["walked"] += walked
+            seen["reached an interval"] += not walked and want[1].startswith("unresolved interval")
+            own = [p for s in model.states if s.id != "w" for p in s.trace.probs.values()]
+            own += [p for a in model.arrows if a.source != "w" for p in (a.label_prob, a.arrow_prob)]
+            seen["passed an interval by"] += walked and config.steps > 0 and not all(p.is_point for p in own)
+            seen[type(agent).__name__] += walked and agent is not None
+            seen[config.collision] += walked and kind == "ed" and len(want[1]) > 0
+        assert sum(seen[k] for k in KINDS) >= 1000
+        assert all(seen[k] >= 100 for k in KINDS), seen
+        for feature in ("walked", "reached an interval", "passed an interval by", "Policy", "Preference"):
+            assert seen[feature] >= 50, seen
+        assert seen["priority"] >= 25 and seen["both-arrows"] >= 25, seen
+
     def test_preference_resolves_intervals(self):
         model = parse_model(
             "model mdp-plus\nobs wet\nact rain dry\n"
@@ -88,6 +147,13 @@ class TestSimulate:
         acts = traj.actions()
         assert set(acts) <= {"rain", "dry"}
         assert acts.count("rain") > acts.count("dry")  # 80% rain under Royal rain
+
+
+def _walk_outcome(walk, model, config):
+    try:
+        return walk(model, config)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
 
 
 def _outcome(call):

@@ -1,0 +1,16 @@
+"""The CI workflow: it cannot run offline, so only its shape is checked."""
+
+from pathlib import Path
+
+import pytest
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def test_tier1_workflow_parses():
+    yaml = pytest.importorskip("yaml")
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ['pip install -e ".[test]"', TIER1]
