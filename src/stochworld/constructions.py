@@ -137,6 +137,8 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
     Requires the coverage condition: every arrow that crosses classes must
     belong to some monitored event.  Per-class event and transition
     probabilities, and class traces, are interval hulls over the members.
+    The model must satisfy its kind; ``validate`` names the fault when it
+    does not.
     """
     partition.check(model)
     monitored = list(monitored)
@@ -177,6 +179,7 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
             State(class_id(c), initial=(class_id(c) == s0_class), trace=TraceSpec(probs, memory, phenomena))
         )
 
+    compiled = model.compiled
     arrows = []
     for e in monitored:
         keys = e.keys()
@@ -184,7 +187,9 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
             fires = {}  # member -> interval probability the event fires there
             to_class: dict = {}  # target class -> member -> interval mass
             for m in sorted(c):
-                own = [a for a in model.out_index.get(m, ()) if a.key in keys]
+                out = compiled.out[compiled.index[m]]
+                ordered = sorted(k for ks in out.values() for k in ks)  # model order, which fixes the sums below
+                own = [model.arrows[k] for k in ordered if model.arrows[k].key in keys]
                 if not own:
                     fires[m] = ProbInterval.point(0.0)
                     continue
@@ -241,13 +246,16 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     model; equal beliefs are merged (exact rational comparison).
 
     Arrows out of the deepest layer that would lead to unexplored beliefs
-    are dropped and noted in the metadata.
+    are dropped and noted in the metadata.  The model must satisfy its
+    kind; ``validate`` names the fault when it does not.
     """
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
     for s in model.states:
         _det_obs(model, s.id)
 
+    compiled = model.compiled
+    index, out, arrows_in = compiled.index, compiled.out, model.arrows
     start = ((model.initial_state.id, Fraction(1)),)
     names = {start: "q0"}
     order = [start]
@@ -259,14 +267,14 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
             break
         layer, frontier = frontier, []
         for belief in layer:
-            support = [sid for sid, _ in belief]
+            rows = [(out[index[sid]], mass) for sid, mass in belief]
             for label in model.labels:
-                if not all((sid, label) in model.out_by_label for sid in support):
+                if not all(label in row for row, _ in rows):
                     continue
-                lp = _belief_label_prob(model, belief, label)
+                lp = _belief_label_prob(model, rows, label)
                 weight: dict = {}
-                for sid, mass in belief:
-                    for a in model.out_by_label[(sid, label)]:
+                for row, mass in rows:
+                    for a in (arrows_in[k] for k in row[label]):
                         w = mass * Fraction(a.arrow_prob.lo)
                         if w:
                             weight[a.target] = weight.get(a.target, Fraction(0)) + w
@@ -329,11 +337,13 @@ def _belief_obs(model: Model, belief) -> str:
     return _det_obs(model, belief[0][0])
 
 
-def _belief_label_prob(model: Model, belief, label: str) -> ProbInterval:
-    first = model.agent_interval(belief[0][0], label)
+def _belief_label_prob(model: Model, rows, label: str) -> ProbInterval:
+    """The label probability out of a belief, given per member its arrows by
+    label (``CompiledModel.out``) and its mass."""
+    first = model.arrows[rows[0][0][label][0]].label_prob
     if first.is_point:
         value = sum(
-            mass * Fraction(model.agent_interval(sid, label).lo) for sid, mass in belief
+            mass * Fraction(model.arrows[row[label][0]].label_prob.lo) for row, mass in rows
         )
         return ProbInterval.point(float(value))
     return first  # free-will kinds keep their interval (e.g. mdp's [0,1])
@@ -355,20 +365,19 @@ def _coarsest_blocks(model: Model) -> list:
     all.  Presence does not subtract when an arrow of weight 0 enters the
     block, so such a block queues every part.
     """
-    index = {s.id: i for i, s in enumerate(model.states)}
-    labels = {label: k for k, label in enumerate(model.labels)}
+    compiled = model.compiled
+    labels = compiled.label_index
     preds: list = [[] for _ in model.states]  # target -> (source, label, weight)
-    arrows = [a for a in model.arrows if a.label in labels]
-    ratios = [a.arrow_prob.lo.as_integer_ratio() for a in arrows]
+    arrows = [k for k, a in enumerate(model.arrows) if a.label in labels]
+    ratios = [model.arrows[k].arrow_prob.lo.as_integer_ratio() for k in arrows]
     scale = max((den for _, den in ratios), default=1)  # floats are dyadic: weights stay exact
-    for a, (num, den) in zip(arrows, ratios):
-        preds[index[a.target]].append((index[a.source], labels[a.label], num * (scale // den)))
+    for k, (num, den) in zip(arrows, ratios):
+        preds[compiled.dst[k]].append((compiled.src[k], labels[model.arrows[k].label], num * (scale // den)))
     zero_in = [any(w == 0 for _, _, w in p) for p in preds]
 
     initial: dict = {}
-    out = model.out_by_label
-    for i, s in enumerate(model.states):
-        offered = tuple((l, out[s.id, l][0].label_prob) for l in model.labels if (s.id, l) in out)
+    for i, (s, out) in enumerate(zip(model.states, compiled.out)):
+        offered = tuple((l, model.arrows[out[l][0]].label_prob) for l in model.labels if l in out)
         initial.setdefault((frozenset(s.trace.probs.items()), s.trace.memory, offered), set()).add(i)
     members = list(initial.values())
     block_of = {i: b for b, m in enumerate(members) for i in m}
@@ -415,7 +424,12 @@ def minimize_forward(model: Model):
     classes in which equivalent states have equal per-label successor
     distributions over the classes; quotient by it.  Always the exact
     fixpoint.  Returns (model, partition witness), classes ordered by their
-    smallest state id."""
+    smallest state id.
+
+    The model must satisfy its kind.  On one that does not, merging states
+    can fail with a symptom (an outgoing sum of 1.25 surfaces as an invalid
+    probability interval); ``validate`` names the fault.
+    """
     if not model.has_point_probs():
         raise ModelError("minimization needs point probabilities")
     ids = [s.id for s in model.states]
@@ -428,14 +442,16 @@ def minimize_forward(model: Model):
     merged_any = len(classes) < len(ids)
     states = []
     arrows = []
+    compiled = model.compiled
     for c in sorted(classes, key=name.__getitem__):
         rep = model.by_id[min(c)]
+        out = compiled.out[compiled.index[rep.id]]
         members = [model.by_id[m] for m in c]
         memory = any(m.trace.memory for m in members)
         phenomena = tuple(sorted({p for m in members for p in m.trace.phenomena}))
         states.append(State(name[c], initial=(s0 in c), trace=TraceSpec(dict(rep.trace.probs), memory, phenomena)))
         for label in model.labels:
-            outgoing = model.out_by_label.get((rep.id, label), ())
+            outgoing = [model.arrows[k] for k in out.get(label, ())]
             if not outgoing:
                 continue
             mass: dict = {}
@@ -488,7 +504,7 @@ def _fresh_initial(model: Model, base: str = "now") -> Model:
         + [replace(s, initial=False) for s in model.states]
     )
     arrows = model.arrows + tuple(
-        replace(a, source=fresh) for a in model.out_index.get(init.id, ())
+        replace(a, source=fresh) for a in model.arrows if a.source == init.id
     )
     return replace(model, states=states, arrows=arrows)
 
@@ -517,7 +533,8 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     states += [State(past[s.id], trace=s.trace) for s in backflow.states]
     arrows = [
         replace(a, source="now", target=fut[a.target])
-        for a in forward0.out_index.get(init_f.id, ())
+        for a in forward0.arrows
+        if a.source == init_f.id
     ]
     arrows += [
         replace(a, source=fut[a.source], target=fut[a.target]) for a in forward0.arrows

@@ -179,35 +179,9 @@ class Model:
             raise ModelError(f"model must have exactly one initial state, found {len(initials)}")
         return initials[0]
 
-    @cached_property
-    def out_index(self) -> Mapping[str, tuple]:
-        index: dict = {s.id: [] for s in self.states}
-        for a in self.arrows:
-            index.setdefault(a.source, []).append(a)
-        return {k: tuple(v) for k, v in index.items()}
-
-    @cached_property
-    def out_by_label(self) -> Mapping[tuple, tuple]:
-        index: dict = {}
-        for a in self.arrows:
-            index.setdefault((a.source, a.label), []).append(a)
-        return {k: tuple(v) for k, v in index.items()}
-
     @property
     def single_label(self) -> bool:
         return len(self.labels) == 1
-
-    def labels_from(self, state_id: str) -> tuple:
-        """Labels with at least one arrow out of the state, in alphabet order."""
-        present = {a.label for a in self.out_index.get(state_id, ())}
-        return tuple(l for l in self.labels if l in present)
-
-    def agent_interval(self, state_id: str, label: str) -> ProbInterval:
-        """The label probability shared by same-label arrows out of a state."""
-        arrows = self.out_by_label.get((state_id, label))
-        if not arrows:
-            raise ModelError(f"no {label!r} arrows out of {state_id!r}")
-        return arrows[0].label_prob
 
     def has_point_probs(self) -> bool:
         return all(a.label_prob.is_point and a.arrow_prob.is_point for a in self.arrows)
@@ -499,6 +473,7 @@ class Policy:
 
     def check(self, model: Model) -> None:
         """Require per-state sums of 1 inside the model's agent intervals."""
+        compiled = model.compiled
         per_state: dict = {}
         for (s, a), p in self.probs.items():
             per_state.setdefault(s, []).append((a, p))
@@ -506,12 +481,14 @@ class Policy:
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > 1e-6:
                 raise PolicyError(f"policy for state {s} sums to {total}")
+            i = compiled.index.get(s)
+            out = compiled.out[i] if i is not None else {}
             for a, p in pairs:
-                if (s, a) not in model.out_by_label:
+                if a not in out:
                     if p > TOL:
                         raise PolicyError(f"policy gives mass to missing action {a} in {s}")
                     continue
-                iv = model.agent_interval(s, a)
+                iv = model.arrows[out[a][0]].label_prob
                 if not iv.contains(p, tol=1e-6):
                     raise PolicyError(
                         f"policy({s}, {a}) = {p} outside agent interval [{iv.lo}, {iv.hi}]"
@@ -528,10 +505,12 @@ class Preference:
         object.__setattr__(self, "order", {s: tuple(v) for s, v in self.order.items()})
 
     def check(self, model: Model) -> None:
+        compiled = model.compiled
         for s, ranked in self.order.items():
-            if s not in model.by_id:
+            if s not in compiled.index:
                 raise ModelError(f"preference for unknown state {s!r}")
-            available = set(model.labels_from(s))
+            out = compiled.out[compiled.index[s]]
+            available = {l for l in model.labels if l in out}
             if set(ranked) != available or len(set(ranked)) != len(ranked):
                 raise ModelError(
                     f"preference for {s} must rank exactly the available actions {sorted(available)}"

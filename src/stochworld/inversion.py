@@ -122,75 +122,63 @@ def journey_statistics(model: Model) -> JourneyStatistics:
 
 
 def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str) -> Model:
-    """Build the reversed model with inbound probabilities from counts."""
-    inflow: dict = {s.id: 0.0 for s in model.states}
-    for (src, label, dst), c in counts.items():
-        inflow[dst] += c
+    """Build the reversed model with inbound probabilities from counts.
 
-    notes = []
+    Each reversed arrow gets its count over its target's inflow, or one over
+    the target's in-degree where nothing flows in.  Decision kinds split that
+    into a label probability, the sum over the label's reversed arrows, and
+    the arrow's part of it; the other kinds keep the label probability.
+    """
+    compiled = model.compiled
+    ids, dst = compiled.ids, compiled.dst
+    inflow = [0.0] * len(ids)
+    for (_, _, target), c in counts.items():
+        inflow[compiled.index[target]] += c
+    indegree = np.bincount(dst, minlength=len(ids)).tolist()
+    inbound = [
+        counts.get(a.key, 0.0) / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j]
+        for a, j in zip(model.arrows, dst)
+    ]
+    decision = kind in ("mdp", "mdp-fixed")
+    label_mass: dict = {}  # (reversed source, label) -> [inbound sum, arrows]
+    if decision:
+        for a, p in zip(model.arrows, inbound):
+            mass = label_mass.setdefault((a.target, a.label), [0.0, 0])
+            mass[0] += p
+            mass[1] += 1
     reversed_arrows = []
-    if kind in ("mdp", "mdp-fixed"):
-        # split each reversed probability into action part and arrow part
-        q: dict = {}
-        for a in model.arrows:
-            denom = inflow[a.target]
-            q[(a.target, a.label, a.source)] = (
-                counts.get(a.key, 0.0) / denom if denom > _EPS else None
-            )
-        uniform_states = sorted({src for (src, _, _), v in q.items() if v is None})
-        for sid in uniform_states:
-            keys = [k for k in q if k[0] == sid]
-            for k in keys:
-                q[k] = 1.0 / len(keys)
-        if uniform_states:
-            notes.append("uniform-inbound: " + " ".join(uniform_states))
-        label_mass: dict = {}
-        for (src, label, dst), v in q.items():
-            label_mass[(src, label)] = label_mass.get((src, label), 0.0) + v
-        for (src, label, dst), v in q.items():
-            lp = label_mass[(src, label)]
-            ap = v / lp if lp > _EPS else 1.0 / sum(1 for k in q if k[:2] == (src, label))
-            reversed_arrows.append(
-                Arrow(src, label, dst, ProbInterval.point(lp), ProbInterval.point(ap))
-            )
-    else:
-        grouped: dict = {}
-        for a in model.arrows:
-            grouped.setdefault(a.target, []).append(a)
-        uniform_states = []
-        for dst, arrows in grouped.items():
-            denom = inflow[dst]
-            if denom > _EPS:
-                probs = [counts.get(a.key, 0.0) / denom for a in arrows]
-            else:
-                probs = [1.0 / len(arrows)] * len(arrows)
-                uniform_states.append(dst)
-            for a, p in zip(arrows, probs):
-                reversed_arrows.append(
-                    Arrow(dst, a.label, a.source, a.label_prob, ProbInterval.point(p))
-                )
-        if uniform_states:
-            notes.append("uniform-inbound: " + " ".join(sorted(uniform_states)))
-
+    for a, p in zip(model.arrows, inbound):
+        lp = a.label_prob
+        if decision:
+            total, n = label_mass[a.target, a.label]
+            lp, p = ProbInterval.point(total), (p / total if total > _EPS else 1.0 / n)
+        reversed_arrows.append(Arrow(a.target, a.label, a.source, lp, ProbInterval.point(p)))
+    uniform = [sid for sid, deg, flow in zip(ids, indegree, inflow) if deg and flow <= _EPS]
+    notes = ("uniform-inbound: " + " ".join(sorted(uniform)),) if uniform else ()
     return canonical(
         replace(
             model,
             kind=kind,
             arrows=tuple(reversed_arrows),
-            meta=tuple(notes),
+            meta=notes,
         )
     )
+
+
+def _invert_by_flow(model: Model) -> Model:
+    """Reverse a point model by its journey flow; the inverse keeps its kind."""
+    peak = find_white_peak(model)
+    if peak:
+        raise WhitePeakError(peak)
+    stats = journey_statistics(model)
+    return _reverse_from_counts(model, stats.arrow_counts, model.kind)
 
 
 def invert_chain(model: Model) -> Model:
     """Analytic inversion of a single-label chain from its journey flow."""
     if not model.single_label:
         raise ModelError("invert_chain needs a single-label model; see invert_mdp_fixed")
-    peak = find_white_peak(model)
-    if peak:
-        raise WhitePeakError(peak)
-    stats = journey_statistics(model)
-    return _reverse_from_counts(model, stats.arrow_counts, model.kind)
+    return _invert_by_flow(model)
 
 
 def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatistics:
@@ -216,9 +204,8 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
     first = 0
     for si, ks in per_state.items():
         cum[si, : len(ks)] = np.cumsum([compiled.mid[k] for k in ks])
-        cum[si, len(ks) :] = 1.0 + _EPS
+        cum[si, len(ks) - 1 :] = np.inf  # a draw above the rounded total takes the last arrow
         aid[si, : len(ks)] = np.arange(first, first + len(ks))
-        aid[si, len(ks) :] = first + len(ks) - 1
         first += len(ks)
 
     rng = np.random.default_rng(seed)
@@ -275,14 +262,16 @@ def monte_carlo_invert(model: Model, journeys: int, seed: int) -> Model:
 
 
 def _model_policy(model: Model) -> Policy:
+    compiled = model.compiled
     probs = {}
-    for (s, label), arrows in model.out_by_label.items():
-        lp = arrows[0].label_prob
-        if not lp.is_point:
-            raise ModelError(
-                f"model carries interval agent probabilities; supply an explicit policy"
-            )
-        probs[(s, label)] = lp.mid
+    for s, out in zip(compiled.ids, compiled.out):
+        for label, ks in out.items():
+            lp = model.arrows[ks[0]].label_prob
+            if not lp.is_point:
+                raise ModelError(
+                    f"model carries interval agent probabilities; supply an explicit policy"
+                )
+            probs[(s, label)] = lp.mid
     return Policy(probs)
 
 
@@ -300,12 +289,7 @@ def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
     """Invert a decision process under a fixed policy; result is mdp-fixed."""
     if model.kind not in ("mdp", "mdp-fixed", "mdp-plus", "smdp"):
         raise ModelError(f"invert_mdp_fixed does not apply to {model.kind} models")
-    composed = compose_policy(model, policy if policy is not None else _model_policy(model))
-    peak = find_white_peak(composed)
-    if peak:
-        raise WhitePeakError(peak)
-    stats = journey_statistics(composed)
-    return _reverse_from_counts(composed, stats.arrow_counts, "mdp-fixed")
+    return _invert_by_flow(compose_policy(model, policy if policy is not None else _model_policy(model)))
 
 
 def _simplex_box_vertices(bounds, tol=1e-9):
@@ -372,28 +356,21 @@ def invert_mdp_plus(
     if peak:
         raise WhitePeakError(peak)
 
+    compiled = model.compiled
     agent_groups = []  # (state, labels)
-    for s in model.states:
-        labels = model.labels_from(s.id)
+    agent_bounds = []
+    for sid, out in zip(compiled.ids, compiled.out):
+        labels = [l for l in model.labels if l in out]
         if labels:
-            agent_groups.append((s.id, labels))
-    world_groups = sorted(model.out_by_label)  # (state, label)
-
-    def group_bounds():
-        agent = [
-            [
-                (model.agent_interval(s, l).lo, model.agent_interval(s, l).hi)
-                for l in labels
-            ]
-            for s, labels in agent_groups
-        ]
-        world = [
-            [(a.arrow_prob.lo, a.arrow_prob.hi) for a in model.out_by_label[g]]
-            for g in world_groups
-        ]
-        return agent, world
-
-    agent_bounds, world_bounds = group_bounds()
+            agent_groups.append((sid, labels))
+            agent_bounds.append([(lp.lo, lp.hi) for lp in (model.arrows[out[l][0]].label_prob for l in labels)])
+    world_groups = sorted(
+        (sid, label, ks) for sid, out in zip(compiled.ids, compiled.out) for label, ks in out.items()
+    )  # (state, label, its arrows)
+    world_bounds = [
+        [(model.arrows[k].arrow_prob.lo, model.arrows[k].arrow_prob.hi) for k in ks]
+        for _, _, ks in world_groups
+    ]
 
     def resolutions():
         if mode == "vertex":
@@ -421,27 +398,26 @@ def invert_mdp_plus(
         explored += 1
         agent_pick = combo[:n_agent]
         world_pick = combo[n_agent:]
-        by_key = {}
+        lp = {}
         for (sid, labels), vec in zip(agent_groups, agent_pick):
-            for l, p in zip(labels, vec):
-                by_key[("lp", sid, l)] = p
-        for g, vec in zip(world_groups, world_pick):
-            for a, p in zip(model.out_by_label[g], vec):
-                by_key[("ap",) + a.key] = p
+            lp.update(zip(((sid, l) for l in labels), vec))
+        ap = {}
+        for (_, _, ks), vec in zip(world_groups, world_pick):
+            ap.update(zip(ks, vec))
         resolved = replace(
             model,
             kind="mdp-fixed",
             arrows=tuple(
                 replace(
                     a,
-                    label_prob=ProbInterval.point(by_key[("lp", a.source, a.label)]),
-                    arrow_prob=ProbInterval.point(by_key[("ap",) + a.key]),
+                    label_prob=ProbInterval.point(lp[a.source, a.label]),
+                    arrow_prob=ProbInterval.point(ap[k]),
                 )
-                for a in model.arrows
+                for k, a in enumerate(model.arrows)
             ),
         )
         try:
-            inv = invert_mdp_fixed(resolved)
+            inv = _invert_by_flow(resolved)
         except (WhitePeakError, JourneyError):
             continue
         valid += 1

@@ -316,10 +316,12 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
     as adjusted.
     """
     preference.check(model)
+    compiled = model.compiled
     probs: dict = {}
     adjusted: set = set()
     for sid, ranked in preference.order.items():
-        bounds = [model.agent_interval(sid, a) for a in ranked]
+        out = compiled.out[compiled.index[sid]]
+        bounds = [model.arrows[out[a][0]].label_prob for a in ranked]
         lo_sum = sum(b.lo for b in bounds)
         hi_sum = sum(b.hi for b in bounds)
         if lo_sum > 1.0 + 1e-9 or hi_sum < 1.0 - 1e-9:

@@ -128,12 +128,15 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
             _check_point_trace(model, s, bad)
 
     # label probabilities must agree across same-label arrows from a state
-    for (src, label), arrows in model.out_by_label.items():
-        first = arrows[0].label_prob
-        for a in arrows[1:]:
-            if abs(a.label_prob.lo - first.lo) > TOL or abs(a.label_prob.hi - first.hi) > TOL:
-                bad.append(f"inconsistent label probability for {label!r} out of {src}")
-                break
+    compiled = model.compiled
+    for src, out in zip(compiled.ids, compiled.out):
+        for label, ks in out.items():
+            first = model.arrows[ks[0]].label_prob
+            for k in ks[1:]:
+                lp = model.arrows[k].label_prob
+                if abs(lp.lo - first.lo) > TOL or abs(lp.hi - first.hi) > TOL:
+                    bad.append(f"inconsistent label probability for {label!r} out of {src}")
+                    break
 
     point_lp = kind in ("fomm", "hmm", "mdp-fixed")
     point_ap = kind in ("fomm", "hmm", "mdp", "mdp-fixed")
@@ -186,36 +189,38 @@ def _check_sums(model: Model, report: ValidationReport) -> None:
         else:
             report.violations.append(detail)
 
-    for (src, label), arrows in model.out_by_label.items():
-        lo = sum(a.arrow_prob.lo for a in arrows)
-        hi = sum(a.arrow_prob.hi for a in arrows)
-        where = f"state {src}" if len(model.labels) == 1 else f"state {src}, {label!r}"
-        if kind in ("fomm", "hmm", "mdp", "mdp-fixed"):
-            if hi < 1.0 - _SUM_TOL:
-                note_deficit(src, f"{where}: outgoing probabilities sum to {hi:g}")
-            elif lo > 1.0 + _SUM_TOL:
-                report.violations.append(
-                    f"{where}: outgoing probabilities sum to {lo:g}, above 1"
-                )
-        else:  # mdp-plus, ed interval feasibility
-            if lo > 1.0 + _SUM_TOL:
-                report.violations.append(
-                    f"{where}: interval sums exclude any world policy (sum of lower bounds {lo:g} above 1)"
-                )
-            if hi < 1.0 - _SUM_TOL:
-                note_deficit(
-                    src,
-                    f"{where}: interval sums exclude any world policy (sum of upper bounds {hi:g} below 1)",
-                )
+    compiled = model.compiled
+    for src, out in zip(compiled.ids, compiled.out):
+        for label, ks in out.items():
+            lo = sum(model.arrows[k].arrow_prob.lo for k in ks)
+            hi = sum(model.arrows[k].arrow_prob.hi for k in ks)
+            where = f"state {src}" if len(model.labels) == 1 else f"state {src}, {label!r}"
+            if kind in ("fomm", "hmm", "mdp", "mdp-fixed"):
+                if hi < 1.0 - _SUM_TOL:
+                    note_deficit(src, f"{where}: outgoing probabilities sum to {hi:g}")
+                elif lo > 1.0 + _SUM_TOL:
+                    report.violations.append(
+                        f"{where}: outgoing probabilities sum to {lo:g}, above 1"
+                    )
+            else:  # mdp-plus, ed interval feasibility
+                if lo > 1.0 + _SUM_TOL:
+                    report.violations.append(
+                        f"{where}: interval sums exclude any world policy (sum of lower bounds {lo:g} above 1)"
+                    )
+                if hi < 1.0 - _SUM_TOL:
+                    note_deficit(
+                        src,
+                        f"{where}: interval sums exclude any world policy (sum of upper bounds {hi:g} below 1)",
+                    )
 
     # per-state action mass: fixed agents must sum to 1, interval agents must admit a policy
     if kind in ("mdp-fixed", "mdp-plus"):
-        for s in model.states:
-            labels = model.labels_from(s.id)
-            if not labels:
+        for s, out in zip(model.states, compiled.out):
+            agent = [model.arrows[out[l][0]].label_prob for l in model.labels if l in out]
+            if not agent:
                 continue
-            lo = sum(model.agent_interval(s.id, l).lo for l in labels)
-            hi = sum(model.agent_interval(s.id, l).hi for l in labels)
+            lo = sum(iv.lo for iv in agent)
+            hi = sum(iv.hi for iv in agent)
             if kind == "mdp-fixed":
                 if hi < 1.0 - _SUM_TOL:
                     note_deficit(s.id, f"state {s.id}: action probabilities sum to {hi:g}")

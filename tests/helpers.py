@@ -4,6 +4,7 @@ reference implementations that fast paths are compared against."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from stochworld import (
     Step,
     TraceSpec,
     Trajectory,
+    canonical,
     parse_model,
 )
 from stochworld.core import ACTION_KINDS, POINT_ONE
@@ -40,6 +42,25 @@ MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 def load_model(name: str) -> Model:
     return parse_model((MODELS_DIR / f"{name}.model").read_text())
+
+
+class ArrowIndex:
+    """The tests' own index of a model's arrows, built from ``model.arrows``
+    and independent of ``Model.compiled``: per state, and per (state, label),
+    the arrows out of it in model order."""
+
+    def __init__(self, model: Model):
+        self.labels = model.labels
+        self.out: dict = {s.id: [] for s in model.states}
+        self.by_label: dict = {}
+        for a in model.arrows:
+            self.out.setdefault(a.source, []).append(a)
+            self.by_label.setdefault((a.source, a.label), []).append(a)
+
+    def labels_from(self, sid: str) -> tuple:
+        """Labels with at least one arrow out of the state, in alphabet order."""
+        present = {a.label for a in self.out.get(sid, ())}
+        return tuple(l for l in self.labels if l in present)
 
 
 def chain_model(transitions: dict, initial: str, obs_of: dict | None = None) -> Model:
@@ -95,11 +116,12 @@ def walk(model: Model, steps: int, seed: int):
     """Independent reference walker: list of visited state ids (length steps+1)
     and the arrows taken.  Deliberately unrelated to the package simulator."""
     rng = random.Random(seed)
+    index = ArrowIndex(model)
     state = model.initial_state.id
     visited = [state]
     taken = []
     for _ in range(steps):
-        arrows = sorted(model.out_index[state], key=lambda a: a.key)
+        arrows = sorted(index.out[state], key=lambda a: a.key)
         u = rng.random()
         acc = 0.0
         chosen = arrows[-1]
@@ -143,6 +165,7 @@ def refine_by_rounds(model: Model):
         ordered = sorted(groups.values(), key=min)
         return {sid: i for i, group in enumerate(ordered) for sid in group}
 
+    index = ArrowIndex(model)
     block = regroup(
         {
             s.id: (frozenset((o, p.lo, p.hi) for o, p in s.trace.probs.items()), s.trace.memory)
@@ -154,7 +177,7 @@ def refine_by_rounds(model: Model):
         for s in model.states:
             per_label = []
             for label in model.labels:
-                arrows = model.out_by_label.get((s.id, label), ())
+                arrows = index.by_label.get((s.id, label), ())
                 if not arrows:
                     continue
                 mass: dict = {}
@@ -215,12 +238,13 @@ def random_point_model(rng: random.Random) -> Model:
 def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict:
     """Reference exact expansion: Fractions of the stored doubles, arrows
     re-weighed at every step.  Takes the lower trace bounds as points."""
+    index = ArrowIndex(model)
     layer = {(): {model.initial_state.id: Fraction(1)}}
     for _ in range(depth):
         nxt: dict = {}
         for word, dist in layer.items():
             for sid, mass in dist.items():
-                for a in model.out_index.get(sid, ()):
+                for a in index.out.get(sid, ()):
                     eff = Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo)
                     if eff == 0:
                         continue
@@ -241,12 +265,13 @@ def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict
 def interval_future_by_layers(model: Model, depth: int, cap: int) -> dict:
     """Reference interval expansion: float (lo, hi) bounds per word,
     multiplied per step, sums capped at 1."""
+    index = ArrowIndex(model)
     layer = {(): {model.initial_state.id: (1.0, 1.0)}}
     for _ in range(depth):
         nxt: dict = {}
         for word, dist in layer.items():
             for sid, (lo, hi) in dist.items():
-                for a in model.out_index.get(sid, ()):
+                for a in index.out.get(sid, ()):
                     eff = a.effective()
                     if eff.hi <= 0.0:
                         continue
@@ -355,8 +380,8 @@ def _sample_sequentially(pairs, rng):
     return pairs[-1][0]
 
 
-def _move_by_scan(model: Model, state: State, label: str, rng):
-    arrows = model.out_by_label.get((state.id, label))
+def _move_by_scan(model: Model, index: ArrowIndex, state: State, label: str, rng):
+    arrows = index.by_label.get((state.id, label))
     if not arrows:
         return None
     pairs = [(a, _point_mid(a.arrow_prob, "arrow")) for a in sorted(arrows, key=lambda a: a.key)]
@@ -370,6 +395,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
     if config.collision not in ("priority", "both-arrows"):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
+    index = ArrowIndex(resolved)
     rng = np.random.default_rng(config.seed)
     state = resolved.initial_state
     order = sorted(resolved.labels, key=lambda e: (resolved.priorities.get(e, float("inf")), e))
@@ -383,7 +409,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
         if resolved.kind == "ed":
             fired = []
             for e in order:
-                arrows = resolved.out_by_label.get((state.id, e))
+                arrows = index.by_label.get((state.id, e))
                 if not arrows:
                     continue
                 if rng.random() < _point_mid(arrows[0].label_prob, f"event {e} in {state.id}"):
@@ -391,7 +417,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
             if fired and config.collision == "priority":
                 fired = fired[:1]
             for e in fired:
-                target = _move_by_scan(resolved, state, e, rng)
+                target = _move_by_scan(resolved, index, state, e, rng)
                 if target is None:
                     continue
                 occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
@@ -400,15 +426,15 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
             continue
         act = None
         if resolved.kind in ACTION_KINDS:
-            labels = resolved.labels_from(state.id)
+            labels = index.labels_from(state.id)
             if not labels:
                 raise JourneyError(f"state {state.id} has no outgoing actions")
-            pairs = [(l, _point_mid(resolved.agent_interval(state.id, l), f"agent in {state.id}")) for l in labels]
+            pairs = [(l, _point_mid(index.by_label[state.id, l][0].label_prob, f"agent in {state.id}")) for l in labels]
             act = _sample_sequentially(pairs, rng)
             label = act
         else:
             label = "true"
-        target = _move_by_scan(resolved, state, label, rng)
+        target = _move_by_scan(resolved, index, state, label, rng)
         if target is None:
             raise JourneyError(f"state {state.id} has no {label!r} arrows")
         steps.append(Step(obs, act))
@@ -449,9 +475,10 @@ def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
     black = unreached_by_scan(model, reverse=True)
     white = unreached_by_scan(model, reverse=False)
     nt = [s.id for s in model.states if s.id not in white and s.id not in black]
+    index = ArrowIndex(model)
     for sid in nt:
         total = 0.0
-        for a in model.out_index.get(sid, ()):
+        for a in index.out.get(sid, ()):
             eff = a.effective()
             if not eff.is_point:
                 raise JourneyError(
@@ -497,6 +524,56 @@ def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
         elif a.target in black:
             absorption[a.target] = absorption.get(a.target, 0.0) + count
     return JourneyStatistics(visits, arrow_counts, return_count, absorption)
+
+
+def reverse_by_branches(model: Model, counts: dict, kind: str) -> Model:
+    """Reference reversal: one branch for decision kinds, which keys the
+    inbound probabilities by reversed arrow, and one for the other kinds,
+    which groups the arrows by target."""
+    eps = 1e-12
+    inflow: dict = {s.id: 0.0 for s in model.states}
+    for (src, label, dst), c in counts.items():
+        inflow[dst] += c
+
+    notes = []
+    reversed_arrows = []
+    if kind in ("mdp", "mdp-fixed"):
+        q: dict = {}
+        for a in model.arrows:
+            denom = inflow[a.target]
+            q[(a.target, a.label, a.source)] = counts.get(a.key, 0.0) / denom if denom > eps else None
+        uniform_states = sorted({src for (src, _, _), v in q.items() if v is None})
+        for sid in uniform_states:
+            keys = [k for k in q if k[0] == sid]
+            for k in keys:
+                q[k] = 1.0 / len(keys)
+        if uniform_states:
+            notes.append("uniform-inbound: " + " ".join(uniform_states))
+        label_mass: dict = {}
+        for (src, label, dst), v in q.items():
+            label_mass[(src, label)] = label_mass.get((src, label), 0.0) + v
+        for (src, label, dst), v in q.items():
+            lp = label_mass[(src, label)]
+            ap = v / lp if lp > eps else 1.0 / sum(1 for k in q if k[:2] == (src, label))
+            reversed_arrows.append(Arrow(src, label, dst, ProbInterval.point(lp), ProbInterval.point(ap)))
+    else:
+        grouped: dict = {}
+        for a in model.arrows:
+            grouped.setdefault(a.target, []).append(a)
+        uniform_states = []
+        for dst, arrows in grouped.items():
+            denom = inflow[dst]
+            if denom > eps:
+                probs = [counts.get(a.key, 0.0) / denom for a in arrows]
+            else:
+                probs = [1.0 / len(arrows)] * len(arrows)
+                uniform_states.append(dst)
+            for a, p in zip(arrows, probs):
+                reversed_arrows.append(Arrow(dst, a.label, a.source, a.label_prob, ProbInterval.point(p)))
+        if uniform_states:
+            notes.append("uniform-inbound: " + " ".join(sorted(uniform_states)))
+
+    return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=tuple(notes)))
 
 
 def random_walk_model(rng: random.Random, kind: str) -> Model:
@@ -560,7 +637,8 @@ def random_agent(rng: random.Random, model: Model):
     roll = rng.random()
     if roll < 0.3:
         return None
-    order = {s.id: model.labels_from(s.id) for s in model.states if s.id != "w"}
+    index = ArrowIndex(model)
+    order = {s.id: index.labels_from(s.id) for s in model.states if s.id != "w"}
     if roll < 0.6:
         return Preference({sid: tuple(rng.sample(ranked, len(ranked))) for sid, ranked in order.items() if ranked})
     probs = {}

@@ -33,7 +33,7 @@ from stochworld import (
 from stochworld.cli import main as cli_main
 
 from genmodels import random_model
-from helpers import MODELS_DIR, chain_model, load_model, random_connected_chain, walk
+from helpers import MODELS_DIR, ArrowIndex, chain_model, load_model, random_connected_chain, walk
 from test_constructions import all_paths, follow_doubled
 
 
@@ -110,11 +110,12 @@ def _journey_windows(model, journeys, depth, seed):
     """Chained forward journeys; the observation windows just before each
     return to the start, counted with plain python (independent oracle)."""
     rng = random.Random(seed)
+    index = ArrowIndex(model)
     cum = {}
     for state in model.states:
         acc = 0.0
         rows = []
-        for a in sorted(model.out_index[state.id], key=lambda x: x.key):
+        for a in sorted(index.out[state.id], key=lambda x: x.key):
             acc += a.arrow_prob.mid
             rows.append((acc, a.target))
         cum[state.id] = rows

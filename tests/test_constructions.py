@@ -31,6 +31,7 @@ from stochworld import (
 from stochworld.analysis import find_black_hole, find_white_peak
 
 from helpers import (
+    ArrowIndex,
     chain_model,
     cycle_model,
     load_model,
@@ -51,12 +52,13 @@ def arrows_by_key(model):
 def follow_doubled(doubled, start, original_arrows):
     """Walk the doubled model along an original arrow sequence; the matching
     doubled arrow from each copy is unique by construction."""
+    index = ArrowIndex(doubled)
     state = start
     path = [state]
     for a in original_arrows:
         matches = [
             d
-            for d in doubled.out_index[state]
+            for d in index.out[state]
             if d.label == a.label and base_id(d.target) == a.target
         ]
         assert len(matches) == 1, (state, a.key, matches)
@@ -68,12 +70,13 @@ def follow_doubled(doubled, start, original_arrows):
 
 def all_paths(model, length):
     """Every positive-probability arrow sequence of the given length."""
+    index = ArrowIndex(model)
     paths = [([], model.initial_state.id)]
     for _ in range(length):
         paths = [
             (taken + [a], a.target)
             for taken, state in paths
-            for a in model.out_index[state]
+            for a in index.out[state]
             if a.effective().hi > 0.0
         ]
     return [taken for taken, _ in paths]
@@ -318,12 +321,13 @@ class TestMinimizeForward:
 
         model = random_connected_chain(rng, 6)
         reduced, _ = minimize_forward(model)
+        index = ArrowIndex(reduced)
         sigs = set()
         for s in reduced.states:
             row = tuple(
                 sorted(
                     (a.target, Fraction(a.arrow_prob.lo))
-                    for a in reduced.out_index[s.id]
+                    for a in index.out[s.id]
                 )
             )
             sig = (tuple(sorted(s.trace.probs)), row)

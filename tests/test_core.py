@@ -177,6 +177,22 @@ class TestValidate:
         report = validate(squeezed)
         assert any("exclude any policy" in v for v in report.violations)
 
+    def test_messages_follow_state_order(self):
+        """Per (state, label) messages come by state, then by the label's
+        first arrow, whatever order the arrows are listed in."""
+        from stochworld import parse_model
+
+        model = parse_model(
+            "model mdp-fixed\nobs x\nact u v\n"
+            "state a initial trace x=1\nstate b trace x=1\n"
+            "arrow b u a lp=1 ap=0.5\narrow a v b lp=0.5 ap=0.25\narrow a u b lp=0.5 ap=0.5\n"
+        )
+        assert validate(model).violations == [
+            "state a, 'v': outgoing probabilities sum to 0.25",
+            "state a, 'u': outgoing probabilities sum to 0.5",
+            "state b, 'u': outgoing probabilities sum to 0.5",
+        ]
+
     def test_untraced_fomm_state_is_a_violation(self):
         model = Model("fomm", ("a",), ("true",), (State("a", True),), (Arrow("a", "true", "a"),))
         assert validate(model).violations == ["fomm state a must observe exactly itself"]

@@ -36,6 +36,8 @@ from stochworld import (
 )
 from stochworld.events import _track
 
+from helpers import ArrowIndex
+
 
 def traj_of(obs, acts=None):
     acts = acts or [None] * len(obs)
@@ -367,9 +369,10 @@ class TestPhenomenonValidity:
             seen["interval trace"] += any(not p.is_point for p in traces)
             seen["untraced state"] += any(s.trace.is_empty for s in model.states)
             seen["zero-weight arrow"] += any(a.arrow_prob.hi == 0.0 for a in model.arrows)
+            index = ArrowIndex(model)
             seen["stuck event"] += any(
                 o.label in model.labels
-                and all(a.arrow_prob.hi == 0.0 for a in model.out_by_label.get((s.id, o.label), ()))
+                and all(a.arrow_prob.hi == 0.0 for a in index.by_label.get((s.id, o.label), ()))
                 for o in events.occurrences
                 for s in model.states
             )

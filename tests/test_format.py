@@ -79,7 +79,8 @@ class TestParseModel:
             parse_model(text)
 
     def test_rain_agent_interval(self, rain):
-        assert rain.agent_interval("w", "rain") == ProbInterval(0.1, 0.8)
+        arrow = next(a for a in rain.arrows if (a.source, a.label) == ("w", "rain"))
+        assert arrow.label_prob == ProbInterval(0.1, 0.8)
 
     def test_untraced_fomm_state_observes_itself(self):
         model = parse_model(

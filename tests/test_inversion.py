@@ -18,9 +18,19 @@ from stochworld import (
     monte_carlo_invert,
     parse_model,
     simulate_journeys,
+    validate,
 )
 
-from helpers import chain_model, journey_statistics_by_loops, random_connected_chain, random_flow_model
+from stochworld.inversion import _reverse_from_counts
+
+from helpers import (
+    ArrowIndex,
+    chain_model,
+    journey_statistics_by_loops,
+    random_connected_chain,
+    random_flow_model,
+    reverse_by_branches,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +138,58 @@ def _flow_outcome(solve, model):
     )
 
 
+class TestReverseFromCounts:
+    def test_equals_branch_oracle(self):
+        """The one-pass reversal gives the two-branch one's model bit for
+        bit, from solved, sampled and arbitrary counts, on chains and
+        composed mdp-fixed models whose arrows come in shuffled order."""
+        rng = random.Random(20261019)
+        seen: Counter = Counter()
+        for i in range(600):
+            model = random_flow_model(rng)
+            kinds = [model.kind] + (["mdp"] if model.single_label and rng.random() < 0.3 else [])
+            sources = {"arbitrary": _arbitrary_counts(rng, model)}
+            try:
+                sources["solved"] = journey_statistics(model).arrow_counts
+                sources["sampled"] = simulate_journeys(model, 50, i).arrow_counts
+            except JourneyError:
+                pass
+            for source, counts in sources.items():
+                for kind in kinds:
+                    want = reverse_by_branches(model, counts, kind)
+                    got = _reverse_from_counts(model, counts, kind)
+                    assert _model_bits(got) == _model_bits(want), (i, source, kind)
+                    seen[source] += 1
+                    seen["uniform-inbound"] += bool(want.meta)
+                    seen["zero label mass"] += kind != "fomm" and kind != "hmm" and any(
+                        a.label_prob.hi <= 1e-12 for a in want.arrows
+                    )
+                    seen["counts out of arrow order"] += list(counts) != [a.key for a in model.arrows if a.key in counts]
+        assert seen["solved"] >= 300 and seen["sampled"] >= 300 and seen["arbitrary"] >= 600, seen
+        for feature in ("uniform-inbound", "zero label mass", "counts out of arrow order"):
+            assert seen[feature] >= 50, seen
+
+
+def _arbitrary_counts(rng, model):
+    """Counts on a random subset of the arrows, some zero, in random order."""
+    keys = [a.key for a in model.arrows if rng.random() < 0.7]
+    rng.shuffle(keys)
+    return {k: rng.choice((0.0, rng.random(), rng.random() * 1e-13)) for k in keys}
+
+
+def _model_bits(model):
+    """A model as plain data with every probability as float.hex."""
+    bits = lambda iv: (iv.lo.hex(), iv.hi.hex())
+    return (
+        model.kind,
+        model.obs,
+        model.labels,
+        [(s.id, s.initial, sorted((o, bits(p)) for o, p in s.trace.probs.items())) for s in model.states],
+        [(a.key, bits(a.label_prob), bits(a.arrow_prob)) for a in model.arrows],
+        model.meta,
+    )
+
+
 class TestInvertChain:
     def test_chain_example(self, ab_chain):
         inverse = invert_chain(ab_chain)
@@ -222,6 +284,15 @@ class TestMonteCarloInvert:
         assert medium <= coarse + 5e-3
         assert fine <= medium + 1e-3
 
+    def test_rounded_total_takes_last_arrow(self):
+        """A state of the largest out-degree whose probabilities sum just
+        under 1: a draw above the sum takes the state's last arrow."""
+        model = chain_model({"s": {"a": 1.0}, "a": {"a": 0.999, "s": 0.0009991}}, initial="s")
+        assert validate(model).ok
+        for seed in range(3):
+            stats = simulate_journeys(model, 2000, seed)
+            assert stats.return_count == 1.0
+
     def test_deep_black_hole_uniform_fallback(self):
         model = chain_model(
             {"s0": {"s0": 0.5, "b1": 0.5}, "b1": {"b2": 1.0}, "b2": {"b1": 0.5, "b2": 0.5}},
@@ -246,9 +317,10 @@ class TestMonteCarloInvert:
         cum = {
             s.id: [] for s in ab_chain.states
         }
+        index = ArrowIndex(ab_chain)
         for sid in cum:
             acc = 0.0
-            for a in sorted(ab_chain.out_index[sid], key=lambda x: x.key):
+            for a in sorted(index.out[sid], key=lambda x: x.key):
                 acc += a.arrow_prob.mid
                 cum[sid].append((acc, a.target))
         state = "A"

@@ -6,6 +6,10 @@ import pytest
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+GOLDENS = (
+    "python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1"
+    """ | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'"""
+)
 
 
 def test_tier1_workflow_parses():
@@ -13,4 +17,6 @@ def test_tier1_workflow_parses():
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ['pip install -e ".[test]"', TIER1]
+    assert runs == ['pip install -e ".[test]"', TIER1, GOLDENS]
+    # pipefail, so a crashed benchmark run fails the step too
+    assert job["steps"][-1]["shell"] == "bash"
