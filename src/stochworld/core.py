@@ -580,9 +580,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.occurrences)
 
-    def at(self, time: int) -> tuple:
-        return tuple(o for o in self.occurrences if o.time == time)
-
     def labels(self) -> tuple:
         return tuple(o.label for o in self.occurrences)
 

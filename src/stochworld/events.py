@@ -91,6 +91,40 @@ class CharFn:
         raise ModelError(f"unknown characteristic function kind {self.kind!r}")
 
 
+def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) -> list:
+    """Per step: fn's value where it is an occurrence under the threshold,
+    else None.  Matchers compare symbols; a pattern or table is evaluated
+    once per distinct observation window."""
+
+    def fired(value: ProbInterval) -> Optional[ProbInterval]:
+        return value if value.lo >= threshold and value.hi > 0.0 else None
+
+    n = len(obs)
+    plen, flen = fn.past_len, fn.future_len
+    first = min(plen, n)
+    end = max(first, min(n - flen + 1, n))  # steps first..end-1 have whole windows
+    outside = fired(FULL)
+    if fn.kind == "obs-match":
+        yes, no = fired(POINT_ONE), fired(POINT_ZERO)
+        inside = [yes if o == fn.obs else no for o in obs[first:end]]
+    elif fn.kind == "action-match":
+        yes, no = fired(POINT_ONE), fired(POINT_ZERO)
+        inside = [
+            outside if s.act is None else yes if s.act == fn.action else no
+            for s in trajectory.steps[first:end]
+        ]
+    else:
+        memo: dict = {}  # observation window -> verdict
+        inside = []
+        for t in range(first, end):
+            window = obs[t - plen : t + flen]
+            value = memo.get(window, memo)  # memo itself marks an unseen window
+            if value is memo:
+                value = memo[window] = fired(fn.evaluate(trajectory, t))
+            inside.append(value)
+    return [outside] * first + inside + [outside] * (n - end)
+
+
 def detect_direct(
     trajectory: Trajectory, fns, threshold: float = 0.5
 ) -> EventStream:
@@ -100,16 +134,21 @@ def detect_direct(
 
     When same-named functions disagree at a step, the verdict of the one
     with the longer combined window stands (the first listed among equals).
+    Occurrences come by step, then by name.
     """
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)
-    chosen = [(name, max(by_name[name], key=lambda f: f.window)) for name in sorted(by_name)]
+    names = sorted(by_name)
+    obs = trajectory.observations()
+    columns = [
+        _fired_at(max(by_name[name], key=lambda f: f.window), trajectory, obs, threshold)
+        for name in names
+    ]
     occurrences = []
-    for t in range(len(trajectory)):
-        for name, fn in chosen:
-            value = fn.evaluate(trajectory, t)
-            if value.lo >= threshold and value.hi > 0.0:
+    for t, row in enumerate(zip(*columns)):
+        for name, value in zip(names, row):
+            if value is not None:
                 occurrences.append(EventOccurrence(t, name, value, "direct"))
     return EventStream(tuple(occurrences))
 
@@ -182,7 +221,8 @@ def detect_indirect(
 @dataclass
 class TrackResult:
     """Per-step beliefs (after that step's observation, before its events),
-    the belief after everything processed, trace memory, warnings."""
+    the belief after everything processed, trace memory, warnings.  Steps
+    with equal beliefs share one immutable `Belief` object."""
 
     beliefs: List[Belief]
     final_belief: Belief
@@ -235,9 +275,11 @@ class _Tables:
         self.moves = compiled.shares
 
 
-def _apply_event(moves: dict, belief: dict, label: str, warnings: list, t: int) -> tuple:
+def _apply_event(moves: dict, belief: dict, label: str) -> tuple:
     """Move belief mass through the event's arrows; mass in states the event
-    cannot leave stays put (with a warning)."""
+    cannot leave stays put.  A share that underflows to 0.0 is dropped.
+    Returns the moved belief, whether a midpoint moved it, and the stuck
+    states as warning text ("" when none)."""
     moved: dict = {}
     stuck = []
     approx = False
@@ -250,12 +292,10 @@ def _apply_event(moves: dict, belief: dict, label: str, warnings: list, t: int) 
         shares, midpoints = entry
         approx = approx or midpoints
         for target, share in shares:
-            moved[target] = moved.get(target, 0.0) + mass * share
-    if stuck:
-        warnings.append(
-            f"step {t}: event {label!r} impossible in {' '.join(sorted(stuck))}; belief kept"
-        )
-    return moved, approx
+            w = mass * share
+            if w > 0.0:
+                moved[target] = moved.get(target, 0.0) + w
+    return moved, approx, " ".join(sorted(stuck)) if stuck else ""
 
 
 def _track(
@@ -267,34 +307,76 @@ def _track(
     collision: Optional[str] = None,
 ) -> tuple:
     """Run the tracker from `start`; returns (beliefs, final_belief, memory,
-    warnings, failed_at) where failed_at is None on full success."""
+    warnings, failed_at) where failed_at is None on full success.
+
+    A log meets few distinct beliefs, so the tracker builds the automaton
+    over them lazily, as it reads the log (the subset construction): each
+    step out of a belief on an observation or an event is computed once,
+    then looked up.  Beliefs are numbered; a conditioned one by its ordered
+    (state, mass) items, which closes the automaton's cycles.  A miss runs
+    the arithmetic on the numbered dict, so each belief is bit for bit the
+    one a step-by-step run gives.  One `Belief` is built per distinct
+    (belief, approximate) pair and shared by its steps.
+    """
     warnings: list = []
     tables = _Tables(model, trajectory, events, collision, warnings)
-    belief = dict(initial) if initial is not None else {model.initial_state.id: 1.0}
     remembering = {s.id for s in model.states if s.trace.memory}
+    dicts: list = [dict(initial) if initial is not None else {model.initial_state.id: 1.0}]
+    numbers: dict = {}  # ordered items of a conditioned belief -> its number
+    shown: dict = {}  # (number, approximate) -> its Belief
+    # (number, approximate, obs) -> (number, approximate, Belief, state to
+    # remember obs in or None)
+    observed: dict = {}
+    fired: dict = {}  # (number, label) -> (number, moved by midpoints, stuck states)
+
+    b = 0
     approx = False
     beliefs: list = []
     memory: TraceMemory = {}
     steps = trajectory.steps
+    labels_at = tables.labels_at
     for t in range(start, len(steps)):
         obs = steps[t].obs
-        allowed = tables.allowed[obs]
-        conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
-        if len(conditioned) != len(belief):
-            approx = True
-        total = sum(conditioned.values())
-        if total <= 0.0:
-            return beliefs, None, memory, warnings, t
-        belief = {sid: mass / total for sid, mass in conditioned.items()}
-        beliefs.append(Belief(belief, approximate=approx))
-        if remembering:
-            top = min(belief, key=lambda s: (-belief[s], s))
-            if top in remembering:
-                memory[top] = obs
-        for label in tables.labels_at.get(t, ()):
-            belief, moved_approx = _apply_event(tables.moves, belief, label, warnings, t)
-            approx = approx or moved_approx
-    return beliefs, Belief(belief, approximate=approx), memory, warnings, None
+        key = (b, approx, obs)
+        entry = observed.get(key)
+        if entry is None:
+            belief = dicts[b]
+            allowed = tables.allowed[obs]
+            conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
+            total = sum(conditioned.values())
+            if total <= 0.0:
+                return beliefs, None, memory, warnings, t
+            probs = {sid: mass / total for sid, mass in conditioned.items()}
+            after = numbers.setdefault(tuple(probs.items()), len(dicts))
+            if after == len(dicts):
+                dicts.append(probs)
+            shown_approx = approx or len(conditioned) != len(belief)
+            made = shown.get((after, shown_approx))
+            if made is None:
+                made = shown[(after, shown_approx)] = Belief(probs, approximate=shown_approx)
+            top = min(probs, key=lambda s: (-probs[s], s)) if remembering else None
+            if top not in remembering:
+                top = None
+            entry = observed[key] = (after, shown_approx, made, top)
+        b, approx, belief, top = entry
+        beliefs.append(belief)
+        if top is not None:
+            memory[top] = obs
+        for label in labels_at.get(t, ()):
+            key = (b, label)
+            entry = fired.get(key)
+            if entry is None:
+                probs, midpoints, stuck = _apply_event(tables.moves, dicts[b], label)
+                entry = fired[key] = (len(dicts), midpoints, stuck)
+                dicts.append(probs)
+            b, midpoints, stuck = entry
+            approx = approx or midpoints
+            if stuck:
+                warnings.append(f"step {t}: event {label!r} impossible in {stuck}; belief kept")
+    # an unconditioned final belief may equal a conditioned one and share its object
+    b = numbers.get(tuple(dicts[b].items()), b)
+    final = shown.get((b, approx)) or Belief(dicts[b], approximate=approx)
+    return beliefs, final, memory, warnings, None
 
 
 def track(
@@ -372,15 +454,33 @@ def phenomenon_validity(
 def derived_events(model: Model, beliefs, threshold: float = 0.5) -> EventStream:
     """Events of the form "<model>.<state>": the state's belief mass crossed
     above the threshold at that step.  These streams feed higher-level
-    models' track calls."""
+    models' track calls.
+
+    Mass above a threshold of at least 0 puts the state in the belief's
+    support, so only the support is read, once per pair of consecutive
+    belief objects: the tracker shares one object between the steps of a
+    belief.  A negative threshold is never crossed, since no mass is below
+    it before."""
+    if not threshold >= 0.0:
+        return EventStream(())
     name = model.name or "ed"
+    rank = {s.id: r for r, s in enumerate(model.states)}
+    beliefs = list(beliefs)  # keeps alive the objects whose ids key the memo
+    crossings: dict = {}
     occurrences = []
     for t in range(1, len(beliefs)):
-        for s in model.states:
-            now = beliefs[t].mass(s.id)
-            before = beliefs[t - 1].mass(s.id)
-            if now > threshold >= before:
-                occurrences.append(
-                    EventOccurrence(t, f"{name}.{s.id}", ProbInterval.point(now), "derived")
-                )
+        before, now = beliefs[t - 1], beliefs[t]
+        if before is now:  # a belief crosses nothing against itself
+            continue
+        pair = (id(before), id(now))
+        crossed = crossings.get(pair)
+        if crossed is None:
+            past = before.probs
+            crossed = crossings[pair] = []
+            for s, p in now.probs.items():
+                if p > threshold >= past.get(s, 0.0) and s in rank:
+                    crossed.append((rank[s], f"{name}.{s}", ProbInterval.point(p)))
+            crossed.sort()  # into model state order
+        for _, label, confidence in crossed:
+            occurrences.append(EventOccurrence(t, label, confidence, "derived"))
     return EventStream(tuple(occurrences))

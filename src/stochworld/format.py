@@ -268,37 +268,44 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
 
     Symbols are checked against the model (or inline obs/act headers) when
     either is given; bare documents declare their symbols by use.  A missing
-    t0 header defaults to the end: all recorded data is past.
+    t0 header defaults to the end: all recorded data is past.  Headers come
+    before the first step.  Each distinct step is checked and built once.
     """
     steps: list = []
+    interned: dict = {}
     t0 = None
     obs_alpha = set(model.obs) if model else None
     act_alpha = set(model.labels) if model else None
 
     for num, tokens in _lines(text):
         head = tokens[0]
-        if head == "t0" and len(tokens) == 2 and not steps:
-            try:
-                t0 = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"bad t0 {tokens[1]!r}", num)
-            continue
-        if head == "obs" and not steps:
-            obs_alpha = (obs_alpha or set()) | set(tokens[1:])
-            continue
-        if head == "act" and not steps:
-            act_alpha = (act_alpha or set()) | set(tokens[1:])
+        if head in ("t0", "obs", "act"):
+            if steps:
+                raise FormatError(f"{head} header after the first step", num)
+            if head == "obs":
+                obs_alpha = (obs_alpha or set()) | set(tokens[1:])
+            elif head == "act":
+                act_alpha = (act_alpha or set()) | set(tokens[1:])
+            elif len(tokens) != 2:
+                raise FormatError("expected: t0 <index>", num)
+            else:
+                try:
+                    t0 = int(tokens[1])
+                except ValueError:
+                    raise FormatError(f"bad t0 {tokens[1]!r}", num)
             continue
         if len(tokens) > 2:
             raise FormatError("expected: <obs> [<act>|-]", num)
-        o = tokens[0]
         a = tokens[1] if len(tokens) == 2 else "-"
-        if obs_alpha is not None and o not in obs_alpha:
-            raise FormatError(f"unknown observation {o!r}", num)
-        act = None if a == "-" else a
-        if act is not None and act_alpha is not None and act not in act_alpha:
-            raise FormatError(f"unknown action {a!r}", num)
-        steps.append(Step(o, act))
+        step = interned.get((head, a))
+        if step is None:
+            if obs_alpha is not None and head not in obs_alpha:
+                raise FormatError(f"unknown observation {head!r}", num)
+            act = None if a == "-" else a
+            if act is not None and act_alpha is not None and act not in act_alpha:
+                raise FormatError(f"unknown action {a!r}", num)
+            step = interned[(head, a)] = Step(head, act)
+        steps.append(step)
 
     if t0 is None:
         t0 = len(steps)
@@ -516,8 +523,10 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
 
 
 def parse_event_stream(text: str) -> EventStream:
-    """Lines of the form `<time> <label> <interval> <provenance>`."""
+    """Lines of the form `<time> <label> <interval> <provenance>`.  Each
+    distinct interval token is parsed once."""
     occurrences = []
+    confidences: dict = {}
     for num, tokens in _lines(text):
         if len(tokens) not in (3, 4):
             raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
@@ -525,7 +534,10 @@ def parse_event_stream(text: str) -> EventStream:
             time = int(tokens[0])
         except ValueError:
             raise FormatError(f"bad time {tokens[0]!r}", num)
-        confidence = parse_interval(tokens[2], num)
+        token = tokens[2]
+        confidence = confidences.get(token)
+        if confidence is None:
+            confidence = confidences[token] = parse_interval(token, num)
         provenance = tokens[3] if len(tokens) == 4 else "direct"
         occurrences.append(EventOccurrence(time, tokens[1], confidence, provenance))
     occurrences.sort(key=lambda o: o.time)

@@ -12,6 +12,7 @@ import numpy as np
 
 from stochworld import (
     Arrow,
+    Belief,
     CapExceededError,
     Development,
     EventOccurrence,
@@ -34,6 +35,7 @@ from stochworld import (
     parse_model,
 )
 from stochworld.core import ACTION_KINDS, POINT_ONE
+from stochworld.events import _Tables
 from stochworld.inversion import compose_policy
 from stochworld.simulate import _resolve_agent
 
@@ -683,3 +685,100 @@ def random_flow_model(rng: random.Random) -> Model:
     rng.shuffle(arrows)
     model = Model("mdp" if composed else rng.choice(("fomm", "hmm")), ("x",), labels, states, tuple(arrows))
     return compose_policy(model, Policy(policy)) if composed else model
+
+
+# -- event runtime, step by step ----------------------------------------------------
+
+
+def _apply_event_by_steps(moves: dict, belief: dict, label: str, warnings: list, t: int) -> tuple:
+    """Move belief mass through the event's arrows; mass in states the event
+    cannot leave stays put (with a warning)."""
+    moved: dict = {}
+    stuck = []
+    approx = False
+    for sid, mass in belief.items():
+        entry = moves.get((sid, label))
+        if entry is None:
+            stuck.append(sid)
+            moved[sid] = moved.get(sid, 0.0) + mass
+            continue
+        shares, midpoints = entry
+        approx = approx or midpoints
+        for target, share in shares:
+            moved[target] = moved.get(target, 0.0) + mass * share
+    if stuck:
+        warnings.append(
+            f"step {t}: event {label!r} impossible in {' '.join(sorted(stuck))}; belief kept"
+        )
+    return moved, approx
+
+
+def track_by_steps(
+    model: Model,
+    trajectory: Trajectory,
+    events: EventStream,
+    start: int = 0,
+    initial: dict | None = None,
+    collision: str | None = None,
+) -> tuple:
+    """Reference tracker: conditions, renormalizes and builds a `Belief` at
+    every step.  Returns (beliefs, final_belief, memory, warnings,
+    failed_at) as `events._track` does."""
+    warnings: list = []
+    tables = _Tables(model, trajectory, events, collision, warnings)
+    belief = dict(initial) if initial is not None else {model.initial_state.id: 1.0}
+    remembering = {s.id for s in model.states if s.trace.memory}
+    approx = False
+    beliefs: list = []
+    memory: dict = {}
+    steps = trajectory.steps
+    for t in range(start, len(steps)):
+        obs = steps[t].obs
+        allowed = tables.allowed[obs]
+        conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
+        if len(conditioned) != len(belief):
+            approx = True
+        total = sum(conditioned.values())
+        if total <= 0.0:
+            return beliefs, None, memory, warnings, t
+        belief = {sid: mass / total for sid, mass in conditioned.items()}
+        beliefs.append(Belief(belief, approximate=approx))
+        if remembering:
+            top = min(belief, key=lambda s: (-belief[s], s))
+            if top in remembering:
+                memory[top] = obs
+        for label in tables.labels_at.get(t, ()):
+            belief, moved_approx = _apply_event_by_steps(tables.moves, belief, label, warnings, t)
+            approx = approx or moved_approx
+    return beliefs, Belief(belief, approximate=approx), memory, warnings, None
+
+
+def derived_by_states(model: Model, beliefs, threshold: float = 0.5) -> EventStream:
+    """Reference derived events: every model state's mass at every step."""
+    name = model.name or "ed"
+    occurrences = []
+    for t in range(1, len(beliefs)):
+        for s in model.states:
+            now = beliefs[t].mass(s.id)
+            before = beliefs[t - 1].mass(s.id)
+            if now > threshold >= before:
+                occurrences.append(
+                    EventOccurrence(t, f"{name}.{s.id}", ProbInterval.point(now), "derived")
+                )
+    return EventStream(tuple(occurrences))
+
+
+def detect_by_steps(trajectory: Trajectory, fns, threshold: float = 0.5) -> EventStream:
+    """Reference direct detection: every chosen function evaluated at every
+    step."""
+    by_name: dict = {}
+    for fn in fns:
+        by_name.setdefault(fn.name, []).append(fn)
+    chosen = [(name, max(by_name[name], key=lambda f: f.window)) for name in sorted(by_name)]
+    occurrences = []
+    for t in range(len(trajectory)):
+        for name, fn in chosen:
+            value = fn.evaluate(trajectory, t)
+            if value.lo >= threshold and value.hi > 0.0:
+                occurrences.append(EventOccurrence(t, name, value, "direct"))
+    return EventStream(tuple(occurrences))

@@ -13,9 +13,11 @@ import pytest
 
 from stochworld import (
     Arrow,
+    Belief,
     CharFn,
     EventOccurrence,
     EventStream,
+    FormatError,
     Model,
     ModelError,
     ProbInterval,
@@ -36,7 +38,7 @@ from stochworld import (
 )
 from stochworld.events import _track
 
-from helpers import ArrowIndex
+from helpers import ArrowIndex, derived_by_states, detect_by_steps, track_by_steps
 
 
 def traj_of(obs, acts=None):
@@ -258,6 +260,21 @@ class TestTrack:
             track(daynight, traj_of(["sun", "sun"]), events)  # should be dark after sunset
         assert err.value.time_index == 1
 
+    def test_underflowing_mass_is_dropped(self):
+        """Mass halved at every step underflows to 0.0 after about 1075
+        steps; the state leaves the belief instead of holding a zero."""
+        model = parse_model(
+            "model ed leak\nobs x\nevent go\n"
+            "state a initial trace x=1\nstate b trace x=1\n"
+            "arrow a go a lp=1 ap=0.5\narrow a go b lp=1 ap=0.5\narrow b go b lp=1 ap=1\n"
+        )
+        n = 1200
+        result = track(model, traj_of(["x"] * n), stream_of(*((t, "go") for t in range(n))))
+        assert len(result.beliefs) == n
+        assert result.beliefs[1000].probs["a"] > 0.0
+        assert result.final_belief.probs == {"b": 1.0}
+        assert not result.final_belief.approximate
+
     def test_house_rooms_and_memory(self, house):
         lamps = {"r1": "on", "r2": "off", "r3": "on"}
         rooms = ["r1", "r2", "r3"] * 4
@@ -455,8 +472,6 @@ class TestDerivedEvents:
         assert days == [2, 4, 6]
 
     def test_threshold_rule(self, daynight):
-        from stochworld import Belief
-
         half = Belief({"day": 0.5, "night": 0.5})
         derived = derived_events(daynight, [half, half, half])
         assert len(derived) == 0
@@ -499,6 +514,15 @@ class TestEventStreamFormat:
         stream = parse_event_stream("5 b [1,1] direct\n2 a [0.5,1] indirect\n")
         assert stream.labels() == ("a", "b")
 
+    def test_confidence_tokens_parsed_once(self):
+        text = "0 a [0.5,1] direct\n1 a [0.4,1] direct\n2 b [0.5,1] direct\n3 a 1\n"
+        stream = parse_event_stream(text)
+        confidences = [o.confidence for o in stream.occurrences]
+        assert confidences == [ProbInterval(0.5, 1.0), ProbInterval(0.4, 1.0), ProbInterval(0.5, 1.0), ProbInterval.point(1.0)]
+        assert confidences[0] is confidences[2]
+        with pytest.raises(FormatError, match="line 3: bad probability '0.5,1'"):
+            parse_event_stream("0 a 1\n1 a 1\n2 a 0.5,1\n3 a 0.5,1\n")
+
     def test_zero_confidence_rejected(self):
         with pytest.raises(ModelError):
             EventStream((EventOccurrence(0, "e", ProbInterval.point(0.0), "direct"),))
@@ -511,3 +535,132 @@ class TestEventStreamFormat:
                     EventOccurrence(1, "b", ProbInterval.point(1.0), "direct"),
                 )
             )
+
+
+# -- memoized runtime against its step-by-step oracles ------------------------------
+
+
+def belief_bits(belief):
+    """A belief as its ordered items with masses as float.hex, and its flag."""
+    if belief is None:
+        return None
+    return [(s, p.hex()) for s, p in belief.probs.items()], belief.approximate
+
+
+def outcome(run, *args, **kwargs):
+    """A tracker run's output in comparable form."""
+    beliefs, final, memory, warnings, failed = run(*args, **kwargs)
+    return [belief_bits(b) for b in beliefs], belief_bits(final), memory, warnings, failed
+
+
+class TestMemoizedRuntime:
+    def test_track_equals_step_oracle(self):
+        rng = random.Random(23)
+        seen: Counter = Counter()
+        for _ in range(1200):
+            model, trajectory, events = random_ed_log(rng)
+            collision = rng.choice((None, "priority", "both-arrows"))
+            kwargs = {"collision": collision}
+            if rng.random() < 0.4:
+                kwargs["start"] = rng.randint(0, len(trajectory))
+                ids = [s.id for s in model.states] + ["stranger"]
+                picked = rng.sample(ids, rng.randint(1, len(ids)))
+                kwargs["initial"] = {s: 1.0 / len(picked) for s in picked}
+            got = outcome(_track, model, trajectory, events, **kwargs)
+            assert got == outcome(track_by_steps, model, trajectory, events, **kwargs)
+            beliefs, _, memory, warnings, failed = got
+            seen["restart"] += "start" in kwargs
+            seen[f"collision {collision}"] += 1
+            seen["failed"] += failed is not None
+            seen["approximate"] += any(flag for _, flag in beliefs)
+            seen["memory"] += bool(memory)
+            seen["stuck"] += any("impossible" in w for w in warnings)
+            seen["repeated belief"] += len({str(b) for b in beliefs}) < len(beliefs)
+        assert min(seen.values()) >= 20 and len(seen) == 9, seen
+
+    def test_equal_beliefs_are_one_object(self):
+        rng = random.Random(5)
+        shared = 0
+        for _ in range(300):
+            model, trajectory, events = random_ed_log(rng)
+            beliefs, final, _, _, failed = _track(model, trajectory, events)
+            if failed is not None:
+                continue
+            objects: dict = {}
+            for b in beliefs + [final]:
+                key = belief_bits(b)
+                key = (tuple(key[0]), key[1])
+                assert objects.setdefault(key, b) is b
+            shared += len(objects) < len(beliefs)
+        assert shared >= 100
+
+    def test_derived_events_equal_state_oracle(self):
+        rng = random.Random(29)
+        seen: Counter = Counter()
+        for _ in range(600):
+            model, trajectory, events = random_ed_log(rng)
+            beliefs, _, _, _, _ = track_by_steps(model, trajectory, events)
+            if rng.random() < 0.5:
+                # also beliefs over states the model lacks, and equal
+                # beliefs that are distinct objects
+                ids = [s.id for s in model.states] + ["stranger"]
+                pool = []
+                for _ in range(rng.randint(1, 4)):
+                    picked = rng.sample(ids, rng.randint(1, len(ids)))
+                    weights = [rng.choice((1, 1, 2, 3)) for _ in picked]
+                    pool.append(Belief({s: w / sum(weights) for s, w in zip(picked, weights)}))
+                beliefs = [
+                    rng.choice(pool) if rng.random() < 0.8 else Belief(rng.choice(pool).probs)
+                    for _ in range(rng.randint(0, 30))
+                ]
+                seen["unknown state"] += any("stranger" in b.probs for b in beliefs)
+            for threshold in (-0.1, 0.0, 0.5, 1.0, rng.choice((0.25, 1 / 3))):
+                got = derived_events(model, beliefs, threshold)
+                assert got == derived_by_states(model, beliefs, threshold)
+                seen[f"occurrences at {threshold}"] += len(got) > 0
+        assert seen["unknown state"] >= 50
+        assert seen["occurrences at 0.0"] >= 100 and seen["occurrences at 0.5"] >= 100, seen
+
+    def test_detect_direct_equals_step_oracle(self):
+        rng = random.Random(31)
+        seen: Counter = Counter()
+        for _ in range(1000):
+            symbols = ("a", "b", "c")[: rng.randint(1, 3)]
+            acts = ("go", "stay")
+            n = rng.choice((0, 1, 2, rng.randint(3, 40)))
+            trajectory = Trajectory.of(
+                [(rng.choice(symbols), rng.choice(acts + (None,))) for _ in range(n)]
+            )
+            fns = []
+            for _ in range(rng.randint(1, 5)):
+                name = rng.choice(("e", "f", "g"))
+                kind = rng.choice(("action-match", "obs-match", "pattern", "table"))
+                plen, flen = rng.randint(0, 3), rng.randint(0, 3)
+                seen[kind] += 1
+                seen["plen 0"] += plen == 0
+                seen["flen 0"] += flen == 0
+                if kind == "action-match":
+                    fns.append(CharFn(name, kind, plen, flen, action=rng.choice(acts)))
+                elif kind == "obs-match":
+                    fns.append(CharFn(name, kind, plen, flen, obs=rng.choice(symbols)))
+                elif kind == "pattern":
+                    regex = lambda: ",".join(rng.choice(symbols + ("[ab]", ".*")) for _ in range(rng.randint(0, 3)))
+                    fns.append(
+                        CharFn(name, kind, plen, flen, past_pattern=rng.choice((None, regex())), future_pattern=regex())
+                    )
+                else:
+                    table = {}
+                    for _ in range(rng.randint(0, 8)):
+                        key = (
+                            tuple(rng.choice(symbols) for _ in range(plen)),
+                            tuple(rng.choice(symbols) for _ in range(flen)),
+                        )
+                        table[key] = rng.choice(
+                            (ProbInterval.point(1.0), ProbInterval.point(0.0), ProbInterval(0.0, 1.0), ProbInterval(0.5, 0.75))
+                        )
+                    fns.append(CharFn(name, kind, plen, flen, table=table))
+            for threshold in (-0.5, 0.0, 0.5, 1.0):
+                got = detect_direct(trajectory, fns, threshold)
+                assert got == detect_by_steps(trajectory, fns, threshold)
+                seen["hits"] += len(got) > 0
+        assert min(seen.values()) >= 100 and len(seen) == 7, seen

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from stochworld import (
     FormatError,
     ProbInterval,
+    Step,
     TraceSpec,
     Trajectory,
     canonical,
@@ -178,6 +179,25 @@ class TestTrajectoryFormat:
     def test_bad_t0(self):
         with pytest.raises(FormatError):
             parse_trajectory("t0 7\nB -\n")
+
+    @pytest.mark.parametrize("header", ["t0 1", "obs a b", "act go"])
+    def test_header_after_first_step_refused(self, header):
+        # read as a step, "t0 1" became Step('t0', '1'), which does not serialize
+        with pytest.raises(FormatError, match="line 3") as err:
+            parse_trajectory(f"a\nb\n{header}\n")
+        assert header.split()[0] in str(err.value)
+
+    def test_steps_built_once(self):
+        t = parse_trajectory("a go\nb -\na go\nb\na\n")
+        assert t.steps == (Step("a", "go"), Step("b"), Step("a", "go"), Step("b"), Step("a"))
+        assert t.steps[0] is t.steps[2] and t.steps[1] is t.steps[3]
+        with pytest.raises(FormatError, match="line 3: unknown action 'stay'"):
+            parse_trajectory("act go\na go\na stay\na stay\n")
+
+    @pytest.mark.parametrize("header", ["t0", "t0 1 2"])
+    def test_t0_header_needs_one_index(self, header):
+        with pytest.raises(FormatError, match="line 1: expected: t0 <index>"):
+            parse_trajectory(f"{header}\na\n")
 
     @pytest.mark.parametrize("sym", ["obs", "act", "t0", "#x"])
     def test_reserved_observation_refused(self, sym):
