@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
+    POINT_ONE,
     TOL,
     Arrow,
     Model,
@@ -232,18 +233,18 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
 # -- belief determinization -------------------------------------------------------
 
 
-def _det_obs(model: Model, sid: str) -> str:
-    obs = model.by_id[sid].trace.deterministic_obs
-    if obs is None:
-        raise ModelError(
-            f"belief determinization needs deterministic traces (state {sid} has none)"
-        )
-    return obs
-
-
 def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     """Expand the reachable beliefs up to `depth` steps into a deterministic
     model; equal beliefs are merged (exact rational comparison).
+
+    Each step is the Bayes filter of ``step_belief`` in exact rationals.  A
+    member's mass moves along each arrow of the label by lp * ap
+    (``CompiledModel.exact``).  The label probability out of the belief is
+    the sum of mass * lp over the members that offer the label; a member
+    without it contributes nothing, and a label of probability 0 gets no
+    arrows.  The moved mass is grouped by the targets' observations, and
+    each group becomes a successor belief, reached with arrow probability
+    group total / label probability.
 
     Arrows out of the deepest layer that would lead to unexplored beliefs
     are dropped and noted in the metadata.  The model must satisfy its
@@ -251,17 +252,18 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     """
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
-    for s in model.states:
-        _det_obs(model, s.id)
+    obs_of = [s.trace.deterministic_obs for s in model.states]
+    if None in obs_of:
+        sid = model.states[obs_of.index(None)].id
+        raise ModelError(f"belief determinization needs deterministic traces (state {sid} has none)")
 
     compiled = model.compiled
-    index, out, arrows_in = compiled.index, compiled.out, model.arrows
+    ids, index, out, dst, exact = compiled.ids, compiled.index, compiled.out, compiled.dst, compiled.exact
     start = ((model.initial_state.id, Fraction(1)),)
     names = {start: "q0"}
     order = [start]
     arrows = []
     frontier = [start]
-    truncated = False
     for _ in range(depth):
         if not frontier:
             break
@@ -269,57 +271,36 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         for belief in layer:
             rows = [(out[index[sid]], mass) for sid, mass in belief]
             for label in model.labels:
-                if not all(label in row for row, _ in rows):
+                offered = [(row[label], mass) for row, mass in rows if label in row]
+                lp = sum(mass * Fraction(model.arrows[ks[0]].label_prob.lo) for ks, mass in offered)
+                if not lp:
                     continue
-                lp = _belief_label_prob(model, rows, label)
-                weight: dict = {}
-                for row, mass in rows:
-                    for a in (arrows_in[k] for k in row[label]):
-                        w = mass * Fraction(a.arrow_prob.lo)
+                label_prob = ProbInterval.point(float(lp))
+                by_obs: dict = {}  # observation -> target -> moved mass
+                for ks, mass in offered:
+                    for k in ks:
+                        w = mass * exact[k]
                         if w:
-                            weight[a.target] = weight.get(a.target, Fraction(0)) + w
-                by_obs: dict = {}
-                for tgt, w in weight.items():
-                    by_obs.setdefault(_det_obs(model, tgt), {})[tgt] = w
+                            bucket = by_obs.setdefault(obs_of[dst[k]], {})
+                            bucket[dst[k]] = bucket.get(dst[k], 0) + w
                 for obs in sorted(by_obs):
-                    bucket = by_obs[obs]
-                    total = sum(bucket.values())
-                    successor = tuple(sorted((t, w / total) for t, w in bucket.items()))
+                    total = sum(by_obs[obs].values())
+                    successor = tuple(sorted((ids[j], w / total) for j, w in by_obs[obs].items()))
                     if successor not in names:
                         if len(names) >= cap:
-                            raise CapExceededError(
-                                f"belief expansion exceeds the cap of {cap} states"
-                            )
+                            raise CapExceededError(f"belief expansion exceeds the cap of {cap} states")
                         names[successor] = f"q{len(names)}"
                         order.append(successor)
                         frontier.append(successor)
-                    arrows.append(
-                        Arrow(
-                            names[belief],
-                            label,
-                            names[successor],
-                            lp,
-                            ProbInterval.point(float(total)),
-                        )
-                    )
-        if not frontier:
-            break
-    if frontier:
-        # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
-        truncated = True
+                    ap = ProbInterval.point(float(total / lp))
+                    arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
 
     states = tuple(
-        State(
-            names[b],
-            initial=(b == start),
-            trace=TraceSpec({_belief_obs(model, b): ProbInterval.point(1.0)}),
-        )
+        State(names[b], initial=(b == start), trace=TraceSpec({obs_of[index[b[0][0]]]: POINT_ONE}))
         for b in order
     )
-    meta = tuple(
-        f"{names[b]} = " + " ".join(f"{sid}:{mass}" for sid, mass in b) for b in order
-    )
-    if truncated:
+    meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{mass}" for sid, mass in b) for b in order)
+    if frontier:  # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
         meta += ("frontier truncated at depth; outgoing sums may fall short",)
     return Model(
         kind=_doubled_kind(model.kind),
@@ -331,22 +312,6 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         name=model.name,
         meta=meta,
     )
-
-
-def _belief_obs(model: Model, belief) -> str:
-    return _det_obs(model, belief[0][0])
-
-
-def _belief_label_prob(model: Model, rows, label: str) -> ProbInterval:
-    """The label probability out of a belief, given per member its arrows by
-    label (``CompiledModel.out``) and its mass."""
-    first = model.arrows[rows[0][0][label][0]].label_prob
-    if first.is_point:
-        value = sum(
-            mass * Fraction(model.arrows[row[label][0]].label_prob.lo) for row, mass in rows
-        )
-        return ProbInterval.point(float(value))
-    return first  # free-will kinds keep their interval (e.g. mdp's [0,1])
 
 
 # -- minimization -----------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -217,8 +218,12 @@ class CompiledModel:
     ``dst[k]``, and the bounds ``Arrow.effective()`` gives as ``hi[k]``,
     ``mid[k]`` and whether it is a point, ``point[k]``.  ``out[i]`` maps each
     label to its arrows out of state ``i``, in model order.  The other tables
-    are built on first use.  Each costs O(|S| + |arrows|) once per model; the
-    view holds the model's tuples, not the model.
+    are built on first use: the walks' ``draws``, ``agents`` and ``traces``;
+    the belief filters' ``emissions``, ``shares``, ``allowed`` and
+    ``event_order``; the exact weights ``exact``; and the adjacency lists
+    ``forward`` and ``backward``.  Each costs O(|S| + |arrows|) once per
+    model (``allowed`` O(|S| * |observations|)); the view holds the model's
+    tuples, not the model.
     """
 
     def __init__(self, model: Model):
@@ -308,6 +313,20 @@ class CompiledModel:
             listed = {o: (p.mid, p.is_point) for o, p in s.trace.probs.items()}
             table.append((listed, (unlisted.mid, unlisted.is_point)))
         return table
+
+    @cached_property
+    def exact(self) -> list:
+        """Per arrow, its weight lp.lo * ap.lo as an exact Fraction of the
+        stored doubles."""
+        return [Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo) for a in self._arrows]
+
+    @cached_property
+    def allowed(self) -> Mapping:
+        """Observation -> ids of the states whose trace can show it (upper
+        bound above 0), for the alphabet and every traced symbol.  Under None,
+        the untraced states: they alone admit any other observation."""
+        symbols = set(self.obs_index).union(*(s.trace.probs for s in self._states))
+        return {o: frozenset(s.id for s in self._states if s.trace.prob(o).hi > 0.0) for o in (*symbols, None)}
 
     @cached_property
     def event_order(self) -> tuple:

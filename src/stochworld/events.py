@@ -230,49 +230,25 @@ class TrackResult:
     warnings: List[str]
 
 
-class _Tables:
-    """Lookup tables built once per tracking or validity call.
-
-    - ``labels_at[t]``: the known labels of the events at step t, in the
-      model's collision order (``CompiledModel.event_order``; only the first
-      under the priority rule).  Unknown labels are dropped with a warning.
-    - ``allowed[obs]``: the states whose trace admits the observation, for
-      every observation of the trajectory.
-    - ``moves[(state, label)]``: the model's ``CompiledModel.shares``, absent
-      where the event cannot leave the state.
-    """
-
-    def __init__(
-        self,
-        model: Model,
-        trajectory: Trajectory,
-        events: EventStream,
-        collision: Optional[str],
-        warnings: list,
-    ):
-        if model.kind != "ed":
-            raise ModelError("tracking needs an event-driven model")
-        if collision is None:
-            collision = "priority" if model.priorities else "both-arrows"
-        if collision not in ("priority", "both-arrows"):
-            raise ModelError(f"unknown collision rule {collision!r}")
-        compiled = model.compiled
-        rank = {e: r for r, e in enumerate(compiled.event_order)}
-        by_time: dict = {}
-        for occ in events.occurrences:
-            if occ.label not in rank:
-                warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
-                continue
-            by_time.setdefault(occ.time, set()).add(occ.label)
-        keep = 1 if collision == "priority" else None
-        self.labels_at = {
-            t: tuple(sorted(labels, key=rank.__getitem__)[:keep]) for t, labels in by_time.items()
-        }
-        self.allowed = {
-            o: frozenset(s.id for s in model.states if s.trace.prob(o).hi > 0.0)
-            for o in set(trajectory.observations())
-        }
-        self.moves = compiled.shares
+def _labels_at(model: Model, events: EventStream, collision: Optional[str], warnings: list) -> dict:
+    """Step -> the known labels of its events, in the model's collision order
+    (``CompiledModel.event_order``; only the first under the priority rule).
+    Unknown labels are dropped with a warning."""
+    if model.kind != "ed":
+        raise ModelError("tracking needs an event-driven model")
+    if collision is None:
+        collision = "priority" if model.priorities else "both-arrows"
+    if collision not in ("priority", "both-arrows"):
+        raise ModelError(f"unknown collision rule {collision!r}")
+    rank = {e: r for r, e in enumerate(model.compiled.event_order)}
+    by_time: dict = {}
+    for occ in events.occurrences:
+        if occ.label not in rank:
+            warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
+            continue
+        by_time.setdefault(occ.time, set()).add(occ.label)
+    keep = 1 if collision == "priority" else None
+    return {t: tuple(sorted(labels, key=rank.__getitem__)[:keep]) for t, labels in by_time.items()}
 
 
 def _apply_event(moves: dict, belief: dict, label: str) -> tuple:
@@ -298,16 +274,9 @@ def _apply_event(moves: dict, belief: dict, label: str) -> tuple:
     return moved, approx, " ".join(sorted(stuck)) if stuck else ""
 
 
-def _track(
-    model: Model,
-    trajectory: Trajectory,
-    events: EventStream,
-    start: int = 0,
-    initial: Optional[dict] = None,
-    collision: Optional[str] = None,
-) -> tuple:
-    """Run the tracker from `start`; returns (beliefs, final_belief, memory,
-    warnings, failed_at) where failed_at is None on full success.
+def _track(model: Model, trajectory: Trajectory, events: EventStream, collision: Optional[str] = None) -> tuple:
+    """Run the tracker; returns (beliefs, final_belief, memory, warnings,
+    failed_at) where failed_at is None on full success.
 
     A log meets few distinct beliefs, so the tracker builds the automaton
     over them lazily, as it reads the log (the subset construction): each
@@ -319,9 +288,10 @@ def _track(
     (belief, approximate) pair and shared by its steps.
     """
     warnings: list = []
-    tables = _Tables(model, trajectory, events, collision, warnings)
+    labels_at = _labels_at(model, events, collision, warnings)
+    allowed, moves = model.compiled.allowed, model.compiled.shares
     remembering = {s.id for s in model.states if s.trace.memory}
-    dicts: list = [dict(initial) if initial is not None else {model.initial_state.id: 1.0}]
+    dicts: list = [{model.initial_state.id: 1.0}]
     numbers: dict = {}  # ordered items of a conditioned belief -> its number
     shown: dict = {}  # (number, approximate) -> its Belief
     # (number, approximate, obs) -> (number, approximate, Belief, state to
@@ -333,16 +303,14 @@ def _track(
     approx = False
     beliefs: list = []
     memory: TraceMemory = {}
-    steps = trajectory.steps
-    labels_at = tables.labels_at
-    for t in range(start, len(steps)):
-        obs = steps[t].obs
+    for t, step in enumerate(trajectory.steps):
+        obs = step.obs
         key = (b, approx, obs)
         entry = observed.get(key)
         if entry is None:
             belief = dicts[b]
-            allowed = tables.allowed[obs]
-            conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
+            admitted = allowed.get(obs, allowed[None])
+            conditioned = {sid: mass for sid, mass in belief.items() if sid in admitted}
             total = sum(conditioned.values())
             if total <= 0.0:
                 return beliefs, None, memory, warnings, t
@@ -366,7 +334,7 @@ def _track(
             key = (b, label)
             entry = fired.get(key)
             if entry is None:
-                probs, midpoints, stuck = _apply_event(tables.moves, dicts[b], label)
+                probs, midpoints, stuck = _apply_event(moves, dicts[b], label)
                 entry = fired[key] = (len(dicts), midpoints, stuck)
                 dicts.append(probs)
             b, midpoints, stuck = entry
@@ -387,9 +355,7 @@ def track(
 ) -> TrackResult:
     """Belief tracking over an ED model: the state changes only on monitored
     events, each step's observation filters the belief in between."""
-    beliefs, final, memory, warnings, failed = _track(
-        model, trajectory, events, collision=collision
-    )
+    beliefs, final, memory, warnings, failed = _track(model, trajectory, events, collision)
     if failed is not None:
         raise TrackingError(failed)
     return TrackResult(beliefs, final, memory, warnings)
@@ -423,18 +389,19 @@ def phenomenon_validity(
     O(n * (|S| + |arrows|)) for n steps.
     """
     n = len(trajectory)
-    tables = _Tables(model, trajectory, events, None, [])
+    labels_at = _labels_at(model, events, None, [])
+    allowed, moves = model.compiled.allowed, model.compiled.shares
     # oldest[t]: the earliest restart still tracking after step t's
     # observation, n when none is
     oldest = []
     earliest: dict = {}
     for t, step in enumerate(trajectory.steps):
-        earliest = {s: earliest.get(s, t) for s in tables.allowed[step.obs]}
+        earliest = {s: earliest.get(s, t) for s in allowed.get(step.obs, allowed[None])}
         oldest.append(min(earliest.values(), default=n))
-        for label in tables.labels_at.get(t, ()):
+        for label in labels_at.get(t, ()):
             moved: dict = {}
             for s, i in earliest.items():
-                entry = tables.moves.get((s, label))
+                entry = moves.get((s, label))
                 targets = (s,) if entry is None else [target for target, _ in entry[0]]
                 for target in targets:
                     if i < moved.get(target, n):

@@ -269,7 +269,8 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
     Symbols are checked against the model (or inline obs/act headers) when
     either is given; bare documents declare their symbols by use.  A missing
     t0 header defaults to the end: all recorded data is past.  Headers come
-    before the first step.  Each distinct step is checked and built once.
+    before the first step.  Each distinct step is checked and built once;
+    a symbol that ``serialize_trajectory`` would refuse is refused here too.
     """
     steps: list = []
     interned: dict = {}
@@ -304,6 +305,8 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
             act = None if a == "-" else a
             if act is not None and act_alpha is not None and act not in act_alpha:
                 raise FormatError(f"unknown action {a!r}", num)
+            _check_symbols((head,), "observation", num)
+            _check_symbols({act} - {None}, "action", num)
             step = interned[(head, a)] = Step(head, act)
         steps.append(step)
 

@@ -194,14 +194,15 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
 
     Each layer maps a word to its mass per end state.  The exact backend
     multiplies Fractions of the stored doubles, an arrow weighing
-    lp.lo * ap.lo; the other multiplies (lo, hi) float bounds and caps sums
-    at 1.  Moves and emissions whose upper bound is zero are dropped once,
-    in per-call tables.  Returns {word: Fraction} or {word: (lo, hi)}.
+    ``CompiledModel.exact``; the other multiplies (lo, hi) float bounds and
+    caps sums at 1.  Moves and emissions whose upper bound is zero are
+    dropped once, in per-call tables.  Returns {word: Fraction} or
+    {word: (lo, hi)}.
     """
     if exact:
         one, times, plus, total = Fraction(1), operator.mul, operator.add, sum
         positive = lambda w: w > 0
-        weights = [Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo) for a in m.arrows]
+        weights = m.compiled.exact
         emits = {s.id: [(o, Fraction(p.lo)) for o, p in sorted(s.trace.probs.items())] for s in m.states}
     else:
         one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds

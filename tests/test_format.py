@@ -213,6 +213,13 @@ class TestTrajectoryFormat:
         with pytest.raises(FormatError, match="reserved"):
             serialize_trajectory(Trajectory.of([("y", sym)]))
 
+    @pytest.mark.parametrize(
+        "text, what", [("- go\n", "observation '-'"), ("a #b\n", "action '#b'"), ("a t0\n", "action 't0'")]
+    )
+    def test_parse_refuses_what_serialize_refuses(self, text, what):
+        with pytest.raises(FormatError, match=f"line 3: {what} is reserved"):
+            parse_trajectory("a go\na go\n" + text)
+
     @given(
         st.lists(
             st.tuples(SYMBOLS, st.one_of(st.none(), SYMBOLS)),
