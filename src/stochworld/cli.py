@@ -15,20 +15,15 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+# the package's exports import inversion and the walk, and with them numpy,
+# on first use: only the commands that compute with numpy load it
+import stochworld as sw
+
 from . import analysis, constructions, events
 from . import format as fmt
-from . import inversion
 from .core import memory_bits
 from .errors import ModelError, ToolkitError
-from .simulate import (
-    SimulationConfig,
-    check_markov,
-    enumerate_future,
-    enumerate_past,
-    estimate_fomm,
-    preference_to_policy,
-    simulate,
-)
+from .future import enumerate_future, estimate_fomm, preference_to_policy
 from .validation import validate
 
 
@@ -59,6 +54,18 @@ def _load_model(path: str):
 def _usage_error(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
+
+
+def _at_least(low: int):
+    """argparse type of an integer count of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid count
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def _render_future(fs) -> str:
@@ -101,15 +108,15 @@ def cmd_invert(args) -> int:
     policy = fmt.parse_policy(_read(args.policy)) if args.policy else None
     if args.mode == "analytic":
         if model.single_label:
-            inverse = inversion.invert_chain(model)
+            inverse = sw.invert_chain(model)
         else:
-            inverse = inversion.invert_mdp_fixed(model, policy)
+            inverse = sw.invert_mdp_fixed(model, policy)
     elif args.mode == "mc":
-        inverse = inversion.monte_carlo_invert(model, args.journeys, args.seed)
+        inverse = sw.monte_carlo_invert(model, args.journeys, args.seed)
     elif args.mode == "plus-vertex":
-        inverse = inversion.invert_mdp_plus(model, "vertex", args.budget)
+        inverse = sw.invert_mdp_plus(model, "vertex", args.budget)
     else:  # plus-mc
-        inverse = inversion.invert_mdp_plus(model, "monte-carlo", args.budget, args.seed)
+        inverse = sw.invert_mdp_plus(model, "monte-carlo", args.budget, args.seed)
     _write(fmt.serialize_model(inverse), args.output)
     return 0
 
@@ -156,7 +163,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_minimal(args) -> int:
     model = _load_model(args.model)
-    joined = constructions.minimal_model(model, args.depth)
+    joined = sw.minimal_model(model, args.depth)
     _write(fmt.serialize_model(joined), args.output)
     return 0
 
@@ -165,14 +172,14 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     policy = fmt.parse_policy(_read(args.policy)) if args.policy else None
     preference = fmt.parse_preference(_read(args.preference)) if args.preference else None
-    config = SimulationConfig(
+    config = sw.SimulationConfig(
         steps=args.steps,
         seed=args.seed,
         policy=policy,
         preference=preference,
         collision=args.collision,
     )
-    trajectory = simulate(model, config)
+    trajectory = sw.simulate(model, config)
     _write(fmt.serialize_trajectory(trajectory), args.output)
     return 0
 
@@ -187,7 +194,7 @@ def cmd_future(args) -> int:
 
 def cmd_past(args) -> int:
     model = _load_model(args.model)
-    fs = enumerate_past(model, args.depth)
+    fs = sw.enumerate_past(model, args.depth)
     _write(_render_future(fs), args.output)
     return 0
 
@@ -201,7 +208,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_markov_check(args) -> int:
     trajectory = fmt.parse_trajectory(_read(args.trajectory))
-    report = check_markov(trajectory, args.order, args.significance, args.min_count)
+    report = sw.check_markov(trajectory, args.order, args.significance, args.min_count)
     if report.inconclusive:
         print("inconclusive")
         return 0
@@ -291,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("invert", cmd_invert, help="build the inverse model that predicts the past")
     p.add_argument("model")
     p.add_argument("--mode", choices=("analytic", "mc", "plus-vertex", "plus-mc"), default="analytic")
-    p.add_argument("--journeys", type=int, default=100_000)
+    p.add_argument("--journeys", type=_at_least(0), default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_at_least(0), default=10_000)
     p.add_argument("--policy", default=None, help="policy file for decision processes")
     out(p)
 
@@ -313,19 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minimize", cmd_minimize, help="merge states whose futures coincide")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True, help="bounds --determinize only")
+    p.add_argument("--depth", type=_at_least(0), required=True, help="bounds --determinize only")
     p.add_argument("--determinize", action="store_true", help="belief-determinize first")
     p.add_argument("--partition-out", default=None)
     out(p)
 
     p = add("minimal", cmd_minimal, help="joined forward/backward minimal model")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     out(p)
 
     p = add("simulate", cmd_simulate, help="walk the generator and record a trajectory")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--policy", default=None)
     p.add_argument("--preference", default=None)
@@ -334,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("future", cmd_future, help="truncated description of the future")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     p.add_argument("--policy", default=None)
     out(p)
 
     p = add("past", cmd_past, help="truncated description of the past (via the inverse)")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     out(p)
 
     p = add("estimate", cmd_estimate, help="standard chain estimated from a trajectory")
@@ -349,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("markov-check", cmd_markov_check, help="does longer history improve prediction?")
     p.add_argument("trajectory")
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--order", type=_at_least(1), default=1)
     p.add_argument("--significance", type=float, default=0.01)
-    p.add_argument("--min-count", type=int, default=50)
+    p.add_argument("--min-count", type=_at_least(0), default=50)
 
     p = add("policy-from-preference", cmd_policy_from_preference, help="Royal preference policy")
     p.add_argument("model")

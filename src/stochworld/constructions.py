@@ -4,8 +4,9 @@ Facts are state sets, events are arrow sets; the doubling constructions
 turn an event into a fact of an equivalent model (one step delayed) or into
 an even/odd occurrence counter.  Quotients collapse a generator onto an
 event-driven model when the monitored events cover every class-crossing
-arrow.  Belief determinization plus bisimulation minimization, applied
-forward and through the inverse, assemble the minimal-model pipeline.
+arrow.  A policy fixes the agent of a decision process.  Belief
+determinization and bisimulation minimization are the steps of the
+minimal-model pipeline, which ``inversion`` assembles.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .core import (
     Arrow,
     Model,
     Partition,
+    Policy,
     ProbInterval,
     State,
     TraceSpec,
     canonical,
 )
 from .errors import CapExceededError, CoverageError, ModelError
-from .inversion import invert_chain
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,16 @@ def parity_model(model: Model, event: EventSet) -> Model:
     number of times: unprimed copies are the even class."""
     doubled, _ = _double(model, event, parity=True)
     return doubled
+
+
+def compose_policy(model: Model, policy: Policy) -> Model:
+    """Fix the agent: replace label probabilities with the policy's points."""
+    policy.check(model)
+    arrows = tuple(
+        replace(a, label_prob=ProbInterval.point(policy.of(a.source, a.label)))
+        for a in model.arrows
+    )
+    return replace(model, kind="mdp-fixed", arrows=arrows)
 
 
 # -- quotient ---------------------------------------------------------------------
@@ -438,86 +449,3 @@ def minimize_forward(model: Model):
         name=model.name,
     )
     return reduced, partition
-
-
-# -- the minimal-model pipeline -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinimalModelResult:
-    """The joined minimal model plus its two oriented halves.
-
-    ``forward_part`` predicts the future from the fresh initial state;
-    ``backward_part`` is past-oriented: its future set reads as developments
-    of the past, most recent step first.
-    """
-
-    joined: Model
-    forward_part: Model
-    backward_part: Model
-
-
-def _fresh_initial(model: Model, base: str = "now") -> Model:
-    """Duplicate the initial state's exits into a fresh initial state that
-    nothing points at."""
-    fresh = base
-    while fresh in model.by_id:
-        fresh += "'"
-    init = model.initial_state
-    states = tuple(
-        [State(fresh, initial=True, trace=init.trace)]
-        + [replace(s, initial=False) for s in model.states]
-    )
-    arrows = model.arrows + tuple(
-        replace(a, source=fresh) for a in model.arrows if a.source == init.id
-    )
-    return replace(model, states=states, arrows=arrows)
-
-
-def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
-    """Three-step minimal model: forward-minimal part, backward-minimal part
-    from the inverse, joined at a fresh initial state.
-
-    The forward part is a black hole of the joined model and the backward
-    part a white peak: once the walk leaves the fresh initial state it can
-    never return.
-    """
-    forward0, _ = minimize_forward(belief_determinize(model, depth))
-    backward1, _ = minimize_forward(belief_determinize(invert_chain(model), depth))
-    backflow = invert_chain(backward1)  # forward orientation of the past fabric
-
-    forward_part = _fresh_initial(forward0)
-    backward_part = _fresh_initial(backward1)
-
-    init_f = forward0.initial_state
-    init_b = backflow.initial_state
-    fut = {s.id: f"fut:{s.id}" for s in forward0.states}
-    past = {s.id: f"past:{s.id}" for s in backflow.states}
-    states = [State("now", initial=True, trace=init_f.trace)]
-    states += [State(fut[s.id], trace=s.trace) for s in forward0.states]
-    states += [State(past[s.id], trace=s.trace) for s in backflow.states]
-    arrows = [
-        replace(a, source="now", target=fut[a.target])
-        for a in forward0.arrows
-        if a.source == init_f.id
-    ]
-    arrows += [
-        replace(a, source=fut[a.source], target=fut[a.target]) for a in forward0.arrows
-    ]
-    for a in backflow.arrows:
-        target = "now" if a.target == init_b.id else past[a.target]
-        arrows.append(replace(a, source=past[a.source], target=target))
-    joined = Model(
-        kind="hmm",
-        obs=tuple(sorted(set(forward0.obs) | set(backflow.obs))),
-        labels=forward0.labels,
-        states=tuple(states),
-        arrows=tuple(arrows),
-        name=model.name,
-        meta=("minimal: forward part predicts the future, backward part the past",),
-    )
-    return MinimalModelResult(joined, forward_part, backward_part)
-
-
-def minimal_model(model: Model, depth: int) -> Model:
-    return minimal_model_parts(model, depth).joined

@@ -1,0 +1,221 @@
+"""Exact and interval descriptions of the future, standard chains estimated
+from trajectories, and Royal preference policies.
+
+Step convention shared with the walk and the tracker: at step t the agent
+sees the current state's observation, then the action happens (or the
+step's events fire), then the state changes.  Future developments
+therefore start with the step leaving the current state and do not repeat
+the current observation.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections import Counter
+from fractions import Fraction
+from typing import Optional
+
+from .constructions import compose_policy
+from .core import (
+    TOL,
+    TRUE_LABEL,
+    Arrow,
+    Development,
+    FutureSet,
+    Model,
+    Policy,
+    Preference,
+    ProbInterval,
+    State,
+    TraceSpec,
+    Trajectory,
+)
+from .errors import CapExceededError, ModelError, PolicyError
+
+
+# -- future enumeration ---------------------------------------------------------
+
+
+def _is_exact(model: Model) -> bool:
+    """Exact rationals apply when every arrow and trace probability is a
+    point and every state is traced (an untraced state observes anything)."""
+    return model.has_point_probs() and all(
+        s.trace.probs and all(p.is_point for p in s.trace.probs.values()) for s in model.states
+    )
+
+
+def _times_bounds(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0], x[1] * y[1])
+
+
+def _plus_bounds(x: tuple, y: tuple) -> tuple:
+    return (x[0] + y[0], min(x[1] + y[1], 1.0))
+
+
+def _total_bounds(values) -> tuple:
+    return (min(sum(v[0] for v in values), 1.0), min(sum(v[1] for v in values), 1.0))
+
+
+def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
+    """Layered expansion of the development words to the given depth.
+
+    Each layer maps a word to its mass per end state.  The exact backend
+    multiplies Fractions of the stored doubles, an arrow weighing
+    ``CompiledModel.exact``; the other multiplies (lo, hi) float bounds and
+    caps sums at 1.  Moves and emissions whose upper bound is zero are
+    dropped once, in per-call tables.  Returns {word: Fraction} or
+    {word: (lo, hi)}.
+    """
+    if exact:
+        one, times, plus, total = Fraction(1), operator.mul, operator.add, sum
+        positive = lambda w: w > 0
+        weights = m.compiled.exact
+        emits = {s.id: [(o, Fraction(p.lo)) for o, p in sorted(s.trace.probs.items())] for s in m.states}
+    else:
+        one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds
+        positive = lambda w: w[1] > 0.0
+        weights = [(eff.lo, eff.hi) for eff in map(Arrow.effective, m.arrows)]
+        emits = {s.id: [(o, (p.lo, p.hi)) for o in m.obs for p in (s.trace.prob(o),)] for s in m.states}
+    emits = {sid: [(o, p) for o, p in pairs if positive(p)] for sid, pairs in emits.items()}
+    moves: dict = {s.id: [] for s in m.states}
+    for a, weight in zip(m.arrows, weights):
+        if positive(weight):
+            moves.setdefault(a.source, []).append((a.label, a.target, weight, emits[a.target]))
+    layer = {(): {m.initial_state.id: one}}
+    for _ in range(depth):
+        nxt: dict = {}
+        for word, dist in layer.items():
+            for sid, mass in dist.items():
+                for label, target, weight, emitted in moves[sid]:
+                    moved = times(mass, weight)
+                    for obs, p in emitted:
+                        bucket = nxt.setdefault(word + ((label, obs),), {})
+                        w = times(moved, p)
+                        bucket[target] = plus(bucket[target], w) if target in bucket else w
+        layer = nxt
+        if len(layer) > cap:
+            raise CapExceededError(f"future enumeration exceeds {cap} developments")
+    return {word: total(list(dist.values())) for word, dist in layer.items()}
+
+
+def exact_future(
+    model: Model, depth: int, policy: Optional[Policy] = None, cap: int = 200_000
+) -> dict:
+    """Exact development distribution of a point-probability model whose
+    states are all traced.
+
+    Returns {(label, obs) word tuple: Fraction}; rational arithmetic keeps
+    desk-scale comparisons exact.
+    """
+    m = compose_policy(model, policy) if policy is not None else model
+    if not _is_exact(m):
+        raise ModelError("exact enumeration needs point probabilities")
+    return _develop(m, depth, cap, exact=True)
+
+
+def enumerate_future(
+    model: Model, depth: int, policy: Optional[Policy] = None, cap: int = 200_000
+) -> FutureSet:
+    """Perfect or quasi-perfect description of the future to the given depth.
+
+    Point models (after an optional policy) get exact probabilities; interval
+    models get sound multiplicative bounds, and so do models with an
+    untraced state, whose observations each get [0, 1].  Developments with an
+    upper probability of zero are absent.
+    """
+    m = compose_policy(model, policy) if policy is not None else model
+    exact = _is_exact(m)
+    entries = {}
+    for word, p in _develop(m, depth, cap, exact).items():
+        lo, hi = (p, p) if exact else p
+        if hi > 0:
+            entries[Development("future", word)] = ProbInterval(float(lo), float(hi))
+    return FutureSet(depth, "future", entries)
+
+
+# -- estimation -------------------------------------------------------------------
+
+
+def estimate_fomm(trajectory: Trajectory) -> Model:
+    """Standard chain over the observed symbols, counted from the trajectory.
+
+    The model describes exactly the statistics period; transitions never
+    observed are structurally absent.  The initial (current) state is the
+    observation at the current moment, or the last one when all data is past.
+    """
+    obs_seq = trajectory.observations()
+    if len(obs_seq) < 2:
+        raise ModelError("trajectory too short to estimate (need at least 2 steps)")
+    counts: Counter = Counter(zip(obs_seq, obs_seq[1:]))
+    totals: Counter = Counter(obs_seq[:-1])
+    symbols = sorted(set(obs_seq))
+    current = obs_seq[trajectory.t0] if trajectory.t0 < len(obs_seq) else obs_seq[-1]
+    states = tuple(
+        State(o, initial=(o == current), trace=TraceSpec({o: ProbInterval.point(1.0)}))
+        for o in symbols
+    )
+    arrows = tuple(
+        Arrow(i, TRUE_LABEL, j, ProbInterval.point(1.0), ProbInterval.point(c / totals[i]))
+        for (i, j), c in sorted(counts.items())
+    )
+    return Model("fomm", tuple(symbols), (TRUE_LABEL,), states, arrows)
+
+
+# -- preference -------------------------------------------------------------------
+
+
+def preference_to_policy(model: Model, preference: Preference) -> Policy:
+    """Royal policy: each action takes the top of its allowed interval, in
+    preference order, and the least preferred absorbs the remainder.
+
+    Probabilities falling below an action's lower bound are raised to it and
+    the shortfall is taken from the remaining mass; such states are flagged
+    as adjusted.
+    """
+    preference.check(model)
+    compiled = model.compiled
+    probs: dict = {}
+    adjusted: set = set()
+    for sid, ranked in preference.order.items():
+        out = compiled.out[compiled.index[sid]]
+        bounds = [model.arrows[out[a][0]].label_prob for a in ranked]
+        lo_sum = sum(b.lo for b in bounds)
+        hi_sum = sum(b.hi for b in bounds)
+        if lo_sum > 1.0 + 1e-9 or hi_sum < 1.0 - 1e-9:
+            raise PolicyError(
+                f"state {sid}: no feasible policy within the agent intervals"
+            )
+        n = len(ranked)
+        remaining = 1.0
+        values = []
+        for k in range(n):
+            if k == n - 1:
+                p = remaining
+            else:
+                reserve = sum(b.lo for b in bounds[k + 1 :])
+                p = bounds[k].hi * remaining
+                cap = remaining - reserve
+                if p > cap + TOL:
+                    p = cap
+                    adjusted.add(sid)
+                if p < bounds[k].lo - TOL:
+                    p = bounds[k].lo
+                    adjusted.add(sid)
+            values.append(p)
+            remaining -= p
+        overflow = values[-1] - bounds[-1].hi
+        if overflow > TOL:
+            adjusted.add(sid)
+            values[-1] = bounds[-1].hi
+            for k in range(n - 1):
+                room = bounds[k].hi - values[k]
+                take = min(room, overflow)
+                values[k] += take
+                overflow -= take
+                if overflow <= TOL:
+                    break
+            if overflow > 1e-9:
+                raise PolicyError(f"state {sid}: no feasible policy within the agent intervals")
+        for a, p in zip(ranked, values):
+            probs[(sid, a)] = p
+    return Policy(probs, frozenset(adjusted))

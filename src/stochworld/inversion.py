@@ -10,6 +10,9 @@ empirically and serves as an independent oracle.
 Inversion requires the absence of white peaks: over those, any inbound
 probabilities whatsoever would be consistent, so the toolkit refuses to
 guess.
+
+The past is the future of the inverse.  The minimal model joins the
+minimized model with its minimized inverse at a fresh initial state.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .analysis import find_black_hole, find_white_peak
-from .core import Arrow, Model, Policy, ProbInterval, canonical
+from .constructions import belief_determinize, compose_policy, minimize_forward
+from .core import Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical
 from .errors import JourneyError, ModelError, WhitePeakError
+from .future import enumerate_future
 
 _EPS = 1e-12
 
@@ -275,16 +280,6 @@ def _model_policy(model: Model) -> Policy:
     return Policy(probs)
 
 
-def compose_policy(model: Model, policy: Policy) -> Model:
-    """Fix the agent: replace label probabilities with the policy's points."""
-    policy.check(model)
-    arrows = tuple(
-        replace(a, label_prob=ProbInterval.point(policy.of(a.source, a.label)))
-        for a in model.arrows
-    )
-    return replace(model, kind="mdp-fixed", arrows=arrows)
-
-
 def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
     """Invert a decision process under a fixed policy; result is mdp-fixed."""
     if model.kind not in ("mdp", "mdp-fixed", "mdp-plus", "smdp"):
@@ -448,3 +443,100 @@ def invert_mdp_plus(
             meta=(f"approximate: bounds certified over {valid} explored resolutions",),
         )
     )
+
+
+# -- the past and the minimal model ----------------------------------------------
+
+
+def enumerate_past(model: Model, depth: int, cap: int = 200_000) -> FutureSet:
+    """Developments of the past: the future of the inverse model, reversed
+    into chronological order."""
+    inverse = invert_chain(model)
+    fs = enumerate_future(inverse, depth, cap=cap)
+    entries = {
+        Development("past", tuple(reversed(dev.word))): p for dev, p in fs.entries.items()
+    }
+    return FutureSet(depth, "past", entries)
+
+
+@dataclass(frozen=True)
+class MinimalModelResult:
+    """The joined minimal model plus its two oriented halves.
+
+    ``forward_part`` predicts the future from the fresh initial state;
+    ``backward_part`` is past-oriented: its future set reads as developments
+    of the past, most recent step first.
+    """
+
+    joined: Model
+    forward_part: Model
+    backward_part: Model
+
+
+def _fresh_initial(model: Model, base: str = "now") -> Model:
+    """Duplicate the initial state's exits into a fresh initial state that
+    nothing points at."""
+    fresh = base
+    while fresh in model.by_id:
+        fresh += "'"
+    init = model.initial_state
+    states = tuple(
+        [State(fresh, initial=True, trace=init.trace)]
+        + [replace(s, initial=False) for s in model.states]
+    )
+    arrows = model.arrows + tuple(
+        replace(a, source=fresh) for a in model.arrows if a.source == init.id
+    )
+    return replace(model, states=states, arrows=arrows)
+
+
+def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
+    """Three-step minimal model: forward-minimal part, backward-minimal part
+    from the inverse, joined at a fresh initial state.
+
+    The forward part is a black hole of the joined model and the backward
+    part a white peak: once the walk leaves the fresh initial state it can
+    never return.  The depth must be at least 1: the depth-0 determinization
+    is one state without arrows, which has no inverse.
+    """
+    if depth < 1:
+        raise ModelError(f"the minimal model needs depth 1 or more, got {depth}")
+    forward0, _ = minimize_forward(belief_determinize(model, depth))
+    backward1, _ = minimize_forward(belief_determinize(invert_chain(model), depth))
+    backflow = invert_chain(backward1)  # forward orientation of the past fabric
+
+    forward_part = _fresh_initial(forward0)
+    backward_part = _fresh_initial(backward1)
+
+    init_f = forward0.initial_state
+    init_b = backflow.initial_state
+    fut = {s.id: f"fut:{s.id}" for s in forward0.states}
+    past = {s.id: f"past:{s.id}" for s in backflow.states}
+    states = [State("now", initial=True, trace=init_f.trace)]
+    states += [State(fut[s.id], trace=s.trace) for s in forward0.states]
+    states += [State(past[s.id], trace=s.trace) for s in backflow.states]
+    arrows = [
+        replace(a, source="now", target=fut[a.target])
+        for a in forward0.arrows
+        if a.source == init_f.id
+    ]
+    arrows += [
+        replace(a, source=fut[a.source], target=fut[a.target]) for a in forward0.arrows
+    ]
+    for a in backflow.arrows:
+        target = "now" if a.target == init_b.id else past[a.target]
+        arrows.append(replace(a, source=past[a.source], target=target))
+    joined = Model(
+        kind="hmm",
+        obs=tuple(sorted(set(forward0.obs) | set(backflow.obs))),
+        labels=forward0.labels,
+        states=tuple(states),
+        arrows=tuple(arrows),
+        name=model.name,
+        meta=("minimal: forward part predicts the future, backward part the past",),
+    )
+    return MinimalModelResult(joined, forward_part, backward_part)
+
+
+def minimal_model(model: Model, depth: int) -> Model:
+    return minimal_model_parts(model, depth).joined

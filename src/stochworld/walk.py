@@ -1,0 +1,237 @@
+"""Seeded walks of a generator, and a statistical test of the Markov
+property on the trajectories they record.
+
+numpy's PCG64 generator drives every draw, so a walk is a deterministic
+function of its seed.  A step follows the convention of ``future``: the
+observation of the current state, then the action or the events fired,
+then the move.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .constructions import compose_policy
+from .core import (
+    ACTION_KINDS,
+    POINT_ONE,
+    SINGLE_LABEL_KINDS,
+    TRUE_LABEL,
+    EventOccurrence,
+    EventStream,
+    Model,
+    Policy,
+    Preference,
+    Step,
+    Trajectory,
+)
+from .errors import JourneyError, ModelError
+from .future import preference_to_policy
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    steps: int
+    seed: int
+    policy: Optional[Policy] = None
+    preference: Optional[Preference] = None
+    collision: str = "priority"  # or "both-arrows"
+
+
+def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
+    if model.kind == "ed" or model.kind in SINGLE_LABEL_KINDS:
+        if config.policy or config.preference:
+            raise ModelError(f"{model.kind} generators take no policy or preference")
+        return model
+    if config.policy and config.preference:
+        raise ModelError("give either a policy or a preference, not both")
+    if config.preference:
+        return compose_policy(model, preference_to_policy(model, config.preference))
+    if config.policy:
+        return compose_policy(model, config.policy)
+    if all(a.label_prob.is_point for a in model.arrows):
+        return model
+    raise ModelError("interval agent probabilities need a policy or preference")
+
+
+#: Uniforms drawn per call to the generator: enough to amortize the call,
+#: few enough that a short walk draws little it does not use.
+_BLOCK = 1024
+
+
+def _uniforms(rng):
+    """The generator's uniforms, drawn in blocks: the same sequence as one
+    ``rng.random()`` call per value."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def _unresolved(what: str) -> ModelError:
+    return ModelError(f"unresolved interval for {what}; supply a policy or resolution")
+
+
+def simulate_events(model: Model, config: SimulationConfig):
+    """Walk the generator; returns the trajectory and, for ed, the events fired.
+
+    The walk reads the model's compiled tables: per step it draws one
+    observation, for ed one uniform per event that can fire and one arrow
+    per fired event, else the action of an action kind and one arrow, each
+    by bisection into cumulative probabilities.  An interval the walk
+    reaches is refused there.
+    """
+    if config.collision not in ("priority", "both-arrows"):
+        raise ModelError(f"unknown collision rule {config.collision!r}")
+    resolved = _resolve_agent(model, config)
+    compiled = resolved.compiled
+    ids, dst, traces, draws = compiled.ids, compiled.dst, compiled.traces, compiled.draws
+    agents = compiled.agents if resolved.kind in ACTION_KINDS else None
+    draw = _uniforms(np.random.default_rng(config.seed)).__next__
+    state = compiled.index[resolved.initial_state.id]
+    interned: dict = {}
+    ed = resolved.kind == "ed"
+    steps = []
+    occurrences = []
+    for t in range(config.steps):
+        symbols, cum = traces[state]
+        if cum is None:
+            raise _unresolved(f"trace of {ids[state]}")
+        if not symbols:
+            raise ModelError(f"state {ids[state]} has no trace to observe")
+        obs = symbols[bisect_right(cum, draw())]
+        act = None
+        if ed:
+            fired = []
+            row = draws[state]
+            for e in compiled.event_order:
+                entry = row.get(e)
+                if entry is None:
+                    continue
+                if entry[0] is None:
+                    raise _unresolved(f"event {e} in {ids[state]}")
+                if draw() < entry[0]:
+                    fired.append(e)
+            if fired and config.collision == "priority":
+                fired = fired[:1]
+            for e in fired:
+                entry = draws[state].get(e)
+                if entry is None:
+                    continue  # the walk moved; the event cannot fire here
+                _, arrows, cum = entry
+                if cum is None:
+                    raise _unresolved("arrow")
+                state = dst[arrows[bisect_right(cum, draw())]]
+                occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
+        else:
+            if agents is not None:
+                labels, cum = agents[state]
+                if not labels:
+                    raise JourneyError(f"state {ids[state]} has no outgoing actions")
+                if cum is None:
+                    raise _unresolved(f"agent in {ids[state]}")
+                act = label = labels[bisect_right(cum, draw())]
+            else:
+                label = TRUE_LABEL
+            entry = draws[state].get(label)
+            if entry is None:
+                raise JourneyError(f"state {ids[state]} has no {label!r} arrows")
+            _, arrows, cum = entry
+            if cum is None:
+                raise _unresolved("arrow")
+            state = dst[arrows[bisect_right(cum, draw())]]
+        step = interned.get((obs, act))
+        if step is None:
+            step = interned[(obs, act)] = Step(obs, act)
+        steps.append(step)
+    return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
+
+
+def simulate(model: Model, config: SimulationConfig) -> Trajectory:
+    """Deterministic-by-seed generator walk recording (observation, action) steps."""
+    trajectory, _ = simulate_events(model, config)
+    return trajectory
+
+
+# -- Markov property --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymbolTest:
+    symbol: str
+    p_value: Optional[float]
+    flagged: bool
+    contexts_tested: int
+    contexts_skipped: int
+
+
+@dataclass(frozen=True)
+class MarkovReport:
+    order: int
+    significance: float
+    tests: tuple = ()
+    inconclusive: bool = False
+
+    @property
+    def flagged(self) -> tuple:
+        return tuple(t for t in self.tests if t.flagged)
+
+    @property
+    def improvable(self) -> bool:
+        """True when some longer context significantly improves prediction."""
+        return bool(self.flagged)
+
+
+def _chi2_p_value(table) -> float:
+    """p-value of Pearson's chi-squared test of independence on a table of
+    counts without an empty row or column: the arithmetic of
+    ``scipy.stats.chi2_contingency(table, correction=False)``, step for step."""
+    # imported here: scipy.special takes longer to import than numpy, and
+    # only this test needs it; all of scipy.stats would take four times as long
+    from scipy.special import chdtrc
+
+    observed = np.array(table, dtype=float)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    statistic = ((observed - expected) ** 2 / expected).sum()
+    rows, cols = observed.shape
+    return float(chdtrc((rows - 1) * (cols - 1), statistic))
+
+
+def check_markov(
+    trajectory: Trajectory,
+    order: int = 1,
+    significance: float = 0.01,
+    min_count: int = 50,
+) -> MarkovReport:
+    """Chi-squared comparison of next-symbol distributions conditioned on
+    one symbol versus a longer context ending in it.
+
+    A flagged symbol means the standard chain can be improved by splitting
+    that state.  Contexts with fewer than ``min_count`` occurrences are
+    skipped; if every context is skipped the report is inconclusive.
+    """
+    seq = trajectory.observations()
+    tests = []
+    for sym in sorted(set(seq)):
+        rows: dict = {}
+        for i in range(order, len(seq) - 1):
+            if seq[i] != sym:
+                continue
+            ctx = tuple(seq[i - order : i + 1])
+            rows.setdefault(ctx, Counter())[seq[i + 1]] += 1
+        usable = {c: cnt for c, cnt in rows.items() if sum(cnt.values()) >= min_count}
+        skipped = len(rows) - len(usable)
+        if len(usable) < 2:
+            tests.append(SymbolTest(sym, None, False, 0, len(rows)))
+            continue
+        cols = sorted({o for cnt in usable.values() for o in cnt})
+        if len(cols) < 2:
+            tests.append(SymbolTest(sym, None, False, 0, len(rows)))
+            continue
+        p_value = _chi2_p_value([[cnt.get(o, 0) for o in cols] for _, cnt in sorted(usable.items())])
+        tests.append(SymbolTest(sym, p_value, p_value < significance, len(usable), skipped))
+    inconclusive = all(t.p_value is None for t in tests) if tests else True
+    return MarkovReport(order, significance, tuple(tests), inconclusive)

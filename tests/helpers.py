@@ -4,11 +4,13 @@ reference implementations that fast paths are compared against."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import chi2_contingency
 
 from stochworld import (
     Arrow,
@@ -34,10 +36,10 @@ from stochworld import (
     canonical,
     parse_model,
 )
+from stochworld.constructions import compose_policy
 from stochworld.core import ACTION_KINDS, POINT_ONE
 from stochworld.events import _labels_at
-from stochworld.inversion import compose_policy
-from stochworld.simulate import _resolve_agent
+from stochworld.walk import MarkovReport, SymbolTest, _resolve_agent
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -821,3 +823,34 @@ def detect_by_steps(trajectory: Trajectory, fns, threshold: float = 0.5) -> Even
             if value.lo >= threshold and value.hi > 0.0:
                 occurrences.append(EventOccurrence(t, name, value, "direct"))
     return EventStream(tuple(occurrences))
+
+
+def contingency_p_value(table) -> float:
+    """p-value of ``scipy.stats.chi2_contingency`` without continuity
+    correction: the reference for ``check_markov``'s p-values."""
+    return float(chi2_contingency(np.array(table), correction=False).pvalue)
+
+
+def check_markov_by_contingency(
+    trajectory: Trajectory, order: int = 1, significance: float = 0.01, min_count: int = 50
+) -> MarkovReport:
+    """``check_markov`` testing each table with ``scipy.stats.chi2_contingency``."""
+    seq = trajectory.observations()
+    tests = []
+    for sym in sorted(set(seq)):
+        rows: dict = {}
+        for i in range(order, len(seq) - 1):
+            if seq[i] != sym:
+                continue
+            ctx = tuple(seq[i - order : i + 1])
+            rows.setdefault(ctx, Counter())[seq[i + 1]] += 1
+        usable = {c: cnt for c, cnt in rows.items() if sum(cnt.values()) >= min_count}
+        skipped = len(rows) - len(usable)
+        cols = sorted({o for cnt in usable.values() for o in cnt})
+        if len(usable) < 2 or len(cols) < 2:
+            tests.append(SymbolTest(sym, None, False, 0, len(rows)))
+            continue
+        p_value = contingency_p_value([[cnt.get(o, 0) for o in cols] for _, cnt in sorted(usable.items())])
+        tests.append(SymbolTest(sym, p_value, p_value < significance, len(usable), skipped))
+    inconclusive = all(t.p_value is None for t in tests) if tests else True
+    return MarkovReport(order, significance, tuple(tests), inconclusive)

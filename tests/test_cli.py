@@ -1,5 +1,6 @@
 """cli: subcommand behavior, error lines, exit codes, pipeline composition."""
 
+import random
 import subprocess
 import sys
 
@@ -116,6 +117,45 @@ class TestModelDocuments:
         code, out, err = run(capsys, argv[0], str(model), *argv[1:])
         assert code == 1 and out == ""
         assert err.strip() == "error: model: state s: outgoing probabilities sum to 1.25, above 1"
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("future", M1, "--depth", "-2"),
+            ("past", M1, "--depth", "-2"),
+            ("minimal", M1, "--depth", "-1"),
+            ("minimize", M1, "--determinize", "--depth", "-1"),
+            ("simulate", M1, "--seed", "1", "--steps", "-3"),
+            ("invert", M1, "--mode", "mc", "--seed", "1", "--journeys", "-5"),
+            ("invert", RAIN, "--mode", "plus-vertex", "--budget", "-1"),
+            ("markov-check", "{traj}", "--order", "0"),
+            ("markov-check", "{traj}", "--order", "-1"),
+            ("markov-check", "{traj}", "--min-count", "-5"),
+        ],
+    )
+    def test_negative_count_is_usage_error(self, capsys, tmp_path, argv):
+        traj = tmp_path / "coin.traj"
+        traj.write_text("H -\nT -\nH -\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(traj=traj) for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+
+    def test_zero_depth_future_is_the_empty_word(self, capsys):
+        code, out, _ = run(capsys, "future", M1, "--depth", "0")
+        assert code == 0 and out == "- 1\n"
+
+    @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3"])
+    def test_minimal_depth_zero_names_the_depth(self, capsys, name):
+        code, out, err = run(capsys, "minimal", str(MODELS_DIR / f"{name}.model"), "--depth", "0")
+        assert code == 1 and out == ""
+        assert err == "error: model: the minimal model needs depth 1 or more, got 0\n"
+
+    def test_minimal_depth_one(self, capsys):
+        code, out, _ = run(capsys, "minimal", M1, "--depth", "1")
+        assert code == 0 and parse_model(out).initial_state.id == "now"
 
 
 class TestSeedDiscipline:
@@ -324,12 +364,12 @@ class TestConsoleScript:
 
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, stochworld.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", "import sys, stochworld.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_stdin_dash(self):
         proc = subprocess.run(
@@ -340,3 +380,64 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "white-peak: 1" in proc.stdout
+
+
+#: prints, after the command, which of numpy and scipy.stats it loaded
+PROBE = (
+    "import sys\n"
+    "from stochworld.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('loaded:', *(m for m in ('numpy', 'scipy.stats') if m in sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestStartup:
+    """Each command imports only the modules it computes with."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("docs")
+        rng = random.Random(5)
+        (d / "walk.traj").write_text("".join(f"{rng.choice('ab')} -\n" for _ in range(400)))
+        (d / "house.traj").write_text("t0 3\non move\noff move\non move\n")
+        (d / "house.stream").write_text("".join(f"{t} move [1,1] direct\n" for t in range(3)))
+        (d / "flip.arrows").write_text("B2 true W1\nW2 true B1\n")
+        (d / "classes.txt").write_text("B1 B2\nW1 W2\n")
+        (d / "royal.pref").write_text("state w: rain > dry\n")
+        return d
+
+    def probe(self, argv, docs):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, *(a.format(d=docs) for a in argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr.splitlines()[-1].split()[1:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", M1],
+            ["analyze", FIG3],
+            ["future", M1, "--depth", "3"],
+            ["estimate", "{d}/walk.traj"],
+            ["detect", "{d}/walk.traj", "--indirect", "--window", "20"],
+            ["track", "{d}/house.traj", "--model", HOUSE, "--events", "{d}/house.stream"],
+            ["double", M2, "--mode", "parity", "--event", "flip", "--arrows", "{d}/flip.arrows"],
+            ["quotient", M2, "--classes", "{d}/classes.txt", "--monitor", "flip={d}/flip.arrows"],
+            ["minimize", M2, "--depth", "3", "--determinize"],
+            ["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"],
+            ["export-dot", M1],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_pure_command_loads_no_numpy(self, docs, argv):
+        _, loaded = self.probe(argv, docs)
+        assert loaded == []
+
+    def test_markov_check_loads_no_scipy_stats(self, docs):
+        out, loaded = self.probe(["markov-check", "{d}/walk.traj", "--min-count", "5"], docs)
+        assert "p=" in out
+        assert loaded == ["numpy"]

@@ -501,6 +501,11 @@ class TestMinimalModel:
         assert {s.id for s in joined.states if s.id.startswith("fut:")} <= black
         assert white <= {s.id for s in joined.states if s.id.startswith("past:")}
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_refused(self, m1, depth):
+        with pytest.raises(ModelError, match=f"depth 1 or more, got {depth}"):
+            minimal_model_parts(m1, depth)
+
     def test_coin_forward_part_is_coin_like(self, m1):
         parts = minimal_model_parts(m1, 12)
         fwd = parts.forward_part

@@ -32,11 +32,15 @@ from stochworld import (
 )
 
 from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE
+from stochworld.walk import _chi2_p_value
 
 from helpers import (
     chain_model,
+    check_markov_by_contingency,
+    contingency_p_value,
     exact_future_by_layers,
     future_by_layers,
+    load_model,
     random_connected_chain,
     random_agent,
     random_future_model,
@@ -426,3 +430,39 @@ class TestCheckMarkov:
         traj = simulate(m1, SimulationConfig(steps=60, seed=5))
         report = check_markov(traj, order=1, min_count=50)
         assert report.inconclusive or all(t.contexts_skipped >= 0 for t in report.tests)
+
+    def test_p_value_equals_contingency_oracle(self):
+        """Bit for bit, on tables near independence (p spread over (0, 1))
+        and far from it (p down to 0), 2 to 8 rows and columns."""
+        rng = random.Random(9)
+        for _ in range(1500):
+            r, c = rng.randint(2, 8), rng.randint(2, 8)
+            if rng.random() < 0.7:
+                total = rng.choice((20, 200, 2000, 20_000))
+                rw = [rng.random() + 0.05 for _ in range(r)]
+                cw = [rng.random() + 0.05 for _ in range(c)]
+                scale = total / sum(rw) / sum(cw)
+                mean = [[scale * a * b for b in cw] for a in rw]
+                table = [[max(0, round(rng.gauss(m, m**0.5))) for m in row] for row in mean]
+            else:
+                table = [[rng.randint(0, 5000) for _ in range(c)] for _ in range(r)]
+            # check_markov's tables have no empty row or column
+            for row in table:
+                row[rng.randrange(c)] += 1
+            for j in range(c):
+                table[rng.randrange(r)][j] += 1
+            assert _chi2_p_value(table).hex() == contingency_p_value(table).hex(), table
+
+    @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3", "daynight", "fig3"])
+    def test_shipped_walks_equal_contingency_oracle(self, name):
+        model = load_model(name)
+        for seed in (1, 41):
+            traj = simulate(model, SimulationConfig(steps=3000, seed=seed))
+            for order in (1, 2, 3):
+                for min_count in (10, 50):
+                    got = check_markov(traj, order, min_count=min_count)
+                    want = check_markov_by_contingency(traj, order, min_count=min_count)
+                    assert got == want
+                    assert [t.p_value.hex() for t in got.tests if t.p_value is not None] == [
+                        t.p_value.hex() for t in want.tests if t.p_value is not None
+                    ]
