@@ -57,7 +57,7 @@ def _usage_error(message: str) -> int:
 
 
 def _at_least(low: int):
-    """argparse type of an integer count of at least ``low``."""
+    """argparse type of an integer, a count or a seed, of at least ``low``."""
 
     def count(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as an invalid count
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--mode", choices=("analytic", "mc", "plus-vertex", "plus-mc"), default="analytic")
     p.add_argument("--journeys", type=_at_least(0), default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--budget", type=_at_least(0), default=10_000)
     p.add_argument("--policy", default=None, help="policy file for decision processes")
     out(p)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, help="walk the generator and record a trajectory")
     p.add_argument("model")
     p.add_argument("--steps", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--policy", default=None)
     p.add_argument("--preference", default=None)
     p.add_argument("--collision", choices=("priority", "both-arrows"), default="priority")

@@ -261,6 +261,8 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     are dropped and noted in the metadata.  The model must satisfy its
     kind; ``validate`` names the fault when it does not.
     """
+    if depth < 0:
+        raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
     obs_of = [s.trace.deterministic_obs for s in model.states]

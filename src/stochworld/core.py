@@ -14,7 +14,7 @@ threads; operations build new models instead of mutating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -572,14 +572,28 @@ class Trajectory:
         return tuple(s.act for s in self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class EventOccurrence:
-    """One detected event: when, what, how confident, and found how."""
+    """One detected event: when, what, how confident, and found how.
+
+    A log holds thousands, so the fields are slots, which ``__init__`` fills
+    through their descriptors instead of ``object.__setattr__``."""
 
     time: int
     label: str
     confidence: ProbInterval
     provenance: str = "direct"  # direct | indirect | derived
+
+    def __init__(self, time: int, label: str, confidence: ProbInterval, provenance: str = "direct"):
+        _set_time(self, time)
+        _set_label(self, label)
+        _set_confidence(self, confidence)
+        _set_provenance(self, provenance)
+
+
+_set_time, _set_label, _set_confidence, _set_provenance = (
+    getattr(EventOccurrence, f.name).__set__ for f in fields(EventOccurrence)
+)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -162,8 +161,9 @@ def detect_indirect(
     after step t is tv = d / (2 * window), with d their integer L1 distance.
     Step t is a boundary hit when tv exceeds the threshold, compared exactly
     (as rationals, the threshold at its binary value), so a distance equal
-    to the threshold is not a hit.  Both counts slide one step at a time:
-    the scan costs O(n) for n steps, whatever the window.
+    to the threshold is not a hit.  The observations are numbered once, and
+    both counts slide one step at a time in one integer list: the scan
+    costs O(n) for n steps, whatever the window.
 
     Boundary hits closer than `window` steps merge into the maximal-distance
     point, so detection latency is up to `window` steps.  Two regimes with
@@ -179,19 +179,29 @@ def detect_indirect(
         cut = math.floor(2 * window * Fraction(threshold)) + 1
     else:  # nothing exceeds +inf or nan, everything exceeds -inf
         cut = 0 if threshold < 0 else 2 * window + 1
-    obs = trajectory.observations()
-    diff = Counter(obs[:window])  # count before t minus count from t on
-    diff.subtract(obs[window : 2 * window])
-    d = sum(map(abs, diff.values()))
-    hits = []
-    for t in range(window, n - window + 1):
-        if t > window:
-            # obs[t - 1 - window] leaves the first window, obs[t - 1] crosses
-            # into it, obs[t - 1 + window] joins the second
-            for o, k in ((obs[t - 1 - window], -1), (obs[t - 1], 2), (obs[t - 1 + window], -1)):
-                c = diff[o]
-                diff[o] = c + k
-                d += abs(c + k) - abs(c)
+    number: dict = {}  # observation -> its index into diff
+    codes = [number.setdefault(o, len(number)) for o in trajectory.observations()]
+    diff = [0] * len(number)  # count before t minus count from t on
+    for o in codes[:window]:
+        diff[o] += 1
+    for o in codes[window : 2 * window]:
+        diff[o] -= 1
+    d = sum(map(abs, diff))
+    hits = [(window, d)] if d >= cut else []
+    # at step t, codes[t - 1 - window] leaves the first window, codes[t - 1]
+    # crosses into it and codes[t - 1 + window] joins the second
+    for t, leaving, crossing, joining in zip(
+        range(window + 1, n - window + 1), codes, codes[window:], codes[2 * window :]
+    ):
+        c = diff[leaving]
+        diff[leaving] = c - 1
+        d += abs(c - 1) - abs(c)
+        c = diff[crossing]
+        diff[crossing] = c + 2
+        d += abs(c + 2) - abs(c)
+        c = diff[joining]
+        diff[joining] = c - 1
+        d += abs(c - 1) - abs(c)
         if d >= cut:
             hits.append((t, d))
     merged: list = []

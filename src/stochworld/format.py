@@ -548,8 +548,12 @@ def parse_event_stream(text: str) -> EventStream:
 
 
 def serialize_event_stream(stream: EventStream) -> str:
+    """One line per occurrence; each distinct interval is formatted once."""
     lines = []
+    intervals: dict = {}
     for o in stream.occurrences:
-        iv = f"[{fmt_num(o.confidence.lo)},{fmt_num(o.confidence.hi)}]"
+        iv = intervals.get(o.confidence)
+        if iv is None:
+            iv = intervals[o.confidence] = f"[{fmt_num(o.confidence.lo)},{fmt_num(o.confidence.hi)}]"
         lines.append(f"{o.time} {o.label} {iv} {o.provenance}")
     return "\n".join(lines) + "\n"

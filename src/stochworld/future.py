@@ -66,6 +66,8 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
     dropped once, in per-call tables.  Returns {word: Fraction} or
     {word: (lo, hi)}.
     """
+    if depth < 0:
+        raise ModelError(f"future enumeration needs depth 0 or more, got {depth}")
     if exact:
         one, times, plus, total = Fraction(1), operator.mul, operator.add, sum
         positive = lambda w: w > 0

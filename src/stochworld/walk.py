@@ -212,24 +212,29 @@ def check_markov(
     A flagged symbol means the standard chain can be improved by splitting
     that state.  Contexts with fewer than ``min_count`` occurrences are
     skipped; if every context is skipped the report is inconclusive.
+
+    One pass counts every window of ``order + 2`` symbols: a context of
+    ``order + 1`` symbols, ending in the tested one, and the next symbol.
+    Each symbol's table is then built from those counts, its rows and
+    columns sorted, so the cost is O(n) for n steps plus one table per
+    symbol.
     """
+    if order < 1:
+        raise ModelError(f"the Markov check needs order 1 or more, got {order}")
     seq = trajectory.observations()
+    rows: dict = {}  # symbol -> context -> next symbol -> count
+    windows = Counter(zip(*(seq[k:] for k in range(order + 2))))
+    for window, count in windows.items():
+        ctx = window[:-1]
+        rows.setdefault(ctx[-1], {}).setdefault(ctx, {})[window[-1]] = count
     tests = []
     for sym in sorted(set(seq)):
-        rows: dict = {}
-        for i in range(order, len(seq) - 1):
-            if seq[i] != sym:
-                continue
-            ctx = tuple(seq[i - order : i + 1])
-            rows.setdefault(ctx, Counter())[seq[i + 1]] += 1
-        usable = {c: cnt for c, cnt in rows.items() if sum(cnt.values()) >= min_count}
-        skipped = len(rows) - len(usable)
-        if len(usable) < 2:
-            tests.append(SymbolTest(sym, None, False, 0, len(rows)))
-            continue
+        counts = rows.get(sym, {})
+        usable = {c: cnt for c, cnt in counts.items() if sum(cnt.values()) >= min_count}
+        skipped = len(counts) - len(usable)
         cols = sorted({o for cnt in usable.values() for o in cnt})
-        if len(cols) < 2:
-            tests.append(SymbolTest(sym, None, False, 0, len(rows)))
+        if len(usable) < 2 or len(cols) < 2:
+            tests.append(SymbolTest(sym, None, False, 0, len(counts)))
             continue
         p_value = _chi2_p_value([[cnt.get(o, 0) for o in cols] for _, cnt in sorted(usable.items())])
         tests.append(SymbolTest(sym, p_value, p_value < significance, len(usable), skipped))

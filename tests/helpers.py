@@ -3,6 +3,7 @@ reference implementations that fast paths are compared against."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -825,6 +826,55 @@ def detect_by_steps(trajectory: Trajectory, fns, threshold: float = 0.5) -> Even
     return EventStream(tuple(occurrences))
 
 
+def indirect_by_counter(trajectory: Trajectory, window: int, threshold: float) -> tuple:
+    """Reference indirect detection: the two windows' count difference kept
+    in a `Counter` keyed by observation, each step applying its three
+    updates.  Returns (stream, segments) as ``detect_indirect`` does."""
+    n = len(trajectory)
+    if window < 1:
+        raise ModelError(f"window must be positive, got {window}")
+    if n < 2 * window:
+        raise ModelError(f"trajectory of {n} steps is too short for window {window}")
+    if math.isfinite(threshold):
+        cut = math.floor(2 * window * Fraction(threshold)) + 1
+    else:  # nothing exceeds +inf or nan, everything exceeds -inf
+        cut = 0 if threshold < 0 else 2 * window + 1
+    obs = trajectory.observations()
+    diff = Counter(obs[:window])  # count before t minus count from t on
+    diff.subtract(obs[window : 2 * window])
+    d = sum(map(abs, diff.values()))
+    hits = []
+    for t in range(window, n - window + 1):
+        if t > window:
+            # obs[t - 1 - window] leaves the first window, obs[t - 1] crosses
+            # into it, obs[t - 1 + window] joins the second
+            for o, k in ((obs[t - 1 - window], -1), (obs[t - 1], 2), (obs[t - 1 + window], -1)):
+                c = diff[o]
+                diff[o] = c + k
+                d += abs(c + k) - abs(c)
+        if d >= cut:
+            hits.append((t, d))
+    merged: list = []
+    for t, d in hits:
+        if merged and t - merged[-1][-1][0] <= window:
+            merged[-1].append((t, d))
+        else:
+            merged.append([(t, d)])
+    occurrences = []
+    boundaries = []
+    for cluster in merged:
+        t, d = max(cluster, key=lambda item: (item[1], -item[0]))
+        tv = d / (2 * window)
+        lo = (tv - threshold) / (1.0 - threshold) if threshold < 1.0 else 1.0
+        occurrences.append(
+            EventOccurrence(t, "invisible", ProbInterval(min(max(lo, 0.0), 1.0), 1.0), "indirect")
+        )
+        boundaries.append(t)
+    cuts = [0] + boundaries + [n]
+    segments = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    return EventStream(tuple(occurrences)), segments
+
+
 def contingency_p_value(table) -> float:
     """p-value of ``scipy.stats.chi2_contingency`` without continuity
     correction: the reference for ``check_markov``'s p-values."""
@@ -834,7 +884,8 @@ def contingency_p_value(table) -> float:
 def check_markov_by_contingency(
     trajectory: Trajectory, order: int = 1, significance: float = 0.01, min_count: int = 50
 ) -> MarkovReport:
-    """``check_markov`` testing each table with ``scipy.stats.chi2_contingency``."""
+    """Reference ``check_markov``: the log rescanned once per symbol, each
+    table tested with ``scipy.stats.chi2_contingency``."""
     seq = trajectory.observations()
     tests = []
     for sym in sorted(set(seq)):

@@ -133,6 +133,9 @@ class TestCounts:
             ("markov-check", "{traj}", "--order", "0"),
             ("markov-check", "{traj}", "--order", "-1"),
             ("markov-check", "{traj}", "--min-count", "-5"),
+            ("simulate", M1, "--steps", "3", "--seed", "-1"),
+            ("invert", M1, "--mode", "mc", "--journeys", "5", "--seed", "-1"),
+            ("invert", RAIN, "--mode", "plus-mc", "--seed", "-3"),
         ],
     )
     def test_negative_count_is_usage_error(self, capsys, tmp_path, argv):

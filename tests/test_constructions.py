@@ -246,6 +246,10 @@ class TestBeliefDeterminize:
         det = belief_determinize(m1, 0)
         assert len(det.states) == 1
 
+    def test_negative_depth_refused(self, m1):
+        with pytest.raises(ModelError, match="depth 0 or more, got -1"):
+            belief_determinize(m1, -1)
+
     def test_nondeterministic_expansion_preserves_futures(self):
         model = parse_model(
             "model hmm\nobs r g\n"

@@ -1,11 +1,16 @@
 """model-core: intervals, beliefs, memory size, validation."""
 
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from stochworld import (
     Arrow,
     Belief,
+    EventOccurrence,
     InconsistentObservationError,
     Model,
     ModelError,
@@ -53,6 +58,65 @@ class TestProbInterval:
         wide = iv(a_lo, a_hi).times(iv(b_lo, b_hi))
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
+
+
+class TestEventOccurrence:
+    """The hand-written ``__init__`` keeps the frozen dataclass's semantics."""
+
+    FIELDS = ("time", "label", "confidence", "provenance")
+
+    def occurrences(self):
+        yield EventOccurrence(3, "ring", iv(0.5, 1), "indirect")
+        yield EventOccurrence(3, "ring", iv(0.5, 1))
+        yield EventOccurrence(time=0, label="m.s", confidence=iv(0.75), provenance="derived")
+        yield EventOccurrence(3, "ring", iv(0.5, 1), "indirect")
+
+    def test_fields_and_default(self):
+        assert tuple(f.name for f in dataclasses.fields(EventOccurrence)) == self.FIELDS
+        # the hand-written __init__ takes the fields in order, with their defaults
+        params = inspect.signature(EventOccurrence).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(EventOccurrence)
+        ]
+        occ = EventOccurrence(1, "a", iv(1))
+        assert occ.provenance == "direct"
+        assert dataclasses.astuple(occ) == (1, "a", (1.0, 1.0), "direct")
+
+    def test_assignment_refused(self):
+        occ = EventOccurrence(1, "a", iv(1))
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(occ, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(occ, name)
+        # a frozen dataclass with slots refuses other names with TypeError
+        # (CPython 3.10 to 3.13): its __setattr__ calls super() with the
+        # class that slots=True replaced
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            occ.other = None
+        assert occ == EventOccurrence(1, "a", iv(1), "direct")
+
+    def test_equality_hash_repr_field_wise(self):
+        occs = list(self.occurrences())
+        as_tuple = [tuple(getattr(o, f) for f in self.FIELDS) for o in occs]
+        for o, t in zip(occs, as_tuple):
+            assert hash(o) == hash(t)
+            fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.FIELDS, t))
+            assert repr(o) == f"EventOccurrence({fields})"
+            for p, u in zip(occs, as_tuple):
+                assert (o == p) == (t == u)
+                assert (o != p) == (t != u)
+        assert occs[0] is not occs[3] and len(set(occs)) == 3
+        assert occs[0] != as_tuple[0]
+
+    def test_replace_and_pickle(self):
+        occ = EventOccurrence(3, "ring", iv(0.5, 1), "indirect")
+        moved = dataclasses.replace(occ, time=4)
+        assert moved == EventOccurrence(4, "ring", iv(0.5, 1), "indirect")
+        assert occ.time == 3
+        assert dataclasses.replace(occ) == occ
+        assert pickle.loads(pickle.dumps(occ)) == occ
 
 
 class TestBelief:

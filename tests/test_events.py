@@ -3,6 +3,7 @@ derived events and hierarchical composition."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -38,7 +39,7 @@ from stochworld import (
 )
 from stochworld.events import _track
 
-from helpers import ArrowIndex, derived_by_states, detect_by_steps, track_by_steps
+from helpers import ArrowIndex, derived_by_states, detect_by_steps, indirect_by_counter, track_by_steps
 
 
 def traj_of(obs, acts=None):
@@ -211,6 +212,37 @@ class TestDetectIndirect:
             hits += len(times)
         assert hits > 500
 
+    def test_equals_counter_scan(self):
+        """Streams and segments equal the `Counter` scan's, bit for bit, on
+        logs of 1 to 8 symbols, runs of one symbol included, and thresholds
+        on both sides of [0, 1].  Where the reference raises (a threshold of
+        -inf makes every confidence NaN), the scan raises the same error."""
+        rng = random.Random(77)
+        thresholds = (0.0, 0.1, 0.25, 0.4, 0.5, 0.9, 1.0, 1.5, -0.5)
+        thresholds += (float("inf"), float("-inf"), float("nan"))
+        hits = 0
+        for _ in range(1200):
+            window = rng.choice((1, 2, 3, 5, 10, 25, 50))
+            threshold = rng.choice(thresholds)
+            symbols = "abcdefgh"[: rng.randint(1, 8)]
+            sticky = rng.random()  # the chance a step repeats its predecessor
+            obs = [rng.choice(symbols)]
+            for _ in range(rng.randint(2 * window, 400) - 1):
+                obs.append(obs[-1] if rng.random() < sticky else rng.choice(symbols))
+            try:
+                want = indirect_by_counter(traj_of(obs), window, threshold)
+            except ModelError as exc:
+                with pytest.raises(ModelError, match=re.escape(str(exc))):
+                    detect_indirect(traj_of(obs), window, threshold)
+                continue
+            got = detect_indirect(traj_of(obs), window, threshold)
+            assert got == want, (obs, window, threshold)
+            assert [o.confidence.lo.hex() for o in got[0].occurrences] == [
+                o.confidence.lo.hex() for o in want[0].occurrences
+            ]
+            hits += len(got[0])
+        assert hits > 1000
+
     def test_distance_equal_to_threshold_is_no_boundary(self):
         # window 10: before a:2 b:8, after a:4 b:6, distance exactly 4/20
         obs = ["a"] * 2 + ["b"] * 8 + ["a"] * 4 + ["b"] * 6
@@ -223,14 +255,17 @@ class TestDetectIndirect:
     def test_output_independent_of_hash_seed(self):
         script = (
             "import random\n"
-            "from stochworld import Trajectory, detect_indirect\n"
+            "from stochworld import Trajectory, check_markov, detect_indirect\n"
             "rng = random.Random(5)\n"
             "for _ in range(300):\n"
             "    symbols = 'abcdef'[: rng.randint(3, 6)]\n"
             "    obs = [(rng.choice(symbols), None) for _ in range(300)]\n"
             "    print(detect_indirect(Trajectory.of(obs), 50, 0.4))\n"
+            "    report = check_markov(Trajectory.of(obs), order=1, min_count=10)\n"
+            "    print(report, [t.p_value.hex() for t in report.tests if t.p_value is not None])\n"
         )
         outputs = [run_python(script, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert "0x1." in outputs[0]  # some Markov tests have p-values
         assert outputs[0] == outputs[1]
 
 

@@ -181,6 +181,11 @@ class TestEnumerateFuture:
         (dev, p), = fs.entries.items()
         assert dev.word == () and p.mid == 1.0
 
+    @pytest.mark.parametrize("develop", [enumerate_future, exact_future, enumerate_past])
+    def test_negative_depth_refused(self, m1, develop):
+        with pytest.raises(ModelError, match="depth 0 or more, got -2"):
+            develop(m1, -2)
+
     def test_per_depth_sum_exactly_one(self, m2, cycle3):
         for model in (m2, cycle3):
             for depth in (1, 3, 5):
@@ -452,6 +457,35 @@ class TestCheckMarkov:
             for j in range(c):
                 table[rng.randrange(r)][j] += 1
             assert _chi2_p_value(table).hex() == contingency_p_value(table).hex(), table
+
+    def test_random_logs_equal_per_symbol_oracle(self):
+        """The one-pass count equals the per-symbol rescan, p-values as
+        `float.hex`, on logs of 1 to 8 symbols and 0 to 3000 steps drawn
+        from random second-order chains, some shorter than order + 2."""
+        rng = random.Random(31)
+        tested = 0
+        for i in range(520):
+            symbols = [f"s{k}" for k in range(rng.randint(1, 8))]
+            nxt = {(a, b): [rng.random() ** 3 for _ in symbols] for a in symbols for b in symbols}
+            n = rng.randint(0, rng.choice((6, 300, 3000) if i % 10 else (6,)))
+            obs = [rng.choice(symbols) for _ in range(min(n, 2))]
+            while len(obs) < n:
+                obs.append(rng.choices(symbols, nxt[obs[-2], obs[-1]])[0])
+            traj = Trajectory.of([(o, None) for o in obs])
+            order, min_count = rng.randint(1, 4), rng.choice((1, 10, 50))
+            got = check_markov(traj, order, min_count=min_count)
+            want = check_markov_by_contingency(traj, order, min_count=min_count)
+            assert got == want, (i, order, min_count)
+            hexes = [[t.p_value.hex() for t in r.tests if t.p_value is not None] for r in (got, want)]
+            assert hexes[0] == hexes[1]
+            tested += len(hexes[0])
+        assert tested > 500
+
+    def test_order_below_one_refused(self):
+        traj = Trajectory.of([("a", None), ("b", None)] * 5)
+        for order in (0, -1):
+            with pytest.raises(ModelError, match=f"order 1 or more, got {order}"):
+                check_markov(traj, order)
 
     @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3", "daynight", "fig3"])
     def test_shipped_walks_equal_contingency_oracle(self, name):
