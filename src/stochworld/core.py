@@ -31,22 +31,24 @@ ACTION_KINDS = ("mdp", "mdp-fixed", "smdp", "mdp-plus")
 TRUE_LABEL = "true"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class ProbInterval:
-    """Closed subinterval of [0, 1]; a point value p is stored as [p, p]."""
+    """Closed subinterval of [0, 1]; a point value p is stored as [p, p].  Every
+    arrow has two, so ``__init__`` sets the slots through their descriptors."""
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        # forgive sub-tolerance float drift from products and hulls
-        lo = min(max(lo, 0.0), 1.0) if -TOL <= lo <= 1.0 + TOL else lo
-        hi = min(max(hi, 0.0), 1.0) if -TOL <= hi <= 1.0 + TOL else hi
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ModelError(f"invalid probability interval [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: float, hi: float):
+        flo, fhi = float(lo), float(hi)
+        if not 0.0 <= flo <= fhi <= 1.0:
+            # forgive sub-tolerance float drift from products and hulls
+            flo = min(max(flo, 0.0), 1.0) if -TOL <= flo <= 1.0 + TOL else flo
+            fhi = min(max(fhi, 0.0), 1.0) if -TOL <= fhi <= 1.0 + TOL else fhi
+            if not 0.0 <= flo <= fhi <= 1.0:
+                raise ModelError(f"invalid probability interval [{lo}, {hi}]")
+        _set_lo(self, flo)
+        _set_hi(self, fhi)
 
     @classmethod
     def point(cls, p: float) -> "ProbInterval":
@@ -75,12 +77,13 @@ class ProbInterval:
         return ProbInterval(min(i.lo for i in items), max(i.hi for i in items))
 
 
+_set_lo, _set_hi = (getattr(ProbInterval, f.name).__set__ for f in fields(ProbInterval))
 POINT_ONE = ProbInterval(1.0, 1.0)
 POINT_ZERO = ProbInterval(0.0, 0.0)
 FULL = ProbInterval(0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Arrow:
     """Labeled transition with its dual probabilities.
 
@@ -96,12 +99,24 @@ class Arrow:
     label_prob: ProbInterval = POINT_ONE
     arrow_prob: ProbInterval = POINT_ONE
 
+    def __init__(self, source: str, label: str, target: str, label_prob=POINT_ONE, arrow_prob=POINT_ONE):
+        _set_source(self, source)
+        _set_arrow_label(self, label)
+        _set_target(self, target)
+        _set_label_prob(self, label_prob)
+        _set_arrow_prob(self, arrow_prob)
+
     def effective(self) -> ProbInterval:
         return self.label_prob.times(self.arrow_prob)
 
     @property
     def key(self) -> tuple:
         return (self.source, self.label, self.target)
+
+
+_set_source, _set_arrow_label, _set_target, _set_label_prob, _set_arrow_prob = (
+    getattr(Arrow, f.name).__set__ for f in fields(Arrow)
+)
 
 
 @dataclass(frozen=True)
@@ -387,15 +402,9 @@ class Belief:
     def point(cls, state_id: str) -> "Belief":
         return cls({state_id: 1.0})
 
-    def mass(self, state_id: str) -> float:
-        return self.probs.get(state_id, 0.0)
-
     def top(self) -> str:
         """State with maximal mass; ties broken by smallest id."""
         return min(self.probs, key=lambda s: (-self.probs[s], s))
-
-    def support(self) -> frozenset:
-        return frozenset(self.probs)
 
 
 @dataclass(frozen=True)
@@ -415,9 +424,6 @@ class Development:
             raise ModelError(f"bad direction {self.direction!r}")
         object.__setattr__(self, "word", tuple(tuple(step) for step in self.word))
 
-    def obs_word(self) -> tuple:
-        return tuple(o for _, o in self.word)
-
     def render(self, elide_label: bool = True) -> str:
         if not self.word:
             return "-"
@@ -436,10 +442,6 @@ class FutureSet:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
-
-    def probability(self, word) -> ProbInterval:
-        dev = Development(self.direction, tuple(word))
-        return self.entries.get(dev, POINT_ZERO)
 
 
 @dataclass(frozen=True)
@@ -568,9 +570,6 @@ class Trajectory:
     def observations(self) -> tuple:
         return tuple(s.obs for s in self.steps)
 
-    def actions(self) -> tuple:
-        return tuple(s.act for s in self.steps)
-
 
 @dataclass(frozen=True, init=False, slots=True)
 class EventOccurrence:
@@ -612,9 +611,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.occurrences)
-
-    def labels(self) -> tuple:
-        return tuple(o.label for o in self.occurrences)
 
 
 def memory_bits(model: Model) -> int:

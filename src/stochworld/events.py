@@ -161,9 +161,10 @@ def detect_indirect(
     after step t is tv = d / (2 * window), with d their integer L1 distance.
     Step t is a boundary hit when tv exceeds the threshold, compared exactly
     (as rationals, the threshold at its binary value), so a distance equal
-    to the threshold is not a hit.  The observations are numbered once, and
-    both counts slide one step at a time in one integer list: the scan
-    costs O(n) for n steps, whatever the window.
+    to the threshold is not a hit; a NaN or infinite threshold is refused.
+    The observations are numbered once, and both counts slide one step at
+    a time in one integer list: the scan costs O(n) for n steps, whatever
+    the window.
 
     Boundary hits closer than `window` steps merge into the maximal-distance
     point, so detection latency is up to `window` steps.  Two regimes with
@@ -175,10 +176,9 @@ def detect_indirect(
         raise ModelError(f"window must be positive, got {window}")
     if n < 2 * window:
         raise ModelError(f"trajectory of {n} steps is too short for window {window}")
-    if math.isfinite(threshold):
-        cut = math.floor(2 * window * Fraction(threshold)) + 1
-    else:  # nothing exceeds +inf or nan, everything exceeds -inf
-        cut = 0 if threshold < 0 else 2 * window + 1
+    if not math.isfinite(threshold):
+        raise ModelError(f"indirect detection needs a finite threshold, got {threshold}")
+    cut = math.floor(2 * window * Fraction(threshold)) + 1
     number: dict = {}  # observation -> its index into diff
     codes = [number.setdefault(o, len(number)) for o in trajectory.observations()]
     diff = [0] * len(number)  # count before t minus count from t on

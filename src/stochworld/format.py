@@ -26,6 +26,7 @@ from typing import List, Optional
 from .constructions import EventSet
 from .core import (
     ACTION_KINDS,
+    FULL,
     KINDS,
     POINT_ONE,
     SINGLE_LABEL_KINDS,
@@ -71,16 +72,16 @@ def parse_interval(token: str, line: Optional[int] = None) -> ProbInterval:
         raise FormatError(f"bad probability {token!r} ({exc})", line) from exc
 
 
-def _default_lp(kind: str) -> Optional[ProbInterval]:
-    if kind in SINGLE_LABEL_KINDS:
-        return ProbInterval(1.0, 1.0)
-    if kind in ("mdp", "smdp", "ed"):
-        return ProbInterval(0.0, 1.0)
-    return None  # mdp-fixed and mdp-plus must spell the agent interval out
+def _interned_interval(token: str, line: int, interned: dict) -> ProbInterval:
+    """``parse_interval`` once per distinct token of one document."""
+    iv = interned.get(token)
+    if iv is None:
+        iv = interned[token] = parse_interval(token, line)
+    return iv
 
 
-def _default_ap(kind: str) -> ProbInterval:
-    return ProbInterval(0.0, 1.0) if kind == "smdp" else ProbInterval(1.0, 1.0)
+#: Per kind, the lp of an arrow line without one; mdp-fixed and mdp-plus have none.
+_DEFAULT_LP = {"fomm": POINT_ONE, "hmm": POINT_ONE, "mdp": FULL, "smdp": FULL, "ed": FULL}
 
 
 RESERVED_SYMBOLS = frozenset(("obs", "act", "t0", "-"))
@@ -110,6 +111,7 @@ def parse_model(text: str) -> Model:
     states: list = []
     arrows: list = []
     priorities: dict = {}
+    intervals: dict = {}  # token -> ProbInterval, shared by equal tokens
 
     for num, tokens in _lines(text):
         head = tokens[0]
@@ -138,9 +140,9 @@ def parse_model(text: str) -> Model:
             _check_symbols(tokens[1:], "label", num)
             labels.extend(tokens[1:])
         elif head == "state":
-            states.append(_parse_state(tokens, num, kind))
+            states.append(_parse_state(tokens, num, kind, intervals))
         elif head == "arrow":
-            arrows.append(_parse_arrow(tokens, num, kind))
+            arrows.append(_parse_arrow(tokens, num, kind, intervals))
         elif head == "priority":
             if len(tokens) != 3:
                 raise FormatError("expected: priority <event> <rank>", num)
@@ -173,7 +175,7 @@ def parse_model(text: str) -> Model:
     return model
 
 
-def _parse_state(tokens: list, num: int, kind: str) -> State:
+def _parse_state(tokens: list, num: int, kind: str, intervals: dict) -> State:
     if len(tokens) < 2:
         raise FormatError("expected: state <id> ...", num)
     sid = tokens[1]
@@ -196,7 +198,7 @@ def _parse_state(tokens: list, num: int, kind: str) -> State:
                 o, _, val = tokens[i].partition("=")
                 if o in probs:
                     raise FormatError(f"duplicate trace entry for {o!r}", num)
-                probs[o] = parse_interval(val, num)
+                probs[o] = _interned_interval(val, num, intervals)
                 i += 1
         elif t == "phenomena":
             phenomena = tokens[i + 1 :]
@@ -208,18 +210,18 @@ def _parse_state(tokens: list, num: int, kind: str) -> State:
     return State(sid, initial, TraceSpec(probs, memory, tuple(phenomena)))
 
 
-def _parse_arrow(tokens: list, num: int, kind: str) -> Arrow:
+def _parse_arrow(tokens: list, num: int, kind: str, intervals: dict) -> Arrow:
     if len(tokens) < 4:
         raise FormatError("expected: arrow <from> <label> <to> ...", num)
     src, label, dst = tokens[1], tokens[2], tokens[3]
-    lp = _default_lp(kind)
-    ap = _default_ap(kind)
+    lp = _DEFAULT_LP.get(kind)
+    ap = FULL if kind == "smdp" else POINT_ONE
     for t in tokens[4:]:
         key, _, val = t.partition("=")
         if key == "lp":
-            lp = parse_interval(val, num)
+            lp = _interned_interval(val, num, intervals)
         elif key == "ap":
-            ap = parse_interval(val, num)
+            ap = _interned_interval(val, num, intervals)
         else:
             raise FormatError(f"unexpected token {t!r} in arrow line", num)
     if lp is None:
@@ -230,6 +232,12 @@ def _parse_arrow(tokens: list, num: int, kind: str) -> Arrow:
 def serialize_model(model: Model) -> str:
     """Canonical text form; round-trips through parse_model."""
     m = canonical(model)
+    texts: dict = {}  # (lo, hi) -> text; keyed on the bounds, which hash faster than the interval
+
+    def text(iv: ProbInterval) -> str:
+        key = (iv.lo, iv.hi)
+        return texts.get(key) or texts.setdefault(key, fmt_interval(iv))
+
     lines = [f"model {m.kind} {m.name}".rstrip()]
     lines.append("obs " + " ".join(m.obs))
     if m.kind == "ed":
@@ -244,17 +252,13 @@ def serialize_model(model: Model) -> str:
             parts.append("memory")
         if s.trace.probs:
             parts.append("trace")
-            for o in sorted(s.trace.probs):
-                parts.append(f"{o}={fmt_interval(s.trace.probs[o])}")
+            parts.extend(f"{o}={text(iv)}" for o, iv in sorted(s.trace.probs.items()))
         if s.trace.phenomena:
             parts.append("phenomena")
             parts.extend(sorted(s.trace.phenomena))
         lines.append(" ".join(parts))
     for a in m.arrows:
-        lines.append(
-            f"arrow {a.source} {a.label} {a.target} "
-            f"lp={fmt_interval(a.label_prob)} ap={fmt_interval(a.arrow_prob)}"
-        )
+        lines.append(f"arrow {a.source} {a.label} {a.target} lp={text(a.label_prob)} ap={text(a.arrow_prob)}")
     for e, rank in m.priorities.items():
         lines.append(f"priority {e} {rank}")
     return "\n".join(lines) + "\n"
@@ -529,7 +533,7 @@ def parse_event_stream(text: str) -> EventStream:
     """Lines of the form `<time> <label> <interval> <provenance>`.  Each
     distinct interval token is parsed once."""
     occurrences = []
-    confidences: dict = {}
+    intervals: dict = {}
     for num, tokens in _lines(text):
         if len(tokens) not in (3, 4):
             raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
@@ -537,12 +541,8 @@ def parse_event_stream(text: str) -> EventStream:
             time = int(tokens[0])
         except ValueError:
             raise FormatError(f"bad time {tokens[0]!r}", num)
-        token = tokens[2]
-        confidence = confidences.get(token)
-        if confidence is None:
-            confidence = confidences[token] = parse_interval(token, num)
         provenance = tokens[3] if len(tokens) == 4 else "direct"
-        occurrences.append(EventOccurrence(time, tokens[1], confidence, provenance))
+        occurrences.append(EventOccurrence(time, tokens[1], _interned_interval(tokens[2], num, intervals), provenance))
     occurrences.sort(key=lambda o: o.time)
     return EventStream(tuple(occurrences))
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .constructions import compose_policy
 from .core import (
+    POINT_ONE,
     TOL,
     TRUE_LABEL,
     Arrow,
@@ -153,11 +154,11 @@ def estimate_fomm(trajectory: Trajectory) -> Model:
     symbols = sorted(set(obs_seq))
     current = obs_seq[trajectory.t0] if trajectory.t0 < len(obs_seq) else obs_seq[-1]
     states = tuple(
-        State(o, initial=(o == current), trace=TraceSpec({o: ProbInterval.point(1.0)}))
+        State(o, initial=(o == current), trace=TraceSpec({o: POINT_ONE}))
         for o in symbols
     )
     arrows = tuple(
-        Arrow(i, TRUE_LABEL, j, ProbInterval.point(1.0), ProbInterval.point(c / totals[i]))
+        Arrow(i, TRUE_LABEL, j, POINT_ONE, ProbInterval.point(c / totals[i]))
         for (i, j), c in sorted(counts.items())
     )
     return Model("fomm", tuple(symbols), (TRUE_LABEL,), states, arrows)

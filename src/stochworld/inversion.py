@@ -28,6 +28,7 @@ from .constructions import belief_determinize, compose_policy, minimize_forward
 from .core import Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical
 from .errors import JourneyError, ModelError, WhitePeakError
 from .future import enumerate_future
+from .walk import seeded_generator
 
 _EPS = 1e-12
 
@@ -136,38 +137,32 @@ def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str)
     """
     compiled = model.compiled
     ids, dst = compiled.ids, compiled.dst
+    reversed_keys = [(a.target, a.label, a.source) for a in model.arrows]  # [::-1] gives the arrow's key
     inflow = [0.0] * len(ids)
     for (_, _, target), c in counts.items():
         inflow[compiled.index[target]] += c
     indegree = np.bincount(dst, minlength=len(ids)).tolist()
     inbound = [
-        counts.get(a.key, 0.0) / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j]
-        for a, j in zip(model.arrows, dst)
+        counts.get(key[::-1], 0.0) / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j]
+        for key, j in zip(reversed_keys, dst)
     ]
     decision = kind in ("mdp", "mdp-fixed")
     label_mass: dict = {}  # (reversed source, label) -> [inbound sum, arrows]
     if decision:
-        for a, p in zip(model.arrows, inbound):
-            mass = label_mass.setdefault((a.target, a.label), [0.0, 0])
+        for key, p in zip(reversed_keys, inbound):
+            mass = label_mass.setdefault(key[:2], [0.0, 0])
             mass[0] += p
             mass[1] += 1
     reversed_arrows = []
-    for a, p in zip(model.arrows, inbound):
-        lp = a.label_prob
+    for k in sorted(range(len(reversed_keys)), key=reversed_keys.__getitem__):  # canonical order
+        key, p, lp = reversed_keys[k], inbound[k], model.arrows[k].label_prob
         if decision:
-            total, n = label_mass[a.target, a.label]
-            lp, p = ProbInterval.point(total), (p / total if total > _EPS else 1.0 / n)
-        reversed_arrows.append(Arrow(a.target, a.label, a.source, lp, ProbInterval.point(p)))
+            total, n = label_mass[key[:2]]
+            lp, p = ProbInterval(total, total), (p / total if total > _EPS else 1.0 / n)
+        reversed_arrows.append(Arrow(*key, lp, ProbInterval(p, p)))
     uniform = [sid for sid, deg, flow in zip(ids, indegree, inflow) if deg and flow <= _EPS]
     notes = ("uniform-inbound: " + " ".join(sorted(uniform)),) if uniform else ()
-    return canonical(
-        replace(
-            model,
-            kind=kind,
-            arrows=tuple(reversed_arrows),
-            meta=notes,
-        )
-    )
+    return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=notes))
 
 
 def _invert_by_flow(model: Model) -> Model:
@@ -213,7 +208,7 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
         aid[si, : len(ks)] = np.arange(first, first + len(ks))
         first += len(ks)
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed, "journey simulation")
     s0_idx = compiled.index[model.initial_state.id]
     black_mask = np.array([sid in black for sid in ids], dtype=bool)
 
@@ -376,7 +371,7 @@ def invert_mdp_plus(
         elif mode == "monte-carlo":
             if seed is None:
                 raise ModelError("monte-carlo interval inversion needs a seed")
-            rng = np.random.default_rng(seed)
+            rng = seeded_generator(seed, "monte-carlo interval inversion")
             for _ in range(budget):
                 pick = [_sample_simplex_box(b, rng) for b in agent_bounds + world_bounds]
                 if all(p is not None for p in pick):

@@ -64,6 +64,13 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
 _BLOCK = 1024
 
 
+def seeded_generator(seed: int, what: str) -> np.random.Generator:
+    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative seed is refused."""
+    if seed is not None and seed < 0:
+        raise ModelError(f"{what} needs a seed of 0 or more, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _uniforms(rng):
     """The generator's uniforms, drawn in blocks: the same sequence as one
     ``rng.random()`` call per value."""
@@ -90,7 +97,7 @@ def simulate_events(model: Model, config: SimulationConfig):
     compiled = resolved.compiled
     ids, dst, traces, draws = compiled.ids, compiled.dst, compiled.traces, compiled.draws
     agents = compiled.agents if resolved.kind in ACTION_KINDS else None
-    draw = _uniforms(np.random.default_rng(config.seed)).__next__
+    draw = _uniforms(seeded_generator(config.seed, "the walk")).__next__
     state = compiled.index[resolved.initial_state.id]
     interned: dict = {}
     ed = resolved.kind == "ed"

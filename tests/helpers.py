@@ -801,8 +801,8 @@ def derived_by_states(model: Model, beliefs, threshold: float = 0.5) -> EventStr
     occurrences = []
     for t in range(1, len(beliefs)):
         for s in model.states:
-            now = beliefs[t].mass(s.id)
-            before = beliefs[t - 1].mass(s.id)
+            now = beliefs[t].probs.get(s.id, 0.0)
+            before = beliefs[t - 1].probs.get(s.id, 0.0)
             if now > threshold >= before:
                 occurrences.append(
                     EventOccurrence(t, f"{name}.{s.id}", ProbInterval.point(now), "derived")

@@ -1,8 +1,12 @@
 """model-core: intervals, beliefs, memory size, validation."""
 
+import copy
 import dataclasses
 import inspect
+import math
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +25,7 @@ from stochworld import (
     step_belief,
     validate,
 )
+from stochworld.core import POINT_ONE
 
 from helpers import chain_model
 
@@ -58,6 +63,134 @@ class TestProbInterval:
         wide = iv(a_lo, a_hi).times(iv(b_lo, b_hi))
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
+
+    # the hand-written __init__ keeps the frozen dataclass's semantics
+
+    def test_fields_and_signature(self):
+        assert tuple(f.name for f in dataclasses.fields(ProbInterval)) == ("lo", "hi")
+        params = inspect.signature(ProbInterval).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(ProbInterval)
+        ]
+        # bounds are stored as floats, whatever number type they came as
+        got = ProbInterval(Fraction(1, 4), 1)
+        assert dataclasses.astuple(got) == (0.25, 1.0)
+        assert type(got.lo) is float and type(got.hi) is float
+
+    def test_assignment_refused(self):
+        got = iv(0.25, 0.5)
+        for name in ("lo", "hi"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, 0.3)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, name)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            got.other = None
+        assert got == iv(0.25, 0.5)
+
+    def test_equality_hash_repr_field_wise(self):
+        intervals = [iv(0.25, 0.5), iv(0.25), iv(0.0, 0.5), iv(-0.0, 0.5), iv(0.25, 0.5), iv(1)]
+        as_tuple = [(i.lo, i.hi) for i in intervals]
+        for i, t in zip(intervals, as_tuple):
+            assert hash(i) == hash(t)
+            assert repr(i) == f"ProbInterval(lo={t[0]!r}, hi={t[1]!r})"
+            for j, u in zip(intervals, as_tuple):
+                assert (i == j) == (t == u)
+                assert (i != j) == (t != u)
+        assert intervals[0] is not intervals[4] and len(set(intervals)) == 4
+        assert intervals[0] != as_tuple[0]
+
+    def test_replace_pickle_and_deepcopy(self):
+        got = iv(0.25, 0.5)
+        assert dataclasses.replace(got, hi=0.75) == iv(0.25, 0.75)
+        assert dataclasses.replace(got) == got and got.hi == 0.5
+        with pytest.raises(ModelError, match=re.escape("invalid probability interval [0.75, 0.5]")):
+            dataclasses.replace(got, lo=0.75)  # replace checks the bounds again
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert copied == got and (copied.lo.hex(), copied.hi.hex()) == (got.lo.hex(), got.hi.hex())
+
+    def test_sub_tolerance_drift_clamped(self):
+        got = ProbInterval(-5e-10, 1 + 5e-10)
+        assert (got.lo, got.hi) == (0.0, 1.0)
+        assert ProbInterval(1 + 5e-10, 1 + 5e-10) == iv(1)
+        assert ProbInterval(-5e-10, -5e-10) == iv(0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, text",
+        [
+            (0.7, 0.3, "[0.7, 0.3]"),
+            (math.nan, 0.5, "[nan, 0.5]"),
+            (0.25, math.nan, "[0.25, nan]"),
+            (-0.1, 0.5, "[-0.1, 0.5]"),
+            (0.5, math.inf, "[0.5, inf]"),
+            (-2e-9, 0.5, "[-2e-09, 0.5]"),
+            (0, 2, "[0, 2]"),
+        ],
+    )
+    def test_refusal_text(self, lo, hi, text):
+        with pytest.raises(ModelError) as err:
+            ProbInterval(lo, hi)
+        assert str(err.value) == f"invalid probability interval {text}"
+
+
+class TestArrow:
+    """The hand-written ``__init__`` keeps the frozen dataclass's semantics."""
+
+    FIELDS = ("source", "label", "target", "label_prob", "arrow_prob")
+
+    def arrows(self):
+        yield Arrow("s", "a", "t", iv(0.5, 1), iv(0.25))
+        yield Arrow("s", "a", "t")
+        yield Arrow(source="s", label="a", target="t", label_prob=iv(0.5, 1), arrow_prob=iv(0.25))
+        yield Arrow("s", "a", "u", iv(0.5, 1), iv(0.25))
+        yield Arrow("s", "a", "t", arrow_prob=iv(0.25))
+
+    def test_fields_and_defaults(self):
+        assert tuple(f.name for f in dataclasses.fields(Arrow)) == self.FIELDS
+        # the hand-written __init__ takes the fields in order, with their defaults
+        params = inspect.signature(Arrow).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(Arrow)
+        ]
+        a = Arrow("s", "a", "t")
+        assert a.label_prob is POINT_ONE and a.arrow_prob is POINT_ONE
+        assert a.key == ("s", "a", "t")
+        assert dataclasses.astuple(a) == ("s", "a", "t", (1.0, 1.0), (1.0, 1.0))
+
+    def test_assignment_refused(self):
+        a = Arrow("s", "a", "t")
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            a.other = None
+        assert a == Arrow("s", "a", "t", POINT_ONE, POINT_ONE)
+
+    def test_equality_hash_repr_field_wise(self):
+        arrows = list(self.arrows())
+        as_tuple = [tuple(getattr(a, f) for f in self.FIELDS) for a in arrows]
+        for a, t in zip(arrows, as_tuple):
+            assert hash(a) == hash(t)
+            fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.FIELDS, t))
+            assert repr(a) == f"Arrow({fields})"
+            for b, u in zip(arrows, as_tuple):
+                assert (a == b) == (t == u)
+                assert (a != b) == (t != u)
+        assert arrows[0] is not arrows[2] and len(set(arrows)) == 4
+        assert arrows[0] != as_tuple[0]
+
+    def test_replace_pickle_and_deepcopy(self):
+        a = Arrow("s", "a", "t", iv(0.5, 1), iv(0.25))
+        moved = dataclasses.replace(a, source="now")
+        assert moved == Arrow("now", "a", "t", iv(0.5, 1), iv(0.25)) and a.source == "s"
+        assert moved.label_prob is a.label_prob
+        assert dataclasses.replace(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
 
 
 class TestEventOccurrence:

@@ -1,9 +1,9 @@
 """ed-runtime: characteristic functions, detection, tracking, validity,
 derived events and hierarchical composition."""
 
+import math
 import os
 import random
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -76,7 +76,7 @@ class TestCharFns:
         short = CharFn("e", "obs-match", obs="x")
         long = CharFn("e", "pattern", past_len=0, future_len=2, future_pattern="x,y")
         traj = traj_of(["x", "x", "x"])
-        assert detect_direct(traj, [short]).labels() == ("e", "e", "e")
+        assert tuple(o.label for o in detect_direct(traj, [short]).occurrences) == ("e", "e", "e")
         merged = detect_direct(traj, [short, long])
         assert len(merged) == 0  # x is never followed by y; the longer view vetoes
 
@@ -215,8 +215,8 @@ class TestDetectIndirect:
     def test_equals_counter_scan(self):
         """Streams and segments equal the `Counter` scan's, bit for bit, on
         logs of 1 to 8 symbols, runs of one symbol included, and thresholds
-        on both sides of [0, 1].  Where the reference raises (a threshold of
-        -inf makes every confidence NaN), the scan raises the same error."""
+        on both sides of [0, 1].  A non-finite threshold, which the reference
+        takes, is refused."""
         rng = random.Random(77)
         thresholds = (0.0, 0.1, 0.25, 0.4, 0.5, 0.9, 1.0, 1.5, -0.5)
         thresholds += (float("inf"), float("-inf"), float("nan"))
@@ -229,12 +229,11 @@ class TestDetectIndirect:
             obs = [rng.choice(symbols)]
             for _ in range(rng.randint(2 * window, 400) - 1):
                 obs.append(obs[-1] if rng.random() < sticky else rng.choice(symbols))
-            try:
-                want = indirect_by_counter(traj_of(obs), window, threshold)
-            except ModelError as exc:
-                with pytest.raises(ModelError, match=re.escape(str(exc))):
+            if not math.isfinite(threshold):
+                with pytest.raises(ModelError, match="needs a finite threshold"):
                     detect_indirect(traj_of(obs), window, threshold)
                 continue
+            want = indirect_by_counter(traj_of(obs), window, threshold)
             got = detect_indirect(traj_of(obs), window, threshold)
             assert got == want, (obs, window, threshold)
             assert [o.confidence.lo.hex() for o in got[0].occurrences] == [
@@ -243,11 +242,18 @@ class TestDetectIndirect:
             hits += len(got[0])
         assert hits > 1000
 
+    @pytest.mark.parametrize("threshold", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_threshold_refused(self, threshold):
+        obs = ["a"] * 5 + ["b"] * 5
+        with pytest.raises(ModelError, match=f"indirect detection needs a finite threshold, got {threshold}"):
+            detect_indirect(traj_of(obs), 3, threshold)
+
     def test_distance_equal_to_threshold_is_no_boundary(self):
         # window 10: before a:2 b:8, after a:4 b:6, distance exactly 4/20
         obs = ["a"] * 2 + ["b"] * 8 + ["a"] * 4 + ["b"] * 6
         assert len(detect_indirect(traj_of(obs), window=10, threshold=0.2)[0]) == 0
-        assert detect_indirect(traj_of(obs), window=10, threshold=0.19)[0].labels() == ("invisible",)
+        (hit,) = detect_indirect(traj_of(obs), window=10, threshold=0.19)[0].occurrences
+        assert hit.label == "invisible"
         # a threshold the float holds exactly: distance 2/8
         obs = ["a"] * 4 + ["a"] * 3 + ["b"]
         assert len(detect_indirect(traj_of(obs), window=4, threshold=0.25)[0]) == 0
@@ -547,7 +553,7 @@ class TestEventStreamFormat:
 
     def test_parse_sorts_times(self):
         stream = parse_event_stream("5 b [1,1] direct\n2 a [0.5,1] indirect\n")
-        assert stream.labels() == ("a", "b")
+        assert tuple(o.label for o in stream.occurrences) == ("a", "b")
 
     def test_confidence_tokens_parsed_once(self):
         text = "0 a [0.5,1] direct\n1 a [0.4,1] direct\n2 b [0.5,1] direct\n3 a 1\n"

@@ -20,6 +20,7 @@ from stochworld import (
     serialize_trajectory,
     validate,
 )
+from stochworld.core import POINT_ONE
 from stochworld.format import RESERVED_SYMBOLS, fmt_interval, fmt_num
 
 from genmodels import random_model
@@ -78,6 +79,34 @@ class TestParseModel:
         text = "model mdp-plus\nobs x\nact a\nstate s initial\narrow s a s lp=[0.8,0.2] ap=1\n"
         with pytest.raises(FormatError):
             parse_model(text)
+
+    def test_equal_interval_tokens_share_one_object(self):
+        text = (
+            "model hmm\nobs a b\nstate s initial trace a=0.5 b=0.5\nstate t trace a=[0.25,1]\n"
+            "arrow s true t ap=0.5\narrow s true s ap=0.5\narrow t true s ap=[0.25,1]\narrow t true t ap=.5\n"
+        )
+        model = parse_model(text)
+        s, t = (model.by_id[sid].trace.probs for sid in ("s", "t"))
+        first, second, third, fourth = model.arrows
+        assert s["a"] is s["b"] is first.arrow_prob is second.arrow_prob
+        assert t["a"] is third.arrow_prob == ProbInterval(0.25, 1)
+        assert fourth.arrow_prob == first.arrow_prob  # another token, an equal value
+        assert first.label_prob is third.label_prob is POINT_ONE  # the hmm default
+        # tokens are shared within one document, not across documents
+        assert parse_model(text).arrows[0].arrow_prob is not first.arrow_prob
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("model hmm\nobs a\nstate s initial trace a=oops\narrow s true s ap=oops\n", 3),
+            ("model hmm\nobs a\nstate s initial trace a=1\narrow s true s ap=1.5\narrow s true s ap=1.5\n", 4),
+            ("model smdp\nobs a\nact x\nstate s initial\narrow s x s lp=1 ap=[1,0]\narrow s x s lp=[1,0]\n", 5),
+        ],
+    )
+    def test_bad_interval_token_fails_on_its_first_line(self, text, line):
+        with pytest.raises(FormatError, match="bad probability") as err:
+            parse_model(text)
+        assert err.value.line == line
 
     def test_rain_agent_interval(self, rain):
         arrow = next(a for a in rain.arrows if (a.source, a.label) == ("w", "rain"))

@@ -7,6 +7,7 @@ import pytest
 
 from stochworld import (
     JourneyError,
+    ModelError,
     Policy,
     PolicyError,
     ProbInterval,
@@ -251,6 +252,11 @@ class TestMonteCarloInvert:
                 a.arrow_prob.mid, abs=0.01
             )
 
+    @pytest.mark.parametrize("sample", [monte_carlo_invert, simulate_journeys])
+    def test_negative_seed_refused(self, m1, sample):
+        with pytest.raises(ModelError, match="journey simulation needs a seed of 0 or more, got -1"):
+            sample(m1, 10, -1)
+
     def test_coin_close_to_itself(self, m1):
         inverse = monte_carlo_invert(m1, 10_000, seed=9)
         for a in m1.arrows:
@@ -339,7 +345,7 @@ class TestMonteCarloInvert:
                 word = tuple(history[-depth - 1 : -1])
                 windows[word] = windows.get(word, 0) + 1
         for dev, p in past.entries.items():
-            word = dev.obs_word()
+            word = tuple(o for _, o in dev.word)
             assert windows.get(word, 0) / visits == pytest.approx(p.mid, abs=0.02)
 
 
@@ -419,6 +425,13 @@ class TestInvertMdpPlus:
             assert a.arrow_prob.mid == pytest.approx(
                 arrow_prob(fixed, a.source, a.target, a.label)
             )
+
+    def test_negative_seed_refused(self):
+        model = parse_model(
+            "model smdp\nobs x\nact a\nstate s initial trace x=1\narrow s a s lp=1 ap=[0.5,1]\n"
+        )
+        with pytest.raises(ModelError, match="monte-carlo interval inversion needs a seed of 0 or more, got -1"):
+            invert_mdp_plus(model, "monte-carlo", budget=10, seed=-1)
 
     def test_smdp_contains_vertex_extremes(self):
         from dataclasses import replace

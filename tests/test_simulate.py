@@ -59,6 +59,12 @@ class TestSimulate:
         b = simulate(m1, SimulationConfig(steps=50, seed=2))
         assert a != b
 
+    @pytest.mark.parametrize("walk", [simulate, simulate_events])
+    def test_negative_seed_refused(self, m1, walk):
+        with pytest.raises(ModelError, match="the walk needs a seed of 0 or more, got -1"):
+            walk(m1, SimulationConfig(steps=3, seed=-1))
+        walk(m1, SimulationConfig(steps=3, seed=None))  # numpy's fresh entropy, as before
+
     def test_bbww_repeats(self, m2):
         for seed in (1, 7, 42):
             traj = simulate(m2, SimulationConfig(steps=12, seed=seed))
@@ -67,7 +73,7 @@ class TestSimulate:
     def test_ed_daynight_alternates(self, daynight):
         traj, stream = simulate_events(daynight, SimulationConfig(steps=10, seed=3))
         assert traj.observations() == ("sun", "dark") * 5
-        assert stream.labels() == ("sunset", "sunrise") * 5
+        assert tuple(o.label for o in stream.occurrences) == ("sunset", "sunrise") * 5
 
     def test_interval_without_policy_rejected(self, rain):
         with pytest.raises(ModelError):
@@ -83,11 +89,11 @@ class TestSimulate:
         )
         model = parse_model(text)
         _, prio = simulate_events(model, SimulationConfig(steps=1, seed=0, collision="priority"))
-        assert prio.labels() == ("e1",)  # e2 also fired but is outranked
+        assert tuple(o.label for o in prio.occurrences) == ("e1",)  # e2 also fired but is outranked
         _, both = simulate_events(
             model, SimulationConfig(steps=1, seed=0, collision="both-arrows")
         )
-        assert both.labels() == ("e1", "e2")  # both arrows walked, in rank order
+        assert tuple(o.label for o in both.occurrences) == ("e1", "e2")  # both arrows walked, in rank order
 
     def test_one_collision_order(self):
         """Equal ranks fall back to the label and unranked events come last,
@@ -99,7 +105,7 @@ class TestSimulate:
             "priority c 1\npriority b 1\n"
         )
         trajectory, fired = simulate_events(model, SimulationConfig(steps=2, seed=0, collision="priority"))
-        assert fired.labels() == ("b",)
+        assert tuple(o.label for o in fired.occurrences) == ("b",)
         everything = EventStream(tuple(EventOccurrence(0, e, POINT_ONE) for e in ("a", "c", "b")))
         result = track(model, trajectory, everything, collision="priority")
         assert result.final_belief.probs == {"tb": 1.0}
@@ -148,7 +154,7 @@ class TestSimulate:
         )
         pref = Preference({"w": ("rain", "dry")})
         traj = simulate(model, SimulationConfig(steps=200, seed=8, preference=pref))
-        acts = traj.actions()
+        acts = [s.act for s in traj.steps]
         assert set(acts) <= {"rain", "dry"}
         assert acts.count("rain") > acts.count("dry")  # 80% rain under Royal rain
 
@@ -171,7 +177,7 @@ def _outcome(call):
 class TestEnumerateFuture:
     def test_coin_depth_two(self, m1):
         fs = enumerate_future(m1, 2)
-        words = {dev.obs_word(): p for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev.word): p for dev, p in fs.entries.items()}
         assert set(words) == {("B", "B"), ("B", "W"), ("W", "B"), ("W", "W")}
         assert all(p.is_point and p.mid == pytest.approx(0.25) for p in words.values())
 
@@ -199,7 +205,7 @@ class TestEnumerateFuture:
             "arrow s1 a s1\narrow s1 a s2\narrow s2 a s1\narrow s2 a s2\n"
         )
         fs = enumerate_future(model, 2)
-        words = {dev.obs_word(): p for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev.word): p for dev, p in fs.entries.items()}
         assert len(words) == 4  # nothing structurally impossible at depth 2
         for p in words.values():
             assert (p.lo, p.hi) == (0.0, 1.0)
@@ -211,7 +217,7 @@ class TestEnumerateFuture:
             "arrow s1 a s2\narrow s2 a s1\n"
         )
         fs = enumerate_future(model, 2)
-        words = {dev.obs_word() for dev in fs.entries}
+        words = {tuple(o for _, o in dev.word) for dev in fs.entries}
         assert words == {("blue", "red")}
 
     def test_interval_bounds_on_rain_world(self, rain):
@@ -291,7 +297,7 @@ class TestEnumeratePast:
         fs = enumerate_past(cycle3, 2)
         assert len(fs.entries) == 1
         (dev, p), = fs.entries.items()
-        assert dev.obs_word() == ("b", "c")
+        assert tuple(o for _, o in dev.word) == ("b", "c")
         assert p.mid == pytest.approx(1.0)
 
     def test_chain_one_step_back(self):
@@ -303,7 +309,7 @@ class TestEnumeratePast:
             states=tuple(replace(s, initial=(s.id == "B")) for s in chain.states),
         )
         fs = enumerate_past(at_b, 1)
-        words = {dev.obs_word(): p.mid for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev.word): p.mid for dev, p in fs.entries.items()}
         assert words[("A",)] == pytest.approx(0.5)
         assert words[("B",)] == pytest.approx(0.5)
 

@@ -15,7 +15,7 @@ GOLDENS = (
 def test_tier1_workflow_parses():
     yaml = pytest.importorskip("yaml")
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ['pip install -e ".[test]"', TIER1, GOLDENS]
     # pipefail, so a crashed benchmark run fails the step too
