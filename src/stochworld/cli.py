@@ -83,8 +83,6 @@ def cmd_validate(args) -> int:
     if report.ok:
         print("ok")
         return 0
-    for line in report.structural:
-        print(f"structural: {line}")
     for line in report.violations:
         print(f"violation: {line}")
     print("error: validation: model does not satisfy its kind", file=sys.stderr)

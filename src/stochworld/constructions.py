@@ -81,20 +81,14 @@ def _double(model: Model, event: EventSet, parity: bool):
     for s in model.states:
         states.append(State(prime[s.id], initial=(s.id == s0), trace=s.trace))
         states.append(State(dprime[s.id], initial=False, trace=s.trace))
+    copies = (prime, dprime)
     arrows = []
     for a in model.arrows:
-        if a.key in keys:
-            if parity:  # crossing an event arrow flips the parity class
-                pairs = ((prime[a.source], dprime[a.target]), (dprime[a.source], prime[a.target]))
-            else:  # using an event arrow lands in the double-primed class
-                pairs = ((prime[a.source], dprime[a.target]), (dprime[a.source], dprime[a.target]))
-        else:
-            if parity:
-                pairs = ((prime[a.source], prime[a.target]), (dprime[a.source], dprime[a.target]))
-            else:
-                pairs = ((prime[a.source], prime[a.target]), (dprime[a.source], prime[a.target]))
-        for src, dst in pairs:
-            arrows.append(replace(a, source=src, target=dst))
+        hit = a.key in keys
+        for side, source in enumerate(copies):
+            # with parity an event arrow flips the class, without it lands in the double-primed one
+            target = copies[side ^ hit if parity else hit]
+            arrows.append(replace(a, source=source[a.source], target=target[a.target]))
     doubled = replace(
         model,
         kind=_doubled_kind(model.kind),

@@ -133,8 +133,11 @@ def detect_direct(
 
     When same-named functions disagree at a step, the verdict of the one
     with the longer combined window stands (the first listed among equals).
-    Occurrences come by step, then by name.
+    Occurrences come by step, then by name.  A NaN threshold is refused;
+    -inf and +inf keep their meaning.
     """
+    if math.isnan(threshold):
+        raise ModelError(f"direct detection needs a threshold that is a number, got {threshold}")
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)

@@ -20,6 +20,7 @@ back from a trajectory line, so ``obs``, ``act``, ``t0`` (its header words),
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import List, Optional
 
@@ -391,11 +392,11 @@ def parse_preference(text: str) -> Preference:
     """Lines of the form: state <id>: a1 > a2 > a3"""
     order: dict = {}
     for num, tokens in _lines(text):
-        line = " ".join(tokens)
-        if tokens[0] != "state" or ":" not in line:
+        head, colon, rest = " ".join(tokens).partition(":")
+        words = head.split()
+        if not colon or len(words) != 2 or words[0] != "state":
             raise FormatError("expected: state <id>: a1 > a2 > ...", num)
-        head, _, rest = line.partition(":")
-        sid = head.split()[1]
+        sid = words[1]
         ranked = tuple(t.strip() for t in rest.split(">") if t.strip())
         if not ranked:
             raise FormatError(f"no actions ranked for state {sid}", num)
@@ -451,9 +452,26 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
     Pattern regexes match the comma-joined observation word of the window.
     Table rows live inline or in a referenced file of the same row syntax
     (resolved against ``base_dir``); window lengths default to the longest row.
+    A window length must be an integer of 0 or more, and a regex must compile.
     """
     fns: list = []
     pending_table: Optional[dict] = None
+
+    def length(token, value, num):
+        try:
+            n = int(value)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise FormatError(f"window length must be an integer of 0 or more: {token!r}", num)
+        return n
+
+    def regex(token, value, num):
+        try:
+            re.compile(value)
+        except re.error as exc:
+            raise FormatError(f"bad regex {token!r}: {exc}", num)
+        return value
 
     def parse_row(tokens, num):
         if len(tokens) != 3:
@@ -494,13 +512,13 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
             for t in tokens[3:]:
                 key, _, val = t.partition("=")
                 if key == "past":
-                    past = val
+                    past = regex(t, val, num)
                 elif key == "future":
-                    future = val
+                    future = regex(t, val, num)
                 elif key == "plen":
-                    plen = int(val)
+                    plen = length(t, val, num)
                 elif key == "flen":
-                    flen = int(val)
+                    flen = length(t, val, num)
                 else:
                     raise FormatError(f"unexpected token {t!r}", num)
             if past is None and future is None:
@@ -513,9 +531,9 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
             for t in tokens[3:]:
                 key, _, val = t.partition("=")
                 if key == "plen":
-                    pending_table["plen"] = int(val)
+                    pending_table["plen"] = length(t, val, num)
                 elif key == "flen":
-                    pending_table["flen"] = int(val)
+                    pending_table["flen"] = length(t, val, num)
                 elif not val:  # a bare token names the row file
                     path = Path(base_dir) / t if base_dir else Path(t)
                     for rnum, rtokens in _lines(path.read_text()):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import find_black_hole, find_white_peak
 from .constructions import belief_determinize, compose_policy, minimize_forward
-from .core import Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical
+from .core import ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical
 from .errors import JourneyError, ModelError, WhitePeakError
 from .future import enumerate_future
 from .walk import seeded_generator
@@ -154,8 +154,8 @@ def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str)
             mass[0] += p
             mass[1] += 1
     reversed_arrows = []
-    for k in sorted(range(len(reversed_keys)), key=reversed_keys.__getitem__):  # canonical order
-        key, p, lp = reversed_keys[k], inbound[k], model.arrows[k].label_prob
+    for key, p, a in zip(reversed_keys, inbound, model.arrows):
+        lp = a.label_prob
         if decision:
             total, n = label_mass[key[:2]]
             lp, p = ProbInterval(total, total), (p / total if total > _EPS else 1.0 / n)
@@ -277,19 +277,18 @@ def _model_policy(model: Model) -> Policy:
 
 def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
     """Invert a decision process under a fixed policy; result is mdp-fixed."""
-    if model.kind not in ("mdp", "mdp-fixed", "mdp-plus", "smdp"):
+    if model.kind not in ACTION_KINDS:
         raise ModelError(f"invert_mdp_fixed does not apply to {model.kind} models")
     return _invert_by_flow(compose_policy(model, policy if policy is not None else _model_policy(model)))
 
 
 def _simplex_box_vertices(bounds, tol=1e-9):
-    """Vertices of {x in prod [lo,hi] : sum x = 1}."""
+    """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes given as intervals."""
     n = len(bounds)
     if n == 0:
         return [()]
     if n == 1:
-        lo, hi = bounds[0]
-        return [(1.0,)] if lo - tol <= 1.0 <= hi + tol else []
+        return [(1.0,)] if bounds[0].contains(1.0, tol) else []
     verts = set()
     for free in range(n):
         rest = [i for i in range(n) if i != free]
@@ -297,10 +296,10 @@ def _simplex_box_vertices(bounds, tol=1e-9):
             x = [0.0] * n
             total = 0.0
             for i, b in zip(rest, bits):
-                x[i] = bounds[i][1] if b else bounds[i][0]
+                x[i] = bounds[i].hi if b else bounds[i].lo
                 total += x[i]
             xf = 1.0 - total
-            lo, hi = bounds[free]
+            lo, hi = bounds[free].lo, bounds[free].hi
             if lo - tol <= xf <= hi + tol:
                 x[free] = min(max(xf, lo), hi)
                 verts.add(tuple(round(v, 12) for v in x))
@@ -313,10 +312,10 @@ def _sample_simplex_box(bounds, rng):
     x = [0.0] * n
     done = 0.0
     for i in range(n):
-        lo_rest = sum(b[0] for b in bounds[i + 1 :])
-        hi_rest = sum(b[1] for b in bounds[i + 1 :])
-        lo = max(bounds[i][0], 1.0 - done - hi_rest)
-        hi = min(bounds[i][1], 1.0 - done - lo_rest)
+        lo_rest = sum(b.lo for b in bounds[i + 1 :])
+        hi_rest = sum(b.hi for b in bounds[i + 1 :])
+        lo = max(bounds[i].lo, 1.0 - done - hi_rest)
+        hi = min(bounds[i].hi, 1.0 - done - lo_rest)
         if hi < lo - 1e-12:
             return None
         x[i] = lo if i == n - 1 else lo + (hi - lo) * rng.random()
@@ -340,31 +339,27 @@ def invert_mdp_plus(
     """
     if mode == "vertex-enumeration":
         mode = "vertex"
-    if model.kind not in ("mdp-plus", "smdp", "mdp", "mdp-fixed"):
+    if model.kind not in ACTION_KINDS:
         raise ModelError(f"invert_mdp_plus does not apply to {model.kind} models")
     peak = find_white_peak(model)
     if peak:
         raise WhitePeakError(peak)
 
     compiled = model.compiled
-    agent_groups = []  # (state, labels)
-    agent_bounds = []
-    for sid, out in zip(compiled.ids, compiled.out):
+    # resolution groups, agents first: (which probability the points set, 0
+    # label or 1 arrow; per point, the arrows it sets; the points' bounds)
+    groups = []
+    for out in compiled.out:
         labels = [l for l in model.labels if l in out]
         if labels:
-            agent_groups.append((sid, labels))
-            agent_bounds.append([(lp.lo, lp.hi) for lp in (model.arrows[out[l][0]].label_prob for l in labels)])
-    world_groups = sorted(
-        (sid, label, ks) for sid, out in zip(compiled.ids, compiled.out) for label, ks in out.items()
-    )  # (state, label, its arrows)
-    world_bounds = [
-        [(model.arrows[k].arrow_prob.lo, model.arrows[k].arrow_prob.hi) for k in ks]
-        for _, _, ks in world_groups
-    ]
+            groups.append((0, [out[l] for l in labels], [model.arrows[out[l][0]].label_prob for l in labels]))
+    world = sorted((sid, label, ks) for sid, out in zip(compiled.ids, compiled.out) for label, ks in out.items())
+    for _, _, ks in world:
+        groups.append((1, [[k] for k in ks], [model.arrows[k].arrow_prob for k in ks]))
 
     def resolutions():
         if mode == "vertex":
-            per_group = [_simplex_box_vertices(b) for b in agent_bounds + world_bounds]
+            per_group = [_simplex_box_vertices(b) for _, _, b in groups]
             if any(not g for g in per_group):
                 return
             yield from itertools.islice(itertools.product(*per_group), budget)
@@ -373,41 +368,29 @@ def invert_mdp_plus(
                 raise ModelError("monte-carlo interval inversion needs a seed")
             rng = seeded_generator(seed, "monte-carlo interval inversion")
             for _ in range(budget):
-                pick = [_sample_simplex_box(b, rng) for b in agent_bounds + world_bounds]
+                pick = [_sample_simplex_box(b, rng) for _, _, b in groups]
                 if all(p is not None for p in pick):
                     yield tuple(pick)
         else:
             raise ModelError(f"unknown inversion mode {mode!r}")
 
-    n_agent = len(agent_groups)
     lp_hull: dict = {}
     ap_hull: dict = {}
     explored = 0
     valid = 0
     for combo in resolutions():
         explored += 1
-        agent_pick = combo[:n_agent]
-        world_pick = combo[n_agent:]
-        lp = {}
-        for (sid, labels), vec in zip(agent_groups, agent_pick):
-            lp.update(zip(((sid, l) for l in labels), vec))
-        ap = {}
-        for (_, _, ks), vec in zip(world_groups, world_pick):
-            ap.update(zip(ks, vec))
-        resolved = replace(
-            model,
-            kind="mdp-fixed",
-            arrows=tuple(
-                replace(
-                    a,
-                    label_prob=ProbInterval.point(lp[a.source, a.label]),
-                    arrow_prob=ProbInterval.point(ap[k]),
-                )
-                for k, a in enumerate(model.arrows)
-            ),
+        probs = [[None, None] for _ in model.arrows]  # per arrow, its label and arrow probability
+        for (side, targets, _), vec in zip(groups, combo):
+            for ks, p in zip(targets, vec):
+                for k in ks:
+                    probs[k][side] = p
+        resolved = tuple(
+            Arrow(a.source, a.label, a.target, ProbInterval.point(lp), ProbInterval.point(ap))
+            for a, (lp, ap) in zip(model.arrows, probs)
         )
         try:
-            inv = _invert_by_flow(resolved)
+            inv = _invert_by_flow(replace(model, kind="mdp-fixed", arrows=resolved))
         except (WhitePeakError, JourneyError):
             continue
         valid += 1
@@ -421,23 +404,10 @@ def invert_mdp_plus(
         raise JourneyError(f"budget exhausted with zero valid resolutions (explored {explored})")
 
     arrows = tuple(
-        Arrow(
-            dst,
-            label,
-            src,
-            ProbInterval(*lp_hull[(dst, label)]),
-            ProbInterval(*ap_hull[(dst, label, src)]),
-        )
-        for (dst, label, src) in sorted(ap_hull)
+        Arrow(*key, ProbInterval(*lp_hull[key[:2]]), ProbInterval(*ap_hull[key])) for key in ap_hull
     )
-    return canonical(
-        replace(
-            model,
-            kind="mdp-plus",
-            arrows=arrows,
-            meta=(f"approximate: bounds certified over {valid} explored resolutions",),
-        )
-    )
+    meta = (f"approximate: bounds certified over {valid} explored resolutions",)
+    return canonical(replace(model, kind="mdp-plus", arrows=arrows, meta=meta))
 
 
 # -- the past and the minimal model ----------------------------------------------
@@ -468,10 +438,10 @@ class MinimalModelResult:
     backward_part: Model
 
 
-def _fresh_initial(model: Model, base: str = "now") -> Model:
-    """Duplicate the initial state's exits into a fresh initial state that
-    nothing points at."""
-    fresh = base
+def _fresh_initial(model: Model) -> Model:
+    """Duplicate the initial state's exits, after the model's arrows, into a
+    fresh initial state "now" (primed while taken) that nothing points at."""
+    fresh = "now"
     while fresh in model.by_id:
         fresh += "'"
     init = model.initial_state
@@ -489,10 +459,13 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     """Three-step minimal model: forward-minimal part, backward-minimal part
     from the inverse, joined at a fresh initial state.
 
-    The forward part is a black hole of the joined model and the backward
-    part a white peak: once the walk leaves the fresh initial state it can
-    never return.  The depth must be at least 1: the depth-0 determinization
-    is one state without arrows, which has no inverse.
+    The joined model renames the forward part's states to ``fut:``, its fresh
+    one to "now", and the backward part's inverse to ``past:``, its arrows
+    into its initial state entering "now".  The forward part is a black hole
+    of the joined model and the backward part a white peak: once the walk
+    leaves "now" it can never return.  The depth must be at least 1: the
+    depth-0 determinization is one state without arrows, which has no
+    inverse.
     """
     if depth < 1:
         raise ModelError(f"the minimal model needs depth 1 or more, got {depth}")
@@ -503,30 +476,21 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     forward_part = _fresh_initial(forward0)
     backward_part = _fresh_initial(backward1)
 
-    init_f = forward0.initial_state
-    init_b = backflow.initial_state
-    fut = {s.id: f"fut:{s.id}" for s in forward0.states}
+    fresh = forward_part.initial_state.id
+    fut = {s.id: "now" if s.id == fresh else f"fut:{s.id}" for s in forward_part.states}
     past = {s.id: f"past:{s.id}" for s in backflow.states}
-    states = [State("now", initial=True, trace=init_f.trace)]
-    states += [State(fut[s.id], trace=s.trace) for s in forward0.states]
-    states += [State(past[s.id], trace=s.trace) for s in backflow.states]
-    arrows = [
-        replace(a, source="now", target=fut[a.target])
-        for a in forward0.arrows
-        if a.source == init_f.id
-    ]
-    arrows += [
-        replace(a, source=fut[a.source], target=fut[a.target]) for a in forward0.arrows
-    ]
-    for a in backflow.arrows:
-        target = "now" if a.target == init_b.id else past[a.target]
-        arrows.append(replace(a, source=past[a.source], target=target))
+    into_past = {**past, backflow.initial_state.id: "now"}
+    forward = [replace(a, source=fut[a.source], target=fut[a.target]) for a in forward_part.arrows]
+    exits = len(forward0.arrows)  # the joined model lists the exits of "now" first
     joined = Model(
         kind="hmm",
         obs=tuple(sorted(set(forward0.obs) | set(backflow.obs))),
         labels=forward0.labels,
-        states=tuple(states),
-        arrows=tuple(arrows),
+        states=[replace(s, id=fut[s.id]) for s in forward_part.states]
+        + [State(past[s.id], trace=s.trace) for s in backflow.states],
+        arrows=forward[exits:]
+        + forward[:exits]
+        + [replace(a, source=past[a.source], target=into_past[a.target]) for a in backflow.arrows],
         name=model.name,
         meta=("minimal: forward part predicts the future, backward part the past",),
     )

@@ -9,6 +9,7 @@ then the move.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -228,6 +229,8 @@ def check_markov(
     """
     if order < 1:
         raise ModelError(f"the Markov check needs order 1 or more, got {order}")
+    if math.isnan(significance):
+        raise ModelError(f"the Markov check needs a significance that is a number, got {significance}")
     seq = trajectory.observations()
     rows: dict = {}  # symbol -> context -> next symbol -> count
     windows = Counter(zip(*(seq[k:] for k in range(order + 2))))

@@ -34,7 +34,10 @@ from stochworld import (
     Step,
     TraceSpec,
     Trajectory,
+    belief_determinize,
     canonical,
+    invert_chain,
+    minimize_forward,
     parse_model,
 )
 from stochworld.constructions import compose_policy
@@ -616,6 +619,43 @@ def reverse_by_branches(model: Model, counts: dict, kind: str) -> Model:
             notes.append("uniform-inbound: " + " ".join(sorted(uniform_states)))
 
     return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=tuple(notes)))
+
+
+def joined_by_assembly(model: Model, depth: int) -> Model:
+    """Reference joined minimal model, assembled state by state and arrow by
+    arrow: "now" with the forward-minimal model's initial exits, the forward
+    part as ``fut:``, and the inverse of the backward-minimal model as
+    ``past:``, its arrows into its initial state entering "now"."""
+    forward0, _ = minimize_forward(belief_determinize(model, depth))
+    backward1, _ = minimize_forward(belief_determinize(invert_chain(model), depth))
+    backflow = invert_chain(backward1)
+    init_f = forward0.initial_state
+    init_b = backflow.initial_state
+    fut = {s.id: f"fut:{s.id}" for s in forward0.states}
+    past = {s.id: f"past:{s.id}" for s in backflow.states}
+    states = [State("now", initial=True, trace=init_f.trace)]
+    states += [State(fut[s.id], trace=s.trace) for s in forward0.states]
+    states += [State(past[s.id], trace=s.trace) for s in backflow.states]
+    arrows = [
+        replace(a, source="now", target=fut[a.target])
+        for a in forward0.arrows
+        if a.source == init_f.id
+    ]
+    arrows += [
+        replace(a, source=fut[a.source], target=fut[a.target]) for a in forward0.arrows
+    ]
+    for a in backflow.arrows:
+        target = "now" if a.target == init_b.id else past[a.target]
+        arrows.append(replace(a, source=past[a.source], target=target))
+    return Model(
+        kind="hmm",
+        obs=tuple(sorted(set(forward0.obs) | set(backflow.obs))),
+        labels=forward0.labels,
+        states=tuple(states),
+        arrows=tuple(arrows),
+        name=model.name,
+        meta=("minimal: forward part predicts the future, backward part the past",),
+    )
 
 
 def random_walk_model(rng: random.Random, kind: str) -> Model:

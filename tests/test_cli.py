@@ -355,6 +355,66 @@ class TestPipelines:
         assert "improvable" in out
 
 
+MALFORMED = [  # document, argv (TRAJ and DOC name the files), the error line's start
+    pytest.param(
+        "charfn e pattern past=a plen=x\n", ["detect", "TRAJ", "--direct", "DOC"],
+        "error: format: line 1: window length must be an integer of 0 or more: 'plen=x'",
+        id="charfn-plen-not-an-integer",
+    ),
+    pytest.param(
+        "charfn e pattern past=a plen=-2\n", ["detect", "TRAJ", "--direct", "DOC"],
+        "error: format: line 1: window length must be an integer of 0 or more: 'plen=-2'",
+        id="charfn-plen-negative",
+    ),
+    pytest.param(
+        "charfn e table flen=1.5\nrow - a 1\n", ["detect", "TRAJ", "--direct", "DOC"],
+        "error: format: line 1: window length must be an integer of 0 or more: 'flen=1.5'",
+        id="charfn-table-flen-not-an-integer",
+    ),
+    pytest.param(
+        "charfn e pattern past=(\n", ["detect", "TRAJ", "--direct", "DOC"],
+        "error: format: line 1: bad regex 'past=(': ",
+        id="charfn-past-regex",
+    ),
+    pytest.param(
+        "# a comment\ncharfn e pattern future=[a\n", ["detect", "TRAJ", "--direct", "DOC"],
+        "error: format: line 2: bad regex 'future=[a': ",
+        id="charfn-future-regex",
+    ),
+    pytest.param(
+        "state : rain > dry\n", ["policy-from-preference", RAIN, "--preference", "DOC"],
+        "error: format: line 1: expected: state <id>: a1 > a2 > ...",
+        id="preference-without-state-id",
+    ),
+    pytest.param(
+        "state a b: x > y\n", ["policy-from-preference", RAIN, "--preference", "DOC"],
+        "error: format: line 1: expected: state <id>: a1 > a2 > ...",
+        id="preference-with-two-state-ids",
+    ),
+    pytest.param(
+        "charfn seen obs=a\n", ["detect", "TRAJ", "--direct", "DOC", "--threshold", "nan"],
+        "error: model: direct detection needs a threshold that is a number, got nan",
+        id="detect-direct-nan-threshold",
+    ),
+    pytest.param(
+        "", ["markov-check", "TRAJ", "--significance", "nan"],
+        "error: model: the Markov check needs a significance that is a number, got nan",
+        id="markov-check-nan-significance",
+    ),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("doc, argv, line", MALFORMED)
+    def test_refused_with_one_error_line(self, capsys, tmp_path, doc, argv, line):
+        files = {"TRAJ": tmp_path / "w.traj", "DOC": tmp_path / "doc"}
+        files["TRAJ"].write_text("a -\nb -\na -\n")
+        files["DOC"].write_text(doc)
+        code, out, err = run(capsys, *(str(files[a]) if a in files else a for a in argv))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(line), err
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
         proc = subprocess.run(

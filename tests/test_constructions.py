@@ -36,7 +36,9 @@ from helpers import (
     ArrowIndex,
     chain_model,
     cycle_model,
+    joined_by_assembly,
     load_model,
+    random_connected_chain,
     random_filter_model,
     random_point_model,
     refine_by_rounds,
@@ -504,6 +506,17 @@ class TestMinimalModel:
         white = find_white_peak(joined)
         assert {s.id for s in joined.states if s.id.startswith("fut:")} <= black
         assert white <= {s.id for s in joined.states if s.id.startswith("past:")}
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_joined_equals_the_assembled_oracle(self, depth):
+        rng = random.Random(depth)
+        models = [load_model(n) for n in ("m1_coin", "m2_bbww", "cycle3")]
+        models += [random_connected_chain(rng, rng.randint(2, 6)) for _ in range(12)]
+        for model in models:
+            joined = minimal_model_parts(model, depth).joined
+            expected = joined_by_assembly(model, depth)
+            assert joined == expected  # states and arrows in order
+            assert joined.meta == expected.meta
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_refused(self, m1, depth):

@@ -86,6 +86,14 @@ class TestCharFns:
         stream = detect_direct(traj, [fn])
         assert [o.time for o in stream.occurrences] == [2, 5]
 
+    def test_infinite_thresholds_keep_their_meaning_and_nan_is_refused(self):
+        traj = traj_of(["x", "y", "x"])
+        fns = [CharFn("seen", "obs-match", obs="x")]
+        assert [o.time for o in detect_direct(traj, fns, float("-inf")).occurrences] == [0, 2]
+        assert len(detect_direct(traj, fns, float("inf"))) == 0
+        with pytest.raises(ModelError, match="threshold that is a number, got nan"):
+            detect_direct(traj, fns, float("nan"))
+
     def test_table_charfn(self):
         table = {
             (("x",), ("y",)): ProbInterval.point(1.0),
