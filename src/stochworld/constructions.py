@@ -252,8 +252,9 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     group total / label probability.
 
     Arrows out of the deepest layer that would lead to unexplored beliefs
-    are dropped and noted in the metadata.  The model must satisfy its
-    kind; ``validate`` names the fault when it does not.
+    are dropped and noted in the metadata, as is each belief that steps
+    with probability in (0, 1) outside ed and smdp.  The model must satisfy
+    its kind; ``validate`` names the fault when it does not.
     """
     if depth < 0:
         raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
@@ -271,15 +272,18 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     order = [start]
     arrows = []
     frontier = [start]
+    short = []  # expanded beliefs whose label mass, the chance of a step, is below 1
     for _ in range(depth):
         if not frontier:
             break
         layer, frontier = frontier, []
         for belief in layer:
             rows = [(out[index[sid]], mass) for sid, mass in belief]
+            label_mass = 0
             for label in model.labels:
                 offered = [(row[label], mass) for row, mass in rows if label in row]
                 lp = sum(mass * Fraction(model.arrows[ks[0]].label_prob.lo) for ks, mass in offered)
+                label_mass += lp
                 if not lp:
                     continue
                 label_prob = ProbInterval.point(float(lp))
@@ -301,6 +305,8 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
                         frontier.append(successor)
                     ap = ProbInterval.point(float(total / lp))
                     arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
+            if model.kind not in ("ed", "smdp") and 0 < label_mass < 1 - TOL:  # their labels need not sum to 1
+                short.append(f"{names[belief]}:{label_mass}")
 
     states = tuple(
         State(names[b], initial=(b == start), trace=TraceSpec({obs_of[index[b[0][0]]]: POINT_ONE}))
@@ -309,6 +315,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{mass}" for sid, mass in b) for b in order)
     if frontier:  # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
         meta += ("frontier truncated at depth; outgoing sums may fall short",)
+    meta += ("label mass below 1: " + " ".join(short),) if short else ()
     return Model(
         kind=_doubled_kind(model.kind),
         obs=model.obs,

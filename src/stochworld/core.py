@@ -250,6 +250,7 @@ class CompiledModel:
         self.label_index = {l: i for i, l in enumerate(model.labels)}
         self.src, self.dst, self.hi, self.mid, self.point = [], [], [], [], []
         self.out = [{} for _ in self.ids]
+        self.journeys = None  # set by inversion on the model's first journey solve
         for k, a in enumerate(model.arrows):
             i, j = self.index.get(a.source), self.index.get(a.target)
             if i is None or j is None:

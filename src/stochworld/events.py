@@ -58,6 +58,19 @@ class CharFn:
     future_pattern: Optional[str] = None
     table: Mapping[tuple, ProbInterval] = field(default_factory=dict)
 
+    def __post_init__(self):  # refuses, naming the field, what evaluate cannot read
+        if self.kind not in ("action-match", "obs-match", "pattern", "table"):
+            raise ModelError(f"charfn {self.name}: unknown kind {self.kind!r}")
+        for field_name in ("past_len", "future_len"):
+            n = getattr(self, field_name)
+            if not isinstance(n, int) or n < 0:
+                raise ModelError(f"charfn {self.name}: {field_name} must be an int of 0 or more, got {n!r}")
+        for field_name in ("past_pattern", "future_pattern"):
+            try:
+                re.compile(getattr(self, field_name) or "")
+            except (re.error, TypeError) as exc:
+                raise ModelError(f"charfn {self.name}: {field_name} does not compile: {exc}") from None
+
     @property
     def window(self) -> int:
         return self.past_len + self.future_len
@@ -76,18 +89,11 @@ class CharFn:
         past = steps[t - self.past_len : t]
         future = steps[t : t + self.future_len]
         if self.kind == "pattern":
-            past_word = ",".join(s.obs for s in past)
-            future_word = ",".join(s.obs for s in future)
-            ok = True
-            if self.past_pattern is not None:
-                ok = ok and re.fullmatch(self.past_pattern, past_word) is not None
-            if self.future_pattern is not None:
-                ok = ok and re.fullmatch(self.future_pattern, future_word) is not None
+            windows = ((self.past_pattern, past), (self.future_pattern, future))
+            ok = all(p is None or re.fullmatch(p, ",".join(s.obs for s in w)) for p, w in windows)
             return POINT_ONE if ok else POINT_ZERO
-        if self.kind == "table":
-            key = (tuple(s.obs for s in past), tuple(s.obs for s in future))
-            return self.table.get(key, FULL)
-        raise ModelError(f"unknown characteristic function kind {self.kind!r}")
+        key = (tuple(s.obs for s in past), tuple(s.obs for s in future))  # a table
+        return self.table.get(key, FULL)
 
 
 def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) -> list:

@@ -507,8 +507,7 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
             fns.append(CharFn(name, "obs-match", 0, 1, obs=spec[len("obs=") :]))
         elif spec == "pattern":
             past = future = None
-            plen = 0
-            flen = 1
+            plen, flen = 0, 1
             for t in tokens[3:]:
                 key, _, val = t.partition("=")
                 if key == "past":
@@ -523,9 +522,7 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
                     raise FormatError(f"unexpected token {t!r}", num)
             if past is None and future is None:
                 raise FormatError("pattern needs past= or future=", num)
-            fns.append(
-                CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future)
-            )
+            fns.append(CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future))
         elif spec == "table":
             pending_table = {"name": name, "plen": 0, "flen": 0, "rows": {}}
             for t in tokens[3:]:

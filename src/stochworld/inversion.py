@@ -78,7 +78,14 @@ def _propagating_states(model: Model) -> tuple:
 
 def journey_statistics(model: Model) -> JourneyStatistics:
     """Solve the journey flow system for expected visit and arrow counts."""
+    s = _solved_flow(model)  # once per model; fresh dicts per call, and no refusal is kept
+    return JourneyStatistics(dict(s.visit_counts), dict(s.arrow_counts), s.return_count, dict(s.absorption_counts))
+
+
+def _solved_flow(model: Model) -> JourneyStatistics:
     compiled = model.compiled
+    if compiled.journeys is not None:  # the model was solved before
+        return compiled.journeys
     ids = compiled.ids
     s0 = compiled.index[model.initial_state.id]
     standing, black = _propagating_states(model)
@@ -97,12 +104,14 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     inner = live & (pos[dst] >= 0)
     first = inner & (src == s0)
     inner &= ~first
-    q = np.zeros((n, n))
+    # I - Q^T in place, equal to np.eye(n) - q.T bit for bit: rounding is sign-symmetric
+    a = np.zeros((n, n))
     c = np.zeros(n)
-    np.add.at(q, (pos[src[inner]], pos[dst[inner]]), mid[inner])
+    np.subtract.at(a, (pos[dst[inner]], pos[src[inner]]), mid[inner])
+    a.flat[:: n + 1] += 1.0
     np.add.at(c, pos[dst[first]], mid[first])
     try:
-        x = np.linalg.solve(np.eye(n) - q.T, c) if n else np.zeros(0)
+        x = np.linalg.solve(a, c) if n else np.zeros(0)
     except np.linalg.LinAlgError as exc:
         raise JourneyError(f"singular flow system: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -124,7 +133,8 @@ def journey_statistics(model: Model) -> JourneyStatistics:
             return_count += count
         elif ids[j] in black:
             absorption[ids[j]] = absorption.get(ids[j], 0.0) + count
-    return JourneyStatistics(visits, arrow_counts, return_count, absorption)
+    compiled.journeys = JourneyStatistics(visits, arrow_counts, return_count, absorption)
+    return compiled.journeys
 
 
 def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str) -> Model:
@@ -170,8 +180,7 @@ def _invert_by_flow(model: Model) -> Model:
     peak = find_white_peak(model)
     if peak:
         raise WhitePeakError(peak)
-    stats = journey_statistics(model)
-    return _reverse_from_counts(model, stats.arrow_counts, model.kind)
+    return _reverse_from_counts(model, _solved_flow(model).arrow_counts, model.kind)
 
 
 def invert_chain(model: Model) -> Model:
@@ -241,9 +250,7 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
         visit_counts={ids[i]: float(v) * scale for i, v in enumerate(visit_counts) if v},
         arrow_counts={model.arrows[k].key: float(c) * scale for k, c in zip(arrows, arrow_counts)},
         return_count=returns * scale,
-        absorption_counts={
-            ids[i]: float(v) * scale for i, v in enumerate(absorbed_at) if v
-        },
+        absorption_counts={ids[i]: float(v) * scale for i, v in enumerate(absorbed_at) if v},
     )
 
 
@@ -254,8 +261,7 @@ def monte_carlo_invert(model: Model, journeys: int, seed: int) -> Model:
     peak = find_white_peak(model)
     if peak:
         raise WhitePeakError(peak)
-    stats = simulate_journeys(model, journeys, seed)
-    return _reverse_from_counts(model, stats.arrow_counts, model.kind)
+    return _reverse_from_counts(model, simulate_journeys(model, journeys, seed).arrow_counts, model.kind)
 
 
 # -- decision-process inversion -------------------------------------------------
@@ -268,9 +274,7 @@ def _model_policy(model: Model) -> Policy:
         for label, ks in out.items():
             lp = model.arrows[ks[0]].label_prob
             if not lp.is_point:
-                raise ModelError(
-                    f"model carries interval agent probabilities; supply an explicit policy"
-                )
+                raise ModelError("model carries interval agent probabilities; supply an explicit policy")
             probs[(s, label)] = lp.mid
     return Policy(probs)
 

@@ -323,6 +323,34 @@ class TestBeliefDeterminize:
         det = belief_determinize(model, 2)
         assert exact_future(det, 2) == exact_future(model, 2) == {(("true", "y"), ("true", "x")): Fraction(1, 2)}
 
+    def test_sub_stochastic_belief_is_named(self):
+        # {a: 1/2, b: 1/2} steps with probability 1/2: validate rejects the
+        # determinized hmm, and its meta says which belief falls short
+        model = parse_model(
+            "model hmm\nobs x y\n"
+            "state s initial trace x=1\nstate a trace y=1\nstate b trace y=1\n"
+            "arrow s true a ap=0.5\narrow s true b ap=0.5\narrow a true s ap=1\n"
+        )
+        det = belief_determinize(model, 2)
+        assert not validate(det).ok
+        assert "q1 = a:1/2 b:1/2" in det.meta
+        assert [note for note in det.meta if "below 1" in note] == ["label mass below 1: q1:1/2"]
+        assert not any("truncated" in note for note in det.meta)
+
+    def test_dead_end_stochastic_and_event_beliefs_are_not_named(self, m2):
+        # a belief on a dead end alone steps with probability 0, as the state
+        # does; an ed event may fire with any probability
+        dead_end = parse_model(
+            "model hmm\nobs x y\nstate s initial trace x=1\nstate b trace y=1\narrow s true b ap=1\n"
+        )
+        events = parse_model(
+            "model ed\nobs x y\nevent e\nstate s initial trace x=1\nstate t trace y=1\n"
+            "arrow s e t lp=0.5 ap=1\narrow t e s lp=0.25 ap=1\n"
+        )
+        for det in (belief_determinize(dead_end, 3), belief_determinize(m2, 10), belief_determinize(events, 3)):
+            assert validate(det).ok
+            assert not any("below 1" in note for note in det.meta)
+
     def test_is_the_exact_twin_of_step_belief(self):
         """The determinized model has the model's future at every depth it
         expands, and each successor belief is step_belief's."""

@@ -94,6 +94,30 @@ class TestCharFns:
         with pytest.raises(ModelError, match="threshold that is a number, got nan"):
             detect_direct(traj, fns, float("nan"))
 
+    def test_fields_checked_at_construction(self):
+        # a negative window used to detect nothing, and a bad regex escaped as re.error
+        traj = traj_of(["a", "b", "a"])
+        with pytest.raises(ModelError, match="past_len"):
+            detect_direct(traj, [CharFn("e", "pattern", -2, 1, future_pattern="a")])
+        with pytest.raises(ModelError, match="future_pattern"):
+            detect_direct(traj, [CharFn("e", "pattern", 0, 1, future_pattern="(")])
+        stream = detect_direct(traj, [CharFn("e", "pattern", 0, 1, future_pattern="a")])
+        assert [o.time for o in stream.occurrences] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"kind": "regex"}, "kind"),
+            ({"kind": "pattern", "future_len": -1, "future_pattern": "a"}, "future_len"),
+            ({"kind": "pattern", "past_len": 1.5, "future_pattern": "a"}, "past_len"),
+            ({"kind": "table", "past_len": "2"}, "past_len"),
+            ({"kind": "pattern", "past_pattern": "[a", "future_pattern": "a"}, "past_pattern"),
+        ],
+    )
+    def test_bad_field_refused(self, fields, named):
+        with pytest.raises(ModelError, match=named):
+            CharFn("e", **fields)
+
     def test_table_charfn(self):
         table = {
             (("x",), ("y",)): ProbInterval.point(1.0),

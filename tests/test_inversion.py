@@ -18,6 +18,7 @@ from stochworld import (
     journey_statistics,
     monte_carlo_invert,
     parse_model,
+    serialize_model,
     simulate_journeys,
     validate,
 )
@@ -28,6 +29,7 @@ from helpers import (
     ArrowIndex,
     chain_model,
     journey_statistics_by_loops,
+    load_model,
     random_connected_chain,
     random_flow_model,
     reverse_by_branches,
@@ -38,6 +40,13 @@ from helpers import (
 def ab_chain():
     # A -> B surely; B returns to A or loops, 50/50
     return chain_model({"A": {"B": 1.0}, "B": {"A": 0.5, "B": 0.5}}, initial="A")
+
+
+# the outgoing sum of b is 0.75, so the flow system is refused
+LEAKY = (
+    "model hmm\nobs x\nstate a initial trace x=1\nstate b trace x=1\n"
+    "arrow a true b ap=1\narrow b true a ap=0.5\narrow b true b ap=0.25\n"
+)
 
 
 def arrow_prob(model, src, dst, label="true"):
@@ -95,12 +104,8 @@ class TestJourneyStatistics:
             journey_statistics(rain)
 
     def test_nonterminating_deficit(self):
-        leaky = parse_model(
-            "model hmm\nobs x\nstate a initial trace x=1\nstate b trace x=1\n"
-            "arrow a true b ap=1\narrow b true a ap=0.5\narrow b true b ap=0.25\n"
-        )
         with pytest.raises(JourneyError):
-            journey_statistics(leaky)
+            journey_statistics(parse_model(LEAKY))
 
 
     def test_equals_loop_oracle(self):
@@ -137,6 +142,60 @@ def _flow_outcome(solve, model):
         float(stats.return_count).hex(),
         bits(stats.absorption_counts),
     )
+
+
+def _model_bits(model):
+    """A model's arrows in order, every bound as float.hex, and its meta."""
+    bounds = lambda iv: (iv.lo.hex(), iv.hi.hex())
+    return [(a.key, bounds(a.label_prob), bounds(a.arrow_prob)) for a in model.arrows], model.meta
+
+
+class TestFlowMemo:
+    """Each model's flow system is solved once; callers get copies."""
+
+    def test_second_calls_equal_the_first_bit_for_bit(self):
+        rng = random.Random(1318)
+        for _ in range(40):
+            model = random_connected_chain(rng, rng.randint(1, 9))
+            stats = _flow_outcome(journey_statistics, model)
+            inverse = _model_bits(invert_chain(model))
+            assert _flow_outcome(journey_statistics, model) == stats
+            assert _model_bits(invert_chain(model)) == inverse
+
+    def test_mutated_result_does_not_reach_the_memo(self):
+        chain = {"A": {"B": 1.0}, "B": {"A": 0.5, "B": 0.5}}
+        model = chain_model(chain, initial="A")
+        want = _flow_outcome(journey_statistics, model)
+        stats = journey_statistics(model)
+        stats.visit_counts.clear()
+        stats.arrow_counts[("A", "true", "B")] = 7.0
+        stats.absorption_counts["B"] = 1.0
+        assert _flow_outcome(journey_statistics, model) == want
+        assert _model_bits(invert_chain(model)) == _model_bits(invert_chain(chain_model(chain, initial="A")))
+
+    @pytest.mark.parametrize("refused", ["rain", "leaky"])
+    def test_refusal_raised_on_every_call(self, refused):
+        model = load_model("rain") if refused == "rain" else parse_model(LEAKY)
+        for _ in range(3):
+            with pytest.raises(JourneyError):
+                journey_statistics(model)
+        assert model.compiled.journeys is None
+
+    def test_white_peak_refused_after_a_solve(self):
+        model = load_model("fig3")
+        journey_statistics(model)  # the flow exists; the inverse still has no answer
+        for _ in range(3):
+            with pytest.raises(WhitePeakError):
+                invert_chain(model)
+
+    def test_statistics_then_inverse_equals_a_fresh_inverse(self):
+        rng = random.Random(1319)
+        texts = [serialize_model(load_model(name)) for name in ("m1_coin", "m2_bbww", "cycle3")]
+        texts += [serialize_model(random_connected_chain(rng, rng.randint(2, 9))) for _ in range(20)]
+        for text in texts:
+            model = parse_model(text)
+            journey_statistics(model)
+            assert _model_bits(invert_chain(model)) == _model_bits(invert_chain(parse_model(text)))
 
 
 class TestReverseFromCounts:
