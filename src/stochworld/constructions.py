@@ -25,6 +25,7 @@ from .core import (
     State,
     TraceSpec,
     canonical,
+    checked_int,
 )
 from .errors import CapExceededError, CoverageError, ModelError
 
@@ -256,6 +257,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     with probability in (0, 1) outside ed and smdp.  The model must satisfy
     its kind; ``validate`` names the fault when it does not.
     """
+    depth = checked_int(depth, "belief determinization depth")
     if depth < 0:
         raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
     if not model.has_point_probs():

@@ -14,6 +14,7 @@ threads; operations build new models instead of mutating.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,14 @@ SINGLE_LABEL_KINDS = ("fomm", "hmm")
 #: Kinds whose labels are agent actions.
 ACTION_KINDS = ("mdp", "mdp-fixed", "smdp", "mdp-plus")
 TRUE_LABEL = "true"
+
+
+def checked_int(value, what: str) -> int:
+    """``value`` as an int; anything else (2.5, NaN, ±inf) is a ``ModelError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ModelError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -235,10 +244,11 @@ class CompiledModel:
     label to its arrows out of state ``i``, in model order.  The other tables
     are built on first use: the walks' ``draws``, ``agents`` and ``traces``;
     the belief filters' ``emissions``, ``shares``, ``allowed`` and
-    ``event_order``; the exact weights ``exact``; and the adjacency lists
-    ``forward`` and ``backward``.  Each costs O(|S| + |arrows|) once per
-    model (``allowed`` O(|S| * |observations|)); the view holds the model's
-    tuples, not the model.
+    ``event_order``; the exact weights ``exact``, which determinization
+    alone reads (the exact future expansion runs on ints at one power-of-two
+    scale instead); and the adjacency lists ``forward`` and ``backward``.
+    Each costs O(|S| + |arrows|) once per model (``allowed`` O(|S| *
+    |observations|)); the view holds the model's tuples, not the model.
     """
 
     def __init__(self, model: Model):
@@ -333,8 +343,11 @@ class CompiledModel:
     @cached_property
     def exact(self) -> list:
         """Per arrow, its weight lp.lo * ap.lo as an exact Fraction of the
-        stored doubles."""
-        return [Fraction(a.label_prob.lo) * Fraction(a.arrow_prob.lo) for a in self._arrows]
+        stored doubles, for determinization, which merges beliefs by their
+        normalized value.  One Fraction per arrow, from the doubles' integer
+        ratios."""
+        ratios = ((a.label_prob.lo.as_integer_ratio(), a.arrow_prob.lo.as_integer_ratio()) for a in self._arrows)
+        return [Fraction(nl * na, dl * da) for (nl, dl), (na, da) in ratios]
 
     @cached_property
     def allowed(self) -> Mapping:

@@ -30,6 +30,7 @@ from .core import (
     State,
     TraceSpec,
     Trajectory,
+    checked_int,
 )
 from .errors import CapExceededError, ModelError, PolicyError
 
@@ -57,28 +58,37 @@ def _total_bounds(values) -> tuple:
     return (min(sum(v[0] for v in values), 1.0), min(sum(v[1] for v in values), 1.0))
 
 
-def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
+def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
     """Layered expansion of the development words to the given depth.
 
     Each layer maps a word to its mass per end state.  The exact backend
-    multiplies Fractions of the stored doubles, an arrow weighing
-    ``CompiledModel.exact``; the other multiplies (lo, hi) float bounds and
-    caps sums at 1.  Moves and emissions whose upper bound is zero are
-    dropped once, in per-call tables.  Returns {word: Fraction} or
-    {word: (lo, hi)}.
+    multiplies Python ints: every stored double is n / d with d a power of
+    two, so at the model's largest such d, ``unit``, each label, arrow and
+    trace probability is the exact int n * (unit // d), and every word of a
+    layer carries one more factor of unit ** 3 (label, arrow, emission).
+    The other backend multiplies (lo, hi) float bounds and caps sums at 1.
+    Moves and emissions whose upper bound is zero are dropped once, in
+    per-call tables.  Returns ({word: int}, scale), each word's probability
+    being its int over the scale, or ({word: (lo, hi)}, None).
     """
+    depth = checked_int(depth, "future enumeration depth")
     if depth < 0:
         raise ModelError(f"future enumeration needs depth 0 or more, got {depth}")
     if exact:
-        one, times, plus, total = Fraction(1), operator.mul, operator.add, sum
+        one, times, plus, total = 1, operator.mul, operator.add, sum
         positive = lambda w: w > 0
-        weights = m.compiled.exact
-        emits = {s.id: [(o, Fraction(p.lo)) for o, p in sorted(s.trace.probs.items())] for s in m.states}
+        ratios = [(a.label_prob.lo.as_integer_ratio(), a.arrow_prob.lo.as_integer_ratio()) for a in m.arrows]
+        traces = {s.id: [(o, p.lo.as_integer_ratio()) for o, p in sorted(s.trace.probs.items())] for s in m.states}
+        unit = max([d for pair in ratios for _, d in pair] + [d for pairs in traces.values() for _, (_, d) in pairs])
+        weights = [nl * (unit // dl) * na * (unit // da) for (nl, dl), (na, da) in ratios]
+        emits = {sid: [(o, n * (unit // d)) for o, (n, d) in pairs] for sid, pairs in traces.items()}
+        scale = unit ** (3 * depth)
     else:
         one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds
         positive = lambda w: w[1] > 0.0
         weights = [(eff.lo, eff.hi) for eff in map(Arrow.effective, m.arrows)]
         emits = {s.id: [(o, (p.lo, p.hi)) for o in m.obs for p in (s.trace.prob(o),)] for s in m.states}
+        scale = None
     emits = {sid: [(o, p) for o, p in pairs if positive(p)] for sid, pairs in emits.items()}
     moves: dict = {s.id: [] for s in m.states}
     for a, weight in zip(m.arrows, weights):
@@ -98,7 +108,7 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> dict:
         layer = nxt
         if len(layer) > cap:
             raise CapExceededError(f"future enumeration exceeds {cap} developments")
-    return {word: total(list(dist.values())) for word, dist in layer.items()}
+    return {word: total(list(dist.values())) for word, dist in layer.items()}, scale
 
 
 def exact_future(
@@ -113,7 +123,8 @@ def exact_future(
     m = compose_policy(model, policy) if policy is not None else model
     if not _is_exact(m):
         raise ModelError("exact enumeration needs point probabilities")
-    return _develop(m, depth, cap, exact=True)
+    totals, scale = _develop(m, depth, cap, exact=True)
+    return {word: Fraction(p, scale) for word, p in totals.items()}
 
 
 def enumerate_future(
@@ -128,11 +139,13 @@ def enumerate_future(
     """
     m = compose_policy(model, policy) if policy is not None else model
     exact = _is_exact(m)
+    totals, scale = _develop(m, depth, cap, exact)
     entries = {}
-    for word, p in _develop(m, depth, cap, exact).items():
-        lo, hi = (p, p) if exact else p
-        if hi > 0:
-            entries[Development("future", word)] = ProbInterval(float(lo), float(hi))
+    for word, p in totals.items():
+        # int / int rounds once, correctly, as float(Fraction) does
+        lo, hi = (p / scale,) * 2 if exact else p
+        if exact or hi > 0:  # an exact total is above 0, even where its double is 0.0
+            entries[Development("future", word)] = ProbInterval(lo, hi)
     return FutureSet(depth, "future", entries)
 
 

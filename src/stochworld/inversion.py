@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import find_black_hole, find_white_peak
 from .constructions import belief_determinize, compose_policy, minimize_forward
-from .core import ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical
+from .core import ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int
 from .errors import JourneyError, ModelError, WhitePeakError
 from .future import enumerate_future
 from .walk import seeded_generator
@@ -192,6 +192,7 @@ def invert_chain(model: Model) -> Model:
 
 def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatistics:
     """Empirical journey statistics from vectorized random walks."""
+    journeys = checked_int(journeys, "journey count")
     if journeys <= 0:
         raise JourneyError("no statistics: journeys must be positive")
     compiled = model.compiled
@@ -471,6 +472,7 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     depth-0 determinization is one state without arrows, which has no
     inverse.
     """
+    depth = checked_int(depth, "minimal model depth")
     if depth < 1:
         raise ModelError(f"the minimal model needs depth 1 or more, got {depth}")
     forward0, _ = minimize_forward(belief_determinize(model, depth))

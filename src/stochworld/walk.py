@@ -30,6 +30,7 @@ from .core import (
     Preference,
     Step,
     Trajectory,
+    checked_int,
 )
 from .errors import JourneyError, ModelError
 from .future import preference_to_policy
@@ -92,6 +93,9 @@ def simulate_events(model: Model, config: SimulationConfig):
     by bisection into cumulative probabilities.  An interval the walk
     reaches is refused there.
     """
+    n = checked_int(config.steps, "walk step count")
+    if n < 0:
+        raise ModelError(f"the walk needs 0 or more steps, got {n}")
     if config.collision not in ("priority", "both-arrows"):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
@@ -104,7 +108,7 @@ def simulate_events(model: Model, config: SimulationConfig):
     ed = resolved.kind == "ed"
     steps = []
     occurrences = []
-    for t in range(config.steps):
+    for t in range(n):
         symbols, cum = traces[state]
         if cum is None:
             raise _unresolved(f"trace of {ids[state]}")

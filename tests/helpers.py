@@ -406,6 +406,33 @@ def random_future_model(rng: random.Random, kind: str) -> Model:
     return Model(kind, obs, labels, tuple(states), tuple(arrows))
 
 
+
+def random_scaled_model(rng: random.Random, kind: str, prob) -> Model:
+    """Small point model of the given kind, every state traced, for the exact
+    expansions.  Each arrow, trace and (outside fomm and hmm) label
+    probability is ``prob()`` over the size of its group (a state's trace,
+    its labels, the arrows of one label out of it), so no word weighs more
+    than 1.  Validity is not a goal."""
+    n = rng.randint(1, 4)
+    names = [f"s{i}" for i in range(n)]
+    obs = ("x", "y", "z")[: rng.randint(1, 3)]
+    labels = ("true",) if kind in ("fomm", "hmm") else tuple(f"e{i}" for i in range(rng.randint(1, 2)))
+
+    def share(k):
+        return ProbInterval.point(prob() / k)
+
+    states = []
+    for i, sid in enumerate(names):
+        seen = rng.sample(obs, rng.randint(1, len(obs)))
+        states.append(State(sid, initial=(i == 0), trace=TraceSpec({o: share(len(seen)) for o in seen})))
+    arrows = []
+    for src in names:
+        for label in labels:
+            lp = POINT_ONE if kind in ("fomm", "hmm") else share(len(labels))
+            targets = rng.sample(names, rng.randint(1, n))
+            arrows.extend(Arrow(src, label, dst, lp, share(len(targets))) for dst in targets)
+    return Model(kind, obs, labels, tuple(states), tuple(arrows))
+
 # -- reference walk and journey flow ---------------------------------------------
 
 

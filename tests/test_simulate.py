@@ -1,5 +1,6 @@
 """oracle-sim: simulation, enumeration, estimation, preference, Markov check."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,15 +20,18 @@ from stochworld import (
     ToolkitError,
     Trajectory,
     WhitePeakError,
+    belief_determinize,
     check_markov,
     enumerate_future,
     enumerate_past,
     estimate_fomm,
     exact_future,
+    minimal_model_parts,
     parse_model,
     preference_to_policy,
     simulate,
     simulate_events,
+    simulate_journeys,
     track,
 )
 
@@ -44,6 +48,7 @@ from helpers import (
     random_connected_chain,
     random_agent,
     random_future_model,
+    random_scaled_model,
     random_walk_model,
     simulate_by_steps,
 )
@@ -64,6 +69,12 @@ class TestSimulate:
         with pytest.raises(ModelError, match="the walk needs a seed of 0 or more, got -1"):
             walk(m1, SimulationConfig(steps=3, seed=-1))
         walk(m1, SimulationConfig(steps=3, seed=None))  # numpy's fresh entropy, as before
+
+    @pytest.mark.parametrize("walk", [simulate, simulate_events])
+    def test_negative_steps_refused(self, m1, walk):
+        with pytest.raises(ModelError, match="the walk needs 0 or more steps, got -1"):
+            walk(m1, SimulationConfig(steps=-1, seed=1))
+        walk(m1, SimulationConfig(steps=0, seed=1))
 
     def test_bbww_repeats(self, m2):
         for seed in (1, 7, 42):
@@ -291,6 +302,44 @@ class TestEnumerateFuture:
         for feature in ("untraced", "interval trace", "zero weight", "cap", "exact"):
             assert seen[feature] >= 50, seen
 
+    def test_mixed_scale_oracle(self):
+        """Probabilities of every scale, from 1/3 and 0.1 to the least
+        subnormal: exact_future equals the Fraction oracle word for word,
+        enumerate_future gives the double of each oracle value, and caps
+        refuse alike."""
+        rng = random.Random(20261018)
+        pool = (0.0, 1.0, 0.1, 1 / 3, 1 - 2.0**-53, 2.0**-60, 5e-324)
+
+        def prob():
+            roll = rng.random()
+            if roll < 0.6:
+                return rng.choice(pool)
+            return rng.random() if roll < 0.8 else math.ldexp(rng.random(), -rng.randint(1, 1000))
+
+        seen: Counter = Counter()
+        for i in range(300):
+            kind = ("fomm", "hmm", "mdp-fixed")[i % 3]
+            model = random_scaled_model(rng, kind, prob)
+            depth = i % 6
+            cap = rng.choice((4, 64, 512))
+            want = _outcome(lambda: list(exact_future_by_layers(model, depth, cap).items()))
+            assert _outcome(lambda: list(exact_future(model, depth, cap=cap).items())) == want, i
+            got = _outcome(
+                lambda: [(d.word, p.lo.hex(), p.hi.hex()) for d, p in enumerate_future(model, depth, cap=cap).entries.items()]
+            )
+            if isinstance(want, tuple):
+                assert got == want, i
+                seen["cap"] += 1
+                continue
+            assert got == [(w, float(p).hex(), float(p).hex()) for w, p in want], i
+            seen[kind] += 1
+            seen["subnormal"] += any(0 < p < 2.0**-1022 for _, p in want)
+            seen["underflow"] += any(float(p) == 0.0 for _, p in want)
+            seen["mixed"] += len({p.denominator for _, p in want}) > 1
+        assert all(seen[k] >= 50 for k in ("fomm", "hmm", "mdp-fixed")), seen
+        for feature in ("cap", "subnormal", "underflow", "mixed"):
+            assert seen[feature] >= 10, seen
+
 
 class TestEnumeratePast:
     def test_cycle_unique_history(self, cycle3):
@@ -506,3 +555,24 @@ class TestCheckMarkov:
                     assert [t.p_value.hex() for t in got.tests if t.p_value is not None] == [
                         t.p_value.hex() for t in want.tests if t.p_value is not None
                     ]
+
+
+#: each library count argument, as a call on a model and the count
+COUNTS = {
+    "exact_future depth": exact_future,
+    "enumerate_future depth": enumerate_future,
+    "enumerate_past depth": enumerate_past,
+    "belief_determinize depth": belief_determinize,
+    "minimal_model_parts depth": minimal_model_parts,
+    "simulate steps": lambda m, n: simulate(m, SimulationConfig(n, 1)),
+    "simulate_events steps": lambda m, n: simulate_events(m, SimulationConfig(n, 1)),
+    "simulate_journeys journeys": lambda m, n: simulate_journeys(m, n, 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("call", list(COUNTS.values()), ids=list(COUNTS))
+def test_non_integer_count_refused(m1, call, value):
+    with pytest.raises(ModelError, match=f"must be an integer, got {value!r}$"):
+        call(m1, value)
+    call(m1, 2)

@@ -17,6 +17,7 @@ def test_tier1_workflow_parses():
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ['pip install -e ".[test]"', TIER1, GOLDENS]
+    # the tier-1 command, logging the slowest tests on every matrix Python
+    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", GOLDENS]
     # pipefail, so a crashed benchmark run fails the step too
     assert job["steps"][-1]["shell"] == "bash"
