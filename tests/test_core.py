@@ -344,7 +344,98 @@ class TestStepBelief:
         assert all(p > 0 for p in out.probs.values())
 
 
+_TWO_ACTS = "obs x\nact u v\nstate i initial trace x=1\nstate w trace x=1\n"
+
+#: every probability group must admit a distribution: per text, a document
+#: whose state i is reached and whose state w sits in a white peak, with its
+#: violations and warnings; a shortfall in w is a warning, an excess is not
+FEASIBILITY = {
+    "point arrows short": (
+        "model hmm\nobs x\nstate i initial trace x=1\nstate w trace x=1\n"
+        "arrow i true i ap=0.5\narrow w true i ap=0.25\n",
+        ["state i: outgoing probabilities sum to 0.5"],
+        ["state w: outgoing probabilities sum to 0.25 (inside a white peak)"],
+    ),
+    "point arrows over": (
+        "model mdp\nobs x\nact u v\nstate i initial trace x=1\nstate j trace x=1\nstate w trace x=1\n"
+        "arrow i u i ap=0.75\narrow i u j ap=0.5\narrow j v i ap=1\narrow w v w ap=0.5\narrow w v i ap=0.75\n",
+        [
+            "state i, 'u': outgoing probabilities sum to 1.25, above 1",
+            "state w, 'v': outgoing probabilities sum to 1.25, above 1",
+        ],
+        [],
+    ),
+    "interval arrows short": (
+        "model ed\nobs x\nevent a b\nstate i initial trace x=1\nstate w trace x=1\n"
+        "arrow i a i ap=[0.2,0.4]\narrow i b i ap=1\narrow w a i ap=[0,0.5]\n",
+        ["state i, 'a': interval sums exclude any world policy (sum of upper bounds 0.4 below 1)"],
+        [
+            "state w, 'a': interval sums exclude any world policy (sum of upper bounds 0.5 below 1)"
+            " (inside a white peak)"
+        ],
+    ),
+    "interval arrows over": (
+        "model mdp-plus\nobs x\nact u\nstate i initial trace x=1\nstate j trace x=1\nstate w trace x=1\n"
+        "arrow i u i lp=1 ap=[0.75,1]\narrow i u j lp=1 ap=[0.5,1]\narrow j u i lp=1 ap=1\n"
+        "arrow w u w lp=1 ap=[0.5,1]\narrow w u i lp=1 ap=[0.75,1]\n",
+        [
+            "state i: interval sums exclude any world policy (sum of lower bounds 1.25 above 1)",
+            "state w: interval sums exclude any world policy (sum of lower bounds 1.25 above 1)",
+        ],
+        [],
+    ),
+    "mdp-fixed actions short": (
+        "model mdp-fixed\n" + _TWO_ACTS + "arrow i u i lp=0.25 ap=1\narrow i v i lp=0.5 ap=1\narrow w u i lp=0.5 ap=1\n",
+        ["state i: action probabilities sum to 0.75"],
+        ["state w: action probabilities sum to 0.5 (inside a white peak)"],
+    ),
+    "mdp-fixed actions over": (
+        "model mdp-fixed\n" + _TWO_ACTS + "arrow i u i lp=0.75 ap=1\narrow i v i lp=0.5 ap=1\n"
+        "arrow w u w lp=0.75 ap=1\narrow w v i lp=0.5 ap=1\n",
+        ["state i: action probabilities sum to 1.25, above 1", "state w: action probabilities sum to 1.25, above 1"],
+        [],
+    ),
+    "mdp-plus agent short": (
+        "model mdp-plus\n" + _TWO_ACTS + "arrow i u i lp=[0.2,0.3] ap=1\narrow i v i lp=[0.1,0.4] ap=1\n"
+        "arrow w u i lp=[0,0.5] ap=1\n",
+        ["state i: interval sums exclude any policy (upper bounds sum to 0.7)"],
+        ["state w: interval sums exclude any policy (upper bounds sum to 0.5) (inside a white peak)"],
+    ),
+    "mdp-plus agent over": (
+        "model mdp-plus\n" + _TWO_ACTS + "arrow i u i lp=[0.75,1] ap=1\narrow i v i lp=[0.5,1] ap=1\n"
+        "arrow w u w lp=[0.75,1] ap=1\narrow w v i lp=[0.5,1] ap=1\n",
+        [
+            "state i: interval sums exclude any policy (lower bounds sum to 1.25)",
+            "state w: interval sums exclude any policy (lower bounds sum to 1.25)",
+        ],
+        [],
+    ),
+    "traces": (  # over in i, short in w: a trace is never downgraded
+        "model smdp\nobs x y\nact a\nstate i initial trace x=[0.75,1] y=[0.5,1]\n"
+        "state w trace x=[0,0.2] y=[0,0.2]\narrow i a i\narrow w a i\n",
+        [
+            "state i: trace intervals exclude any observation distribution",
+            "state w: trace intervals exclude any observation distribution",
+        ],
+        [],
+    ),
+    "label groups before agents": (
+        "model mdp-fixed\n" + _TWO_ACTS + "arrow i u i lp=0.25 ap=1\narrow i v i lp=0.5 ap=1\n"
+        "arrow w u w lp=1 ap=0.75\narrow w u i lp=1 ap=0.5\n",
+        ["state w, 'u': outgoing probabilities sum to 1.25, above 1", "state i: action probabilities sum to 0.75"],
+        [],
+    ),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("doc, violations, warnings", list(FEASIBILITY.values()), ids=list(FEASIBILITY))
+    def test_feasibility_texts(self, doc, violations, warnings):
+        from stochworld import parse_model
+
+        report = validate(parse_model(doc))
+        assert (report.structural, report.violations, report.warnings) == ([], violations, warnings)
+
     def test_coin_clean(self, m1):
         report = validate(m1)
         assert report.ok and not report.warnings
