@@ -258,6 +258,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     its kind; ``validate`` names the fault when it does not.
     """
     depth = checked_int(depth, "belief determinization depth")
+    cap = checked_int(cap, "belief determinization cap")
     if depth < 0:
         raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
     if not model.has_point_probs():

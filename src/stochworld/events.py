@@ -32,6 +32,7 @@ from .core import (
     Model,
     ProbInterval,
     Trajectory,
+    checked_int,
 )
 from .errors import ModelError, TrackingError
 
@@ -181,6 +182,7 @@ def detect_indirect(
     cannot be found indirectly.
     """
     n = len(trajectory)
+    window = checked_int(window, "indirect detection window")
     if window < 1:
         raise ModelError(f"window must be positive, got {window}")
     if n < 2 * window:

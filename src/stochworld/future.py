@@ -72,6 +72,7 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
     being its int over the scale, or ({word: (lo, hi)}, None).
     """
     depth = checked_int(depth, "future enumeration depth")
+    cap = checked_int(cap, "future enumeration cap")
     if depth < 0:
         raise ModelError(f"future enumeration needs depth 0 or more, got {depth}")
     if exact:

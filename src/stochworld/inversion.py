@@ -25,7 +25,9 @@ import numpy as np
 
 from .analysis import find_black_hole, find_white_peak
 from .constructions import belief_determinize, compose_policy, minimize_forward
-from .core import ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int
+from .core import (
+    ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int,
+)
 from .errors import JourneyError, ModelError, WhitePeakError
 from .future import enumerate_future
 from .walk import seeded_generator
@@ -287,13 +289,11 @@ def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
     return _invert_by_flow(compose_policy(model, policy if policy is not None else _model_policy(model)))
 
 
-def _simplex_box_vertices(bounds, tol=1e-9):
-    """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes given as intervals."""
+def _simplex_box_vertices(bounds):
+    """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes (one or more) given as intervals."""
     n = len(bounds)
-    if n == 0:
-        return [()]
     if n == 1:
-        return [(1.0,)] if bounds[0].contains(1.0, tol) else []
+        return [(1.0,)] if bounds[0].contains(1.0) else []
     verts = set()
     for free in range(n):
         rest = [i for i in range(n) if i != free]
@@ -305,7 +305,7 @@ def _simplex_box_vertices(bounds, tol=1e-9):
                 total += x[i]
             xf = 1.0 - total
             lo, hi = bounds[free].lo, bounds[free].hi
-            if lo - tol <= xf <= hi + tol:
+            if lo - TOL <= xf <= hi + TOL:
                 x[free] = min(max(xf, lo), hi)
                 verts.add(tuple(round(v, 12) for v in x))
     return sorted(verts)
@@ -344,6 +344,9 @@ def invert_mdp_plus(
     """
     if mode == "vertex-enumeration":
         mode = "vertex"
+    budget = checked_int(budget, "interval inversion budget")
+    if budget < 0:
+        raise ModelError(f"interval inversion needs a budget of 0 or more, got {budget}")
     if model.kind not in ACTION_KINDS:
         raise ModelError(f"invert_mdp_plus does not apply to {model.kind} models")
     peak = find_white_peak(model)

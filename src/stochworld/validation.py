@@ -2,10 +2,11 @@
 
 ``validate`` is pure and idempotent.  It separates three severities:
 structural problems (the graph itself is broken), kind violations (the
-graph does not satisfy its declared kind), and warnings.  Outgoing-sum
-deficits are warnings rather than violations when they sit inside a white
-peak, which is the one place removing redundant states may legally leave
-the sums short of one.
+graph does not satisfy its declared kind), and warnings.  Every probability
+group (a label's arrows out of a state, a state's agent, an interval trace)
+must admit a distribution.  A shortfall of arrows or agent is a warning
+rather than a violation inside a white peak, which is the one place removing
+redundant states may legally leave the sums short of one.
 """
 
 from __future__ import annotations
@@ -161,8 +162,10 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
 
     if kind != "smdp":  # smdp intervals are structural: their sums constrain nothing
         _check_sums(model, report)
-    if kind in ("smdp", "mdp-plus", "ed"):
-        _check_traces(model, report)
+    if kind in ("smdp", "mdp-plus", "ed"):  # imperfect traces must admit a distribution too
+        for s in model.states:
+            if not s.trace.is_empty:
+                _check_group(report, s.trace.probs.values(), f"state {s.id}", _TRACE, False)
 
 
 def _check_point_trace(model: Model, s, bad: list) -> None:
@@ -179,75 +182,54 @@ def _check_point_trace(model: Model, s, bad: list) -> None:
         bad.append(f"state {s.id}: trace probabilities sum to {total:g}, expected 1")
 
 
-def _check_sums(model: Model, report: ValidationReport) -> None:
-    kind = model.kind
-    white = find_white_peak(model)
+#: a group's texts, each formatted with (where, sum): (shortfall, excess)
+_POINT_ARROWS = ("{}: outgoing probabilities sum to {:g}", "{}: outgoing probabilities sum to {:g}, above 1")
+_INTERVAL_ARROWS = (
+    "{}: interval sums exclude any world policy (sum of upper bounds {:g} below 1)",
+    "{}: interval sums exclude any world policy (sum of lower bounds {:g} above 1)",
+)
+_AGENTS = {
+    "mdp-fixed": ("{}: action probabilities sum to {:g}", "{}: action probabilities sum to {:g}, above 1"),
+    "mdp-plus": (
+        "{}: interval sums exclude any policy (upper bounds sum to {:g})",
+        "{}: interval sums exclude any policy (lower bounds sum to {:g})",
+    ),
+}
+_TRACE = ("{}: trace intervals exclude any observation distribution",) * 2
 
-    def note_deficit(src: str, detail: str) -> None:
-        if src in white:
-            report.warnings.append(f"{detail} (inside a white peak)")
+
+def _check_group(report: ValidationReport, bounds, where: str, texts: tuple, white: bool) -> None:
+    """A probability group admits a distribution when its lower bounds sum
+    to at most 1 and its upper bounds to at least 1, within ``_SUM_TOL``.
+    Each lo <= hi, so the sums cannot fail both ways; a shortfall inside a
+    white peak is a warning."""
+    hi = sum(iv.hi for iv in bounds)
+    if hi < 1.0 - _SUM_TOL:
+        if white:
+            report.warnings.append(texts[0].format(where, hi) + " (inside a white peak)")
         else:
-            report.violations.append(detail)
+            report.violations.append(texts[0].format(where, hi))
+        return
+    lo = sum(iv.lo for iv in bounds)
+    if lo > 1.0 + _SUM_TOL:
+        report.violations.append(texts[1].format(where, lo))
 
+
+def _check_sums(model: Model, report: ValidationReport) -> None:
+    """Every label's arrows out of a state, then every state's agent."""
+    white = find_white_peak(model)
     compiled = model.compiled
+    texts = _POINT_ARROWS if model.kind in ("fomm", "hmm", "mdp", "mdp-fixed") else _INTERVAL_ARROWS
+    single = len(model.labels) == 1
     for src, out in zip(compiled.ids, compiled.out):
         for label, ks in out.items():
-            lo = sum(model.arrows[k].arrow_prob.lo for k in ks)
-            hi = sum(model.arrows[k].arrow_prob.hi for k in ks)
-            where = f"state {src}" if len(model.labels) == 1 else f"state {src}, {label!r}"
-            if kind in ("fomm", "hmm", "mdp", "mdp-fixed"):
-                if hi < 1.0 - _SUM_TOL:
-                    note_deficit(src, f"{where}: outgoing probabilities sum to {hi:g}")
-                elif lo > 1.0 + _SUM_TOL:
-                    report.violations.append(
-                        f"{where}: outgoing probabilities sum to {lo:g}, above 1"
-                    )
-            else:  # mdp-plus, ed interval feasibility
-                if lo > 1.0 + _SUM_TOL:
-                    report.violations.append(
-                        f"{where}: interval sums exclude any world policy (sum of lower bounds {lo:g} above 1)"
-                    )
-                if hi < 1.0 - _SUM_TOL:
-                    note_deficit(
-                        src,
-                        f"{where}: interval sums exclude any world policy (sum of upper bounds {hi:g} below 1)",
-                    )
+            where = f"state {src}" if single else f"state {src}, {label!r}"
+            _check_group(report, [model.arrows[k].arrow_prob for k in ks], where, texts, src in white)
+    texts = _AGENTS.get(model.kind)
+    if texts is None:
+        return
+    for src, out in zip(compiled.ids, compiled.out):
+        agent = [model.arrows[out[l][0]].label_prob for l in model.labels if l in out]
+        if agent:
+            _check_group(report, agent, f"state {src}", texts, src in white)
 
-    # per-state action mass: fixed agents must sum to 1, interval agents must admit a policy
-    if kind in ("mdp-fixed", "mdp-plus"):
-        for s, out in zip(model.states, compiled.out):
-            agent = [model.arrows[out[l][0]].label_prob for l in model.labels if l in out]
-            if not agent:
-                continue
-            lo = sum(iv.lo for iv in agent)
-            hi = sum(iv.hi for iv in agent)
-            if kind == "mdp-fixed":
-                if hi < 1.0 - _SUM_TOL:
-                    note_deficit(s.id, f"state {s.id}: action probabilities sum to {hi:g}")
-                elif lo > 1.0 + _SUM_TOL:
-                    report.violations.append(
-                        f"state {s.id}: action probabilities sum to {lo:g}, above 1"
-                    )
-            else:
-                if lo > 1.0 + _SUM_TOL:
-                    report.violations.append(
-                        f"state {s.id}: interval sums exclude any policy (lower bounds sum to {lo:g})"
-                    )
-                if hi < 1.0 - _SUM_TOL:
-                    note_deficit(
-                        s.id,
-                        f"state {s.id}: interval sums exclude any policy (upper bounds sum to {hi:g})",
-                    )
-
-
-def _check_traces(model: Model, report: ValidationReport) -> None:
-    """Imperfect traces must admit a distribution over the listed observations."""
-    for s in model.states:
-        if s.trace.is_empty:
-            continue
-        lo = sum(p.lo for p in s.trace.probs.values())
-        hi = sum(p.hi for p in s.trace.probs.values())
-        if lo > 1.0 + _SUM_TOL or hi < 1.0 - _SUM_TOL:
-            report.violations.append(
-                f"state {s.id}: trace intervals exclude any observation distribution"
-            )

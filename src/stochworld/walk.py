@@ -67,8 +67,8 @@ _BLOCK = 1024
 
 
 def seeded_generator(seed: int, what: str) -> np.random.Generator:
-    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative seed is refused."""
-    if seed is not None and seed < 0:
+    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
+    if seed is not None and checked_int(seed, f"{what} seed") < 0:
         raise ModelError(f"{what} needs a seed of 0 or more, got {seed}")
     return np.random.default_rng(seed)
 
@@ -143,8 +143,6 @@ def simulate_events(model: Model, config: SimulationConfig):
                 labels, cum = agents[state]
                 if not labels:
                     raise JourneyError(f"state {ids[state]} has no outgoing actions")
-                if cum is None:
-                    raise _unresolved(f"agent in {ids[state]}")
                 act = label = labels[bisect_right(cum, draw())]
             else:
                 label = TRUE_LABEL
@@ -231,6 +229,8 @@ def check_markov(
     columns sorted, so the cost is O(n) for n steps plus one table per
     symbol.
     """
+    order = checked_int(order, "Markov check order")
+    min_count = checked_int(min_count, "Markov check minimum count")
     if order < 1:
         raise ModelError(f"the Markov check needs order 1 or more, got {order}")
     if math.isnan(significance):

@@ -3,10 +3,11 @@
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from stochworld import parse_model, serialize_model
+from stochworld import invert_mdp_plus, monte_carlo_invert, parse_model, serialize_model
 from stochworld.cli import main
 from stochworld.format import parse_event_stream
 
@@ -171,6 +172,33 @@ class TestSeedDiscipline:
         code, _, err = run(capsys, "invert", M1, "--mode", "mc")
         assert code == 2
         assert "usage error" in err
+
+
+#: an interval decision process with two states, both agent and world open
+PLUS = (
+    "model mdp-plus\nobs x y\nact a b\nstate s initial trace x=1\nstate t trace y=1\n"
+    "arrow s a s lp=[0.2,0.6] ap=[0.3,0.7]\narrow s a t lp=[0.2,0.6] ap=[0.3,0.7]\n"
+    "arrow s b t lp=[0.4,0.8] ap=1\narrow t a s lp=1 ap=1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "doc, options, call",
+    [
+        (None, ("--mode", "mc", "--journeys", "500", "--seed", "7"), lambda m: monte_carlo_invert(m, 500, 7)),
+        (PLUS, ("--mode", "plus-vertex", "--budget", "40"), lambda m: invert_mdp_plus(m, "vertex", 40)),
+        (PLUS, ("--mode", "plus-mc", "--budget", "40", "--seed", "3"), lambda m: invert_mdp_plus(m, "monte-carlo", 40, 3)),
+    ],
+    ids=["mc", "plus-vertex", "plus-mc"],
+)
+def test_invert_mode_prints_the_library_inverse(capsys, tmp_path, doc, options, call):
+    path = Path(M1)
+    if doc is not None:
+        path = tmp_path / "plus.model"
+        path.write_text(doc)
+    code, out, err = run(capsys, "invert", str(path), *options)
+    assert (code, err) == (0, "")
+    assert out == serialize_model(call(parse_model(path.read_text())))
 
 
 class TestPipelines:

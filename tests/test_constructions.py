@@ -236,6 +236,39 @@ class TestQuotient:
         trace = {s.id: s.trace for s in reduced.states}["B1+W1"]
         assert trace.probs["B"].lo == 0.0 and trace.probs["B"].hi == 1.0
 
+    def test_interval_conditionals(self):
+        """Per member that fires with an interval probability, the chance of
+        landing in a class is 0 with no own arrow there, 1 when every firing
+        arrow leads there, else [0, 1]; a class where the event cannot fire
+        (e, whose one E arrow has probability 0) gets no arrow."""
+        model = parse_model(
+            "model ed\nobs x y\nevent u v\n"
+            "state a initial trace x=1\nstate b trace x=1\nstate c trace y=1\n"
+            "state d trace y=1\nstate e trace y=1\n"
+            "arrow a u d lp=[0.6,0.8] ap=1\narrow a v d lp=[0.5,0.7] ap=1\n"
+            "arrow b u d lp=0.25 ap=1\narrow b v e lp=0.25 ap=1\narrow c u e lp=[0.2,0.4] ap=1\n"
+            "arrow d u b lp=1 ap=0.5\narrow d u c lp=1 ap=0.5\narrow e u a lp=0.5 ap=1\n"
+            "arrow e v d lp=0 ap=1\n"
+        )
+        assert validate(model).ok
+        second = frozenset(a for a in model.arrows if a.source in "de" and a.label == "u")
+        partition = Partition(({"a"}, {"b", "c"}, {"d"}, {"e"}))
+        reduced = quotient(model, partition, [EventSet("E", frozenset(model.arrows) - second), EventSet("F", second)])
+        got = {a.key: (a.label_prob.lo, a.label_prob.hi, a.arrow_prob.lo, a.arrow_prob.hi) for a in reduced.arrows}
+        assert got == {
+            # a's two arrows fire with probability [1.1, 1.5], capped to 1,
+            # and both lead to d
+            ("a", "E", "d"): (1, 1, 1, 1),
+            # b fires with 0.5, half of it into d; c fires with [0.2, 0.4]
+            # and has no arrow into d
+            ("b+c", "E", "d"): (0.2, 0.5, 0, 0.5),
+            # c's one arrow leads to e, but its firing chance is an interval
+            ("b+c", "E", "e"): (0.2, 0.5, 0, 1),
+            ("d", "F", "b+c"): (1, 1, 1, 1),
+            ("e", "F", "a"): (0.5, 0.5, 1, 1),
+        }
+        assert validate(reduced).ok
+
 
 class TestBeliefDeterminize:
     def test_deterministic_model_isomorphic(self, m2):

@@ -492,6 +492,13 @@ class TestInvertMdpPlus:
         with pytest.raises(ModelError, match="monte-carlo interval inversion needs a seed of 0 or more, got -1"):
             invert_mdp_plus(model, "monte-carlo", budget=10, seed=-1)
 
+    @pytest.mark.parametrize("mode", ["vertex", "monte-carlo"])
+    def test_negative_budget_refused(self, rain, mode):
+        with pytest.raises(ModelError, match="interval inversion needs a budget of 0 or more, got -1$"):
+            invert_mdp_plus(rain, mode, -1, 1)
+        with pytest.raises(JourneyError, match=r"zero valid resolutions \(explored 0\)"):
+            invert_mdp_plus(rain, mode, 0, 1)
+
     def test_smdp_contains_vertex_extremes(self):
         from dataclasses import replace
         from itertools import product

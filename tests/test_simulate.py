@@ -22,11 +22,14 @@ from stochworld import (
     WhitePeakError,
     belief_determinize,
     check_markov,
+    detect_indirect,
     enumerate_future,
     enumerate_past,
     estimate_fomm,
     exact_future,
+    invert_mdp_plus,
     minimal_model_parts,
+    monte_carlo_invert,
     parse_model,
     preference_to_policy,
     simulate,
@@ -557,7 +560,9 @@ class TestCheckMarkov:
                     ]
 
 
-#: each library count argument, as a call on a model and the count
+RAIN = load_model("rain")
+
+#: each library count, cap, window, budget and seed, as a call on a model and the value
 COUNTS = {
     "exact_future depth": exact_future,
     "enumerate_future depth": enumerate_future,
@@ -567,6 +572,18 @@ COUNTS = {
     "simulate steps": lambda m, n: simulate(m, SimulationConfig(n, 1)),
     "simulate_events steps": lambda m, n: simulate_events(m, SimulationConfig(n, 1)),
     "simulate_journeys journeys": lambda m, n: simulate_journeys(m, n, 1),
+    "exact_future cap": lambda m, n: exact_future(m, 1, cap=n),
+    "enumerate_future cap": lambda m, n: enumerate_future(m, 1, cap=n),
+    "enumerate_past cap": lambda m, n: enumerate_past(m, 1, cap=n),
+    "belief_determinize cap": lambda m, n: belief_determinize(m, 1, cap=n),
+    "check_markov order": lambda m, n: check_markov(simulate(m, SimulationConfig(20, 1)), n),
+    "check_markov min_count": lambda m, n: check_markov(simulate(m, SimulationConfig(20, 1)), min_count=n),
+    "detect_indirect window": lambda m, n: detect_indirect(simulate(m, SimulationConfig(20, 1)), n, 0.5),
+    "invert_mdp_plus vertex budget": lambda m, n: invert_mdp_plus(RAIN, "vertex", n),
+    "invert_mdp_plus monte-carlo budget": lambda m, n: invert_mdp_plus(RAIN, "monte-carlo", n, 1),
+    "simulate seed": lambda m, n: simulate(m, SimulationConfig(3, n)),
+    "monte_carlo_invert seed": lambda m, n: monte_carlo_invert(m, 10, n),
+    "invert_mdp_plus monte-carlo seed": lambda m, n: invert_mdp_plus(RAIN, "monte-carlo", 2, n),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+SOURCE_SIZE = "wc -l src/stochworld/*.py | tail -n 1"
 GOLDENS = (
     "python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1"
     """ | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'"""
@@ -18,6 +19,6 @@ def test_tier1_workflow_parses():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the tier-1 command, logging the slowest tests on every matrix Python
-    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", GOLDENS]
+    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", SOURCE_SIZE, GOLDENS]
     # pipefail, so a crashed benchmark run fails the step too
     assert job["steps"][-1]["shell"] == "bash"
