@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .analysis import find_white_peak
 from .core import (
@@ -25,6 +26,7 @@ from .core import (
 )
 
 _SUM_TOL = 1e-6
+_LO, _HI = attrgetter("lo"), attrgetter("hi")
 
 
 @dataclass
@@ -203,14 +205,14 @@ def _check_group(report: ValidationReport, bounds, where: str, texts: tuple, whi
     to at most 1 and its upper bounds to at least 1, within ``_SUM_TOL``.
     Each lo <= hi, so the sums cannot fail both ways; a shortfall inside a
     white peak is a warning."""
-    hi = sum(iv.hi for iv in bounds)
+    hi = sum(map(_HI, bounds))
     if hi < 1.0 - _SUM_TOL:
         if white:
             report.warnings.append(texts[0].format(where, hi) + " (inside a white peak)")
         else:
             report.violations.append(texts[0].format(where, hi))
         return
-    lo = sum(iv.lo for iv in bounds)
+    lo = sum(map(_LO, bounds))
     if lo > 1.0 + _SUM_TOL:
         report.violations.append(texts[1].format(where, lo))
 
