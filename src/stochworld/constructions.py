@@ -11,6 +11,7 @@ minimal-model pipeline, which ``inversion`` assembles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from .core import (
     TraceSpec,
     canonical,
     checked_int,
+    dyadic,
 )
 from .errors import CapExceededError, CoverageError, ModelError
 
@@ -241,16 +243,17 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
 
 def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     """Expand the reachable beliefs up to `depth` steps into a deterministic
-    model; equal beliefs are merged (exact rational comparison).
+    model; equal beliefs are merged (exact comparison).
 
-    Each step is the Bayes filter of ``step_belief`` in exact rationals.  A
-    member's mass moves along each arrow of the label by lp * ap
-    (``CompiledModel.exact``).  The label probability out of the belief is
-    the sum of mass * lp over the members that offer the label; a member
-    without it contributes nothing, and a label of probability 0 gets no
-    arrows.  The moved mass is grouped by the targets' observations, and
-    each group becomes a successor belief, reached with arrow probability
-    group total / label probability.
+    Each step is the Bayes filter of ``step_belief``, exact: a belief is a
+    tuple of (state id, int) with ints of gcd 1, a member's mass being its
+    int's share of their sum, so equal beliefs have equal tuples.  Mass moves
+    along each arrow of a label by lp * ap, ints from ``dyadic``.  The label
+    probability out of the belief is the sum of mass * lp over the members that
+    offer the label; a member without it contributes nothing, and a label of
+    probability 0 gets no arrows.  The moved mass is grouped by the targets'
+    observations, and each group becomes a successor belief, reached with arrow
+    probability group total / label probability.  Both are int / int divisions.
 
     Arrows out of the deepest layer that would lead to unexplored beliefs
     are dropped and noted in the metadata, as is each belief that steps
@@ -261,6 +264,8 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     cap = checked_int(cap, "belief determinization cap")
     if depth < 0:
         raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
+    if cap < 0:
+        raise ModelError(f"belief determinization needs a cap of 0 or more, got {cap}")
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
     obs_of = [s.trace.deterministic_obs for s in model.states]
@@ -269,10 +274,11 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         raise ModelError(f"belief determinization needs deterministic traces (state {sid} has none)")
 
     compiled = model.compiled
-    ids, index, out, dst, exact = compiled.ids, compiled.index, compiled.out, compiled.dst, compiled.exact
-    start = ((model.initial_state.id, Fraction(1)),)
-    names = {start: "q0"}
-    order = [start]
+    ids, index, out, dst = compiled.ids, compiled.index, compiled.out, compiled.dst
+    lu, lps = dyadic(a.label_prob.lo for a in model.arrows)
+    au, aps = dyadic(a.arrow_prob.lo for a in model.arrows)
+    start = ((model.initial_state.id, 1),)
+    names = {start: "q0"}  # in order of discovery
     arrows = []
     frontier = [start]
     short = []  # expanded beliefs whose label mass, the chance of a step, is below 1
@@ -282,40 +288,42 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         layer, frontier = frontier, []
         for belief in layer:
             rows = [(out[index[sid]], mass) for sid, mass in belief]
+            whole = sum(mass for _, mass in belief) * lu  # a label probability's denominator
             label_mass = 0
             for label in model.labels:
                 offered = [(row[label], mass) for row, mass in rows if label in row]
-                lp = sum(mass * Fraction(model.arrows[ks[0]].label_prob.lo) for ks, mass in offered)
+                lp = sum(mass * lps[ks[0]] for ks, mass in offered)
                 label_mass += lp
                 if not lp:
                     continue
-                label_prob = ProbInterval.point(float(lp))
+                label_prob = ProbInterval.point(lp / whole)
                 by_obs: dict = {}  # observation -> target -> moved mass
                 for ks, mass in offered:
                     for k in ks:
-                        w = mass * exact[k]
+                        w = mass * lps[k] * aps[k]
                         if w:
                             bucket = by_obs.setdefault(obs_of[dst[k]], {})
                             bucket[dst[k]] = bucket.get(dst[k], 0) + w
-                for obs in sorted(by_obs):
-                    total = sum(by_obs[obs].values())
-                    successor = tuple(sorted((ids[j], w / total) for j, w in by_obs[obs].items()))
+                for _, moved in sorted(by_obs.items()):
+                    g = math.gcd(*moved.values())
+                    successor = tuple(sorted((ids[j], w // g) for j, w in moved.items()))
                     if successor not in names:
                         if len(names) >= cap:
                             raise CapExceededError(f"belief expansion exceeds the cap of {cap} states")
                         names[successor] = f"q{len(names)}"
-                        order.append(successor)
                         frontier.append(successor)
-                    ap = ProbInterval.point(float(total / lp))
+                    ap = ProbInterval.point(sum(moved.values()) / (lp * au))
                     arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
+            label_mass = Fraction(label_mass, whole)
             if model.kind not in ("ed", "smdp") and 0 < label_mass < 1 - TOL:  # their labels need not sum to 1
                 short.append(f"{names[belief]}:{label_mass}")
 
     states = tuple(
         State(names[b], initial=(b == start), trace=TraceSpec({obs_of[index[b[0][0]]]: POINT_ONE}))
-        for b in order
+        for b in names
     )
-    meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{mass}" for sid, mass in b) for b in order)
+    totals = {b: sum(m for _, m in b) for b in names}
+    meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{Fraction(m, totals[b])}" for sid, m in b) for b in names)
     if frontier:  # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
         meta += ("frontier truncated at depth; outgoing sums may fall short",)
     meta += ("label mass below 1: " + " ".join(short),) if short else ()
@@ -351,10 +359,9 @@ def _coarsest_blocks(model: Model) -> list:
     labels = compiled.label_index
     preds: list = [[] for _ in model.states]  # target -> (source, label, weight)
     arrows = [k for k, a in enumerate(model.arrows) if a.label in labels]
-    ratios = [model.arrows[k].arrow_prob.lo.as_integer_ratio() for k in arrows]
-    scale = max((den for _, den in ratios), default=1)  # floats are dyadic: weights stay exact
-    for k, (num, den) in zip(arrows, ratios):
-        preds[compiled.dst[k]].append((compiled.src[k], labels[model.arrows[k].label], num * (scale // den)))
+    _, weights = dyadic(model.arrows[k].arrow_prob.lo for k in arrows)  # exact: equal sums compare equal
+    for k, w in zip(arrows, weights):
+        preds[compiled.dst[k]].append((compiled.src[k], labels[model.arrows[k].label], w))
     zero_in = [any(w == 0 for _, _, w in p) for p in preds]
 
     initial: dict = {}

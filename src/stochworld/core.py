@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -38,6 +37,15 @@ def checked_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ModelError(f"{what} must be an integer, got {value!r}") from None
+
+
+def dyadic(values: Iterable[float]) -> tuple:
+    """The doubles as exact ints at one unit, for every exact computation: each
+    is n / d with d a power of two, so at the largest such d, ``unit``, it is
+    the int n * (unit // d).  Returns (unit, ints), (1, []) for no values."""
+    ratios = [v.as_integer_ratio() for v in values]
+    unit = max((d for _, d in ratios), default=1)
+    return unit, [n * (unit // d) for n, d in ratios]
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -244,11 +252,10 @@ class CompiledModel:
     label to its arrows out of state ``i``, in model order.  The other tables
     are built on first use: the walks' ``draws``, ``agents`` and ``traces``;
     the belief filters' ``emissions``, ``shares``, ``allowed`` and
-    ``event_order``; the exact weights ``exact``, which determinization
-    alone reads (the exact future expansion runs on ints at one power-of-two
-    scale instead); and the adjacency lists ``forward`` and ``backward``.
+    ``event_order``; and the adjacency lists ``forward`` and ``backward``.
     Each costs O(|S| + |arrows|) once per model (``allowed`` O(|S| *
-    |observations|)); the view holds the model's tuples, not the model.
+    |observations|)); the view holds the model's tuples, not the model, and
+    no exact weights: exact paths apply ``dyadic`` to the doubles they read.
     """
 
     def __init__(self, model: Model):
@@ -339,15 +346,6 @@ class CompiledModel:
             listed = {o: (p.mid, p.is_point) for o, p in s.trace.probs.items()}
             table.append((listed, (unlisted.mid, unlisted.is_point)))
         return table
-
-    @cached_property
-    def exact(self) -> list:
-        """Per arrow, its weight lp.lo * ap.lo as an exact Fraction of the
-        stored doubles, for determinization, which merges beliefs by their
-        normalized value.  One Fraction per arrow, from the doubles' integer
-        ratios."""
-        ratios = ((a.label_prob.lo.as_integer_ratio(), a.arrow_prob.lo.as_integer_ratio()) for a in self._arrows)
-        return [Fraction(nl * na, dl * da) for (nl, dl), (na, da) in ratios]
 
     @cached_property
     def allowed(self) -> Mapping:

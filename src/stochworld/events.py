@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import (
@@ -171,7 +172,7 @@ def detect_indirect(
     after step t is tv = d / (2 * window), with d their integer L1 distance.
     Step t is a boundary hit when tv exceeds the threshold, compared exactly
     (as rationals, the threshold at its binary value), so a distance equal
-    to the threshold is not a hit; a NaN or infinite threshold is refused.
+    to the threshold is not a hit; a threshold must be a finite number.
     The observations are numbered once, and both counts slide one step at
     a time in one integer list: the scan costs O(n) for n steps, whatever
     the window.
@@ -187,8 +188,8 @@ def detect_indirect(
         raise ModelError(f"window must be positive, got {window}")
     if n < 2 * window:
         raise ModelError(f"trajectory of {n} steps is too short for window {window}")
-    if not math.isfinite(threshold):
-        raise ModelError(f"indirect detection needs a finite threshold, got {threshold}")
+    if not isinstance(threshold, Real) or not math.isfinite(threshold):
+        raise ModelError(f"indirect detection needs a finite threshold, got {threshold!r}")
     cut = math.floor(2 * window * Fraction(threshold)) + 1
     number: dict = {}  # observation -> its index into diff
     codes = [number.setdefault(o, len(number)) for o in trajectory.observations()]

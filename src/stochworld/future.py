@@ -31,6 +31,7 @@ from .core import (
     TraceSpec,
     Trajectory,
     checked_int,
+    dyadic,
 )
 from .errors import CapExceededError, ModelError, PolicyError
 
@@ -62,28 +63,31 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
     """Layered expansion of the development words to the given depth.
 
     Each layer maps a word to its mass per end state.  The exact backend
-    multiplies Python ints: every stored double is n / d with d a power of
-    two, so at the model's largest such d, ``unit``, each label, arrow and
-    trace probability is the exact int n * (unit // d), and every word of a
-    layer carries one more factor of unit ** 3 (label, arrow, emission).
-    The other backend multiplies (lo, hi) float bounds and caps sums at 1.
-    Moves and emissions whose upper bound is zero are dropped once, in
-    per-call tables.  Returns ({word: int}, scale), each word's probability
-    being its int over the scale, or ({word: (lo, hi)}, None).
+    multiplies Python ints: ``dyadic`` turns the label, the arrow and the
+    trace probabilities into exact ints at units lu, au and tu, so every
+    word of a layer carries one more factor of lu * au * tu.  The other
+    backend multiplies (lo, hi) float bounds and caps sums at 1.  Moves and
+    emissions whose upper bound is zero are dropped once, in per-call
+    tables.  Returns ({word: int}, scale), each word's probability being its
+    int over the scale, or ({word: (lo, hi)}, None).
     """
     depth = checked_int(depth, "future enumeration depth")
     cap = checked_int(cap, "future enumeration cap")
     if depth < 0:
         raise ModelError(f"future enumeration needs depth 0 or more, got {depth}")
+    if cap < 0:
+        raise ModelError(f"future enumeration needs a cap of 0 or more, got {cap}")
     if exact:
         one, times, plus, total = 1, operator.mul, operator.add, sum
         positive = lambda w: w > 0
-        ratios = [(a.label_prob.lo.as_integer_ratio(), a.arrow_prob.lo.as_integer_ratio()) for a in m.arrows]
-        traces = {s.id: [(o, p.lo.as_integer_ratio()) for o, p in sorted(s.trace.probs.items())] for s in m.states}
-        unit = max([d for pair in ratios for _, d in pair] + [d for pairs in traces.values() for _, (_, d) in pairs])
-        weights = [nl * (unit // dl) * na * (unit // da) for (nl, dl), (na, da) in ratios]
-        emits = {sid: [(o, n * (unit // d)) for o, (n, d) in pairs] for sid, pairs in traces.items()}
-        scale = unit ** (3 * depth)
+        lu, lps = dyadic(a.label_prob.lo for a in m.arrows)
+        au, aps = dyadic(a.arrow_prob.lo for a in m.arrows)
+        traces = {s.id: sorted(s.trace.probs.items()) for s in m.states}
+        tu, tps = dyadic(p.lo for pairs in traces.values() for _, p in pairs)
+        weights = list(map(operator.mul, lps, aps))
+        emitted = iter(tps)  # in the order of traces
+        emits = {sid: [(o, next(emitted)) for o, _ in pairs] for sid, pairs in traces.items()}
+        scale = (lu * au * tu) ** depth
     else:
         one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds
         positive = lambda w: w[1] > 0.0

@@ -40,8 +40,8 @@ from stochworld import (
     minimize_forward,
     parse_model,
 )
-from stochworld.constructions import compose_policy
-from stochworld.core import ACTION_KINDS, POINT_ONE
+from stochworld.constructions import _doubled_kind, compose_policy
+from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int
 from stochworld.events import _labels_at
 from stochworld.walk import MarkovReport, SymbolTest, _resolve_agent
 
@@ -278,6 +278,89 @@ def random_filter_model(rng: random.Random) -> Model:
                 if ap or rng.random() < 0.3:  # keep some zero-weight arrows
                     arrows.append(Arrow(src, label, dst, ProbInterval.point(lp), ProbInterval.point(ap)))
     return Model(kind, obs, labels, states, tuple(arrows))
+
+
+def determinize_by_fractions(model: Model, depth: int, cap: int = 4096) -> Model:
+    """Reference ``belief_determinize``: the same filter with every belief,
+    label mass and arrow weight a normalized ``Fraction``, from one exact
+    weight per arrow.  Its model and its ``meta`` must equal the fast path's
+    to the byte."""
+    depth = checked_int(depth, "belief determinization depth")
+    cap = checked_int(cap, "belief determinization cap")
+    if depth < 0:
+        raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
+    if not model.has_point_probs():
+        raise ModelError("belief determinization needs point probabilities")
+    obs_of = [s.trace.deterministic_obs for s in model.states]
+    if None in obs_of:
+        sid = model.states[obs_of.index(None)].id
+        raise ModelError(f"belief determinization needs deterministic traces (state {sid} has none)")
+
+    compiled = model.compiled
+    ids, index, out, dst = compiled.ids, compiled.index, compiled.out, compiled.dst
+    # per arrow, its weight lp.lo * ap.lo as an exact Fraction of the stored doubles
+    ratios = ((a.label_prob.lo.as_integer_ratio(), a.arrow_prob.lo.as_integer_ratio()) for a in model.arrows)
+    exact = [Fraction(nl * na, dl * da) for (nl, dl), (na, da) in ratios]
+    start = ((model.initial_state.id, Fraction(1)),)
+    names = {start: "q0"}
+    order = [start]
+    arrows = []
+    frontier = [start]
+    short = []  # expanded beliefs whose label mass, the chance of a step, is below 1
+    for _ in range(depth):
+        if not frontier:
+            break
+        layer, frontier = frontier, []
+        for belief in layer:
+            rows = [(out[index[sid]], mass) for sid, mass in belief]
+            label_mass = 0
+            for label in model.labels:
+                offered = [(row[label], mass) for row, mass in rows if label in row]
+                lp = sum(mass * Fraction(model.arrows[ks[0]].label_prob.lo) for ks, mass in offered)
+                label_mass += lp
+                if not lp:
+                    continue
+                label_prob = ProbInterval.point(float(lp))
+                by_obs: dict = {}  # observation -> target -> moved mass
+                for ks, mass in offered:
+                    for k in ks:
+                        w = mass * exact[k]
+                        if w:
+                            bucket = by_obs.setdefault(obs_of[dst[k]], {})
+                            bucket[dst[k]] = bucket.get(dst[k], 0) + w
+                for obs in sorted(by_obs):
+                    total = sum(by_obs[obs].values())
+                    successor = tuple(sorted((ids[j], w / total) for j, w in by_obs[obs].items()))
+                    if successor not in names:
+                        if len(names) >= cap:
+                            raise CapExceededError(f"belief expansion exceeds the cap of {cap} states")
+                        names[successor] = f"q{len(names)}"
+                        order.append(successor)
+                        frontier.append(successor)
+                    ap = ProbInterval.point(float(total / lp))
+                    arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
+            if model.kind not in ("ed", "smdp") and 0 < label_mass < 1 - TOL:  # their labels need not sum to 1
+                short.append(f"{names[belief]}:{label_mass}")
+
+    states = tuple(
+        State(names[b], initial=(b == start), trace=TraceSpec({obs_of[index[b[0][0]]]: POINT_ONE}))
+        for b in order
+    )
+    meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{mass}" for sid, mass in b) for b in order)
+    if frontier:  # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
+        meta += ("frontier truncated at depth; outgoing sums may fall short",)
+    meta += ("label mass below 1: " + " ".join(short),) if short else ()
+    return Model(
+        kind=_doubled_kind(model.kind),
+        obs=model.obs,
+        labels=model.labels,
+        states=states,
+        arrows=tuple(arrows),
+        priorities=model.priorities,
+        name=model.name,
+        meta=meta,
+    )
+
 
 
 def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict:

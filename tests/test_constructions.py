@@ -3,6 +3,7 @@ and the minimal-model pipeline."""
 
 import inspect
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -27,15 +28,18 @@ from stochworld import (
     parity_model,
     parse_model,
     quotient,
+    serialize_model,
     step_belief,
     validate,
 )
 from stochworld.analysis import find_black_hole, find_white_peak
 
 from helpers import (
+    MODELS_DIR,
     ArrowIndex,
     chain_model,
     cycle_model,
+    determinize_by_fractions,
     joined_by_assembly,
     load_model,
     random_connected_chain,
@@ -284,6 +288,31 @@ class TestBeliefDeterminize:
     def test_negative_depth_refused(self, m1):
         with pytest.raises(ModelError, match="depth 0 or more, got -1"):
             belief_determinize(m1, -1)
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_negative_cap_refused(self, m1, depth):
+        with pytest.raises(ModelError, match="belief determinization needs a cap of 0 or more, got -3"):
+            belief_determinize(m1, depth, cap=-3)
+
+    def test_equals_the_fraction_oracle(self):
+        """Beliefs as ints of gcd 1 give the model and the meta of beliefs as
+        normalized Fractions, to the byte, where the traces allow it."""
+        models = [load_model(p.stem) for p in sorted(MODELS_DIR.glob("*.model"))]
+        rng = random.Random(16)
+        models += [random_point_model(rng) for _ in range(150)] + [random_filter_model(rng) for _ in range(150)]
+        compared = 0
+        for model in models:
+            try:
+                want = determinize_by_fractions(model, 8)
+            except ModelError as refused:
+                with pytest.raises(ModelError, match=re.escape(str(refused))):
+                    belief_determinize(model, 8)
+                continue
+            got = belief_determinize(model, 8)
+            assert serialize_model(got) == serialize_model(want)
+            assert got.meta == want.meta
+            compared += 1
+        assert compared >= 200
 
     def test_nondeterministic_expansion_preserves_futures(self):
         model = parse_model(

@@ -25,7 +25,7 @@ from stochworld import (
     step_belief,
     validate,
 )
-from stochworld.core import POINT_ONE
+from stochworld.core import POINT_ONE, dyadic
 
 from helpers import chain_model
 
@@ -132,6 +132,24 @@ class TestProbInterval:
         with pytest.raises(ModelError) as err:
             ProbInterval(lo, hi)
         assert str(err.value) == f"invalid probability interval {text}"
+
+
+class TestDyadic:
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0], [1.0], [0.1], [5e-324], [0.5, 0.1, 0.0, 1.0, 0.375, 1e-300, 5e-324], []],
+        ids=["zero", "one", "tenth", "subnormal", "mixed", "empty"],
+    )
+    def test_each_double_is_its_int_over_the_unit(self, values):
+        unit, ints = dyadic(values)
+        assert unit & (unit - 1) == 0  # a power of two
+        assert unit == max((Fraction(v).denominator for v in values), default=1)
+        assert len(ints) == len(values)
+        for v, n in zip(values, ints):
+            assert type(n) is int and Fraction(n, unit) == Fraction(v)
+
+    def test_empty(self):
+        assert dyadic([]) == (1, [])
 
 
 class TestArrow:

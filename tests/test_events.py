@@ -4,6 +4,7 @@ derived events and hierarchical composition."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -278,6 +279,12 @@ class TestDetectIndirect:
     def test_non_finite_threshold_refused(self, threshold):
         obs = ["a"] * 5 + ["b"] * 5
         with pytest.raises(ModelError, match=f"indirect detection needs a finite threshold, got {threshold}"):
+            detect_indirect(traj_of(obs), 3, threshold)
+
+    @pytest.mark.parametrize("threshold", ["3", None, [0.5]])
+    def test_non_number_threshold_refused(self, threshold):
+        obs = ["a"] * 5 + ["b"] * 5
+        with pytest.raises(ModelError, match=re.escape(f"indirect detection needs a finite threshold, got {threshold!r}")):
             detect_indirect(traj_of(obs), 3, threshold)
 
     def test_distance_equal_to_threshold_is_no_boundary(self):

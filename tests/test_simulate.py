@@ -206,6 +206,15 @@ class TestEnumerateFuture:
         with pytest.raises(ModelError, match="depth 0 or more, got -2"):
             develop(m1, -2)
 
+    @pytest.mark.parametrize("develop", [enumerate_future, exact_future, enumerate_past])
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("cap", [-1, -5])
+    def test_negative_cap_refused(self, m1, develop, depth, cap):
+        # at depth 0 a negative cap was never compared; at depth 1 it read
+        # "exceeds -1 developments"
+        with pytest.raises(ModelError, match=f"future enumeration needs a cap of 0 or more, got {cap}"):
+            develop(m1, depth, cap=cap)
+
     def test_per_depth_sum_exactly_one(self, m2, cycle3):
         for model in (m2, cycle3):
             for depth in (1, 3, 5):

@@ -17,6 +17,8 @@ def test_tier1_workflow_parses():
     yaml = pytest.importorskip("yaml")
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
+    # a hung run fails fast instead of at GitHub's 6-hour default
+    assert 0 < job["timeout-minutes"] <= 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the tier-1 command, logging the slowest tests on every matrix Python
     assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", SOURCE_SIZE, GOLDENS]
