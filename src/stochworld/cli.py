@@ -15,16 +15,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-# the package's exports import inversion and the walk, and with them numpy,
-# on first use: only the commands that compute with numpy load it
+# library calls go through the package's exports, which import a module on
+# first use: each command loads only the modules it computes with, numpy too
 import stochworld as sw
 
-from . import analysis, constructions, events
 from . import format as fmt
-from .core import memory_bits
 from .errors import ModelError, ToolkitError
-from .future import enumerate_future, estimate_fomm, preference_to_policy
-from .validation import validate
 
 
 def _read(path: str) -> str:
@@ -45,7 +41,7 @@ def _write(text: str, path: Optional[str]) -> None:
 def _load_model(path: str):
     """Parse a model and refuse it unless it satisfies its kind."""
     model = fmt.parse_model(_read(path))
-    violations = validate(model).violations
+    violations = sw.validate(model).violations
     if violations:
         raise ModelError(violations[0])
     return model
@@ -77,7 +73,7 @@ def _render_future(fs) -> str:
 
 def cmd_validate(args) -> int:
     model = fmt.parse_model(_read(args.model))
-    report = validate(model)
+    report = sw.validate(model)
     for line in report.warnings:
         print(f"warning: {line}")
     if report.ok:
@@ -91,11 +87,11 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     model = _load_model(args.model)
-    report = analysis.analyze(model)
+    report = sw.analyze(model)
     print("white-peak:" + "".join(f" {s}" for s in sorted(report.white_peak)))
     print("black-hole:" + "".join(f" {s}" for s in sorted(report.black_hole)))
     print("redundant:" + "".join(f" {s}" for s in sorted(report.redundant)))
-    print(f"memory-bits: {memory_bits(model)}")
+    print(f"memory-bits: {sw.memory_bits(model)}")
     return 0
 
 
@@ -123,10 +119,10 @@ def cmd_double(args) -> int:
     model = _load_model(args.model)
     event = fmt.parse_event_arrows(_read(args.arrows), model, args.event)
     if args.mode == "fact":
-        doubled, fact = constructions.event_to_fact(model, event)
+        doubled, fact = sw.event_to_fact(model, event)
         print(f"fact {fact.name}: " + " ".join(sorted(fact.states)), file=sys.stderr)
     else:
-        doubled = constructions.parity_model(model, event)
+        doubled = sw.parity_model(model, event)
     _write(fmt.serialize_model(doubled), args.output)
     return 0
 
@@ -137,13 +133,13 @@ def cmd_quotient(args) -> int:
     monitored = []
     for label in args.monitor_label or ():
         arrows = frozenset(a for a in model.arrows if a.label == label)
-        monitored.append(constructions.EventSet(label, arrows))
+        monitored.append(sw.EventSet(label, arrows))
     for spec in args.monitor or ():
         name, _, path = spec.partition("=")
         if not path:
             return _usage_error("--monitor needs <name>=<arrow-file>")
         monitored.append(fmt.parse_event_arrows(_read(path), model, name))
-    reduced = constructions.quotient(model, partition, monitored)
+    reduced = sw.quotient(model, partition, monitored)
     _write(fmt.serialize_model(reduced), args.output)
     return 0
 
@@ -151,8 +147,8 @@ def cmd_quotient(args) -> int:
 def cmd_minimize(args) -> int:
     model = _load_model(args.model)
     if args.determinize:
-        model = constructions.belief_determinize(model, args.depth)
-    reduced, partition = constructions.minimize_forward(model)
+        model = sw.belief_determinize(model, args.depth)
+    reduced, partition = sw.minimize_forward(model)
     if args.partition_out:
         _write(fmt.serialize_partition(partition), args.partition_out)
     _write(fmt.serialize_model(reduced), args.output)
@@ -185,7 +181,7 @@ def cmd_simulate(args) -> int:
 def cmd_future(args) -> int:
     model = _load_model(args.model)
     policy = fmt.parse_policy(_read(args.policy)) if args.policy else None
-    fs = enumerate_future(model, args.depth, policy)
+    fs = sw.enumerate_future(model, args.depth, policy)
     _write(_render_future(fs), args.output)
     return 0
 
@@ -199,7 +195,7 @@ def cmd_past(args) -> int:
 
 def cmd_estimate(args) -> int:
     trajectory = fmt.parse_trajectory(_read(args.trajectory))
-    model = estimate_fomm(trajectory)
+    model = sw.estimate_fomm(trajectory)
     _write(fmt.serialize_model(model), args.output)
     return 0
 
@@ -222,7 +218,7 @@ def cmd_markov_check(args) -> int:
 def cmd_policy_from_preference(args) -> int:
     model = _load_model(args.model)
     preference = fmt.parse_preference(_read(args.preference))
-    policy = preference_to_policy(model, preference)
+    policy = sw.preference_to_policy(model, preference)
     if policy.adjusted:
         print("adjusted: " + " ".join(sorted(policy.adjusted)), file=sys.stderr)
     _write(fmt.serialize_policy(policy), args.output)
@@ -236,11 +232,11 @@ def cmd_detect(args) -> int:
     if args.direct:
         base = None if args.direct == "-" else Path(args.direct).parent
         fns = fmt.parse_charfns(_read(args.direct), base_dir=base)
-        stream = events.detect_direct(trajectory, fns, args.threshold)
+        stream = sw.detect_direct(trajectory, fns, args.threshold)
     elif args.indirect:
         if args.window is None:
             return _usage_error("--indirect needs --window")
-        stream, segments = events.detect_indirect(trajectory, args.window, args.threshold)
+        stream, segments = sw.detect_indirect(trajectory, args.window, args.threshold)
         for start, end in segments:
             print(f"segment {start} {end}", file=sys.stderr)
     else:
@@ -253,7 +249,7 @@ def cmd_track(args) -> int:
     model = _load_model(args.model)
     trajectory = fmt.parse_trajectory(_read(args.trajectory))
     stream = fmt.parse_event_stream(_read(args.events))
-    result = events.track(model, trajectory, stream, collision=args.collision)
+    result = sw.track(model, trajectory, stream, collision=args.collision)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     lines = []

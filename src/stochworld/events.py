@@ -141,11 +141,11 @@ def detect_direct(
 
     When same-named functions disagree at a step, the verdict of the one
     with the longer combined window stands (the first listed among equals).
-    Occurrences come by step, then by name.  A NaN threshold is refused;
-    -inf and +inf keep their meaning.
+    Occurrences come by step, then by name.  A NaN threshold, and one that
+    is not a real number, is refused; -inf and +inf keep their meaning.
     """
-    if math.isnan(threshold):
-        raise ModelError(f"direct detection needs a threshold that is a number, got {threshold}")
+    if not isinstance(threshold, Real) or math.isnan(threshold):
+        raise ModelError(f"direct detection needs a threshold that is a number, got {threshold!r}")
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)

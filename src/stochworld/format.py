@@ -24,7 +24,9 @@ import re
 from pathlib import Path
 from typing import List, Optional
 
-from .constructions import EventSet
+# EventSet and CharFn come through the package's exports, imported on first use
+import stochworld as sw
+
 from .core import (
     ACTION_KINDS,
     FULL,
@@ -47,7 +49,6 @@ from .core import (
     canonical,
 )
 from .errors import FormatError, ModelError
-from .events import CharFn
 from .validation import structural_problems
 
 
@@ -422,7 +423,7 @@ def serialize_policy(policy: Policy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_event_arrows(text: str, model: Model, name: str = "event") -> EventSet:
+def parse_event_arrows(text: str, model: Model, name: str = "event") -> sw.EventSet:
     """Arrow triples `<from> <label> <to>`, resolved against the model."""
     by_key = {a.key: a for a in model.arrows}
     picked = []
@@ -433,13 +434,13 @@ def parse_event_arrows(text: str, model: Model, name: str = "event") -> EventSet
         if key not in by_key:
             raise FormatError(f"no arrow {' '.join(key)} in the model", num)
         picked.append(by_key[key])
-    return EventSet(name, frozenset(picked))
+    return sw.EventSet(name, frozenset(picked))
 
 
 # -- event-runtime formats -------------------------------------------------------
 
 
-def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
+def parse_charfns(text: str, base_dir=None) -> List[sw.CharFn]:
     """Characteristic function documents::
 
         charfn <name> action=<a>
@@ -486,7 +487,7 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
             rows = pending_table["rows"]
             plen = pending_table["plen"] or max((len(p) for p, _ in rows), default=0)
             flen = pending_table["flen"] or max((len(f) for _, f in rows), default=0)
-            fns.append(CharFn(pending_table["name"], "table", plen, flen, table=rows))
+            fns.append(sw.CharFn(pending_table["name"], "table", plen, flen, table=rows))
             pending_table = None
 
     for num, tokens in _lines(text):
@@ -502,9 +503,9 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
         name = tokens[1]
         spec = tokens[2]
         if spec.startswith("action="):
-            fns.append(CharFn(name, "action-match", 0, 1, action=spec[len("action=") :]))
+            fns.append(sw.CharFn(name, "action-match", 0, 1, action=spec[len("action=") :]))
         elif spec.startswith("obs="):
-            fns.append(CharFn(name, "obs-match", 0, 1, obs=spec[len("obs=") :]))
+            fns.append(sw.CharFn(name, "obs-match", 0, 1, obs=spec[len("obs=") :]))
         elif spec == "pattern":
             past = future = None
             plen, flen = 0, 1
@@ -522,7 +523,7 @@ def parse_charfns(text: str, base_dir=None) -> List[CharFn]:
                     raise FormatError(f"unexpected token {t!r}", num)
             if past is None and future is None:
                 raise FormatError("pattern needs past= or future=", num)
-            fns.append(CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future))
+            fns.append(sw.CharFn(name, "pattern", plen, flen, past_pattern=past, future_pattern=future))
         elif spec == "table":
             pending_table = {"name": name, "plen": 0, "flen": 0, "rows": {}}
             for t in tokens[3:]:

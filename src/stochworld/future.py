@@ -67,9 +67,9 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
     trace probabilities into exact ints at units lu, au and tu, so every
     word of a layer carries one more factor of lu * au * tu.  The other
     backend multiplies (lo, hi) float bounds and caps sums at 1.  Moves and
-    emissions whose upper bound is zero are dropped once, in per-call
-    tables.  Returns ({word: int}, scale), each word's probability being its
-    int over the scale, or ({word: (lo, hi)}, None).
+    emissions whose upper bound is zero are dropped once, in per-call tables.
+    A layer is refused at its (cap + 1)-th word.  Returns ({word: int},
+    scale), each word's probability its int over the scale, or ({word: (lo, hi)}, None).
     """
     depth = checked_int(depth, "future enumeration depth")
     cap = checked_int(cap, "future enumeration cap")
@@ -108,11 +108,11 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
                     moved = times(mass, weight)
                     for obs, p in emitted:
                         bucket = nxt.setdefault(word + ((label, obs),), {})
+                        if len(nxt) > cap:
+                            raise CapExceededError(f"future enumeration exceeds {cap} developments")
                         w = times(moved, p)
                         bucket[target] = plus(bucket[target], w) if target in bucket else w
         layer = nxt
-        if len(layer) > cap:
-            raise CapExceededError(f"future enumeration exceeds {cap} developments")
     return {word: total(list(dist.values())) for word, dist in layer.items()}, scale
 
 

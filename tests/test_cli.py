@@ -473,14 +473,43 @@ class TestConsoleScript:
         assert "white-peak: 1" in proc.stdout
 
 
-#: prints, after the command, which of numpy and scipy.stats it loaded
+#: runs the command, if any, then prints the stochworld modules it loaded
+#: (without the package prefix) and fractions, then which of numpy and
+#: scipy.stats it loaded
 PROBE = (
     "import sys\n"
     "from stochworld.cli import main\n"
-    "code = main(sys.argv[1:])\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "names = [m for m in sys.modules if m.partition('.')[0] in ('stochworld', 'fractions')]\n"
+    "print('modules:', *sorted(m.removeprefix('stochworld.') for m in names), file=sys.stderr)\n"
     "print('loaded:', *(m for m in ('numpy', 'scipy.stats') if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+
+#: what ``import stochworld.cli`` loads: every command reads a document and
+#: validates it, and parsing checks the document's structure
+CLI_MODULES = {"stochworld", "analysis", "cli", "core", "errors", "format", "validation"}
+
+#: one run of every command, with the modules it loads beyond CLI_MODULES
+COMMANDS = [
+    (["validate", M1], ""),
+    (["analyze", FIG3], ""),
+    (["future", M1, "--depth", "3"], "constructions fractions future"),
+    (["estimate", "{d}/walk.traj"], "constructions fractions future"),
+    (["detect", "{d}/walk.traj", "--indirect", "--window", "20"], "events fractions"),
+    (["track", "{d}/house.traj", "--model", HOUSE, "--events", "{d}/house.stream"], "events fractions"),
+    (["double", M2, "--mode", "parity", "--event", "flip", "--arrows", "{d}/flip.arrows"], "constructions fractions"),
+    (["quotient", M2, "--classes", "{d}/classes.txt", "--monitor", "flip={d}/flip.arrows"], "constructions fractions"),
+    (["minimize", M2, "--depth", "3", "--determinize"], "constructions fractions"),
+    (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "constructions fractions future"),
+    (["export-dot", M1], ""),
+    (["invert", M1], "constructions fractions future inversion walk"),
+    (["past", CYCLE3, "--depth", "2"], "constructions fractions future inversion walk"),
+    (["minimal", CYCLE3, "--depth", "3"], "constructions fractions future inversion walk"),
+    (["simulate", M1, "--steps", "10", "--seed", "1"], "constructions fractions future walk"),
+    (["markov-check", "{d}/walk.traj", "--min-count", "5"], "constructions fractions future walk"),
+]
+NUMPY_COMMANDS = {"invert", "past", "minimal", "simulate", "markov-check"}
 
 
 class TestStartup:
@@ -499,36 +528,36 @@ class TestStartup:
         return d
 
     def probe(self, argv, docs):
+        """The command's stdout, the stochworld modules (and fractions) it
+        loaded, and which of numpy and scipy.stats it loaded."""
         proc = subprocess.run(
             [sys.executable, "-c", PROBE, *(a.format(d=docs) for a in argv)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout, proc.stderr.splitlines()[-1].split()[1:]
+        modules, loaded = (line.split()[1:] for line in proc.stderr.splitlines()[-2:])
+        return proc.stdout, set(modules), loaded
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["validate", M1],
-            ["analyze", FIG3],
-            ["future", M1, "--depth", "3"],
-            ["estimate", "{d}/walk.traj"],
-            ["detect", "{d}/walk.traj", "--indirect", "--window", "20"],
-            ["track", "{d}/house.traj", "--model", HOUSE, "--events", "{d}/house.stream"],
-            ["double", M2, "--mode", "parity", "--event", "flip", "--arrows", "{d}/flip.arrows"],
-            ["quotient", M2, "--classes", "{d}/classes.txt", "--monitor", "flip={d}/flip.arrows"],
-            ["minimize", M2, "--depth", "3", "--determinize"],
-            ["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"],
-            ["export-dot", M1],
-        ],
+        [argv for argv, _ in COMMANDS if argv[0] not in NUMPY_COMMANDS],
         ids=lambda argv: argv[0],
     )
     def test_pure_command_loads_no_numpy(self, docs, argv):
-        _, loaded = self.probe(argv, docs)
+        _, _, loaded = self.probe(argv, docs)
         assert loaded == []
 
     def test_markov_check_loads_no_scipy_stats(self, docs):
-        out, loaded = self.probe(["markov-check", "{d}/walk.traj", "--min-count", "5"], docs)
+        out, _, loaded = self.probe(["markov-check", "{d}/walk.traj", "--min-count", "5"], docs)
         assert "p=" in out
         assert loaded == ["numpy"]
+
+    def test_cli_import_loads_no_computing_module(self, docs):
+        _, modules, loaded = self.probe([], docs)
+        assert modules == CLI_MODULES and loaded == []
+
+    @pytest.mark.parametrize("argv, extra", [pytest.param(*c, id=c[0][0]) for c in COMMANDS])
+    def test_command_loads_only_its_modules(self, docs, argv, extra):
+        _, modules, _ = self.probe(argv, docs)
+        assert modules == CLI_MODULES | set(extra.split())

@@ -95,6 +95,14 @@ class TestCharFns:
         with pytest.raises(ModelError, match="threshold that is a number, got nan"):
             detect_direct(traj, fns, float("nan"))
 
+    @pytest.mark.parametrize("threshold", ["3", None])
+    def test_non_number_threshold_refused(self, threshold):
+        # math.isnan let these escape as a built-in TypeError
+        traj = traj_of(["x", "y", "x"])
+        fns = [CharFn("seen", "obs-match", obs="x")]
+        with pytest.raises(ModelError, match=re.escape(f"threshold that is a number, got {threshold!r}")):
+            detect_direct(traj, fns, threshold)
+
     def test_fields_checked_at_construction(self):
         # a negative window used to detect nothing, and a bad regex escaped as re.error
         traj = traj_of(["a", "b", "a"])

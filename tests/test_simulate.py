@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -214,6 +215,32 @@ class TestEnumerateFuture:
         # "exceeds -1 developments"
         with pytest.raises(ModelError, match=f"future enumeration needs a cap of 0 or more, got {cap}"):
             develop(m1, depth, cap=cap)
+
+    @pytest.mark.parametrize("interval", [False, True])
+    def test_cap_refused_before_the_layer_is_built(self, interval):
+        # one state showing 128 symbols: 128 words at depth 1, 16384 at
+        # depth 2; at cap 128 the refusal at depth 2 stops at word 129 of
+        # that layer, so it allocates less than twice what depth 1 does
+        ap = "[0.5,1]" if interval else "1"
+        model = parse_model(
+            "model hmm\nobs " + " ".join(f"o{i}" for i in range(128))
+            + "\nstate s initial trace " + " ".join(f"o{i}=0.0078125" for i in range(128))
+            + f"\narrow s true s ap={ap}\n"
+        )
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                _outcome(call)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(enumerate_future(model, 1, cap=128).entries) == 128
+        whole_depth_one = peak(lambda: enumerate_future(model, 1, cap=128))
+        with pytest.raises(CapExceededError, match="exceeds 128 developments"):
+            enumerate_future(model, 2, cap=128)
+        assert peak(lambda: enumerate_future(model, 2, cap=128)) < 2 * whole_depth_one
 
     def test_per_depth_sum_exactly_one(self, m2, cycle3):
         for model in (m2, cycle3):

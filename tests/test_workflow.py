@@ -7,6 +7,7 @@ import pytest
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 SOURCE_SIZE = "wc -l src/stochworld/*.py | tail -n 1"
+STARTUP = "python -X importtime -m stochworld.cli validate models/m1_coin.model 2>&1 >/dev/null | grep stochworld"
 GOLDENS = (
     "python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1"
     """ | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'"""
@@ -21,6 +22,8 @@ def test_tier1_workflow_parses():
     assert 0 < job["timeout-minutes"] <= 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the tier-1 command, logging the slowest tests on every matrix Python
-    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", SOURCE_SIZE, GOLDENS]
+    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", SOURCE_SIZE, STARTUP, GOLDENS]
+    # the start-up report runs under the default shell, without pipefail
+    assert "shell" not in job["steps"][-2]
     # pipefail, so a crashed benchmark run fails the step too
     assert job["steps"][-1]["shell"] == "bash"
