@@ -486,8 +486,8 @@ PROBE = (
     "sys.exit(code)\n"
 )
 
-#: what ``import stochworld.cli`` loads: every command reads a document and
-#: validates it, and parsing checks the document's structure
+#: what ``import stochworld.cli`` loads: parsing a document checks its
+#: structure (validation), and validation looks for white peaks (analysis)
 CLI_MODULES = {"stochworld", "analysis", "cli", "core", "errors", "format", "validation"}
 
 #: one run of every command, with the modules it loads beyond CLI_MODULES
