@@ -4,9 +4,8 @@ Facts are state sets, events are arrow sets; the doubling constructions
 turn an event into a fact of an equivalent model (one step delayed) or into
 an even/odd occurrence counter.  Quotients collapse a generator onto an
 event-driven model when the monitored events cover every class-crossing
-arrow.  A policy fixes the agent of a decision process.  Belief
-determinization and bisimulation minimization are the steps of the
-minimal-model pipeline, which ``inversion`` assembles.
+arrow.  Belief determinization and bisimulation minimization are the
+steps of the minimal-model pipeline, which ``inversion`` assembles.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .core import (
     Arrow,
     Model,
     Partition,
-    Policy,
     ProbInterval,
     State,
     TraceSpec,
@@ -121,16 +119,6 @@ def parity_model(model: Model, event: EventSet) -> Model:
     return doubled
 
 
-def compose_policy(model: Model, policy: Policy) -> Model:
-    """Fix the agent: replace label probabilities with the policy's points."""
-    policy.check(model)
-    arrows = tuple(
-        replace(a, label_prob=ProbInterval.point(policy.of(a.source, a.label)))
-        for a in model.arrows
-    )
-    return replace(model, kind="mdp-fixed", arrows=arrows)
-
-
 # -- quotient ---------------------------------------------------------------------
 
 
@@ -194,6 +182,7 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
         keys = e.keys()
         for c in partition.classes:
             fires = {}  # member -> interval probability the event fires there
+            leads = {}  # member -> the classes its arrows that can fire lead to
             to_class: dict = {}  # target class -> member -> interval mass
             for m in sorted(c):
                 out = compiled.out[compiled.index[m]]
@@ -203,6 +192,7 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
                     fires[m] = ProbInterval.point(0.0)
                     continue
                 fires[m] = _interval_sum([a.effective() for a in own])
+                leads[m] = {class_id(partition.class_of(a.target)) for a in own if a.effective().hi > 0.0}
                 for a in own:
                     d = class_id(partition.class_of(a.target))
                     to_class.setdefault(d, {}).setdefault(m, []).append(a)
@@ -220,7 +210,7 @@ def quotient(model: Model, partition: Partition, monitored) -> Model:
                         conds.append(ProbInterval.point(min(mass.lo / q.lo, 1.0)))
                     elif not own:
                         conds.append(ProbInterval.point(0.0))
-                    elif mass.lo >= q.hi - TOL:  # every firing arrow leads to d
+                    elif leads[m] == {d}:  # every arrow that can fire leads to d
                         conds.append(ProbInterval.point(1.0))
                     else:
                         conds.append(ProbInterval(0.0, 1.0))

@@ -32,11 +32,14 @@ TRUE_LABEL = "true"
 
 
 def checked_int(value, what: str) -> int:
-    """``value`` as an int; anything else (2.5, NaN, ±inf) is a ``ModelError`` naming it."""
+    """``value`` as an int; anything else (2.5, NaN, ±inf, and a bool, which
+    is not a count) is a ``ModelError`` naming it."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ModelError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
 def dyadic(values: Iterable[float]) -> tuple:
@@ -225,22 +228,6 @@ class Model:
         return CompiledModel(self)
 
 
-def _cumulative(intervals) -> Optional[list]:
-    """Running sums of the midpoints of point intervals, the last replaced
-    by +inf so that a draw at or above the rounded total takes the last
-    item; None when one of them is an interval."""
-    cum = []
-    total = 0.0
-    for iv in intervals:
-        if not iv.is_point:
-            return None
-        total += iv.mid
-        cum.append(total)
-    if cum:
-        cum[-1] = math.inf
-    return cum
-
-
 class CompiledModel:
     """Numbered tables of one model, shared by the walks and solvers over it.
 
@@ -250,9 +237,9 @@ class CompiledModel:
     ``dst[k]``, and the bounds ``Arrow.effective()`` gives as ``hi[k]``,
     ``mid[k]`` and whether it is a point, ``point[k]``.  ``out[i]`` maps each
     label to its arrows out of state ``i``, in model order.  The other tables
-    are built on first use: the walks' ``draws``, ``agents`` and ``traces``;
-    the belief filters' ``emissions``, ``shares``, ``allowed`` and
-    ``event_order``; and the adjacency lists ``forward`` and ``backward``.
+    are built on first use: the belief filters' ``emissions``, ``shares``,
+    ``allowed`` and ``event_order`` (the walk's collision order too); and the
+    adjacency lists ``forward`` and ``backward``.
     Each costs O(|S| + |arrows|) once per model (``allowed`` O(|S| *
     |observations|)); the view holds the model's tuples, not the model, and
     no exact weights: exact paths apply ``dyadic`` to the doubles they read.
@@ -297,43 +284,6 @@ class CompiledModel:
     def backward(self) -> list:
         """Per state, the sources of its arrows into it whose upper bound is above 0."""
         return self._adjacency(self.dst, self.src)
-
-    @cached_property
-    def draws(self) -> list:
-        """Per state: label -> (label probability, arrows in key order,
-        their cumulative arrow probabilities; see ``_cumulative``).  The label
-        probability is the first arrow's midpoint, None when an interval."""
-        ids, dst, arrows = self.ids, self.dst, self._arrows
-        table = []
-        for row in self.out:
-            entry = {}
-            for label, ks in row.items():
-                lp = arrows[ks[0]].label_prob
-                ordered = sorted(ks, key=lambda k: ids[dst[k]])
-                cum = _cumulative([arrows[k].arrow_prob for k in ordered])
-                entry[label] = (lp.mid if lp.is_point else None, ordered, cum)
-            table.append(entry)
-        return table
-
-    @cached_property
-    def agents(self) -> list:
-        """Per state: the labels with arrows out of it, in alphabet order, and
-        their cumulative label probabilities (see ``_cumulative``)."""
-        table = []
-        for row in self.out:
-            labels = [l for l in self._labels if l in row]
-            table.append((labels, _cumulative([self._arrows[row[l][0]].label_prob for l in labels])))
-        return table
-
-    @cached_property
-    def traces(self) -> list:
-        """Per state: its trace symbols, sorted, and their cumulative
-        probabilities (see ``_cumulative``)."""
-        table = []
-        for s in self._states:
-            symbols = sorted(s.trace.probs)
-            table.append((symbols, _cumulative([s.trace.probs[o] for o in symbols])))
-        return table
 
     @cached_property
     def emissions(self) -> list:
@@ -526,6 +476,16 @@ class Policy:
                     raise PolicyError(
                         f"policy({s}, {a}) = {p} outside agent interval [{iv.lo}, {iv.hi}]"
                     )
+
+
+def compose_policy(model: Model, policy: Policy) -> Model:
+    """Fix the agent: replace label probabilities with the policy's points."""
+    policy.check(model)
+    arrows = tuple(
+        replace(a, label_prob=ProbInterval.point(policy.of(a.source, a.label)))
+        for a in model.arrows
+    )
+    return replace(model, kind="mdp-fixed", arrows=arrows)
 
 
 @dataclass(frozen=True)

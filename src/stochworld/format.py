@@ -275,16 +275,27 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
     Symbols are checked against the model (or inline obs/act headers) when
     either is given; bare documents declare their symbols by use.  A missing
     t0 header defaults to the end: all recorded data is past.  Headers come
-    before the first step.  Each distinct step is checked and built once;
-    a symbol that ``serialize_trajectory`` would refuse is refused here too.
+    before the first step, so a step line means the same at every repeat:
+    each distinct line is split and checked once, and each distinct step
+    built once.  A symbol that ``serialize_trajectory`` would refuse is
+    refused here too.
     """
     steps: list = []
-    interned: dict = {}
+    interned: dict = {}  # (observation, action token) -> Step
+    seen: dict = {}  # raw step line -> Step
     t0 = None
     obs_alpha = set(model.obs) if model else None
     act_alpha = set(model.labels) if model else None
 
-    for num, tokens in _lines(text):
+    for num, raw in enumerate(text.splitlines(), start=1):
+        step = seen.get(raw)
+        if step is not None:
+            steps.append(step)
+            continue
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
         head = tokens[0]
         if head in ("t0", "obs", "act"):
             if steps:
@@ -315,6 +326,7 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
             _check_symbols({act} - {None}, "action", num)
             step = interned[(head, a)] = Step(head, act)
         steps.append(step)
+        seen[raw] = step
 
     if t0 is None:
         t0 = len(steps)

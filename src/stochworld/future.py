@@ -15,7 +15,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import compose_policy
 from .core import (
     POINT_ONE,
     TOL,
@@ -31,6 +30,7 @@ from .core import (
     TraceSpec,
     Trajectory,
     checked_int,
+    compose_policy,
     dyadic,
 )
 from .errors import CapExceededError, ModelError, PolicyError

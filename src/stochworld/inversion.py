@@ -24,9 +24,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .analysis import find_black_hole, find_white_peak
-from .constructions import belief_determinize, compose_policy, minimize_forward
+from .constructions import belief_determinize, minimize_forward
 from .core import (
     ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int,
+    compose_policy,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
 from .future import enumerate_future
@@ -203,8 +204,8 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
     # per standing state, in id order, its arrows in key order
     per_state = {}
     for i in sorted(np.flatnonzero(standing).tolist(), key=ids.__getitem__):
-        row = compiled.draws[i]
-        per_state[i] = [k for label in sorted(row) for k in row[label][1]]
+        out = compiled.out[i]
+        per_state[i] = [k for label in sorted(out) for k in sorted(out[label], key=lambda j: ids[compiled.dst[j]])]
     arrows = [k for ks in per_state.values() for k in ks]
     if not arrows:
         raise JourneyError("no statistics: the initial state has no outgoing arrows")

@@ -13,11 +13,14 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .constructions import compose_policy
+# preference_to_policy comes through the package's exports, imported on first use
+import stochworld as sw
+
 from .core import (
     ACTION_KINDS,
     POINT_ONE,
@@ -31,9 +34,9 @@ from .core import (
     Step,
     Trajectory,
     checked_int,
+    compose_policy,
 )
 from .errors import JourneyError, ModelError
-from .future import preference_to_policy
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
     if config.policy and config.preference:
         raise ModelError("give either a policy or a preference, not both")
     if config.preference:
-        return compose_policy(model, preference_to_policy(model, config.preference))
+        return compose_policy(model, sw.preference_to_policy(model, config.preference))
     if config.policy:
         return compose_policy(model, config.policy)
     if all(a.label_prob.is_point for a in model.arrows):
@@ -76,21 +79,87 @@ def seeded_generator(seed: int, what: str) -> np.random.Generator:
 def _uniforms(rng):
     """The generator's uniforms, drawn in blocks: the same sequence as one
     ``rng.random()`` call per value."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
+
+
+def _cumulative(intervals) -> Optional[list]:
+    """Running sums of the midpoints of point intervals, the last replaced
+    by +inf so that a draw at or above the rounded total takes the last
+    item; None when one of them is an interval."""
+    cum = []
+    total = 0.0
+    for iv in intervals:
+        if not iv.is_point:
+            return None
+        total += iv.mid
+        cum.append(total)
+    if cum:
+        cum[-1] = math.inf
+    return cum
 
 
 def _unresolved(what: str) -> ModelError:
     return ModelError(f"unresolved interval for {what}; supply a policy or resolution")
 
 
+def _rows(model: Model) -> list:
+    """Per state, what a step there reads: (refusal, steps, cum, choices, moves).
+
+    ``steps`` holds per trace symbol, sorted, its ``Step`` per action (for
+    ed and single-label kinds, the one Step without), and ``cum`` their
+    cumulative probabilities (see ``_cumulative``).  ``moves`` holds per
+    label the arrows' targets in key order and their cumulative
+    probabilities, None for an interval: for ed by event, and ``choices``
+    are the events that can fire in collision order with their
+    probabilities; for an action kind by action in alphabet order, and
+    ``choices`` the actions' cumulative probabilities; for a single-label
+    kind, only "true", and ``choices`` is None.  ``refusal`` is the error
+    a step from the state raises, or None.
+    """
+    compiled = model.compiled
+    ids, dst, arrows = compiled.ids, compiled.dst, model.arrows
+    ed, agent = model.kind == "ed", model.kind in ACTION_KINDS
+    shared: dict = {}  # (symbols, actions) -> their steps, built once per walk
+    rows = []
+    for s, out in zip(model.states, compiled.out):
+        symbols = tuple(sorted(s.trace.probs))
+        cum = _cumulative([s.trace.probs[o] for o in symbols])
+        moves = {}
+        for label, ks in out.items():
+            ks = sorted(ks, key=lambda k: ids[dst[k]])
+            moves[label] = ([dst[k] for k in ks], _cumulative([arrows[k].arrow_prob for k in ks]))
+        acts, choices = (None,), None
+        if ed:
+            lps = [(e, arrows[out[e][0]].label_prob) for e in compiled.event_order if e in out]
+            choices = [(e, lp.mid) for e, lp in lps]
+            unresolved = [e for e, lp in lps if not lp.is_point]
+            refusal = _unresolved(f"event {unresolved[0]} in {s.id}") if unresolved else None
+        elif agent:
+            acts = tuple(l for l in model.labels if l in out)
+            choices = _cumulative([arrows[out[a][0]].label_prob for a in acts])
+            moves = [moves[a] for a in acts]
+            refusal = None if acts else JourneyError(f"state {s.id} has no outgoing actions")
+        else:
+            moves = [moves[TRUE_LABEL]] if TRUE_LABEL in moves else []
+            refusal = None if moves else JourneyError(f"state {s.id} has no {TRUE_LABEL!r} arrows")
+        steps = shared.get((symbols, acts))
+        if steps is None:
+            steps = shared[symbols, acts] = [tuple(Step(o, a) for a in acts) for o in symbols]
+        if not symbols:
+            refusal = ModelError(f"state {s.id} has no trace to observe")
+        if cum is None:
+            refusal = _unresolved(f"trace of {s.id}")
+        rows.append((refusal, steps, cum, choices, moves))
+    return rows
+
+
 def simulate_events(model: Model, config: SimulationConfig):
     """Walk the generator; returns the trajectory and, for ed, the events fired.
 
-    The walk reads the model's compiled tables: per step it draws one
+    The walk reads one row per state (see ``_rows``): per step it draws one
     observation, for ed one uniform per event that can fire and one arrow
     per fired event, else the action of an action kind and one arrow, each
-    by bisection into cumulative probabilities.  An interval the walk
+    by one bisection into cumulative probabilities.  An interval the walk
     reaches is refused there.
     """
     n = checked_int(config.steps, "walk step count")
@@ -99,64 +168,44 @@ def simulate_events(model: Model, config: SimulationConfig):
     if config.collision not in ("priority", "both-arrows"):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
-    compiled = resolved.compiled
-    ids, dst, traces, draws = compiled.ids, compiled.dst, compiled.traces, compiled.draws
-    agents = compiled.agents if resolved.kind in ACTION_KINDS else None
+    rows = _rows(resolved)
     draw = _uniforms(seeded_generator(config.seed, "the walk")).__next__
-    state = compiled.index[resolved.initial_state.id]
-    interned: dict = {}
-    ed = resolved.kind == "ed"
+    state = resolved.compiled.index[resolved.initial_state.id]
+    priority = config.collision == "priority"
     steps = []
     occurrences = []
-    for t in range(n):
-        symbols, cum = traces[state]
-        if cum is None:
-            raise _unresolved(f"trace of {ids[state]}")
-        if not symbols:
-            raise ModelError(f"state {ids[state]} has no trace to observe")
-        obs = symbols[bisect_right(cum, draw())]
-        act = None
-        if ed:
+    if resolved.kind == "ed":
+        for t in range(n):
+            refusal, by_obs, cum, events, _ = rows[state]
+            if refusal is not None:
+                raise refusal
+            steps.append(by_obs[bisect_right(cum, draw())][0])
             fired = []
-            row = draws[state]
-            for e in compiled.event_order:
-                entry = row.get(e)
-                if entry is None:
-                    continue
-                if entry[0] is None:
-                    raise _unresolved(f"event {e} in {ids[state]}")
-                if draw() < entry[0]:
+            for e, p in events:
+                if draw() < p:
                     fired.append(e)
-            if fired and config.collision == "priority":
-                fired = fired[:1]
-            for e in fired:
-                entry = draws[state].get(e)
-                if entry is None:
-                    continue  # the walk moved; the event cannot fire here
-                _, arrows, cum = entry
-                if cum is None:
-                    raise _unresolved("arrow")
-                state = dst[arrows[bisect_right(cum, draw())]]
-                occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
-        else:
-            if agents is not None:
-                labels, cum = agents[state]
-                if not labels:
-                    raise JourneyError(f"state {ids[state]} has no outgoing actions")
-                act = label = labels[bisect_right(cum, draw())]
-            else:
-                label = TRUE_LABEL
-            entry = draws[state].get(label)
-            if entry is None:
-                raise JourneyError(f"state {ids[state]} has no {label!r} arrows")
-            _, arrows, cum = entry
+            if fired:
+                for e in fired[:1] if priority else fired:
+                    move = rows[state][4].get(e)
+                    if move is None:
+                        continue  # the walk moved; the event cannot fire here
+                    targets, cum = move
+                    if cum is None:
+                        raise _unresolved("arrow")
+                    state = targets[bisect_right(cum, draw())]
+                    occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
+    else:
+        for _ in range(n):
+            refusal, by_obs, cum, choices, moves = rows[state]
+            if refusal is not None:
+                raise refusal
+            by_act = by_obs[bisect_right(cum, draw())]
+            j = bisect_right(choices, draw()) if choices else 0
+            targets, cum = moves[j]
             if cum is None:
                 raise _unresolved("arrow")
-            state = dst[arrows[bisect_right(cum, draw())]]
-        step = interned.get((obs, act))
-        if step is None:
-            step = interned[(obs, act)] = Step(obs, act)
-        steps.append(step)
+            state = targets[bisect_right(cum, draw())]
+            steps.append(by_act[j])
     return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
 
 

@@ -20,6 +20,7 @@ from stochworld import (
     Development,
     EventOccurrence,
     EventStream,
+    FormatError,
     FutureSet,
     JourneyError,
     JourneyStatistics,
@@ -40,9 +41,10 @@ from stochworld import (
     minimize_forward,
     parse_model,
 )
-from stochworld.constructions import _doubled_kind, compose_policy
-from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int
+from stochworld.constructions import _doubled_kind
+from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy
 from stochworld.events import _labels_at
+from stochworld.format import _check_symbols, _lines
 from stochworld.walk import MarkovReport, SymbolTest, _resolve_agent
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -595,6 +597,78 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
         steps.append(Step(obs, act))
         state = target
     return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
+
+
+def parse_trajectory_by_lines(text: str, model: Model | None = None) -> Trajectory:
+    """Reference trajectory reader: strips, splits and checks every line,
+    building each distinct (observation, action) Step once."""
+    steps: list = []
+    interned: dict = {}
+    t0 = None
+    obs_alpha = set(model.obs) if model else None
+    act_alpha = set(model.labels) if model else None
+
+    for num, tokens in _lines(text):
+        head = tokens[0]
+        if head in ("t0", "obs", "act"):
+            if steps:
+                raise FormatError(f"{head} header after the first step", num)
+            if head == "obs":
+                obs_alpha = (obs_alpha or set()) | set(tokens[1:])
+            elif head == "act":
+                act_alpha = (act_alpha or set()) | set(tokens[1:])
+            elif len(tokens) != 2:
+                raise FormatError("expected: t0 <index>", num)
+            else:
+                try:
+                    t0 = int(tokens[1])
+                except ValueError:
+                    raise FormatError(f"bad t0 {tokens[1]!r}", num)
+            continue
+        if len(tokens) > 2:
+            raise FormatError("expected: <obs> [<act>|-]", num)
+        a = tokens[1] if len(tokens) == 2 else "-"
+        step = interned.get((head, a))
+        if step is None:
+            if obs_alpha is not None and head not in obs_alpha:
+                raise FormatError(f"unknown observation {head!r}", num)
+            act = None if a == "-" else a
+            if act is not None and act_alpha is not None and act not in act_alpha:
+                raise FormatError(f"unknown action {a!r}", num)
+            _check_symbols((head,), "observation", num)
+            _check_symbols({act} - {None}, "action", num)
+            step = interned[(head, a)] = Step(head, act)
+        steps.append(step)
+
+    if t0 is None:
+        t0 = len(steps)
+    if not 0 <= t0 <= len(steps):
+        raise FormatError(f"t0 = {t0} outside [0, {len(steps)}]")
+    return Trajectory(tuple(steps), t0)
+
+
+def random_trajectory_document(rng: random.Random) -> str:
+    """A trajectory document of up to 40 lines over observations a, b, c
+    and actions go, stay: steps with an action, "-" or none, repeats of
+    earlier lines, headers (some after a step), comments, blank and padded
+    lines, and now and then a bad or reserved line, which may repeat too."""
+    lines: list = []
+    for _ in range(rng.randint(0, 40)):
+        r = rng.random()
+        if lines and r < 0.35:
+            line = rng.choice(lines)
+        elif r < 0.39:
+            line = rng.choice(["t0 0", "t0 3", "t0 -1", "t0 99", "t0", "t0 x", "t0 1 2", "obs a b", "obs d", "act go", "act run"])
+        elif r < 0.46:
+            line = rng.choice(["# note", "#", "#a go", "", "   ", "\t"])
+        elif r < 0.47:
+            line = rng.choice(["a go stay", "- go", "a -x", "#b", "a t0", "a obs", "t0x go", "obs", "d", "a run"])
+        else:
+            obs = rng.choice("aaaabbbccd")
+            line = obs + rng.choice(["", " -", " go", " stay", " go", " -", "\t-"])
+        pad = rng.random() < 0.15
+        lines.append((rng.choice([" ", "\t", "  "]) if pad else "") + line + (rng.choice([" ", "\t"]) if pad else ""))
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
 
 
 def _edges_by_scan(model: Model, reverse: bool) -> dict:

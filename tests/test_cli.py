@@ -494,20 +494,20 @@ CLI_MODULES = {"stochworld", "analysis", "cli", "core", "errors", "format", "val
 COMMANDS = [
     (["validate", M1], ""),
     (["analyze", FIG3], ""),
-    (["future", M1, "--depth", "3"], "constructions fractions future"),
-    (["estimate", "{d}/walk.traj"], "constructions fractions future"),
+    (["future", M1, "--depth", "3"], "fractions future"),
+    (["estimate", "{d}/walk.traj"], "fractions future"),
     (["detect", "{d}/walk.traj", "--indirect", "--window", "20"], "events fractions"),
     (["track", "{d}/house.traj", "--model", HOUSE, "--events", "{d}/house.stream"], "events fractions"),
     (["double", M2, "--mode", "parity", "--event", "flip", "--arrows", "{d}/flip.arrows"], "constructions fractions"),
     (["quotient", M2, "--classes", "{d}/classes.txt", "--monitor", "flip={d}/flip.arrows"], "constructions fractions"),
     (["minimize", M2, "--depth", "3", "--determinize"], "constructions fractions"),
-    (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "constructions fractions future"),
+    (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "fractions future"),
     (["export-dot", M1], ""),
     (["invert", M1], "constructions fractions future inversion walk"),
     (["past", CYCLE3, "--depth", "2"], "constructions fractions future inversion walk"),
     (["minimal", CYCLE3, "--depth", "3"], "constructions fractions future inversion walk"),
-    (["simulate", M1, "--steps", "10", "--seed", "1"], "constructions fractions future walk"),
-    (["markov-check", "{d}/walk.traj", "--min-count", "5"], "constructions fractions future walk"),
+    (["simulate", M1, "--steps", "10", "--seed", "1"], "walk"),
+    (["markov-check", "{d}/walk.traj", "--min-count", "5"], "walk"),
 ]
 NUMPY_COMMANDS = {"invert", "past", "minimal", "simulate", "markov-check"}
 

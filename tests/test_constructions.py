@@ -242,9 +242,10 @@ class TestQuotient:
 
     def test_interval_conditionals(self):
         """Per member that fires with an interval probability, the chance of
-        landing in a class is 0 with no own arrow there, 1 when every firing
-        arrow leads there, else [0, 1]; a class where the event cannot fire
-        (e, whose one E arrow has probability 0) gets no arrow."""
+        landing in a class is 0 with no own arrow there, 1 when every arrow
+        that can fire (upper bound above 0) leads there, else [0, 1]; a class
+        where the event cannot fire (e, whose one E arrow has probability 0)
+        gets no arrow."""
         model = parse_model(
             "model ed\nobs x y\nevent u v\n"
             "state a initial trace x=1\nstate b trace x=1\nstate c trace y=1\n"
@@ -266,12 +267,34 @@ class TestQuotient:
             # b fires with 0.5, half of it into d; c fires with [0.2, 0.4]
             # and has no arrow into d
             ("b+c", "E", "d"): (0.2, 0.5, 0, 0.5),
-            # c's one arrow leads to e, but its firing chance is an interval
-            ("b+c", "E", "e"): (0.2, 0.5, 0, 1),
+            # b gives 0.25 / 0.5; c fires with [0.2, 0.4] and its one arrow
+            # leads to e, so c lands there whenever it fires
+            ("b+c", "E", "e"): (0.2, 0.5, 0.5, 1),
             ("d", "F", "b+c"): (1, 1, 1, 1),
             ("e", "F", "a"): (0.5, 0.5, 1, 1),
         }
         assert validate(reduced).ok
+
+    def test_interval_conditional_ignores_arrows_that_cannot_fire(self):
+        """A member's E arrow of probability 0 into another class does not
+        keep its interval-firing arrows from giving 1."""
+        model = parse_model(
+            "model ed\nobs x y\nevent u v\n"
+            "state a initial trace x=1\nstate b trace x=1\nstate c trace y=1\nstate e trace y=1\n"
+            "arrow a u b lp=1 ap=1\narrow b u e lp=0.5 ap=1\n"
+            "arrow c u e lp=[0.2,0.4] ap=1\narrow c v a lp=0 ap=1\narrow e u a lp=1 ap=1\n"
+        )
+        assert validate(model).ok
+        flows = frozenset(a for a in model.arrows if a.source in "bc")
+        partition = Partition(({"a"}, {"b", "c"}, {"e"}))
+        monitored = [EventSet("E", flows), EventSet("F", frozenset(model.arrows) - flows)]
+        got = {a.key: (a.arrow_prob.lo, a.arrow_prob.hi) for a in quotient(model, partition, monitored).arrows}
+        # b fires with 0.5, all of it into e; c fires with [0.2, 0.4], and its
+        # arrow into a has probability 0, so what fires leads to e
+        assert got[("b+c", "E", "e")] == (1, 1)
+        # b has no arrow into a; c's arrow there cannot fire, but its firing
+        # chance is an interval, so the share stays open
+        assert got[("b+c", "E", "a")] == (0, 1)
 
 
 class TestBeliefDeterminize:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,7 @@ from stochworld.core import POINT_ONE
 from stochworld.format import RESERVED_SYMBOLS, fmt_interval, fmt_num
 
 from genmodels import random_model
-from helpers import load_model
+from helpers import load_model, parse_trajectory_by_lines, random_trajectory_document
 
 
 class TestParseModel:
@@ -259,6 +260,34 @@ class TestTrajectoryFormat:
     def test_round_trip_of_arbitrary_symbols(self, steps, data):
         t = Trajectory.of(steps, t0=data.draw(st.integers(0, len(steps))))
         assert parse_trajectory(serialize_trajectory(t)) == t
+
+    def test_reader_equals_line_oracle(self):
+        """The reader that parses each distinct line once returns what the
+        line-by-line reader returns, with the same steps shared, or raises
+        the same refusal at the same line."""
+        rng = random.Random(20261019)
+        model = parse_model("model mdp\nobs a b c\nact go stay\nstate s initial trace a=1\narrow s go s lp=1 ap=1\n")
+        seen = Counter()
+        for i in range(2400):
+            text = random_trajectory_document(rng)
+            given_model = model if rng.random() < 0.2 else None
+            want = _read(parse_trajectory_by_lines, text, given_model)
+            got = _read(parse_trajectory, text, given_model)
+            assert got == want, (i, text)
+            seen["refused" if isinstance(want, str) else "read"] += 1
+            seen["repeated step lines"] += not isinstance(want, str) and len(set(want[1])) < len(want[1])
+        assert seen["read"] >= 500 and seen["refused"] >= 500 and seen["repeated step lines"] >= 300, seen
+
+
+def _read(reader, text, model):
+    """The trajectory and, per step, the index of the first step that is
+    the same object; or the refusal's text."""
+    try:
+        t = reader(text, model)
+    except FormatError as exc:
+        return str(exc)
+    first: dict = {}
+    return t, tuple(first.setdefault(id(s), k) for k, s in enumerate(t.steps))
 
 
 DOT_EDGE = re.compile(r'^\s+"[^"]*" -> "[^"]*" \[label="[^"]*", color="[^"]*"\];$')

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -629,3 +630,12 @@ def test_non_integer_count_refused(m1, call, value):
     with pytest.raises(ModelError, match=f"must be an integer, got {value!r}$"):
         call(m1, value)
     call(m1, 2)
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+@pytest.mark.parametrize("call", list(COUNTS.values()), ids=list(COUNTS))
+def test_bool_count_refused(m1, call, value):
+    """A bool is not a count, a seed or a budget; a numpy integer is."""
+    with pytest.raises(ModelError, match=f"must be an integer, got {value!r}$"):
+        call(m1, value)
+    call(m1, np.int64(2))

@@ -7,7 +7,10 @@ import pytest
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 SOURCE_SIZE = "wc -l src/stochworld/*.py | tail -n 1"
-STARTUP = "python -X importtime -m stochworld.cli validate models/m1_coin.model 2>&1 >/dev/null | grep stochworld"
+STARTUP = "".join(
+    f"python -X importtime -m stochworld.cli {command} 2>&1 >/dev/null | grep stochworld\n"
+    for command in ("validate models/m1_coin.model", "simulate models/m1_coin.model --steps 10 --seed 1")
+)
 GOLDENS = (
     "python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1"
     """ | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'"""
