@@ -25,8 +25,9 @@ _MODULES = {
     "inversion": "JourneyStatistics MinimalModelResult enumerate_past invert_chain invert_mdp_fixed"
     " invert_mdp_plus journey_statistics minimal_model minimal_model_parts monte_carlo_invert"
     " simulate_journeys",
+    "markov": "MarkovReport check_markov",
     "validation": "ValidationReport validate",
-    "walk": "MarkovReport SimulationConfig check_markov simulate simulate_events",
+    "walk": "SimulationConfig simulate simulate_events",
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = sorted(_EXPORTS)

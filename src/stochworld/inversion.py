@@ -23,14 +23,15 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+# belief_determinize, minimize_forward and enumerate_future: package exports, imported on first use
+import stochworld as sw
+
 from .analysis import find_black_hole, find_white_peak
-from .constructions import belief_determinize, minimize_forward
 from .core import (
     ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int,
     compose_policy,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
-from .future import enumerate_future
 from .walk import seeded_generator
 
 _EPS = 1e-12
@@ -426,7 +427,7 @@ def enumerate_past(model: Model, depth: int, cap: int = 200_000) -> FutureSet:
     """Developments of the past: the future of the inverse model, reversed
     into chronological order."""
     inverse = invert_chain(model)
-    fs = enumerate_future(inverse, depth, cap=cap)
+    fs = sw.enumerate_future(inverse, depth, cap=cap)
     entries = {
         Development("past", tuple(reversed(dev.word))): p for dev, p in fs.entries.items()
     }
@@ -479,8 +480,8 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     depth = checked_int(depth, "minimal model depth")
     if depth < 1:
         raise ModelError(f"the minimal model needs depth 1 or more, got {depth}")
-    forward0, _ = minimize_forward(belief_determinize(model, depth))
-    backward1, _ = minimize_forward(belief_determinize(invert_chain(model), depth))
+    forward0, _ = sw.minimize_forward(sw.belief_determinize(model, depth))
+    backward1, _ = sw.minimize_forward(sw.belief_determinize(invert_chain(model), depth))
     backflow = invert_chain(backward1)  # forward orientation of the past fabric
 
     forward_part = _fresh_initial(forward0)

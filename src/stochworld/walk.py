@@ -1,5 +1,5 @@
-"""Seeded walks of a generator, and a statistical test of the Markov
-property on the trajectories they record.
+"""Seeded walks of a generator, recorded as trajectories and, for
+event-driven models, as the events fired.
 
 numpy's PCG64 generator drives every draw, so a walk is a deterministic
 function of its seed.  A step follows the convention of ``future``: the
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -213,93 +212,3 @@ def simulate(model: Model, config: SimulationConfig) -> Trajectory:
     """Deterministic-by-seed generator walk recording (observation, action) steps."""
     trajectory, _ = simulate_events(model, config)
     return trajectory
-
-
-# -- Markov property --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolTest:
-    symbol: str
-    p_value: Optional[float]
-    flagged: bool
-    contexts_tested: int
-    contexts_skipped: int
-
-
-@dataclass(frozen=True)
-class MarkovReport:
-    order: int
-    significance: float
-    tests: tuple = ()
-    inconclusive: bool = False
-
-    @property
-    def flagged(self) -> tuple:
-        return tuple(t for t in self.tests if t.flagged)
-
-    @property
-    def improvable(self) -> bool:
-        """True when some longer context significantly improves prediction."""
-        return bool(self.flagged)
-
-
-def _chi2_p_value(table) -> float:
-    """p-value of Pearson's chi-squared test of independence on a table of
-    counts without an empty row or column: the arithmetic of
-    ``scipy.stats.chi2_contingency(table, correction=False)``, step for step."""
-    # imported here: scipy.special takes longer to import than numpy, and
-    # only this test needs it; all of scipy.stats would take four times as long
-    from scipy.special import chdtrc
-
-    observed = np.array(table, dtype=float)
-    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
-    statistic = ((observed - expected) ** 2 / expected).sum()
-    rows, cols = observed.shape
-    return float(chdtrc((rows - 1) * (cols - 1), statistic))
-
-
-def check_markov(
-    trajectory: Trajectory,
-    order: int = 1,
-    significance: float = 0.01,
-    min_count: int = 50,
-) -> MarkovReport:
-    """Chi-squared comparison of next-symbol distributions conditioned on
-    one symbol versus a longer context ending in it.
-
-    A flagged symbol means the standard chain can be improved by splitting
-    that state.  Contexts with fewer than ``min_count`` occurrences are
-    skipped; if every context is skipped the report is inconclusive.
-
-    One pass counts every window of ``order + 2`` symbols: a context of
-    ``order + 1`` symbols, ending in the tested one, and the next symbol.
-    Each symbol's table is then built from those counts, its rows and
-    columns sorted, so the cost is O(n) for n steps plus one table per
-    symbol.
-    """
-    order = checked_int(order, "Markov check order")
-    min_count = checked_int(min_count, "Markov check minimum count")
-    if order < 1:
-        raise ModelError(f"the Markov check needs order 1 or more, got {order}")
-    if math.isnan(significance):
-        raise ModelError(f"the Markov check needs a significance that is a number, got {significance}")
-    seq = trajectory.observations()
-    rows: dict = {}  # symbol -> context -> next symbol -> count
-    windows = Counter(zip(*(seq[k:] for k in range(order + 2))))
-    for window, count in windows.items():
-        ctx = window[:-1]
-        rows.setdefault(ctx[-1], {}).setdefault(ctx, {})[window[-1]] = count
-    tests = []
-    for sym in sorted(set(seq)):
-        counts = rows.get(sym, {})
-        usable = {c: cnt for c, cnt in counts.items() if sum(cnt.values()) >= min_count}
-        skipped = len(counts) - len(usable)
-        cols = sorted({o for cnt in usable.values() for o in cnt})
-        if len(usable) < 2 or len(cols) < 2:
-            tests.append(SymbolTest(sym, None, False, 0, len(counts)))
-            continue
-        p_value = _chi2_p_value([[cnt.get(o, 0) for o in cols] for _, cnt in sorted(usable.items())])
-        tests.append(SymbolTest(sym, p_value, p_value < significance, len(usable), skipped))
-    inconclusive = all(t.p_value is None for t in tests) if tests else True
-    return MarkovReport(order, significance, tuple(tests), inconclusive)

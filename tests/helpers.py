@@ -45,7 +45,8 @@ from stochworld.constructions import _doubled_kind
 from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines
-from stochworld.walk import MarkovReport, SymbolTest, _resolve_agent
+from stochworld.markov import MarkovReport, SymbolTest
+from stochworld.walk import _resolve_agent
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

@@ -1,10 +1,9 @@
 """layout: the package imports at module level only.
 
 A function-level import hides a module dependency from the reader and from
-import-time measurement.  There are two exceptions.  The package's
+import-time measurement.  There is one exception: the package's
 ``__getattr__`` imports the module of an export on first use, so that a
-command loads numpy only when it computes with it.  ``check_markov``'s
-p-value imports ``scipy.special``, which no other command needs.
+command loads numpy only when it computes with it.
 """
 
 import ast
@@ -14,7 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stochworld"
 #: (file, function, imported module) allowed inside a function body
 ALLOWED = {
     ("__init__.py", "__getattr__", "f'.{_EXPORTS[name]}'"),
-    ("walk.py", "_chi2_p_value", "scipy.special"),
 }
 #: call names that import a module by another name than an import statement
 IMPORTING_CALLS = {"import_module", "importlib.import_module", "__import__"}

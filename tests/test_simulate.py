@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +44,7 @@ from stochworld import (
 )
 
 from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE
-from stochworld.walk import _chi2_p_value
+from stochworld.markov import _chi2_p_value, _chi2_tail
 
 from helpers import (
     chain_model,
@@ -506,6 +509,29 @@ class TestPreferenceToPolicy:
             assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
 
 
+def p_values_close(got, want, rel):
+    """Within ``rel`` relative, or 1e-300 absolute: below that, scipy's own
+    error reaches about 1e-312."""
+    return math.isclose(got, want, rel_tol=rel, abs_tol=1e-300)
+
+
+def assert_reports_agree(got, want, rel):
+    """Equal reports but for the p-values, which are close (``p_values_close``)."""
+    untested = lambda r: replace(r, tests=tuple(replace(t, p_value=t.p_value is None) for t in r.tests))
+    assert untested(got) == untested(want)
+    for g, w in zip(got.tests, want.tests):
+        assert g.p_value is None or p_values_close(g.p_value, w.p_value, rel), (g, w)
+
+
+def assert_tail_close(k, x, rel):
+    """``_chi2_tail`` against Q(k/2, x/2) at 50 digits: within ``rel``
+    relative, or 1e-300 absolute where Q is below 1e-300."""
+    with mpmath.workdps(50):
+        exact = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+        error = abs(mpmath.mpf(_chi2_tail(k, x)) - exact)
+        assert error <= (1e-300 if exact < 1e-300 else rel * exact), (k, x, float(exact))
+
+
 class TestCheckMarkov:
     def test_bbww_improvable(self, m2):
         traj = simulate(m2, SimulationConfig(steps=10_000, seed=4))
@@ -532,8 +558,8 @@ class TestCheckMarkov:
         assert report.inconclusive or all(t.contexts_skipped >= 0 for t in report.tests)
 
     def test_p_value_equals_contingency_oracle(self):
-        """Bit for bit, on tables near independence (p spread over (0, 1))
-        and far from it (p down to 0), 2 to 8 rows and columns."""
+        """Within 1e-12 relative, on tables near independence (p spread over
+        (0, 1)) and far from it (p down to 0), 2 to 8 rows and columns."""
         rng = random.Random(9)
         for _ in range(1500):
             r, c = rng.randint(2, 8), rng.randint(2, 8)
@@ -551,11 +577,11 @@ class TestCheckMarkov:
                 row[rng.randrange(c)] += 1
             for j in range(c):
                 table[rng.randrange(r)][j] += 1
-            assert _chi2_p_value(table).hex() == contingency_p_value(table).hex(), table
+            assert p_values_close(_chi2_p_value(table), contingency_p_value(table), 1e-12), table
 
     def test_random_logs_equal_per_symbol_oracle(self):
-        """The one-pass count equals the per-symbol rescan, p-values as
-        `float.hex`, on logs of 1 to 8 symbols and 0 to 3000 steps drawn
+        """The one-pass count equals the per-symbol rescan, p-values within
+        1e-11 relative, on logs of 1 to 8 symbols and 0 to 3000 steps drawn
         from random second-order chains, some shorter than order + 2."""
         rng = random.Random(31)
         tested = 0
@@ -570,10 +596,8 @@ class TestCheckMarkov:
             order, min_count = rng.randint(1, 4), rng.choice((1, 10, 50))
             got = check_markov(traj, order, min_count=min_count)
             want = check_markov_by_contingency(traj, order, min_count=min_count)
-            assert got == want, (i, order, min_count)
-            hexes = [[t.p_value.hex() for t in r.tests if t.p_value is not None] for r in (got, want)]
-            assert hexes[0] == hexes[1]
-            tested += len(hexes[0])
+            assert_reports_agree(got, want, 1e-11)
+            tested += sum(t.p_value is not None for t in got.tests)
         assert tested > 500
 
     def test_order_below_one_refused(self):
@@ -591,10 +615,34 @@ class TestCheckMarkov:
                 for min_count in (10, 50):
                     got = check_markov(traj, order, min_count=min_count)
                     want = check_markov_by_contingency(traj, order, min_count=min_count)
-                    assert got == want
-                    assert [t.p_value.hex() for t in got.tests if t.p_value is not None] == [
-                        t.p_value.hex() for t in want.tests if t.p_value is not None
-                    ]
+                    assert_reports_agree(got, want, 1e-11)
+
+    @pytest.mark.parametrize("significance", ["0.01", None, [0.01]], ids=["str", "None", "list"])
+    def test_non_number_significance_refused(self, significance):
+        traj = Trajectory.of([("a", None), ("b", None)] * 5)
+        with pytest.raises(ModelError, match=f"significance that is a number, got {re.escape(repr(significance))}"):
+            check_markov(traj, significance=significance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 49), x=st.one_of(st.floats(0, 1600), st.floats(0, 40).map(math.exp)))
+    def test_tail_equals_50_digit_reference_small_k(self, k, x):
+        """Every table of up to 8 x 8 has k ≤ 49: within 1e-14 relative."""
+        assert_tail_close(k, x, 1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 10_000), x=st.one_of(st.floats(0, 30_000), st.floats(0.5, 1.5)), scaled=st.booleans())
+    def test_tail_equals_50_digit_reference_large_k(self, k, x, scaled):
+        """Up to 10 000 degrees of freedom and x up to 30 000, half the draws
+        near the mean k, where the tail is neither 0 nor 1: within 1e-11."""
+        assert_tail_close(k, x * k if scaled else x, 1e-11)
+
+    def test_tail_at_its_edges(self):
+        """x = 0, both sides of the switch to a scaled e^-h (x = 1416), and
+        tails that underflow."""
+        for k in (1, 2, 3, 48, 49, 9999, 10_000):
+            assert _chi2_tail(k, 0.0) == 1.0
+            for x in (5e-324, 1e-300, 1e-8, 1415.9, 1416.0, 1416.1, 1500.0, 3e4, 1e6):
+                assert_tail_close(k, x, 1e-11 if k > 49 else 1e-14)
 
 
 RAIN = load_model("rain")

@@ -8,9 +8,15 @@ WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "t
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 SOURCE_SIZE = "wc -l src/stochworld/*.py | tail -n 1"
 STARTUP = "".join(
-    f"python -X importtime -m stochworld.cli {command} 2>&1 >/dev/null | grep stochworld\n"
-    for command in ("validate models/m1_coin.model", "simulate models/m1_coin.model --steps 10 --seed 1")
+    f"{feed}python -X importtime -m stochworld.cli {command} 2>&1 >/dev/null | grep stochworld\n"
+    for feed, command in (
+        ("", "validate models/m1_coin.model"),
+        ("", "simulate models/m1_coin.model --steps 10 --seed 1"),
+        ("python -m stochworld.cli simulate models/m1_coin.model --steps 1000 --seed 1 | ", "markov-check -"),
+    )
 )
+#: the golden smoke runs after this, so the runtime path is shown not to need scipy
+NO_SCIPY = "pip uninstall -y scipy"
 GOLDENS = (
     "python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1"
     """ | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'"""
@@ -25,7 +31,7 @@ def test_tier1_workflow_parses():
     assert 0 < job["timeout-minutes"] <= 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the tier-1 command, logging the slowest tests on every matrix Python
-    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", SOURCE_SIZE, STARTUP, GOLDENS]
+    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", NO_SCIPY, SOURCE_SIZE, STARTUP, GOLDENS]
     # the start-up report runs under the default shell, without pipefail
     assert "shell" not in job["steps"][-2]
     # pipefail, so a crashed benchmark run fails the step too
