@@ -296,9 +296,16 @@ def _apply_event(moves: dict, belief: dict, label: str) -> tuple:
     return moved, approx, " ".join(sorted(stuck)) if stuck else ""
 
 
-def _track(model: Model, trajectory: Trajectory, events: EventStream, collision: Optional[str] = None) -> tuple:
-    """Run the tracker; returns (beliefs, final_belief, memory, warnings,
-    failed_at) where failed_at is None on full success.
+def track(
+    model: Model,
+    trajectory: Trajectory,
+    events: EventStream,
+    collision: Optional[str] = None,
+) -> TrackResult:
+    """Belief tracking over an ED model: the state changes only on monitored
+    events, each step's observation filters the belief in between.  Raises
+    `TrackingError` at the first step whose observation no state of the
+    belief can show.
 
     A log meets few distinct beliefs, so the tracker builds the automaton
     over them lazily, as it reads the log (the subset construction): each
@@ -335,7 +342,7 @@ def _track(model: Model, trajectory: Trajectory, events: EventStream, collision:
             conditioned = {sid: mass for sid, mass in belief.items() if sid in admitted}
             total = sum(conditioned.values())
             if total <= 0.0:
-                return beliefs, None, memory, warnings, t
+                raise TrackingError(t)
             probs = {sid: mass / total for sid, mass in conditioned.items()}
             after = numbers.setdefault(tuple(probs.items()), len(dicts))
             if after == len(dicts):
@@ -366,20 +373,6 @@ def _track(model: Model, trajectory: Trajectory, events: EventStream, collision:
     # an unconditioned final belief may equal a conditioned one and share its object
     b = numbers.get(tuple(dicts[b].items()), b)
     final = shown.get((b, approx)) or Belief(dicts[b], approximate=approx)
-    return beliefs, final, memory, warnings, None
-
-
-def track(
-    model: Model,
-    trajectory: Trajectory,
-    events: EventStream,
-    collision: Optional[str] = None,
-) -> TrackResult:
-    """Belief tracking over an ED model: the state changes only on monitored
-    events, each step's observation filters the belief in between."""
-    beliefs, final, memory, warnings, failed = _track(model, trajectory, events, collision)
-    if failed is not None:
-        raise TrackingError(failed)
     return TrackResult(beliefs, final, memory, warnings)
 
 
@@ -449,7 +442,10 @@ def derived_events(model: Model, beliefs, threshold: float = 0.5) -> EventStream
     support, so only the support is read, once per pair of consecutive
     belief objects: the tracker shares one object between the steps of a
     belief.  A negative threshold is never crossed, since no mass is below
-    it before."""
+    it before, and neither is +inf.  A NaN threshold, and one that is not a
+    real number, is refused."""
+    if not isinstance(threshold, Real) or math.isnan(threshold):
+        raise ModelError(f"derived events need a threshold that is a number, got {threshold!r}")
     if not threshold >= 0.0:
         return EventStream(())
     name = model.name or "ed"

@@ -10,7 +10,7 @@ the current observation.
 
 from __future__ import annotations
 
-import operator
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
@@ -47,29 +47,19 @@ def _is_exact(model: Model) -> bool:
     )
 
 
-def _times_bounds(x: tuple, y: tuple) -> tuple:
-    return (x[0] * y[0], x[1] * y[1])
-
-
-def _plus_bounds(x: tuple, y: tuple) -> tuple:
-    return (x[0] + y[0], min(x[1] + y[1], 1.0))
-
-
-def _total_bounds(values) -> tuple:
-    return (min(sum(v[0] for v in values), 1.0), min(sum(v[1] for v in values), 1.0))
-
-
 def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
     """Layered expansion of the development words to the given depth.
 
-    Each layer maps a word to its mass per end state.  The exact backend
-    multiplies Python ints: ``dyadic`` turns the label, the arrow and the
-    trace probabilities into exact ints at units lu, au and tu, so every
-    word of a layer carries one more factor of lu * au * tu.  The other
-    backend multiplies (lo, hi) float bounds and caps sums at 1.  Moves and
-    emissions whose upper bound is zero are dropped once, in per-call tables.
-    A layer is refused at its (cap + 1)-th word.  Returns ({word: int},
-    scale), each word's probability its int over the scale, or ({word: (lo, hi)}, None).
+    Each layer maps a word to its mass per end state, built by one loop on
+    plain scalars.  A point model runs it once, on Python ints: ``dyadic``
+    turns the label, the arrow and the trace probabilities into exact ints
+    at units lu, au and tu, so every word of a layer carries one more factor
+    of lu * au * tu.  Any other model runs it twice, on floats: on the lower
+    bounds, then on the upper bounds with each sum into a bucket capped at 1.
+    Moves and emissions whose upper bound is zero are dropped once, so both
+    passes visit the same words in the same order.  A layer is refused at its
+    (cap + 1)-th word.  Returns one {word: total} per pass, and the scale: an
+    exact word's probability is its int over the scale (None for floats).
     """
     depth = checked_int(depth, "future enumeration depth")
     cap = checked_int(cap, "future enumeration cap")
@@ -77,43 +67,47 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
         raise ModelError(f"future enumeration needs depth 0 or more, got {depth}")
     if cap < 0:
         raise ModelError(f"future enumeration needs a cap of 0 or more, got {cap}")
-    if exact:
-        one, times, plus, total = 1, operator.mul, operator.add, sum
-        positive = lambda w: w > 0
+    if exact:  # per arrow and per emission, one bound per pass, the upper last
         lu, lps = dyadic(a.label_prob.lo for a in m.arrows)
         au, aps = dyadic(a.arrow_prob.lo for a in m.arrows)
         traces = {s.id: sorted(s.trace.probs.items()) for s in m.states}
         tu, tps = dyadic(p.lo for pairs in traces.values() for _, p in pairs)
-        weights = list(map(operator.mul, lps, aps))
+        weights = [(lp * ap,) for lp, ap in zip(lps, aps)]
         emitted = iter(tps)  # in the order of traces
-        emits = {sid: [(o, next(emitted)) for o, _ in pairs] for sid, pairs in traces.items()}
-        scale = (lu * au * tu) ** depth
+        emits = {sid: [(o, (next(emitted),)) for o, _ in pairs] for sid, pairs in traces.items()}
+        tops, scale = (math.inf,), (lu * au * tu) ** depth
     else:
-        one, times, plus, total = (1.0, 1.0), _times_bounds, _plus_bounds, _total_bounds
-        positive = lambda w: w[1] > 0.0
         weights = [(eff.lo, eff.hi) for eff in map(Arrow.effective, m.arrows)]
         emits = {s.id: [(o, (p.lo, p.hi)) for o in m.obs for p in (s.trace.prob(o),)] for s in m.states}
-        scale = None
-    emits = {sid: [(o, p) for o, p in pairs if positive(p)] for sid, pairs in emits.items()}
-    moves: dict = {s.id: [] for s in m.states}
-    for a, weight in zip(m.arrows, weights):
-        if positive(weight):
-            moves.setdefault(a.source, []).append((a.label, a.target, weight, emits[a.target]))
-    layer = {(): {m.initial_state.id: one}}
-    for _ in range(depth):
-        nxt: dict = {}
-        for word, dist in layer.items():
-            for sid, mass in dist.items():
-                for label, target, weight, emitted in moves[sid]:
-                    moved = times(mass, weight)
-                    for obs, p in emitted:
-                        bucket = nxt.setdefault(word + ((label, obs),), {})
-                        if len(nxt) > cap:
-                            raise CapExceededError(f"future enumeration exceeds {cap} developments")
-                        w = times(moved, p)
-                        bucket[target] = plus(bucket[target], w) if target in bucket else w
-        layer = nxt
-    return {word: total(list(dist.values())) for word, dist in layer.items()}, scale
+        tops, scale = (math.inf, 1.0), None
+    emits = {sid: [(o, p) for o, p in pairs if p[-1] > 0] for sid, pairs in emits.items()}
+    kept = [(a, w) for a, w in zip(m.arrows, weights) if w[-1] > 0]
+    totals = []
+    for k, top in enumerate(tops):
+        bounds = {sid: [(o, p[k]) for o, p in pairs] for sid, pairs in emits.items()}
+        moves: dict = {s.id: [] for s in m.states}
+        for a, w in kept:
+            moves.setdefault(a.source, []).append((a.label, a.target, w[k], bounds[a.target]))
+        layer = {(): {m.initial_state.id: 1}}
+        for _ in range(depth):
+            nxt: dict = {}
+            for word, dist in layer.items():
+                for sid, mass in dist.items():
+                    for label, target, weight, emitted in moves[sid]:
+                        moved = mass * weight
+                        for obs, p in emitted:
+                            bucket = nxt.setdefault(word + ((label, obs),), {})
+                            if len(nxt) > cap:
+                                raise CapExceededError(f"future enumeration exceeds {cap} developments")
+                            w = moved * p
+                            if target in bucket:
+                                w += bucket[target]
+                                if w > top:
+                                    w = top
+                            bucket[target] = w
+            layer = nxt
+        totals.append({word: sum(dist.values()) for word, dist in layer.items()})
+    return totals, scale
 
 
 def exact_future(
@@ -128,7 +122,7 @@ def exact_future(
     m = compose_policy(model, policy) if policy is not None else model
     if not _is_exact(m):
         raise ModelError("exact enumeration needs point probabilities")
-    totals, scale = _develop(m, depth, cap, exact=True)
+    (totals,), scale = _develop(m, depth, cap, exact=True)
     return {word: Fraction(p, scale) for word, p in totals.items()}
 
 
@@ -137,18 +131,20 @@ def enumerate_future(
 ) -> FutureSet:
     """Perfect or quasi-perfect description of the future to the given depth.
 
-    Point models (after an optional policy) get exact probabilities; interval
-    models get sound multiplicative bounds, and so do models with an
-    untraced state, whose observations each get [0, 1].  Developments with an
-    upper probability of zero are absent.
+    Point models (after an optional policy) get exact probabilities.  Other
+    models, and models with an untraced state, whose observations each get
+    [0, 1], get bounds from floats: each product and sum is rounded to
+    nearest, and upper sums are capped at 1, so a bound can sit an ulp or so
+    on the wrong side of the exact value.  Developments with an upper
+    probability of zero are absent.
     """
     m = compose_policy(model, policy) if policy is not None else model
     exact = _is_exact(m)
     totals, scale = _develop(m, depth, cap, exact)
     entries = {}
-    for word, p in totals.items():
+    for word, p in totals[-1].items():
         # int / int rounds once, correctly, as float(Fraction) does
-        lo, hi = (p / scale,) * 2 if exact else p
+        lo, hi = (p / scale,) * 2 if exact else (min(totals[0][word], 1.0), min(p, 1.0))
         if exact or hi > 0:  # an exact total is above 0, even where its double is 0.0
             entries[Development("future", word)] = ProbInterval(lo, hi)
     return FutureSet(depth, "future", entries)

@@ -988,7 +988,8 @@ def track_by_steps(
 ) -> tuple:
     """Reference tracker: conditions, renormalizes and builds a `Belief` at
     every step.  Returns (beliefs, final_belief, memory, warnings,
-    failed_at) as `events._track` does.  It can also restart: from step
+    failed_at), failed_at None on success and the step at which `track`
+    raises `TrackingError` otherwise.  It can also restart: from step
     `start`, with the belief `initial`.  The states that admit an
     observation come straight from the traces."""
     warnings: list = []

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from stochworld import invert_mdp_plus, monte_carlo_invert, parse_model, serialize_model
+from stochworld import invert_mdp_plus, minimize_forward, monte_carlo_invert, parse_model, serialize_model
 from stochworld.cli import main
-from stochworld.format import parse_event_stream
+from stochworld.format import parse_event_stream, parse_partition
 
 from helpers import MODELS_DIR, cycle_model
 from test_format import check_dot_grammar
@@ -381,6 +381,104 @@ class TestPipelines:
         code, out, _ = run(capsys, "markov-check", str(traj_path))
         assert code == 0
         assert "improvable" in out
+
+
+class TestCommandBranches:
+    """Branches of the commands that the pipelines above do not take."""
+
+    def test_quotient_monitor_label(self, capsys, tmp_path):
+        classes = tmp_path / "classes.txt"
+        classes.write_text("B1 B2\nW1 W2\n")
+        code, out, err = run(capsys, "quotient", M2, "--classes", str(classes), "--monitor-label", "true")
+        assert (code, err) == (0, "")
+        assert out == (
+            "model ed\nobs B W\nevent true\n"
+            "state B1+B2 initial trace B=1\nstate W1+W2 trace W=1\n"
+            "arrow B1+B2 true B1+B2 lp=1 ap=[0,1]\narrow B1+B2 true W1+W2 lp=1 ap=[0,1]\n"
+            "arrow W1+W2 true B1+B2 lp=1 ap=[0,1]\narrow W1+W2 true W1+W2 lp=1 ap=[0,1]\n"
+        )
+
+    def test_quotient_monitor_without_file_is_a_usage_error(self, capsys, tmp_path):
+        classes = tmp_path / "classes.txt"
+        classes.write_text("B1 B2\nW1 W2\n")
+        code, out, err = run(capsys, "quotient", M2, "--classes", str(classes), "--monitor", "flip")
+        assert (code, out, err) == (2, "", "usage error: --monitor needs <name>=<arrow-file>\n")
+
+    def test_minimize_partition_out_reads_back(self, capsys, tmp_path):
+        doc = (
+            "model hmm\nobs x y\nstate a initial trace x=1\nstate b1 trace y=1\nstate b2 trace y=1\n"
+            "arrow a true b1 ap=0.5\narrow a true b2 ap=0.5\narrow b1 true a\narrow b2 true a\n"
+        )
+        model_path, classes = tmp_path / "twins.model", tmp_path / "classes.txt"
+        model_path.write_text(doc)
+        code, out, _ = run(capsys, "minimize", str(model_path), "--depth", "3", "--partition-out", str(classes))
+        reduced, partition = minimize_forward(parse_model(doc))
+        assert code == 0 and out == serialize_model(reduced)
+        assert classes.read_text() == "a\nb1 b2\n"
+        read_back = parse_partition(classes.read_text(), parse_model(doc))
+        assert sorted(map(sorted, read_back.classes)) == sorted(map(sorted, partition.classes))
+
+    def test_markov_check_inconclusive(self, capsys, tmp_path):
+        traj_path = tmp_path / "short.traj"
+        traj_path.write_text("a -\nb -\na -\n")
+        assert run(capsys, "markov-check", str(traj_path)) == (0, "inconclusive\n", "")
+
+    def test_markov_check_skipped_symbol(self, capsys, tmp_path):
+        rng = random.Random(5)
+        obs = [rng.choice("ab") for _ in range(400)]
+        obs[200] = "c"  # one context of c, thinner than the minimum count
+        traj_path = tmp_path / "rare.traj"
+        traj_path.write_text("".join(f"{o} -\n" for o in obs))
+        code, out, _ = run(capsys, "markov-check", str(traj_path), "--min-count", "5")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3
+        assert lines[0].startswith("symbol a: p=") and lines[1].startswith("symbol b: p=")
+        assert lines[2] == "symbol c: skipped (1 thin contexts)"
+
+    def test_policy_from_preference_reports_adjusted_states(self, capsys, tmp_path):
+        model_path, pref = tmp_path / "wide.model", tmp_path / "wide.pref"
+        model_path.write_text(
+            "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\n"
+            "arrow s a s lp=[0.5,1] ap=1\narrow s b s lp=[0.3,1] ap=1\n"
+        )
+        pref.write_text("state s: a > b\n")
+        code, out, err = run(capsys, "policy-from-preference", str(model_path), "--preference", str(pref))
+        assert (code, out, err) == (0, "s a 0.7\ns b 0.3\n", "adjusted: s\n")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--direct", "DOC", "--indirect", "--window", "1"], "choose one of --direct and --indirect"),
+            (["--indirect"], "--indirect needs --window"),
+            ([], "choose one of --direct and --indirect"),
+        ],
+        ids=["both", "indirect-without-window", "neither"],
+    )
+    def test_detect_usage_errors(self, capsys, tmp_path, options, message):
+        traj_path, fns = tmp_path / "w.traj", tmp_path / "doc"
+        traj_path.write_text("a -\nb -\na -\n")
+        fns.write_text("charfn seen obs=a\n")
+        argv = [str(fns) if o == "DOC" else o for o in options]
+        assert run(capsys, "detect", str(traj_path), *argv) == (2, "", f"usage error: {message}\n")
+
+    def test_track_prints_warnings(self, capsys, tmp_path):
+        traj_path, events = tmp_path / "day.traj", tmp_path / "day.stream"
+        traj_path.write_text("sun -\nsun -\n")
+        events.write_text("0 sunrise 1\n1 meteor 1\n")
+        code, out, err = run(
+            capsys, "track", str(traj_path), "--model", str(MODELS_DIR / "daynight.model"), "--events", str(events)
+        )
+        assert (code, out) == (0, "belief day 1\n")
+        assert err == (
+            "warning: step 1: unknown event label 'meteor' ignored\n"
+            "warning: step 0: event 'sunrise' impossible in day; belief kept\n"
+        )
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.model"
+        code, out, err = run(capsys, "validate", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: io: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 MALFORMED = [  # document, argv (TRAJ and DOC name the files), the error line's start

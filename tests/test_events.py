@@ -38,7 +38,6 @@ from stochworld import (
     serialize_event_stream,
     track,
 )
-from stochworld.events import _track
 
 from helpers import ArrowIndex, derived_by_states, detect_by_steps, indirect_by_counter, track_by_steps
 
@@ -342,6 +341,14 @@ class TestTrack:
         result = track(daynight, traj_of(["sun"]), events)
         assert any("unknown event label" in w for w in result.warnings)
 
+    def test_refuses_other_kinds_and_unknown_collision_rules(self, daynight, m1):
+        with pytest.raises(ModelError) as err:
+            track(m1, traj_of(["B"]), stream_of())
+        assert str(err.value) == "tracking needs an event-driven model"
+        with pytest.raises(ModelError) as err:
+            track(daynight, traj_of(["sun"]), stream_of(), collision="first")
+        assert str(err.value) == "unknown collision rule 'first'"
+
     def test_inconsistent_trajectory_raises_with_index(self, daynight):
         events = stream_of((0, "sunset"))
         with pytest.raises(TrackingError) as err:
@@ -564,6 +571,20 @@ class TestDerivedEvents:
         derived = derived_events(daynight, [half, half, half])
         assert len(derived) == 0
 
+    def test_infinite_and_negative_thresholds_keep_their_meaning(self, daynight):
+        day, night = Belief({"day": 1.0}), Belief({"night": 1.0})
+        for threshold in (-0.5, float("-inf"), float("inf")):
+            assert len(derived_events(daynight, [day, night, day], threshold)) == 0
+        assert [o.time for o in derived_events(daynight, [day, night, day], 0.0).occurrences] == [1, 2]
+
+    @pytest.mark.parametrize("threshold", ["0.5", None, [0.5], float("nan")], ids=["str", "None", "list", "nan"])
+    def test_non_number_threshold_refused(self, daynight, threshold):
+        # "0.5", None and [0.5] escaped as a built-in TypeError; NaN gave no events
+        beliefs = [Belief({"day": 1.0}), Belief({"night": 1.0})]
+        with pytest.raises(ModelError) as err:
+            derived_events(daynight, beliefs, threshold)
+        assert str(err.value) == f"derived events need a threshold that is a number, got {threshold!r}"
+
     def test_week_hierarchy_counts_seven_days(self, daynight):
         days = 21
         obs = ["sun", "dark"] * days
@@ -635,10 +656,22 @@ def belief_bits(belief):
     return [(s, p.hex()) for s, p in belief.probs.items()], belief.approximate
 
 
-def outcome(run, *args, **kwargs):
-    """A tracker run's output in comparable form."""
-    beliefs, final, memory, warnings, failed = run(*args, **kwargs)
-    return [belief_bits(b) for b in beliefs], belief_bits(final), memory, warnings, failed
+def tracked(model, trajectory, events, collision=None):
+    """What `track` exposes, in comparable form: the beliefs, the final
+    belief, the memory and the warnings, or the step it fails at."""
+    try:
+        result = track(model, trajectory, events, collision)
+    except TrackingError as err:
+        return err.time_index
+    beliefs = [belief_bits(b) for b in result.beliefs]
+    return beliefs, belief_bits(result.final_belief), result.memory, result.warnings
+
+
+def exposed(beliefs, final, memory, warnings, failed):
+    """A `track_by_steps` result in the form of `tracked`."""
+    if failed is not None:
+        return failed
+    return [belief_bits(b) for b in beliefs], belief_bits(final), memory, warnings
 
 
 class TestMemoizedRuntime:
@@ -648,32 +681,33 @@ class TestMemoizedRuntime:
         for _ in range(1200):
             model, trajectory, events = random_ed_log(rng)
             collision = rng.choice((None, "priority", "both-arrows"))
-            got = outcome(_track, model, trajectory, events, collision=collision)
-            assert got == outcome(track_by_steps, model, trajectory, events, collision=collision)
-            beliefs, _, memory, warnings, failed = got
+            want = track_by_steps(model, trajectory, events, collision=collision)
+            assert tracked(model, trajectory, events, collision) == exposed(*want)
+            beliefs, _, memory, warnings, failed = want
             seen[f"collision {collision}"] += 1
             seen["failed"] += failed is not None
-            seen["approximate"] += any(flag for _, flag in beliefs)
+            seen["approximate"] += any(b.approximate for b in beliefs)
             seen["memory"] += bool(memory)
             seen["stuck"] += any("impossible" in w for w in warnings)
-            seen["repeated belief"] += len({str(b) for b in beliefs}) < len(beliefs)
+            seen["repeated belief"] += len({str(belief_bits(b)) for b in beliefs}) < len(beliefs)
         assert min(seen.values()) >= 20 and len(seen) == 8, seen
 
     def test_equal_beliefs_are_one_object(self):
         rng = random.Random(5)
-        shared = 0
+        repeated = 0
         for _ in range(300):
             model, trajectory, events = random_ed_log(rng)
-            beliefs, final, _, _, failed = _track(model, trajectory, events)
+            want, _, _, _, failed = track_by_steps(model, trajectory, events)
             if failed is not None:
                 continue
+            result = track(model, trajectory, events)
             objects: dict = {}
-            for b in beliefs + [final]:
+            for b in result.beliefs + [result.final_belief]:
                 key = belief_bits(b)
                 key = (tuple(key[0]), key[1])
                 assert objects.setdefault(key, b) is b
-            shared += len(objects) < len(beliefs)
-        assert shared >= 100
+            repeated += len({str(belief_bits(b)) for b in want}) < len(want)
+        assert repeated >= 100
 
     def test_derived_events_equal_state_oracle(self):
         rng = random.Random(29)

@@ -6,7 +6,7 @@ import pytest
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
-SOURCE_SIZE = "wc -l src/stochworld/*.py | tail -n 1"
+SOURCE_SIZE = "wc -l src/stochworld/*.py"
 STARTUP = "".join(
     f"{feed}python -X importtime -m stochworld.cli {command} 2>&1 >/dev/null | grep stochworld\n"
     for feed, command in (
