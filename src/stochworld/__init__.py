@@ -6,8 +6,6 @@ Each export is imported from its module on first use (PEP 562), so a
 program loads numpy only when it calls a name that computes with it.
 """
 
-import importlib
-
 #: module -> the names it exports
 _MODULES = {
     "analysis": "StructureReport analyze find_black_hole find_white_peak remove_redundant",
@@ -39,7 +37,8 @@ def __getattr__(name: str):
     # system probes for submodules with hasattr before importing them
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    # the import statement's machinery, so that -X importtime reports the module
+    value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property, partial
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InconsistentObservationError, ModelError, PolicyError
 
@@ -543,28 +543,21 @@ class Trajectory:
         return tuple(s.obs for s in self.steps)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class EventOccurrence:
+class EventOccurrence(NamedTuple):
     """One detected event: when, what, how confident, and found how.
 
-    A log holds thousands, so the fields are slots, which ``__init__`` fills
-    through their descriptors instead of ``object.__setattr__``."""
+    A log holds thousands, so an occurrence is a record: a tuple with named
+    fields, equal to the plain tuple of its fields."""
 
     time: int
     label: str
     confidence: ProbInterval
     provenance: str = "direct"  # direct | indirect | derived
 
-    def __init__(self, time: int, label: str, confidence: ProbInterval, provenance: str = "direct"):
-        _set_time(self, time)
-        _set_label(self, label)
-        _set_confidence(self, confidence)
-        _set_provenance(self, provenance)
 
-
-_set_time, _set_label, _set_confidence, _set_provenance = (
-    getattr(EventOccurrence, f.name).__set__ for f in fields(EventOccurrence)
-)
+#: ``_occurrence((time, label, confidence, provenance))``: an occurrence built
+#: as a tuple, without the argument handling of ``EventOccurrence.__new__``
+_occurrence = partial(tuple.__new__, EventOccurrence)
 
 
 @dataclass(frozen=True)
@@ -573,12 +566,13 @@ class EventStream:
 
     def __post_init__(self):
         occs = tuple(self.occurrences)
-        times = [o.time for o in occs]
-        if times != sorted(times):
-            raise ModelError("event stream times must be non-decreasing")
-        for o in occs:
-            if o.confidence.hi <= 0.0:
-                raise ModelError(f"occurrence of {o.label!r} at {o.time} has confidence [0,0]")
+        last = -math.inf
+        for time, label, confidence, _ in occs:  # the first fault in stream order is refused
+            if time < last:
+                raise ModelError("event stream times must be non-decreasing")
+            if confidence.hi <= 0.0:
+                raise ModelError(f"occurrence of {label!r} at {time} has confidence [0,0]")
+            last = time
         object.__setattr__(self, "occurrences", occs)
 
     def __len__(self) -> int:

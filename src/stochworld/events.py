@@ -20,7 +20,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from numbers import Real
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import (
@@ -28,11 +30,11 @@ from .core import (
     POINT_ONE,
     POINT_ZERO,
     Belief,
-    EventOccurrence,
     EventStream,
     Model,
     ProbInterval,
     Trajectory,
+    _occurrence,
     checked_int,
 )
 from .errors import ModelError, TrackingError
@@ -70,8 +72,8 @@ class CharFn:
         for field_name in ("past_pattern", "future_pattern"):
             try:
                 re.compile(getattr(self, field_name) or "")
-            except (re.error, TypeError) as exc:
-                raise ModelError(f"charfn {self.name}: {field_name} does not compile: {exc}") from None
+            except (re.error, TypeError):
+                raise ModelError(f"charfn {self.name}: {field_name} does not compile") from None
 
     @property
     def window(self) -> int:
@@ -99,9 +101,9 @@ class CharFn:
 
 
 def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) -> list:
-    """Per step: fn's value where it is an occurrence under the threshold,
-    else None.  Matchers compare symbols; a pattern or table is evaluated
-    once per distinct observation window."""
+    """fn's occurrences under the threshold, in step order.  Matchers look
+    their verdict up by symbol; a pattern or table is evaluated once per
+    distinct observation window."""
 
     def fired(value: ProbInterval) -> Optional[ProbInterval]:
         return value if value.lo >= threshold and value.hi > 0.0 else None
@@ -111,15 +113,12 @@ def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) 
     first = min(plen, n)
     end = max(first, min(n - flen + 1, n))  # steps first..end-1 have whole windows
     outside = fired(FULL)
+    # a [0,0] verdict never fires, so a symbol that does not match maps to None
     if fn.kind == "obs-match":
-        yes, no = fired(POINT_ONE), fired(POINT_ZERO)
-        inside = [yes if o == fn.obs else no for o in obs[first:end]]
-    elif fn.kind == "action-match":
-        yes, no = fired(POINT_ONE), fired(POINT_ZERO)
-        inside = [
-            outside if s.act is None else yes if s.act == fn.action else no
-            for s in trajectory.steps[first:end]
-        ]
+        inside = map({fn.obs: fired(POINT_ONE)}.get, obs[first:end])
+    elif fn.kind == "action-match":  # no action reads as outside, even for action=None
+        verdict = {fn.action: fired(POINT_ONE), None: outside}.get
+        inside = (verdict(s.act) for s in trajectory.steps[first:end])
     else:
         memo: dict = {}  # observation window -> verdict
         inside = []
@@ -129,7 +128,9 @@ def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) 
             if value is memo:
                 value = memo[window] = fired(fn.evaluate(trajectory, t))
             inside.append(value)
-    return [outside] * first + inside + [outside] * (n - end)
+    name = fn.name
+    values = chain(repeat(outside, first), inside, repeat(outside, n - end))
+    return [_occurrence((t, name, value, "direct")) for t, value in enumerate(values) if value is not None]
 
 
 def detect_direct(
@@ -141,25 +142,20 @@ def detect_direct(
 
     When same-named functions disagree at a step, the verdict of the one
     with the longer combined window stands (the first listed among equals).
-    Occurrences come by step, then by name.  A NaN threshold, and one that
-    is not a real number, is refused; -inf and +inf keep their meaning.
+    Occurrences come by step, then by name: each name's hits, in name
+    order, sorted stably by step.  A NaN threshold, and one that is not a
+    real number, is refused; -inf and +inf keep their meaning.
     """
     if not isinstance(threshold, Real) or math.isnan(threshold):
         raise ModelError(f"direct detection needs a threshold that is a number, got {threshold!r}")
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)
-    names = sorted(by_name)
     obs = trajectory.observations()
-    columns = [
-        _fired_at(max(by_name[name], key=lambda f: f.window), trajectory, obs, threshold)
-        for name in names
-    ]
     occurrences = []
-    for t, row in enumerate(zip(*columns)):
-        for name, value in zip(names, row):
-            if value is not None:
-                occurrences.append(EventOccurrence(t, name, value, "direct"))
+    for name in sorted(by_name):
+        occurrences += _fired_at(max(by_name[name], key=lambda f: f.window), trajectory, obs, threshold)
+    occurrences.sort(key=itemgetter(0))
     return EventStream(tuple(occurrences))
 
 
@@ -223,16 +219,12 @@ def detect_indirect(
         else:
             merged.append([(t, d)])
     occurrences = []
-    boundaries = []
     for cluster in merged:
         t, d = max(cluster, key=lambda item: (item[1], -item[0]))
         tv = d / (2 * window)
         lo = (tv - threshold) / (1.0 - threshold) if threshold < 1.0 else 1.0
-        occurrences.append(
-            EventOccurrence(t, "invisible", ProbInterval(min(max(lo, 0.0), 1.0), 1.0), "indirect")
-        )
-        boundaries.append(t)
-    cuts = [0] + boundaries + [n]
+        occurrences.append(_occurrence((t, "invisible", ProbInterval(min(max(lo, 0.0), 1.0), 1.0), "indirect")))
+    cuts = [0] + [t for t, _, _, _ in occurrences] + [n]
     segments = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
     return EventStream(tuple(occurrences)), segments
 
@@ -264,11 +256,11 @@ def _labels_at(model: Model, events: EventStream, collision: Optional[str], warn
         raise ModelError(f"unknown collision rule {collision!r}")
     rank = {e: r for r, e in enumerate(model.compiled.event_order)}
     by_time: dict = {}
-    for occ in events.occurrences:
-        if occ.label not in rank:
-            warnings.append(f"step {occ.time}: unknown event label {occ.label!r} ignored")
+    for time, label, _, _ in events.occurrences:
+        if label not in rank:
+            warnings.append(f"step {time}: unknown event label {label!r} ignored")
             continue
-        by_time.setdefault(occ.time, set()).add(occ.label)
+        by_time.setdefault(time, set()).add(label)
     keep = 1 if collision == "priority" else None
     return {t: tuple(sorted(labels, key=rank.__getitem__)[:keep]) for t, labels in by_time.items()}
 
@@ -467,5 +459,5 @@ def derived_events(model: Model, beliefs, threshold: float = 0.5) -> EventStream
                     crossed.append((rank[s], f"{name}.{s}", ProbInterval.point(p)))
             crossed.sort()  # into model state order
         for _, label, confidence in crossed:
-            occurrences.append(EventOccurrence(t, label, confidence, "derived"))
+            occurrences.append(_occurrence((t, label, confidence, "derived")))
     return EventStream(tuple(occurrences))

@@ -21,6 +21,7 @@ back from a trajectory line, so ``obs``, ``act``, ``t0`` (its header words),
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
 
@@ -35,7 +36,6 @@ from .core import (
     SINGLE_LABEL_KINDS,
     TRUE_LABEL,
     Arrow,
-    EventOccurrence,
     EventStream,
     Model,
     Partition,
@@ -46,6 +46,7 @@ from .core import (
     Step,
     TraceSpec,
     Trajectory,
+    _occurrence,
     canonical,
 )
 from .errors import FormatError, ModelError
@@ -64,14 +65,17 @@ def fmt_interval(iv: ProbInterval) -> str:
 
 
 def parse_interval(token: str, line: Optional[int] = None) -> ProbInterval:
+    """A point ``p`` or an interval ``[lo,hi]``, refused in the toolkit's words."""
+    bounds = token[1:-1].split(",") if token.startswith("[") and token.endswith("]") else (token, token)
+    fault = "expected [lo,hi]"
     try:
-        if token.startswith("[") and token.endswith("]"):
-            lo_s, hi_s = token[1:-1].split(",")
-            return ProbInterval(float(lo_s), float(hi_s))
-        p = float(token)
-        return ProbInterval(p, p)
-    except (ValueError, ModelError) as exc:
-        raise FormatError(f"bad probability {token!r} ({exc})", line) from exc
+        if len(bounds) == 2:
+            return ProbInterval(float(bounds[0]), float(bounds[1]))
+    except ValueError:
+        fault = "not a number"
+    except ModelError as exc:
+        fault = exc
+    raise FormatError(f"bad probability {token!r} ({fault})", line)
 
 
 def _interned_interval(token: str, line: int, interned: dict) -> ProbInterval:
@@ -482,8 +486,8 @@ def parse_charfns(text: str, base_dir=None) -> List[sw.CharFn]:
     def regex(token, value, num):
         try:
             re.compile(value)
-        except re.error as exc:
-            raise FormatError(f"bad regex {token!r}: {exc}", num)
+        except re.error:
+            raise FormatError(f"bad regex {token!r}: does not compile", num)
         return value
 
     def parse_row(tokens, num):
@@ -558,20 +562,29 @@ def parse_charfns(text: str, base_dir=None) -> List[sw.CharFn]:
 
 
 def parse_event_stream(text: str) -> EventStream:
-    """Lines of the form `<time> <label> <interval> <provenance>`.  Each
-    distinct interval token is parsed once."""
+    """Lines of the form `<time> <label> <interval> [<provenance>]`.  The time is
+    split off and each distinct rest of a line parsed once; a line is refused
+    for its field count, then its time, then its interval."""
     occurrences = []
-    intervals: dict = {}
-    for num, tokens in _lines(text):
-        if len(tokens) not in (3, 4):
+    intervals: dict = {}  # token -> ProbInterval, shared by equal tokens
+    tails: dict = {}  # rest of a line -> (label, confidence, provenance)
+    for num, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split(None, 1)
+        if not parts or parts[0].startswith("#"):
+            continue
+        # the rest of a line of one token is that token: one field, never a key
+        tail = tails.get(parts[-1])
+        if tail is None and len(parts[-1].split()) not in (2, 3):
             raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
         try:
-            time = int(tokens[0])
+            time = int(parts[0])
         except ValueError:
-            raise FormatError(f"bad time {tokens[0]!r}", num)
-        provenance = tokens[3] if len(tokens) == 4 else "direct"
-        occurrences.append(EventOccurrence(time, tokens[1], _interned_interval(tokens[2], num, intervals), provenance))
-    occurrences.sort(key=lambda o: o.time)
+            raise FormatError(f"bad time {parts[0]!r}", num)
+        if tail is None:
+            label, token, *provenance = parts[1].split()
+            tail = tails[parts[1]] = (label, _interned_interval(token, num, intervals), *(provenance or ["direct"]))
+        occurrences.append(_occurrence((time, *tail)))
+    occurrences.sort(key=itemgetter(0))
     return EventStream(tuple(occurrences))
 
 

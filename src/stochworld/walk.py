@@ -25,13 +25,13 @@ from .core import (
     POINT_ONE,
     SINGLE_LABEL_KINDS,
     TRUE_LABEL,
-    EventOccurrence,
     EventStream,
     Model,
     Policy,
     Preference,
     Step,
     Trajectory,
+    _occurrence,
     checked_int,
     compose_policy,
 )
@@ -192,7 +192,7 @@ def simulate_events(model: Model, config: SimulationConfig):
                     if cum is None:
                         raise _unresolved("arrow")
                     state = targets[bisect_right(cum, draw())]
-                    occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
+                    occurrences.append(_occurrence((t, e, POINT_ONE, "direct")))
     else:
         for _ in range(n):
             refusal, by_obs, cum, choices, moves = rows[state]

@@ -44,7 +44,7 @@ from stochworld import (
 from stochworld.constructions import _doubled_kind
 from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy
 from stochworld.events import _labels_at
-from stochworld.format import _check_symbols, _lines
+from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.markov import MarkovReport, SymbolTest
 from stochworld.walk import _resolve_agent
 
@@ -646,6 +646,23 @@ def parse_trajectory_by_lines(text: str, model: Model | None = None) -> Trajecto
     if not 0 <= t0 <= len(steps):
         raise FormatError(f"t0 = {t0} outside [0, {len(steps)}]")
     return Trajectory(tuple(steps), t0)
+
+
+def parse_event_stream_by_lines(text: str) -> EventStream:
+    """Reference event stream reader: strips and splits every line, then
+    reads its time and its interval."""
+    occurrences = []
+    for num, tokens in _lines(text):
+        if len(tokens) not in (3, 4):
+            raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
+        try:
+            time = int(tokens[0])
+        except ValueError:
+            raise FormatError(f"bad time {tokens[0]!r}", num)
+        provenance = tokens[3] if len(tokens) == 4 else "direct"
+        occurrences.append(EventOccurrence(time, tokens[1], parse_interval(tokens[2], num), provenance))
+    occurrences.sort(key=lambda o: o.time)
+    return EventStream(tuple(occurrences))
 
 
 def random_trajectory_document(rng: random.Random) -> str:

@@ -212,7 +212,7 @@ class TestArrow:
 
 
 class TestEventOccurrence:
-    """The hand-written ``__init__`` keeps the frozen dataclass's semantics."""
+    """An occurrence is a ``NamedTuple`` record: a tuple with named fields."""
 
     FIELDS = ("time", "label", "confidence", "provenance")
 
@@ -223,28 +223,25 @@ class TestEventOccurrence:
         yield EventOccurrence(3, "ring", iv(0.5, 1), "indirect")
 
     def test_fields_and_default(self):
-        assert tuple(f.name for f in dataclasses.fields(EventOccurrence)) == self.FIELDS
-        # the hand-written __init__ takes the fields in order, with their defaults
+        assert EventOccurrence._fields == self.FIELDS
+        assert EventOccurrence._field_defaults == {"provenance": "direct"}
+        # the constructor takes the fields in order, with their defaults
         params = inspect.signature(EventOccurrence).parameters.values()
         assert [(p.name, p.default) for p in params] == [
-            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(EventOccurrence)
+            (name, EventOccurrence._field_defaults.get(name, inspect.Parameter.empty)) for name in self.FIELDS
         ]
         occ = EventOccurrence(1, "a", iv(1))
         assert occ.provenance == "direct"
-        assert dataclasses.astuple(occ) == (1, "a", (1.0, 1.0), "direct")
+        assert tuple(occ) == (1, "a", iv(1), "direct") and occ._asdict()["confidence"] == iv(1)
 
     def test_assignment_refused(self):
         occ = EventOccurrence(1, "a", iv(1))
         for name in self.FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(occ, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(occ, name)
-        # a frozen dataclass with slots refuses other names with TypeError
-        # (CPython 3.10 to 3.13): its __setattr__ calls super() with the
-        # class that slots=True replaced
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        with pytest.raises(AttributeError):  # no __dict__
             occ.other = None
         assert occ == EventOccurrence(1, "a", iv(1), "direct")
 
@@ -259,15 +256,19 @@ class TestEventOccurrence:
                 assert (o == p) == (t == u)
                 assert (o != p) == (t != u)
         assert occs[0] is not occs[3] and len(set(occs)) == 3
-        assert occs[0] != as_tuple[0]
+        # a record equals the plain tuple of its fields
+        assert occs[0] == as_tuple[0] and occs[0] != as_tuple[1]
 
     def test_replace_and_pickle(self):
         occ = EventOccurrence(3, "ring", iv(0.5, 1), "indirect")
-        moved = dataclasses.replace(occ, time=4)
-        assert moved == EventOccurrence(4, "ring", iv(0.5, 1), "indirect")
+        moved = occ._replace(time=4)
+        assert moved == EventOccurrence(4, "ring", iv(0.5, 1), "indirect") and type(moved) is EventOccurrence
         assert occ.time == 3
-        assert dataclasses.replace(occ) == occ
-        assert pickle.loads(pickle.dumps(occ)) == occ
+        assert occ._replace() == occ
+        with pytest.raises(ValueError):
+            occ._replace(when=4)
+        for copied in (pickle.loads(pickle.dumps(occ)), copy.deepcopy(occ)):
+            assert copied == occ and type(copied) is EventOccurrence
 
 
 class TestBelief:

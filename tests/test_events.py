@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochworld import (
     Arrow,
@@ -23,6 +24,7 @@ from stochworld import (
     Model,
     ModelError,
     ProbInterval,
+    SimulationConfig,
     State,
     TraceSpec,
     TrackingError,
@@ -36,10 +38,20 @@ from stochworld import (
     parse_model,
     phenomenon_validity,
     serialize_event_stream,
+    simulate_events,
     track,
 )
+from stochworld.format import fmt_num
 
-from helpers import ArrowIndex, derived_by_states, detect_by_steps, indirect_by_counter, track_by_steps
+from helpers import (
+    ArrowIndex,
+    derived_by_states,
+    detect_by_steps,
+    indirect_by_counter,
+    parse_event_stream_by_lines,
+    random_walk_model,
+    track_by_steps,
+)
 
 
 def traj_of(obs, acts=None):
@@ -613,6 +625,35 @@ class TestDerivedEvents:
         assert tops[day_events[7].time] == "d1"
 
 
+#: event lines: time, label, interval and provenance tokens, some of them bad
+#: or missing, joined by one separator and padded
+EVENT_LINES = st.tuples(
+    st.sampled_from(["0", "3", "12", "7", "-2", "+5"] * 4 + ["soon", "1.5"]),
+    st.sampled_from(["go", "stop", "m.s"]),
+    st.sampled_from(["1", "0.5", "[0.5,1]", "[0,1]", "[0.25,0.75]"] * 6 + ["", "0", "[0.5]", "[0.5", "2", "x"]),
+    st.sampled_from(["", "direct", "indirect", "derived"] * 4 + ["direct extra"]),
+    st.sampled_from([" ", " ", "\t", "  ", " \t "]),
+    st.sampled_from(["", "", " ", "\t"]),
+).map(lambda p: p[5] + p[4].join(token for token in p[:4] if token) + p[5])
+OTHER_LINES = st.sampled_from(["", "   ", "\t", "# note", "#", "  # 3 go 1", "#3 go 1"])
+
+
+def read_stream(reader, text):
+    """The stream, or the refusal's type and text."""
+    try:
+        return reader(text)
+    except (FormatError, ModelError) as err:
+        return type(err).__name__, str(err)
+
+
+def printed(stream):
+    """The stream as its document reads back: each bound at 12 significant digits."""
+    at_12 = lambda x: float(fmt_num(x))
+    return EventStream(
+        tuple(o._replace(confidence=ProbInterval(at_12(o.confidence.lo), at_12(o.confidence.hi))) for o in stream.occurrences)
+    )
+
+
 class TestEventStreamFormat:
     def test_round_trip(self):
         stream = stream_of((0, "sunset"), (3, "sunrise"))
@@ -644,6 +685,60 @@ class TestEventStreamFormat:
                     EventOccurrence(1, "b", ProbInterval.point(1.0), "direct"),
                 )
             )
+
+    def test_first_fault_refused(self):
+        """One pass checks the order and the confidences, and refuses the
+        first fault in stream order."""
+        zero, one = ProbInterval.point(0.0), ProbInterval.point(1.0)
+        with pytest.raises(ModelError, match=re.escape("occurrence of 'a' at 0 has confidence [0,0]")):
+            EventStream((EventOccurrence(0, "a", zero), EventOccurrence(3, "b", one), EventOccurrence(1, "c", one)))
+        with pytest.raises(ModelError, match="non-decreasing"):
+            EventStream((EventOccurrence(3, "b", one), EventOccurrence(1, "c", zero)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_of_every_producer(self, seed):
+        """A stream of each producer reads back from its document.  Walks and
+        quarter-valued tables read back exactly; a derived or indirect bound
+        reads back at the 12 significant digits the document prints."""
+        rng = random.Random(seed)
+        model = random_walk_model(rng, "ed")
+        trajectory = traj_of([rng.choice(model.obs) for _ in range(rng.randint(0, 60))])
+        try:
+            trajectory, walked = simulate_events(model, SimulationConfig(rng.randint(0, 200), seed))
+        except ModelError:  # a walk that reaches an interval
+            walked = EventStream(())
+        fns = [
+            CharFn("seen", "obs-match", obs=rng.choice(model.obs)),
+            CharFn("shift", "pattern", 1, 1, past_pattern=rng.choice(model.obs), future_pattern=".*"),
+            CharFn("row", "table", 0, 1, table={((), (o,)): ProbInterval(0.25, rng.choice((0.5, 1.0))) for o in model.obs}),
+        ]
+        direct = detect_direct(trajectory, fns, rng.choice((0.0, 0.25, 0.5)))
+        window = rng.randint(1, 5)
+        shifts = EventStream(())
+        if len(trajectory) >= 2 * window:
+            shifts, _ = detect_indirect(trajectory, window, rng.choice((0.0, 0.2, 1 / 3)))
+        ids = [state.id for state in model.states]
+        beliefs = []
+        for _ in range(rng.randint(0, 20)):
+            picked = rng.sample(ids, rng.randint(1, len(ids)))
+            weights = [rng.randint(1, 3) for _ in picked]
+            beliefs.append(Belief({sid: w / sum(weights) for sid, w in zip(picked, weights)}))
+        derived = derived_events(model, beliefs, rng.choice((0.0, 0.3, 0.5)))
+        for stream in (walked, direct, shifts, derived):
+            back = parse_event_stream(serialize_event_stream(stream))
+            assert back == printed(stream)
+        for stream in (walked, direct):
+            assert parse_event_stream(serialize_event_stream(stream)) == stream
+
+    @given(st.lists(st.one_of(EVENT_LINES, OTHER_LINES), max_size=14), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_equals_line_reader(self, lines, newline):
+        """Tabs, repeated spaces, padding, comments, blank lines, 3-token
+        lines and bad tokens: the stream or the refusal of the reader that
+        splits every line."""
+        text = newline.join(lines)
+        assert read_stream(parse_event_stream, text) == read_stream(parse_event_stream_by_lines, text)
 
 
 # -- memoized runtime against its step-by-step oracles ------------------------------
@@ -779,3 +874,24 @@ class TestMemoizedRuntime:
                 assert got == detect_by_steps(trajectory, fns, threshold)
                 seen["hits"] += len(got) > 0
         assert min(seen.values()) >= 100 and len(seen) == 7, seen
+
+    def test_detect_direct_on_a_long_walk(self):
+        """A seeded 10 000-step walk of an ed model: every kind of function,
+        and a name two functions share, against the step oracle."""
+        model = parse_model(
+            "model ed plant\nobs a b c\nevent go back\n"
+            "state s initial trace a=0.5 b=0.5\nstate t trace b=0.25 c=0.75\nstate u trace a=1\n"
+            "arrow s go t lp=0.3 ap=1\narrow t go u lp=0.2 ap=1\n"
+            "arrow u back s lp=0.4 ap=0.5\narrow u back t lp=0.4 ap=0.5\n"
+        )
+        trajectory, _ = simulate_events(model, SimulationConfig(10_000, 41))
+        fns = parse_charfns(
+            "charfn seen obs=c\ncharfn pressed action=go\n"
+            "charfn shift pattern past=a|b future=c plen=1 flen=1\n"
+            "charfn seen pattern past=a,a future=b plen=2 flen=1\n"
+            "charfn row table plen=1 flen=1\nrow a b 1\nrow b c [0.5,1]\nrow c c [0.25,0.75]\n"
+        )
+        for threshold in (0.5, 0.0):
+            got = detect_direct(trajectory, fns, threshold)
+            assert got == detect_by_steps(trajectory, fns, threshold)
+            assert len({o.label for o in got.occurrences}) == (3 if threshold else 4)

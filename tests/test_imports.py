@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochworld"
 #: (file, function, imported module) allowed inside a function body
 ALLOWED = {
-    ("__init__.py", "__getattr__", "f'.{_EXPORTS[name]}'"),
+    ("__init__.py", "__getattr__", "f'{__name__}.{_EXPORTS[name]}'"),
 }
 #: call names that import a module by another name than an import statement
 IMPORTING_CALLS = {"import_module", "importlib.import_module", "__import__"}

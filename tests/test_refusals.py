@@ -54,7 +54,7 @@ MODEL_REFUSALS = {
     "unexpected state token": (_MDP + "state s initial hidden\n", "line 4: unexpected token 'hidden' in state line"),
     "bad trace probability": (
         _MDP + "state s initial trace x=oops\n",
-        "line 4: bad probability 'oops' (could not convert string to float: 'oops')",
+        "line 4: bad probability 'oops' (not a number)",
     ),
     # _parse_arrow
     "arrow line arity": (_MDP + "state s initial trace x=1\narrow s go\n", "line 5: expected: arrow <from> <label> <to> ..."),
@@ -134,7 +134,7 @@ CHARFN_REFUSALS = {
         "charfn e pattern past=x plen=-1\n",
         "line 1: window length must be an integer of 0 or more: 'plen=-1'",
     ),
-    "bad regex": ("charfn e pattern past=(x\n", "line 1: bad regex 'past=(x': missing ), unterminated subpattern at position 0"),
+    "bad regex": ("charfn e pattern past=(x\n", "line 1: bad regex 'past=(x': does not compile"),
     "unexpected pattern token": ("charfn e pattern future=x window=2\n", "line 1: unexpected token 'window=2'"),
     "pattern without regex": ("charfn e pattern plen=1 flen=1\n", "line 1: pattern needs past= or future="),
     "table window length": ("charfn e table plen=x\n", "line 1: window length must be an integer of 0 or more: 'plen=x'"),
@@ -154,7 +154,14 @@ EVENT_STREAM_REFUSALS = {
     "too few fields": ("0 go 1\n1 go\n", "line 2: expected: <time> <label> <interval> [<provenance>]"),
     "too many fields": ("0 go 1 direct extra\n", "line 1: expected: <time> <label> <interval> [<provenance>]"),
     "time": ("# stream\nsoon go 1\n", "line 2: bad time 'soon'"),
-    "confidence": ("0 go [0.5]\n", "line 1: bad probability '[0.5]' (not enough values to unpack (expected 2, got 1))"),
+    # the time is refused before the interval, also on a line whose rest was read before
+    "time before confidence": ("soon go [0.5]\n", "line 1: bad time 'soon'"),
+    "time of a repeated rest": ("0 go 1\nsoon go 1\n", "line 2: bad time 'soon'"),
+    "confidence": ("0 go [0.5]\n", "line 1: bad probability '[0.5]' (expected [lo,hi])"),
+    "confidence bound": ("0 go [0.5,half]\n", "line 1: bad probability '[0.5,half]' (not a number)"),
+    "open bracket": ("0 go [0.5\n", "line 1: bad probability '[0.5' (not a number)"),
+    "no bounds": ("0 go []\n", "line 1: bad probability '[]' (expected [lo,hi])"),
+    "three bounds": ("0 go [0,0.5,1]\n", "line 1: bad probability '[0,0.5,1]' (expected [lo,hi])"),
 }
 
 

@@ -508,6 +508,45 @@ class TestPreferenceToPolicy:
         for name, lo, hi in zip(names, los, his):
             assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
 
+    #: the refusal of an infeasible state, and of an overflow that does not fit
+    INFEASIBLE = "state s: no feasible policy within the agent intervals"
+
+    def test_overflow_that_does_not_fit_refused(self):
+        """Upper bounds that sum to 1 - 1e-9 pass the feasibility check, but
+        the overflow handed back from the last action is 1e-9 and a few ulps,
+        and the first action, at its upper bound, has no room for it."""
+        his = [0.8988382879679935, 0.10116171103200651]
+        assert sum(his) >= 1.0 - 1e-9 and (1.0 - his[0]) - his[1] > 1e-9
+        model = one_state_model([("a", (0.0, his[0])), ("b", (0.0, his[1]))])
+        with pytest.raises(PolicyError) as err:
+            preference_to_policy(model, Preference({"s": ("a", "b")}))
+        assert str(err.value) == self.INFEASIBLE
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), st.integers(-4, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_upper_sums_pressed_to_the_tolerance(self, his, ulps, data):
+        """Upper bounds summing to 1 - 1e-9 within a few ulps: a policy inside
+        the bounds, or the refusal, and the refusal only for a sum below 1."""
+        last = (1.0 - 1e-9) - sum(his)
+        for _ in range(abs(ulps)):
+            last = math.nextafter(last, math.copysign(math.inf, ulps))
+        his = his + [last]
+        if not 0.0 <= last <= 1.0 or sum(his) < 1.0 - 1e-9:
+            return  # infeasible instances are rejected elsewhere
+        los = [data.draw(st.floats(0.0, h)) for h in his]
+        if sum(los) > 1.0:
+            return
+        names = [f"a{i}" for i in range(len(his))]
+        model = one_state_model(list(zip(names, zip(los, his))))
+        try:
+            policy = preference_to_policy(model, Preference({"s": tuple(names)}))
+        except PolicyError as err:
+            assert str(err) == self.INFEASIBLE and sum(his) < 1.0
+            return
+        assert sum(policy.of("s", a) for a in names) == pytest.approx(1.0, abs=1e-9)
+        for name, lo, hi in zip(names, los, his):
+            assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
+
 
 def p_values_close(got, want, rel):
     """Within ``rel`` relative, or 1e-300 absolute: below that, scipy's own

@@ -13,6 +13,12 @@ STARTUP = "".join(
         ("", "validate models/m1_coin.model"),
         ("", "simulate models/m1_coin.model --steps 10 --seed 1"),
         ("python -m stochworld.cli simulate models/m1_coin.model --steps 1000 --seed 1 | ", "markov-check -"),
+        (
+            "printf 'on move\\noff move\\noff -\\non move\\non -\\n' > house.traj\n"
+            "printf 'charfn move action=move\\n' | ",
+            "detect house.traj --direct -",
+        ),
+        ("printf '0 move 1\\n1 move 1\\n3 move 1\\n' | ", "track house.traj --model models/house.model --events -"),
     )
 )
 #: the golden smoke runs after this, so the runtime path is shown not to need scipy
