@@ -650,7 +650,10 @@ def printed(stream):
     """The stream as its document reads back: each bound at 12 significant digits."""
     at_12 = lambda x: float(fmt_num(x))
     return EventStream(
-        tuple(o._replace(confidence=ProbInterval(at_12(o.confidence.lo), at_12(o.confidence.hi))) for o in stream.occurrences)
+        tuple(
+            EventOccurrence(o.time, o.label, ProbInterval(at_12(o.confidence.lo), at_12(o.confidence.hi)), o.provenance)
+            for o in stream.occurrences
+        )
     )
 
 
