@@ -567,7 +567,10 @@ class EventStream:
     def __post_init__(self):
         occs = tuple(self.occurrences)
         last = -math.inf
-        for time, label, confidence, _ in occs:  # the first fault in stream order is refused
+        for occ in occs:  # the first fault in stream order is refused
+            if type(occ) is not EventOccurrence:
+                raise ModelError(f"event stream holds {occ!r}, not an EventOccurrence")
+            time, label, confidence, _ = occ
             if time < last:
                 raise ModelError("event stream times must be non-decreasing")
             if confidence.hi <= 0.0:

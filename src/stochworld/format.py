@@ -562,28 +562,19 @@ def parse_charfns(text: str, base_dir=None) -> List[sw.CharFn]:
 
 
 def parse_event_stream(text: str) -> EventStream:
-    """Lines of the form `<time> <label> <interval> [<provenance>]`.  The time is
-    split off and each distinct rest of a line parsed once; a line is refused
-    for its field count, then its time, then its interval."""
+    """Lines of the form `<time> <label> <interval> [<provenance>]`.  Each
+    distinct interval token is parsed once."""
     occurrences = []
-    intervals: dict = {}  # token -> ProbInterval, shared by equal tokens
-    tails: dict = {}  # rest of a line -> (label, confidence, provenance)
-    for num, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split(None, 1)
-        if not parts or parts[0].startswith("#"):
-            continue
-        # the rest of a line of one token is that token: one field, never a key
-        tail = tails.get(parts[-1])
-        if tail is None and len(parts[-1].split()) not in (2, 3):
+    intervals: dict = {}
+    for num, tokens in _lines(text):
+        if len(tokens) not in (3, 4):
             raise FormatError("expected: <time> <label> <interval> [<provenance>]", num)
         try:
-            time = int(parts[0])
+            time = int(tokens[0])
         except ValueError:
-            raise FormatError(f"bad time {parts[0]!r}", num)
-        if tail is None:
-            label, token, *provenance = parts[1].split()
-            tail = tails[parts[1]] = (label, _interned_interval(token, num, intervals), *(provenance or ["direct"]))
-        occurrences.append(_occurrence((time, *tail)))
+            raise FormatError(f"bad time {tokens[0]!r}", num)
+        provenance = tokens[3] if len(tokens) == 4 else "direct"
+        occurrences.append(_occurrence((time, tokens[1], _interned_interval(tokens[2], num, intervals), provenance)))
     occurrences.sort(key=itemgetter(0))
     return EventStream(tuple(occurrences))
 

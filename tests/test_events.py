@@ -698,6 +698,13 @@ class TestEventStreamFormat:
         with pytest.raises(ModelError, match="non-decreasing"):
             EventStream((EventOccurrence(3, "b", one), EventOccurrence(1, "c", zero)))
 
+    def test_records_only(self):
+        """The readers of a stream read its occurrences by field name, so a
+        plain tuple is refused when the stream is built, in the same pass."""
+        one = ProbInterval.point(1.0)
+        with pytest.raises(ModelError, match=re.escape("event stream holds (1, 'b', ")):
+            EventStream((EventOccurrence(0, "a", one), (1, "b", one, "direct"), EventOccurrence(0, "c", one)))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_of_every_producer(self, seed):

@@ -493,16 +493,30 @@ class TestPreferenceToPolicy:
         assert policy.of("s", "b") == pytest.approx(0.5)
         assert "s" in policy.adjusted
 
-    @given(st.integers(2, 4), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_always_feasible_inside_bounds(self, n, data):
+    @given(st.integers(2, 4), st.booleans(), st.integers(-4, 4), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_always_feasible_inside_bounds(self, n, pressed, ulps, data):
+        """A policy inside the bounds that sums to 1.  ``pressed`` sets the
+        last upper bound so that the upper sum is 1 - 1e-9 within ``ulps``
+        ulps; there the overflow may not fit, and the refusal is allowed,
+        but only for an upper sum below 1."""
         his = [data.draw(st.floats(0.0, 1.0)) for _ in range(n)]
-        los = [data.draw(st.floats(0.0, h)) for h in his]
-        if sum(los) > 1.0 or sum(his) < 1.0:
+        if pressed:
+            his[-1] = (1.0 - 1e-9) - sum(his[:-1])
+            for _ in range(abs(ulps)):
+                his[-1] = math.nextafter(his[-1], math.copysign(math.inf, ulps))
+        if not 0.0 <= his[-1] <= 1.0 or sum(his) < (1.0 - 1e-9 if pressed else 1.0):
             return  # infeasible instances are rejected elsewhere
+        los = [data.draw(st.floats(0.0, h)) for h in his]
+        if sum(los) > 1.0:
+            return
         names = [f"a{i}" for i in range(n)]
         model = one_state_model(list(zip(names, zip(los, his))))
-        policy = preference_to_policy(model, Preference({"s": tuple(names)}))
+        try:
+            policy = preference_to_policy(model, Preference({"s": tuple(names)}))
+        except PolicyError as err:
+            assert str(err) == self.INFEASIBLE and sum(his) < 1.0
+            return
         total = sum(policy.of("s", a) for a in names)
         assert total == pytest.approx(1.0, abs=1e-9)
         for name, lo, hi in zip(names, los, his):
@@ -521,31 +535,6 @@ class TestPreferenceToPolicy:
         with pytest.raises(PolicyError) as err:
             preference_to_policy(model, Preference({"s": ("a", "b")}))
         assert str(err.value) == self.INFEASIBLE
-
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), st.integers(-4, 4), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_upper_sums_pressed_to_the_tolerance(self, his, ulps, data):
-        """Upper bounds summing to 1 - 1e-9 within a few ulps: a policy inside
-        the bounds, or the refusal, and the refusal only for a sum below 1."""
-        last = (1.0 - 1e-9) - sum(his)
-        for _ in range(abs(ulps)):
-            last = math.nextafter(last, math.copysign(math.inf, ulps))
-        his = his + [last]
-        if not 0.0 <= last <= 1.0 or sum(his) < 1.0 - 1e-9:
-            return  # infeasible instances are rejected elsewhere
-        los = [data.draw(st.floats(0.0, h)) for h in his]
-        if sum(los) > 1.0:
-            return
-        names = [f"a{i}" for i in range(len(his))]
-        model = one_state_model(list(zip(names, zip(los, his))))
-        try:
-            policy = preference_to_policy(model, Preference({"s": tuple(names)}))
-        except PolicyError as err:
-            assert str(err) == self.INFEASIBLE and sum(his) < 1.0
-            return
-        assert sum(policy.of("s", a) for a in names) == pytest.approx(1.0, abs=1e-9)
-        for name, lo, hi in zip(names, los, his):
-            assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
 
 
 def p_values_close(got, want, rel):
