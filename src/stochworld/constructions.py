@@ -250,12 +250,8 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
     with probability in (0, 1) outside ed and smdp.  The model must satisfy
     its kind; ``validate`` names the fault when it does not.
     """
-    depth = checked_int(depth, "belief determinization depth")
-    cap = checked_int(cap, "belief determinization cap")
-    if depth < 0:
-        raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
-    if cap < 0:
-        raise ModelError(f"belief determinization needs a cap of 0 or more, got {cap}")
+    depth = checked_int(depth, "belief determinization depth", 0)
+    cap = checked_int(cap, "belief determinization cap", 0)
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
     obs_of = [s.trace.deterministic_obs for s in model.states]

@@ -31,12 +31,16 @@ ACTION_KINDS = ("mdp", "mdp-fixed", "smdp", "mdp-plus")
 TRUE_LABEL = "true"
 
 
-def checked_int(value, what: str) -> int:
-    """``value`` as an int; anything else (2.5, NaN, ±inf, and a bool, which
-    is not a count) is a ``ModelError`` naming it."""
+def checked_int(value, what: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, the rule of every count, cap,
+    window, budget and seed; anything else (2.5, NaN, ±inf, a bool, which is
+    not a count, or a smaller int) is a ``ModelError`` naming it."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            n = operator.index(value)
+            if n < least:
+                raise ModelError(f"{what} must be {least} or more, got {n}")
+            return n
     except TypeError:
         pass
     raise ModelError(f"{what} must be an integer, got {value!r}")

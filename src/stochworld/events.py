@@ -65,10 +65,9 @@ class CharFn:
     def __post_init__(self):  # refuses, naming the field, what evaluate cannot read
         if self.kind not in ("action-match", "obs-match", "pattern", "table"):
             raise ModelError(f"charfn {self.name}: unknown kind {self.kind!r}")
-        for field_name in ("past_len", "future_len"):
-            n = getattr(self, field_name)
-            if not isinstance(n, int) or n < 0:
-                raise ModelError(f"charfn {self.name}: {field_name} must be an int of 0 or more, got {n!r}")
+        for field_name in ("past_len", "future_len"):  # a numpy integer is stored as an int
+            n = checked_int(getattr(self, field_name), f"charfn {self.name}: {field_name}", 0)
+            object.__setattr__(self, field_name, n)
         for field_name in ("past_pattern", "future_pattern"):
             try:
                 re.compile(getattr(self, field_name) or "")
@@ -179,9 +178,7 @@ def detect_indirect(
     cannot be found indirectly.
     """
     n = len(trajectory)
-    window = checked_int(window, "indirect detection window")
-    if window < 1:
-        raise ModelError(f"window must be positive, got {window}")
+    window = checked_int(window, "indirect detection window", 1)
     if n < 2 * window:
         raise ModelError(f"trajectory of {n} steps is too short for window {window}")
     if not isinstance(threshold, Real) or not math.isfinite(threshold):

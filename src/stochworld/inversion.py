@@ -117,7 +117,7 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     try:
         x = np.linalg.solve(a, c) if n else np.zeros(0)
     except np.linalg.LinAlgError as exc:
-        raise JourneyError(f"singular flow system: {exc}") from exc
+        raise JourneyError("singular flow system: the visit counts are unbounded") from exc
     if not np.all(np.isfinite(x)):
         raise JourneyError("flow system produced non-finite visit counts")
 
@@ -196,9 +196,7 @@ def invert_chain(model: Model) -> Model:
 
 def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatistics:
     """Empirical journey statistics from vectorized random walks."""
-    journeys = checked_int(journeys, "journey count")
-    if journeys <= 0:
-        raise JourneyError("no statistics: journeys must be positive")
+    journeys = checked_int(journeys, "journey count", 1)
     compiled = model.compiled
     ids = compiled.ids
     standing, black = _propagating_states(model)
@@ -346,9 +344,7 @@ def invert_mdp_plus(
     """
     if mode == "vertex-enumeration":
         mode = "vertex"
-    budget = checked_int(budget, "interval inversion budget")
-    if budget < 0:
-        raise ModelError(f"interval inversion needs a budget of 0 or more, got {budget}")
+    budget = checked_int(budget, "interval inversion budget", 0)
     if model.kind not in ACTION_KINDS:
         raise ModelError(f"invert_mdp_plus does not apply to {model.kind} models")
     peak = find_white_peak(model)
@@ -477,9 +473,7 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     depth-0 determinization is one state without arrows, which has no
     inverse.
     """
-    depth = checked_int(depth, "minimal model depth")
-    if depth < 1:
-        raise ModelError(f"the minimal model needs depth 1 or more, got {depth}")
+    depth = checked_int(depth, "minimal model depth", 1)
     forward0, _ = sw.minimize_forward(sw.belief_determinize(model, depth))
     backward1, _ = sw.minimize_forward(sw.belief_determinize(invert_chain(model), depth))
     backflow = invert_chain(backward1)  # forward orientation of the past fabric

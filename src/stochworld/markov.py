@@ -94,9 +94,8 @@ def check_markov(
     columns sorted, so the cost is O(n) for n steps plus one table per
     symbol.
     """
-    order, min_count = checked_int(order, "Markov check order"), checked_int(min_count, "Markov check minimum count")
-    if order < 1:
-        raise ModelError(f"the Markov check needs order 1 or more, got {order}")
+    order = checked_int(order, "Markov check order", 1)
+    min_count = checked_int(min_count, "Markov check minimum count", 0)
     if not isinstance(significance, Real) or math.isnan(significance):
         raise ModelError(f"the Markov check needs a significance that is a number, got {significance!r}")
     seq = trajectory.observations()

@@ -3,10 +3,10 @@
 ``validate`` is pure and idempotent.  It separates three severities:
 structural problems (the graph itself is broken), kind violations (the
 graph does not satisfy its declared kind), and warnings.  Every probability
-group (a label's arrows out of a state, a state's agent, an interval trace)
-must admit a distribution.  A shortfall of arrows or agent is a warning
-rather than a violation inside a white peak, which is the one place removing
-redundant states may legally leave the sums short of one.
+group (a label's arrows out of a state, a state's agent, a trace) must admit
+a distribution.  A shortfall of arrows or agent is a warning rather than a
+violation inside a white peak, which is the one place removing redundant
+states may legally leave the sums short of one.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
 
     if kind in ("mdp", "mdp-fixed"):
         for s in model.states:
-            _check_point_trace(model, s, bad)
+            _check_point_trace(s, report)
 
     # label probabilities must agree across same-label arrows from a state
     compiled = model.compiled
@@ -170,18 +170,16 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
                 _check_group(report, s.trace.probs.values(), f"state {s.id}", _TRACE, False)
 
 
-def _check_point_trace(model: Model, s, bad: list) -> None:
+def _check_point_trace(s, report: ValidationReport) -> None:
+    """An mdp or mdp-fixed trace: points, a group that sums to 1."""
     if s.trace.is_empty:
-        bad.append(f"state {s.id} needs a trace with point probabilities summing to 1")
+        report.violations.append(f"state {s.id} needs a trace with point probabilities summing to 1")
         return
-    total = 0.0
     for o, p in s.trace.probs.items():
         if not p.is_point:
-            bad.append(f"state {s.id}: trace probability for {o!r} must be a point")
+            report.violations.append(f"state {s.id}: trace probability for {o!r} must be a point")
             return
-        total += p.mid
-    if abs(total - 1.0) > _SUM_TOL:
-        bad.append(f"state {s.id}: trace probabilities sum to {total:g}, expected 1")
+    _check_group(report, s.trace.probs.values(), f"state {s.id}", _POINT_TRACE, False)
 
 
 #: a group's texts, each formatted with (where, sum): (shortfall, excess)
@@ -198,6 +196,7 @@ _AGENTS = {
     ),
 }
 _TRACE = ("{}: trace intervals exclude any observation distribution",) * 2
+_POINT_TRACE = ("{}: trace probabilities sum to {:g}, expected 1",) * 2
 
 
 def _check_group(report: ValidationReport, bounds, where: str, texts: tuple, white: bool) -> None:

@@ -70,9 +70,7 @@ _BLOCK = 1024
 
 def seeded_generator(seed: int, what: str) -> np.random.Generator:
     """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
-    if seed is not None and checked_int(seed, f"{what} seed") < 0:
-        raise ModelError(f"{what} needs a seed of 0 or more, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(None if seed is None else checked_int(seed, f"{what} seed", 0))
 
 
 def _uniforms(rng):
@@ -161,9 +159,7 @@ def simulate_events(model: Model, config: SimulationConfig):
     by one bisection into cumulative probabilities.  An interval the walk
     reaches is refused there.
     """
-    n = checked_int(config.steps, "walk step count")
-    if n < 0:
-        raise ModelError(f"the walk needs 0 or more steps, got {n}")
+    n = checked_int(config.steps, "walk step count", 0)
     if config.collision not in ("priority", "both-arrows"):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)

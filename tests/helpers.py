@@ -288,10 +288,8 @@ def determinize_by_fractions(model: Model, depth: int, cap: int = 4096) -> Model
     label mass and arrow weight a normalized ``Fraction``, from one exact
     weight per arrow.  Its model and its ``meta`` must equal the fast path's
     to the byte."""
-    depth = checked_int(depth, "belief determinization depth")
-    cap = checked_int(cap, "belief determinization cap")
-    if depth < 0:
-        raise ModelError(f"belief determinization needs depth 0 or more, got {depth}")
+    depth = checked_int(depth, "belief determinization depth", 0)
+    cap = checked_int(cap, "belief determinization cap", 0)
     if not model.has_point_probs():
         raise ModelError("belief determinization needs point probabilities")
     obs_of = [s.trace.deterministic_obs for s in model.states]
@@ -1074,8 +1072,7 @@ def indirect_by_counter(trajectory: Trajectory, window: int, threshold: float) -
     in a `Counter` keyed by observation, each step applying its three
     updates.  Returns (stream, segments) as ``detect_indirect`` does."""
     n = len(trajectory)
-    if window < 1:
-        raise ModelError(f"window must be positive, got {window}")
+    window = checked_int(window, "indirect detection window", 1)
     if n < 2 * window:
         raise ModelError(f"trajectory of {n} steps is too short for window {window}")
     if math.isfinite(threshold):

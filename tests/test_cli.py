@@ -1,17 +1,31 @@
 """cli: subcommand behavior, error lines, exit codes, pipeline composition."""
 
+import io
 import random
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stochworld import invert_mdp_plus, minimize_forward, monte_carlo_invert, parse_model, serialize_model
+from stochworld import (
+    SimulationConfig,
+    invert_mdp_plus,
+    minimize_forward,
+    monte_carlo_invert,
+    parse_model,
+    serialize_model,
+    simulate,
+)
 from stochworld.cli import main
-from stochworld.format import parse_event_stream, parse_partition
+from stochworld.format import parse_event_stream, parse_partition, serialize_trajectory
 
-from helpers import MODELS_DIR, cycle_model
+from genmodels import random_model
+from helpers import MODELS_DIR, cycle_model, load_model
 from test_format import check_dot_grammar
 
 M1 = str(MODELS_DIR / "m1_coin.model")
@@ -155,7 +169,7 @@ class TestCounts:
     def test_minimal_depth_zero_names_the_depth(self, capsys, name):
         code, out, err = run(capsys, "minimal", str(MODELS_DIR / f"{name}.model"), "--depth", "0")
         assert code == 1 and out == ""
-        assert err == "error: model: the minimal model needs depth 1 or more, got 0\n"
+        assert err == "error: model: minimal model depth must be 1 or more, got 0\n"
 
     def test_minimal_depth_one(self, capsys):
         code, out, _ = run(capsys, "minimal", M1, "--depth", "1")
@@ -539,6 +553,97 @@ class TestMalformedInputs:
         code, out, err = run(capsys, *(str(files[a]) if a in files else a for a in argv))
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(line), err
+
+
+#: per guarded command: the document it reads and each count option's largest value
+GUARDED = {
+    "simulate": ("model", (), {"--steps": 1000, "--seed": 50}),
+    "future": ("model", (), {"--depth": 8}),
+    "past": ("model", (), {"--depth": 8}),
+    "minimal": ("model", (), {"--depth": 8}),
+    "minimize": ("model", ("--determinize",), {"--depth": 8}),
+    "invert": ("model", ("--mode", "mc"), {"--journeys": 1000, "--seed": 50}),
+    "invert plus": ("model", ("--mode", "plus-mc"), {"--budget": 50, "--seed": 50}),
+    "markov-check": ("trajectory", (), {"--order": 8, "--min-count": 50}),
+    "detect": ("trajectory", ("--indirect",), {"--window": 50}),
+}
+SHIPPED = {path.stem: path.read_text() for path in sorted(MODELS_DIR.glob("*.model"))}
+WALKS = [serialize_trajectory(simulate(load_model(n), SimulationConfig(60, 1))) for n in ("m1_coin", "daynight")]
+#: what a mangled line's token becomes
+MANGLED = ["", "-1", "0", "nan", "1e999", "[0.5", "x=", "state", "arrow", "-"]
+ERROR_LINE = re.compile(r"error: [a-z-]+: [^\n]+\n")
+
+
+def count_text(top: int):
+    """A count option at and around its edges, or text that is not an integer."""
+    return st.one_of(st.sampled_from(["-1", "0", "1", "x", "1.5", ""]), st.integers(2, top).map(str))
+
+
+@st.composite
+def document(draw, kind: str):
+    """A shipped or generated document with one line dropped, duplicated or
+    mangled (or none), or None for a missing file."""
+    source = draw(st.sampled_from(["shipped", "generated", "missing"] if kind == "model" else ["walk", "missing"]))
+    if source == "missing":
+        return None
+    if source == "shipped":
+        text = SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))]
+    elif source == "generated":
+        text = serialize_model(random_model(random.Random(draw(st.integers(0, 2**16)))))
+    else:
+        text = draw(st.sampled_from(WALKS))
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["none", "drop", "duplicate", "mangle"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "mangle":
+        tokens = lines[i].split() or [""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(MANGLED))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocation(draw):
+    """A guarded command's argv, with {doc} for its document, and the document."""
+    command = draw(st.sampled_from(sorted(GUARDED)))
+    kind, flags, counts = GUARDED[command]
+    argv = [command.split()[0], "{doc}", *flags]
+    for option, top in counts.items():
+        argv += [option, draw(count_text(top))]
+    return argv, draw(document(kind))
+
+
+def run_guarded(argv):
+    """Exit code, stdout and stderr of ``main``; argparse's usage errors
+    leave through ``SystemExit``, any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=invocation())
+def test_counts_and_damaged_documents_keep_the_exit_contract(call):
+    """Exit 0, 1 or 2 and no exception, for count options at their edges
+    over damaged documents; exit 1 prints one ``error: <code>: <detail>``
+    line."""
+    argv, doc = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc"
+        if doc is not None:
+            path.write_text(doc)
+        code, out, err = run_guarded([str(path) if a == "{doc}" else a for a in argv])
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 1:
+        assert ERROR_LINE.fullmatch(err), (argv, err)
 
 
 class TestConsoleScript:

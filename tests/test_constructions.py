@@ -309,12 +309,12 @@ class TestBeliefDeterminize:
         assert len(det.states) == 1
 
     def test_negative_depth_refused(self, m1):
-        with pytest.raises(ModelError, match="depth 0 or more, got -1"):
+        with pytest.raises(ModelError, match="^belief determinization depth must be 0 or more, got -1$"):
             belief_determinize(m1, -1)
 
     @pytest.mark.parametrize("depth", [0, 1])
     def test_negative_cap_refused(self, m1, depth):
-        with pytest.raises(ModelError, match="belief determinization needs a cap of 0 or more, got -3"):
+        with pytest.raises(ModelError, match="^belief determinization cap must be 0 or more, got -3$"):
             belief_determinize(m1, depth, cap=-3)
 
     def test_equals_the_fraction_oracle(self):
@@ -633,7 +633,7 @@ class TestMinimalModel:
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_refused(self, m1, depth):
-        with pytest.raises(ModelError, match=f"depth 1 or more, got {depth}"):
+        with pytest.raises(ModelError, match=f"^minimal model depth must be 1 or more, got {depth}$"):
             minimal_model_parts(m1, depth)
 
     def test_coin_forward_part_is_coin_like(self, m1):

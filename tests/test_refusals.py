@@ -1,15 +1,18 @@
-"""Refusal texts: one table per parser and one for ``validate``, each case
-pinned to its exact detail text (``line N: ...`` where the line is known)."""
+"""Refusal texts: one table per parser, one for ``validate`` and one for the
+journey flow, each case pinned to its exact detail text (``line N: ...``
+where the line is known)."""
 
 import pytest
 
 from stochworld import (
     Arrow,
     FormatError,
+    JourneyError,
     Model,
     ProbInterval,
     State,
     TraceSpec,
+    journey_statistics,
     parse_charfns,
     parse_event_stream,
     parse_model,
@@ -292,3 +295,35 @@ VALIDATE_TEXTS = {
 def test_validate_texts(model, structural, violations):
     report = validate(model)
     assert (report.structural, report.violations, report.warnings) == (structural, violations, [])
+
+
+def _ladder(n: int) -> str:
+    """An hmm s -> b0 -> ... -> b(n-1) -> s where each b steps on or back to
+    b0 with 0.5 each: a journey visits b0 about 2**n times."""
+    lines = ["model hmm", "obs x y", "state s initial trace x=1", "arrow s true b0 ap=1"]
+    for i in range(n):
+        on = f"b{i + 1}" if i < n - 1 else "s"
+        lines += [f"state b{i} trace y=1", f"arrow b{i} true {on} ap=0.5", f"arrow b{i} true b0 ap=0.5"]
+    return "\n".join(lines) + "\n"
+
+
+#: models that ``validate`` accepts but whose journey flow has no answer
+JOURNEY_REFUSALS = {
+    # a -> s is lost to rounding against a -> a: I - Q is singular
+    "singular flow": (
+        "model hmm\nobs x y\nstate s initial trace x=1\nstate a trace y=1\n"
+        "arrow s true a ap=1\narrow a true a ap=1\narrow a true s ap=1e-20\n",
+        "singular flow system: the visit counts are unbounded",
+    ),
+    # 2**1030 visits overflow a double
+    "non-finite visit counts": (_ladder(1030), "flow system produced non-finite visit counts"),
+}
+
+
+@pytest.mark.parametrize("doc, detail", list(JOURNEY_REFUSALS.values()), ids=list(JOURNEY_REFUSALS))
+def test_journey_flow_refusals(doc, detail):
+    model = parse_model(doc)
+    assert validate(model).ok
+    with pytest.raises(JourneyError) as err:
+        journey_statistics(model)
+    assert str(err.value) == detail

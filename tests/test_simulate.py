@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from stochworld import (
     CapExceededError,
+    CharFn,
     EventOccurrence,
     EventStream,
     ModelError,
@@ -74,13 +75,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("walk", [simulate, simulate_events])
     def test_negative_seed_refused(self, m1, walk):
-        with pytest.raises(ModelError, match="the walk needs a seed of 0 or more, got -1"):
+        with pytest.raises(ModelError, match="^the walk seed must be 0 or more, got -1$"):
             walk(m1, SimulationConfig(steps=3, seed=-1))
         walk(m1, SimulationConfig(steps=3, seed=None))  # numpy's fresh entropy, as before
 
     @pytest.mark.parametrize("walk", [simulate, simulate_events])
     def test_negative_steps_refused(self, m1, walk):
-        with pytest.raises(ModelError, match="the walk needs 0 or more steps, got -1"):
+        with pytest.raises(ModelError, match="^walk step count must be 0 or more, got -1$"):
             walk(m1, SimulationConfig(steps=-1, seed=1))
         walk(m1, SimulationConfig(steps=0, seed=1))
 
@@ -208,7 +209,7 @@ class TestEnumerateFuture:
 
     @pytest.mark.parametrize("develop", [enumerate_future, exact_future, enumerate_past])
     def test_negative_depth_refused(self, m1, develop):
-        with pytest.raises(ModelError, match="depth 0 or more, got -2"):
+        with pytest.raises(ModelError, match="^future enumeration depth must be 0 or more, got -2$"):
             develop(m1, -2)
 
     @pytest.mark.parametrize("develop", [enumerate_future, exact_future, enumerate_past])
@@ -217,7 +218,7 @@ class TestEnumerateFuture:
     def test_negative_cap_refused(self, m1, develop, depth, cap):
         # at depth 0 a negative cap was never compared; at depth 1 it read
         # "exceeds -1 developments"
-        with pytest.raises(ModelError, match=f"future enumeration needs a cap of 0 or more, got {cap}"):
+        with pytest.raises(ModelError, match=f"^future enumeration cap must be 0 or more, got {cap}$"):
             develop(m1, depth, cap=cap)
 
     @pytest.mark.parametrize("interval", [False, True])
@@ -498,8 +499,8 @@ class TestPreferenceToPolicy:
     def test_always_feasible_inside_bounds(self, n, pressed, ulps, data):
         """A policy inside the bounds that sums to 1.  ``pressed`` sets the
         last upper bound so that the upper sum is 1 - 1e-9 within ``ulps``
-        ulps; there the overflow may not fit, and the refusal is allowed,
-        but only for an upper sum below 1."""
+        ulps, the feasibility check's edge: such a preference is never
+        refused either."""
         his = [data.draw(st.floats(0.0, 1.0)) for _ in range(n)]
         if pressed:
             his[-1] = (1.0 - 1e-9) - sum(his[:-1])
@@ -512,29 +513,24 @@ class TestPreferenceToPolicy:
             return
         names = [f"a{i}" for i in range(n)]
         model = one_state_model(list(zip(names, zip(los, his))))
-        try:
-            policy = preference_to_policy(model, Preference({"s": tuple(names)}))
-        except PolicyError as err:
-            assert str(err) == self.INFEASIBLE and sum(his) < 1.0
-            return
+        policy = preference_to_policy(model, Preference({"s": tuple(names)}))
         total = sum(policy.of("s", a) for a in names)
         assert total == pytest.approx(1.0, abs=1e-9)
         for name, lo, hi in zip(names, los, his):
             assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
 
-    #: the refusal of an infeasible state, and of an overflow that does not fit
-    INFEASIBLE = "state s: no feasible policy within the agent intervals"
-
-    def test_overflow_that_does_not_fit_refused(self):
-        """Upper bounds that sum to 1 - 1e-9 pass the feasibility check, but
-        the overflow handed back from the last action is 1e-9 and a few ulps,
-        and the first action, at its upper bound, has no room for it."""
+    def test_overflow_that_does_not_fit_kept(self):
+        """Upper bounds that sum to 1 - 1e-9 pass the feasibility check; the
+        overflow handed back from the last action is 1e-9 and a few ulps, and
+        the first action, at its upper bound, has no room for it.  What is
+        left over stays unassigned: the policy is both upper bounds, short of
+        1 by the check's slack."""
         his = [0.8988382879679935, 0.10116171103200651]
         assert sum(his) >= 1.0 - 1e-9 and (1.0 - his[0]) - his[1] > 1e-9
         model = one_state_model([("a", (0.0, his[0])), ("b", (0.0, his[1]))])
-        with pytest.raises(PolicyError) as err:
-            preference_to_policy(model, Preference({"s": ("a", "b")}))
-        assert str(err.value) == self.INFEASIBLE
+        policy = preference_to_policy(model, Preference({"s": ("a", "b")}))
+        assert policy.probs == {("s", "a"): his[0], ("s", "b"): his[1]} and policy.adjusted == {"s"}
+        assert 1.0 - sum(policy.probs.values()) == 9.999999717180685e-10
 
 
 def p_values_close(got, want, rel):
@@ -631,7 +627,7 @@ class TestCheckMarkov:
     def test_order_below_one_refused(self):
         traj = Trajectory.of([("a", None), ("b", None)] * 5)
         for order in (0, -1):
-            with pytest.raises(ModelError, match=f"order 1 or more, got {order}"):
+            with pytest.raises(ModelError, match=f"^Markov check order must be 1 or more, got {order}$"):
                 check_markov(traj, order)
 
     @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3", "daynight", "fig3"])
@@ -697,6 +693,34 @@ COUNTS = {
     "simulate seed": lambda m, n: simulate(m, SimulationConfig(3, n)),
     "monte_carlo_invert seed": lambda m, n: monte_carlo_invert(m, 10, n),
     "invert_mdp_plus monte-carlo seed": lambda m, n: invert_mdp_plus(RAIN, "monte-carlo", 2, n),
+    "CharFn past_len": lambda m, n: CharFn("e", "obs-match", n, 1, obs="a"),
+    "CharFn future_len": lambda m, n: CharFn("e", "obs-match", 0, n, obs="a"),
+}
+
+#: per row of ``COUNTS``, the name its refusals give and its least value
+LEAST = {
+    "exact_future depth": ("future enumeration depth", 0),
+    "enumerate_future depth": ("future enumeration depth", 0),
+    "enumerate_past depth": ("future enumeration depth", 0),
+    "belief_determinize depth": ("belief determinization depth", 0),
+    "minimal_model_parts depth": ("minimal model depth", 1),
+    "simulate steps": ("walk step count", 0),
+    "simulate_events steps": ("walk step count", 0),
+    "simulate_journeys journeys": ("journey count", 1),
+    "exact_future cap": ("future enumeration cap", 0),
+    "enumerate_future cap": ("future enumeration cap", 0),
+    "enumerate_past cap": ("future enumeration cap", 0),
+    "belief_determinize cap": ("belief determinization cap", 0),
+    "check_markov order": ("Markov check order", 1),
+    "check_markov min_count": ("Markov check minimum count", 0),
+    "detect_indirect window": ("indirect detection window", 1),
+    "invert_mdp_plus vertex budget": ("interval inversion budget", 0),
+    "invert_mdp_plus monte-carlo budget": ("interval inversion budget", 0),
+    "simulate seed": ("the walk seed", 0),
+    "monte_carlo_invert seed": ("journey simulation seed", 0),
+    "invert_mdp_plus monte-carlo seed": ("monte-carlo interval inversion seed", 0),
+    "CharFn past_len": ("charfn e: past_len", 0),
+    "CharFn future_len": ("charfn e: future_len", 0),
 }
 
 
@@ -715,3 +739,13 @@ def test_bool_count_refused(m1, call, value):
     with pytest.raises(ModelError, match=f"must be an integer, got {value!r}$"):
         call(m1, value)
     call(m1, np.int64(2))
+
+
+@pytest.mark.parametrize("row", list(COUNTS))
+def test_count_below_its_least_refused(m1, row):
+    """One text for every count of the library, naming it, its least value
+    and the value given."""
+    what, least = LEAST[row]
+    with pytest.raises(ModelError) as err:
+        COUNTS[row](m1, least - 1)
+    assert str(err.value) == f"{what} must be {least} or more, got {least - 1}"
