@@ -9,9 +9,7 @@ arrow counts as an edge whenever its effective probability can be positive
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .core import Model
+from .core import Model, Value, replace
 
 
 def _unreached(model: Model, adjacency: list) -> frozenset:
@@ -39,10 +37,11 @@ def find_black_hole(model: Model) -> frozenset:
     return _unreached(model, model.compiled.backward)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    white_peak: frozenset
-    black_hole: frozenset
+class StructureReport(Value):
+    _fields = ("white_peak", "black_hole")
+
+    def __init__(self, white_peak: frozenset, black_hole: frozenset):
+        self._set(white_peak, black_hole)
 
     @property
     def redundant(self) -> frozenset:

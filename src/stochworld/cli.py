@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory")
     p.add_argument("--direct", default=None, help="characteristic function file")
     p.add_argument("--indirect", action="store_true")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_at_least(1), default=None)
     p.add_argument("--threshold", type=float, default=0.5)
     out(p)
 

@@ -11,7 +11,6 @@ steps of the minimal-model pipeline, which ``inversion`` assembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -23,19 +22,22 @@ from .core import (
     ProbInterval,
     State,
     TraceSpec,
+    Value,
     canonical,
     checked_int,
     dyadic,
+    replace,
 )
 from .errors import CapExceededError, CoverageError, ModelError
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(Value):
     """A named event: a set of arrows of its host model."""
 
-    name: str
-    arrows: frozenset
+    _fields = ("name", "arrows")
+
+    def __init__(self, name: str, arrows: frozenset):
+        self._set(name, arrows)
 
     def check(self, model: Model) -> None:
         host = set(model.arrows)
@@ -47,12 +49,13 @@ class EventSet:
         return frozenset(a.key for a in self.arrows)
 
 
-@dataclass(frozen=True)
-class FactSet:
+class FactSet(Value):
     """A named fact: a set of states of its host model."""
 
-    name: str
-    states: frozenset
+    _fields = ("name", "states")
+
+    def __init__(self, name: str, states: frozenset):
+        self._set(name, states)
 
     def check(self, model: Model) -> None:
         known = set(model.by_id)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -46,6 +45,54 @@ def checked_int(value, what: str, least: int) -> int:
     raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
+_setattr = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types.  A subclass lists its fields in
+    ``_fields``, in the order of its ``__init__``'s parameters, which sets
+    them through ``object.__setattr__`` or ``_set``.  When it is defined, it
+    gets ``==`` and ``hash`` over an ``operator.attrgetter`` of the fields
+    (of ``_compared``, where that names fewer): equal classes and fields, and
+    the hash of their tuple.  A value reprs as ``Name(field=value, ...)``,
+    pickles and copies through ``__init__``, and refuses attribute changes."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        names = vars(cls).get("_compared", cls._fields)
+        get = operator.attrgetter(*names)
+        key = get if len(names) > 1 else lambda obj: (get(obj),)
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        if "__eq__" not in vars(cls):  # a type compared in bulk writes both: attribute loads beat the attrgetter
+            cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+
+def replace(obj: Value, **changes) -> Value:
+    """A copy of ``obj`` with ``changes`` to its fields, built and checked by its ``__init__`` again."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
+
+
 def dyadic(values: Iterable[float]) -> tuple:
     """The doubles as exact ints at one unit, for every exact computation: each
     is n / d with d a power of two, so at the largest such d, ``unit``, it is
@@ -55,13 +102,11 @@ def dyadic(values: Iterable[float]) -> tuple:
     return unit, [n * (unit // d) for n, d in ratios]
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class ProbInterval:
+class ProbInterval(Value):
     """Closed subinterval of [0, 1]; a point value p is stored as [p, p].  Every
     arrow has two, so ``__init__`` sets the slots through their descriptors."""
 
-    lo: float
-    hi: float
+    __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
         flo, fhi = float(lo), float(hi)
@@ -73,6 +118,12 @@ class ProbInterval:
                 raise ModelError(f"invalid probability interval [{lo}, {hi}]")
         _set_lo(self, flo)
         _set_hi(self, fhi)
+
+    def __eq__(self, other):
+        return (self.lo, self.hi) == (other.lo, other.hi) if other.__class__ is ProbInterval else NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, p: float) -> "ProbInterval":
@@ -101,14 +152,13 @@ class ProbInterval:
         return ProbInterval(min(i.lo for i in items), max(i.hi for i in items))
 
 
-_set_lo, _set_hi = (getattr(ProbInterval, f.name).__set__ for f in fields(ProbInterval))
+_set_lo, _set_hi = (getattr(ProbInterval, f).__set__ for f in ProbInterval._fields)
 POINT_ONE = ProbInterval(1.0, 1.0)
 POINT_ZERO = ProbInterval(0.0, 0.0)
 FULL = ProbInterval(0.0, 1.0)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Arrow:
+class Arrow(Value):
     """Labeled transition with its dual probabilities.
 
     ``label_prob`` is the probability the labeled event/action is chosen in
@@ -117,11 +167,7 @@ class Arrow:
     of the arrow actually being used.
     """
 
-    source: str
-    label: str
-    target: str
-    label_prob: ProbInterval = POINT_ONE
-    arrow_prob: ProbInterval = POINT_ONE
+    __slots__ = _fields = ("source", "label", "target", "label_prob", "arrow_prob")
 
     def __init__(self, source: str, label: str, target: str, label_prob=POINT_ONE, arrow_prob=POINT_ONE):
         _set_source(self, source)
@@ -139,12 +185,11 @@ class Arrow:
 
 
 _set_source, _set_arrow_label, _set_target, _set_label_prob, _set_arrow_prob = (
-    getattr(Arrow, f.name).__set__ for f in fields(Arrow)
+    getattr(Arrow, f).__set__ for f in Arrow._fields
 )
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Value):
     """What is observable in a state.
 
     Listed observations carry probability intervals; unlisted ones are
@@ -152,9 +197,12 @@ class TraceSpec:
     is untraced: nothing is known, every observation gets [0, 1].
     """
 
-    probs: Mapping[str, ProbInterval] = field(default_factory=dict)
-    memory: bool = False
-    phenomena: tuple = ()
+    _fields = ("probs", "memory", "phenomena")
+
+    def __init__(self, probs: Optional[Mapping] = None, memory: bool = False, phenomena: tuple = ()):
+        _setattr(self, "probs", {} if probs is None else probs)
+        _setattr(self, "memory", memory)
+        _setattr(self, "phenomena", phenomena)
 
     @property
     def is_empty(self) -> bool:
@@ -182,31 +230,25 @@ class TraceSpec:
         return det if det is not None else self.support()
 
 
-@dataclass(frozen=True)
-class State:
-    id: str
-    initial: bool = False
-    trace: TraceSpec = field(default_factory=TraceSpec)
+class State(Value):
+    _fields = ("id", "initial", "trace")
+
+    def __init__(self, id: str, initial: bool = False, trace: Optional[TraceSpec] = None):
+        _setattr(self, "id", id)
+        _setattr(self, "initial", initial)
+        _setattr(self, "trace", TraceSpec() if trace is None else trace)
 
 
-@dataclass(frozen=True)
-class Model:
-    """Labeled stochastic graph covering all seven model kinds."""
+class Model(Value):
+    """Labeled stochastic graph covering all seven model kinds.  ``meta``,
+    notes on how the model was made, is left out of ``==`` and ``hash``."""
 
-    kind: str
-    obs: tuple
-    labels: tuple
-    states: tuple
-    arrows: tuple
-    priorities: Mapping[str, int] = field(default_factory=dict)
-    name: str = ""
-    meta: tuple = field(default=(), compare=False)
+    _fields = ("kind", "obs", "labels", "states", "arrows", "priorities", "name", "meta")
+    _compared = _fields[:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "obs", tuple(self.obs))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+    def __init__(self, kind: str, obs, labels, states, arrows, priorities=None, name: str = "", meta: tuple = ()):
+        priorities = {} if priorities is None else priorities
+        self._set(kind, tuple(obs), tuple(labels), tuple(states), tuple(arrows), priorities, name, meta)
 
     @cached_property
     def by_id(self) -> Mapping[str, State]:
@@ -345,24 +387,22 @@ def canonical(model: Model) -> Model:
     )
 
 
-@dataclass(frozen=True)
-class Belief:
+class Belief(Value):
     """Probability distribution over model states; entries strictly positive."""
 
-    probs: Mapping[str, float]
-    approximate: bool = False
+    _fields = ("probs", "approximate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-        total = sum(self.probs.values())
-        if any(p <= 0.0 for p in self.probs.values()):
+    def __init__(self, probs: Mapping[str, float], approximate: bool = False):
+        probs = dict(probs)
+        total = sum(probs.values())
+        if any(p <= 0.0 for p in probs.values()):
             raise ModelError("belief entries must be strictly positive")
         if abs(total - 1.0) > 1e-6:
             raise ModelError(f"belief must sum to 1, got {total}")
         if abs(total - 1.0) > TOL:
-            object.__setattr__(
-                self, "probs", {s: p / total for s, p in self.probs.items()}
-            )
+            probs = {s: p / total for s, p in probs.items()}
+        _setattr(self, "probs", probs)
+        _setattr(self, "approximate", approximate)
 
     @classmethod
     def point(cls, state_id: str) -> "Belief":
@@ -373,8 +413,7 @@ class Belief:
         return min(self.probs, key=lambda s: (-self.probs[s], s))
 
 
-@dataclass(frozen=True)
-class Development:
+class Development(Value):
     """Finite word that begins a possible future or ends a possible past.
 
     ``word`` is a chronological tuple of (label, observation) steps; for the
@@ -382,13 +421,13 @@ class Development:
     step arrives at it.
     """
 
-    direction: str
-    word: tuple
+    _fields = ("direction", "word")
 
-    def __post_init__(self):
-        if self.direction not in ("past", "future"):
-            raise ModelError(f"bad direction {self.direction!r}")
-        object.__setattr__(self, "word", tuple(tuple(step) for step in self.word))
+    def __init__(self, direction: str, word: tuple):
+        if direction not in ("past", "future"):
+            raise ModelError(f"bad direction {direction!r}")
+        _setattr(self, "direction", direction)
+        _setattr(self, "word", tuple(tuple(step) for step in word))
 
     def render(self, elide_label: bool = True) -> str:
         if not self.word:
@@ -398,26 +437,22 @@ class Development:
         return ",".join(f"{l}:{o}" for l, o in self.word)
 
 
-@dataclass(frozen=True)
-class FutureSet:
+class FutureSet(Value):
     """Truncated (quasi-)perfect description of the future or the past."""
 
-    depth: int
-    direction: str
-    entries: Mapping[Development, ProbInterval]
+    _fields = ("depth", "direction", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
+    def __init__(self, depth: int, direction: str, entries: Mapping[Development, ProbInterval]):
+        self._set(depth, direction, dict(entries))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Disjoint non-empty state classes covering all states."""
 
-    classes: tuple
+    _fields = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
+    def __init__(self, classes: tuple):
+        _setattr(self, "classes", tuple(frozenset(c) for c in classes))
 
     def check(self, model: Model) -> None:
         seen: set = set()
@@ -445,15 +480,13 @@ class Partition:
         return self._class_by_state[state_id]
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Value):
     """Map (state, action) -> probability, one distribution per state."""
 
-    probs: Mapping[tuple, float]
-    adjusted: frozenset = frozenset()
+    _fields = ("probs", "adjusted")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
+    def __init__(self, probs: Mapping[tuple, float], adjusted: frozenset = frozenset()):
+        self._set(dict(probs), adjusted)
 
     def of(self, state_id: str, action: str) -> float:
         return self.probs.get((state_id, action), 0.0)
@@ -492,14 +525,13 @@ def compose_policy(model: Model, policy: Policy) -> Model:
     return replace(model, kind="mdp-fixed", arrows=arrows)
 
 
-@dataclass(frozen=True)
-class Preference:
+class Preference(Value):
     """Per-state action ranking, most wanted first."""
 
-    order: Mapping[str, tuple]
+    _fields = ("order",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", {s: tuple(v) for s, v in self.order.items()})
+    def __init__(self, order: Mapping[str, tuple]):
+        _setattr(self, "order", {s: tuple(v) for s, v in order.items()})
 
     def check(self, model: Model) -> None:
         compiled = model.compiled
@@ -514,26 +546,33 @@ class Preference:
                 )
 
 
-@dataclass(frozen=True)
-class Step:
-    obs: str
-    act: Optional[str] = None
+class Step(Value):
+    _fields = ("obs", "act")
+
+    def __init__(self, obs: str, act: Optional[str] = None):
+        _setattr(self, "obs", obs)
+        _setattr(self, "act", act)
+
+    def __eq__(self, other):
+        return (self.obs, self.act) == (other.obs, other.act) if other.__class__ is Step else NotImplemented
+
+    def __hash__(self):
+        return hash((self.obs, self.act))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Value):
     """Recorded observation/action word with a designated current moment.
 
     Steps before ``t0`` are the past, steps at and after it the future.
     """
 
-    steps: tuple
-    t0: int
+    _fields = ("steps", "t0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not 0 <= self.t0 <= len(self.steps):
-            raise ModelError(f"t0 = {self.t0} outside [0, {len(self.steps)}]")
+    def __init__(self, steps: tuple, t0: int):
+        steps = tuple(steps)
+        if not 0 <= t0 <= len(steps):
+            raise ModelError(f"t0 = {t0} outside [0, {len(steps)}]")
+        self._set(steps, t0)
 
     @classmethod
     def of(cls, pairs: Sequence, t0: Optional[int] = None) -> "Trajectory":
@@ -564,12 +603,11 @@ class EventOccurrence(NamedTuple):
 _occurrence = partial(tuple.__new__, EventOccurrence)
 
 
-@dataclass(frozen=True)
-class EventStream:
-    occurrences: tuple
+class EventStream(Value):
+    _fields = ("occurrences",)
 
-    def __post_init__(self):
-        occs = tuple(self.occurrences)
+    def __init__(self, occurrences: tuple):
+        occs = tuple(occurrences)
         last = -math.inf
         for occ in occs:  # the first fault in stream order is refused
             if type(occ) is not EventOccurrence:
@@ -580,7 +618,7 @@ class EventStream:
             if confidence.hi <= 0.0:
                 raise ModelError(f"occurrence of {label!r} at {time} has confidence [0,0]")
             last = time
-        object.__setattr__(self, "occurrences", occs)
+        _setattr(self, "occurrences", occs)
 
     def __len__(self) -> int:
         return len(self.occurrences)

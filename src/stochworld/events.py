@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Real
@@ -34,6 +33,7 @@ from .core import (
     Model,
     ProbInterval,
     Trajectory,
+    Value,
     _occurrence,
     checked_int,
 )
@@ -43,8 +43,7 @@ from .errors import ModelError, TrackingError
 TraceMemory = Dict[str, str]
 
 
-@dataclass(frozen=True)
-class CharFn:
+class CharFn(Value):
     """Interval-valued event detector over past and future windows.
 
     Returns [0, 1] whenever a window sticks out of the recorded data: no
@@ -52,27 +51,24 @@ class CharFn:
     points [1,1] or [0,0].
     """
 
-    name: str
-    kind: str  # action-match | obs-match | pattern | table
-    past_len: int = 0
-    future_len: int = 1
-    action: Optional[str] = None
-    obs: Optional[str] = None
-    past_pattern: Optional[str] = None
-    future_pattern: Optional[str] = None
-    table: Mapping[tuple, ProbInterval] = field(default_factory=dict)
+    _fields = ("name", "kind", "past_len", "future_len", "action", "obs", "past_pattern", "future_pattern", "table")
 
-    def __post_init__(self):  # refuses, naming the field, what evaluate cannot read
-        if self.kind not in ("action-match", "obs-match", "pattern", "table"):
-            raise ModelError(f"charfn {self.name}: unknown kind {self.kind!r}")
-        for field_name in ("past_len", "future_len"):  # a numpy integer is stored as an int
-            n = checked_int(getattr(self, field_name), f"charfn {self.name}: {field_name}", 0)
-            object.__setattr__(self, field_name, n)
-        for field_name in ("past_pattern", "future_pattern"):
+    def __init__(
+        self, name: str, kind: str, past_len: int = 0, future_len: int = 1, action: Optional[str] = None,
+        obs: Optional[str] = None, past_pattern: Optional[str] = None, future_pattern: Optional[str] = None,
+        table: Optional[Mapping[tuple, ProbInterval]] = None,
+    ):  # refuses, naming the field, what evaluate cannot read
+        if kind not in ("action-match", "obs-match", "pattern", "table"):
+            raise ModelError(f"charfn {name}: unknown kind {kind!r}")
+        past_len = checked_int(past_len, f"charfn {name}: past_len", 0)  # a numpy integer is stored as an int
+        future_len = checked_int(future_len, f"charfn {name}: future_len", 0)
+        for field_name, pattern in (("past_pattern", past_pattern), ("future_pattern", future_pattern)):
             try:
-                re.compile(getattr(self, field_name) or "")
+                re.compile(pattern or "")
             except (re.error, TypeError):
-                raise ModelError(f"charfn {self.name}: {field_name} does not compile") from None
+                raise ModelError(f"charfn {name}: {field_name} does not compile") from None
+        table = {} if table is None else table
+        self._set(name, kind, past_len, future_len, action, obs, past_pattern, future_pattern, table)
 
     @property
     def window(self) -> int:
@@ -229,16 +225,13 @@ def detect_indirect(
 # -- tracking ---------------------------------------------------------------------
 
 
-@dataclass
 class TrackResult:
     """Per-step beliefs (after that step's observation, before its events),
     the belief after everything processed, trace memory, warnings.  Steps
     with equal beliefs share one immutable `Belief` object."""
 
-    beliefs: List[Belief]
-    final_belief: Belief
-    memory: TraceMemory
-    warnings: List[str]
+    def __init__(self, beliefs: List[Belief], final_belief: Belief, memory: TraceMemory, warnings: List[str]):
+        self.beliefs, self.final_belief, self.memory, self.warnings = beliefs, final_belief, memory, warnings
 
 
 def _labels_at(model: Model, events: EventStream, collision: Optional[str], warnings: list) -> dict:
@@ -365,11 +358,11 @@ def track(
     return TrackResult(beliefs, final, memory, warnings)
 
 
-@dataclass(frozen=True)
-class ValiditySpan:
-    start: int
-    end: int  # exclusive
-    permanent_so_far: bool = False
+class ValiditySpan(Value):
+    _fields = ("start", "end", "permanent_so_far")
+
+    def __init__(self, start: int, end: int, permanent_so_far: bool = False):  # end is exclusive
+        self._set(start, end, permanent_so_far)
 
 
 def phenomenon_validity(

@@ -18,7 +18,6 @@ minimized model with its minimized inverse at a fresh initial state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -28,8 +27,8 @@ import stochworld as sw
 
 from .analysis import find_black_hole, find_white_peak
 from .core import (
-    ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, canonical, checked_int,
-    compose_policy,
+    ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical,
+    checked_int, compose_policy, replace,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
 from .walk import seeded_generator
@@ -37,14 +36,14 @@ from .walk import seeded_generator
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class JourneyStatistics:
+class JourneyStatistics(Value):
     """Expected per-journey visit and traversal counts."""
 
-    visit_counts: Mapping[str, float]
-    arrow_counts: Mapping[tuple, float]
-    return_count: float
-    absorption_counts: Mapping[str, float]
+    _fields = ("visit_counts", "arrow_counts", "return_count", "absorption_counts")
+
+    def __init__(self, visit_counts: Mapping[str, float], arrow_counts: Mapping[tuple, float], return_count: float,
+                 absorption_counts: Mapping[str, float]):
+        self._set(visit_counts, arrow_counts, return_count, absorption_counts)
 
 
 def _propagating_states(model: Model) -> tuple:
@@ -430,8 +429,7 @@ def enumerate_past(model: Model, depth: int, cap: int = 200_000) -> FutureSet:
     return FutureSet(depth, "past", entries)
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
+class MinimalModelResult(Value):
     """The joined minimal model plus its two oriented halves.
 
     ``forward_part`` predicts the future from the fresh initial state;
@@ -439,9 +437,10 @@ class MinimalModelResult:
     of the past, most recent step first.
     """
 
-    joined: Model
-    forward_part: Model
-    backward_part: Model
+    _fields = ("joined", "forward_part", "backward_part")
+
+    def __init__(self, joined: Model, forward_part: Model, backward_part: Model):
+        self._set(joined, forward_part, backward_part)
 
 
 def _fresh_initial(model: Model) -> Model:

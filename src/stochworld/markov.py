@@ -4,29 +4,26 @@ p-value is in closed form, so the module needs neither numpy nor scipy."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from numbers import Real
 from typing import Optional
 
-from .core import Trajectory, checked_int, dyadic
+from .core import Trajectory, Value, checked_int, dyadic
 from .errors import ModelError
 
 
-@dataclass(frozen=True)
-class SymbolTest:
-    symbol: str
-    p_value: Optional[float]
-    flagged: bool
-    contexts_tested: int
-    contexts_skipped: int
+class SymbolTest(Value):
+    _fields = ("symbol", "p_value", "flagged", "contexts_tested", "contexts_skipped")
+
+    def __init__(self, symbol: str, p_value: Optional[float], flagged: bool, contexts_tested: int,
+                 contexts_skipped: int):
+        self._set(symbol, p_value, flagged, contexts_tested, contexts_skipped)
 
 
-@dataclass(frozen=True)
-class MarkovReport:
-    order: int
-    significance: float
-    tests: tuple = ()
-    inconclusive: bool = False
+class MarkovReport(Value):
+    _fields = ("order", "significance", "tests", "inconclusive")
+
+    def __init__(self, order: int, significance: float, tests: tuple = (), inconclusive: bool = False):
+        self._set(order, significance, tests, inconclusive)
 
     @property
     def flagged(self) -> tuple:

@@ -12,7 +12,6 @@ states may legally leave the sums short of one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .analysis import find_white_peak
@@ -29,11 +28,9 @@ _SUM_TOL = 1e-6
 _LO, _HI = attrgetter("lo"), attrgetter("hi")
 
 
-@dataclass
 class ValidationReport:
-    structural: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    def __init__(self, structural=(), violations=(), warnings=()):
+        self.structural, self.violations, self.warnings = list(structural), list(violations), list(warnings)
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -31,6 +30,7 @@ from .core import (
     Preference,
     Step,
     Trajectory,
+    Value,
     _occurrence,
     checked_int,
     compose_policy,
@@ -38,13 +38,12 @@ from .core import (
 from .errors import JourneyError, ModelError
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    steps: int
-    seed: int
-    policy: Optional[Policy] = None
-    preference: Optional[Preference] = None
-    collision: str = "priority"  # or "both-arrows"
+class SimulationConfig(Value):
+    _fields = ("steps", "seed", "policy", "preference", "collision")
+
+    def __init__(self, steps: int, seed: int, policy: Optional[Policy] = None,
+                 preference: Optional[Preference] = None, collision: str = "priority"):  # or "both-arrows"
+        self._set(steps, seed, policy, preference, collision)
 
 
 def _resolve_agent(model: Model, config: SimulationConfig) -> Model:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from stochworld import (
     parse_model,
 )
 from stochworld.constructions import _doubled_kind
-from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy
+from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.markov import MarkovReport, SymbolTest

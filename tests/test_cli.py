@@ -151,6 +151,8 @@ class TestCounts:
             ("simulate", M1, "--steps", "3", "--seed", "-1"),
             ("invert", M1, "--mode", "mc", "--journeys", "5", "--seed", "-1"),
             ("invert", RAIN, "--mode", "plus-mc", "--seed", "-3"),
+            ("detect", "{traj}", "--indirect", "--window", "-2"),
+            ("detect", "{traj}", "--indirect", "--window", "0"),
         ],
     )
     def test_negative_count_is_usage_error(self, capsys, tmp_path, argv):
@@ -677,15 +679,15 @@ class TestConsoleScript:
 
 
 #: runs the command, if any, then prints the stochworld modules it loaded
-#: (without the package prefix) and fractions, then which of numpy and
-#: scipy it loaded (any of their modules loads the package)
+#: (without the package prefix) and fractions, then which of numpy, scipy,
+#: dataclasses and inspect it loaded (any of their modules loads the package)
 PROBE = (
     "import sys\n"
     "from stochworld.cli import main\n"
     "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
     "names = [m for m in sys.modules if m.partition('.')[0] in ('stochworld', 'fractions')]\n"
     "print('modules:', *sorted(m.removeprefix('stochworld.') for m in names), file=sys.stderr)\n"
-    "print('loaded:', *(m for m in ('numpy', 'scipy') if m in sys.modules), file=sys.stderr)\n"
+    "print('loaded:', *(m for m in ('numpy', 'scipy', 'dataclasses', 'inspect') if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -732,7 +734,7 @@ class TestStartup:
 
     def probe(self, argv, docs):
         """The command's stdout, the stochworld modules (and fractions) it
-        loaded, and which of numpy and scipy it loaded."""
+        loaded, and which of numpy, scipy, dataclasses and inspect it loaded."""
         proc = subprocess.run(
             [sys.executable, "-c", PROBE, *(a.format(d=docs) for a in argv)],
             capture_output=True,
@@ -748,8 +750,16 @@ class TestStartup:
         ids=lambda argv: argv[0],
     )
     def test_pure_command_loads_no_numpy(self, docs, argv):
+        """Nor dataclasses or inspect: the value types build their methods
+        without them."""
         _, _, loaded = self.probe(argv, docs)
         assert loaded == []
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS if argv[0] in NUMPY_COMMANDS], ids=lambda argv: argv[0])
+    def test_numpy_command_loads_no_dataclasses(self, docs, argv):
+        """numpy imports inspect itself, so only dataclasses is pinned."""
+        _, _, loaded = self.probe(argv, docs)
+        assert "numpy" in loaded and "dataclasses" not in loaded
 
     def test_markov_check_loads_no_scipy_stats(self, docs):
         out, _, loaded = self.probe(["markov-check", "{d}/walk.traj", "--min-count", "5"], docs)

@@ -33,6 +33,7 @@ from stochworld import (
     validate,
 )
 from stochworld.analysis import find_black_hole, find_white_peak
+from stochworld.core import replace
 
 from helpers import (
     MODELS_DIR,
@@ -591,8 +592,6 @@ class TestPartition:
 
 
 def _reinitialized(model, sid):
-    from dataclasses import replace
-
     return replace(
         model,
         states=tuple(replace(s, initial=(s.id == sid)) for s in model.states),

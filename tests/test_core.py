@@ -1,7 +1,6 @@
 """model-core: intervals, beliefs, memory size, validation."""
 
 import copy
-import dataclasses
 import inspect
 import math
 import pickle
@@ -25,7 +24,7 @@ from stochworld import (
     step_belief,
     validate,
 )
-from stochworld.core import POINT_ONE, dyadic
+from stochworld.core import POINT_ONE, dyadic, replace
 
 from helpers import chain_model
 
@@ -64,28 +63,26 @@ class TestProbInterval:
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
 
-    # the hand-written __init__ keeps the frozen dataclass's semantics
+    # the value-type protocol of ``core.Value``, over slots
 
     def test_fields_and_signature(self):
-        assert tuple(f.name for f in dataclasses.fields(ProbInterval)) == ("lo", "hi")
+        assert ProbInterval._fields == ProbInterval.__slots__ == ("lo", "hi")
         params = inspect.signature(ProbInterval).parameters.values()
-        assert [(p.name, p.default) for p in params] == [
-            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(ProbInterval)
-        ]
+        assert [(p.name, p.default) for p in params] == [(f, inspect.Parameter.empty) for f in ProbInterval._fields]
         # bounds are stored as floats, whatever number type they came as
         got = ProbInterval(Fraction(1, 4), 1)
-        assert dataclasses.astuple(got) == (0.25, 1.0)
+        assert (got.lo, got.hi) == (0.25, 1.0)
         assert type(got.lo) is float and type(got.hi) is float
+        assert not hasattr(got, "__dict__")
 
     def test_assignment_refused(self):
         got = iv(0.25, 0.5)
         for name in ("lo", "hi"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(got, name, 0.3)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(got, name)
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        with pytest.raises(AttributeError):
             got.other = None
         assert got == iv(0.25, 0.5)
 
@@ -103,11 +100,12 @@ class TestProbInterval:
 
     def test_replace_pickle_and_deepcopy(self):
         got = iv(0.25, 0.5)
-        assert dataclasses.replace(got, hi=0.75) == iv(0.25, 0.75)
-        assert dataclasses.replace(got) == got and got.hi == 0.5
+        assert replace(got, hi=0.75) == iv(0.25, 0.75)
+        assert replace(got) == got and got.hi == 0.5
         with pytest.raises(ModelError, match=re.escape("invalid probability interval [0.75, 0.5]")):
-            dataclasses.replace(got, lo=0.75)  # replace checks the bounds again
+            replace(got, lo=0.75)  # replace checks the bounds again
         for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert type(copied) is ProbInterval
             assert copied == got and (copied.lo.hex(), copied.hi.hex()) == (got.lo.hex(), got.hi.hex())
 
     def test_sub_tolerance_drift_clamped(self):
@@ -153,7 +151,7 @@ class TestDyadic:
 
 
 class TestArrow:
-    """The hand-written ``__init__`` keeps the frozen dataclass's semantics."""
+    """The hand-written ``__init__`` and the value-type protocol of ``core.Value``, over slots."""
 
     FIELDS = ("source", "label", "target", "label_prob", "arrow_prob")
 
@@ -165,26 +163,27 @@ class TestArrow:
         yield Arrow("s", "a", "t", arrow_prob=iv(0.25))
 
     def test_fields_and_defaults(self):
-        assert tuple(f.name for f in dataclasses.fields(Arrow)) == self.FIELDS
+        assert Arrow._fields == Arrow.__slots__ == self.FIELDS
         # the hand-written __init__ takes the fields in order, with their defaults
         params = inspect.signature(Arrow).parameters.values()
-        assert [(p.name, p.default) for p in params] == [
-            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(Arrow)
-        ]
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in params] == list(
+            zip(self.FIELDS, (empty, empty, empty, POINT_ONE, POINT_ONE))
+        )
         a = Arrow("s", "a", "t")
         assert a.label_prob is POINT_ONE and a.arrow_prob is POINT_ONE
         assert a.key == ("s", "a", "t")
-        assert dataclasses.astuple(a) == ("s", "a", "t", (1.0, 1.0), (1.0, 1.0))
+        assert tuple(getattr(a, f) for f in self.FIELDS) == ("s", "a", "t", iv(1), iv(1))
+        assert not hasattr(a, "__dict__")
 
     def test_assignment_refused(self):
         a = Arrow("s", "a", "t")
         for name in self.FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(a, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(a, name)
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        with pytest.raises(AttributeError):
             a.other = None
         assert a == Arrow("s", "a", "t", POINT_ONE, POINT_ONE)
 
@@ -203,12 +202,12 @@ class TestArrow:
 
     def test_replace_pickle_and_deepcopy(self):
         a = Arrow("s", "a", "t", iv(0.5, 1), iv(0.25))
-        moved = dataclasses.replace(a, source="now")
+        moved = replace(a, source="now")
         assert moved == Arrow("now", "a", "t", iv(0.5, 1), iv(0.25)) and a.source == "s"
         assert moved.label_prob is a.label_prob
-        assert dataclasses.replace(a) == a
-        assert pickle.loads(pickle.dumps(a)) == a
-        assert copy.deepcopy(a) == a
+        assert replace(a) == a
+        for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(copied) is Arrow and copied == a
 
 
 class TestEventOccurrence:

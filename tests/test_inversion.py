@@ -23,6 +23,7 @@ from stochworld import (
     validate,
 )
 
+from stochworld.core import replace
 from stochworld.inversion import _reverse_from_counts
 
 from helpers import (
@@ -500,7 +501,6 @@ class TestInvertMdpPlus:
             invert_mdp_plus(rain, mode, 0, 1)
 
     def test_smdp_contains_vertex_extremes(self):
-        from dataclasses import replace
         from itertools import product
 
         model = parse_model(

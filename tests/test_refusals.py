@@ -1,6 +1,6 @@
-"""Refusal texts: one table per parser, one for ``validate`` and one for the
-journey flow, each case pinned to its exact detail text (``line N: ...``
-where the line is known)."""
+"""Refusal texts: one table per parser, one for ``validate``, one for the
+journey flow and one for a policy's check, each case pinned to its exact
+detail text (``line N: ...`` where the line is known)."""
 
 import pytest
 
@@ -9,6 +9,8 @@ from stochworld import (
     FormatError,
     JourneyError,
     Model,
+    Policy,
+    PolicyError,
     ProbInterval,
     State,
     TraceSpec,
@@ -20,6 +22,7 @@ from stochworld import (
     parse_preference,
     validate,
 )
+from stochworld.core import compose_policy
 from stochworld.format import parse_event_arrows
 
 _ED = "model ed\nobs x\nevent go\nstate s initial trace x=1\n"
@@ -326,4 +329,25 @@ def test_journey_flow_refusals(doc, detail):
     assert validate(model).ok
     with pytest.raises(JourneyError) as err:
         journey_statistics(model)
+    assert str(err.value) == detail
+
+
+#: an agent of intervals [0.2, 0.6] for a and [0.4, 0.8] for b
+_AGENT = "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\narrow s a s lp=[0.2,0.6] ap=1\narrow s b s lp=[0.4,0.8] ap=1\n"
+
+#: policies that ``compose_policy`` refuses for that agent
+POLICY_CHECK_REFUSALS = {
+    "sum": ({("s", "a"): 0.5, ("s", "b"): 0.6}, "policy for state s sums to 1.1"),
+    "missing action": ({("s", "a"): 0.5, ("s", "c"): 0.5}, "policy gives mass to missing action c in s"),
+    "outside interval": ({("s", "a"): 0.9, ("s", "b"): 0.1}, "policy(s, a) = 0.9 outside agent interval [0.2, 0.6]"),
+}
+
+
+@pytest.mark.parametrize("probs, detail", list(POLICY_CHECK_REFUSALS.values()), ids=list(POLICY_CHECK_REFUSALS))
+def test_policy_check_refusals(probs, detail):
+    model = parse_model(_AGENT)
+    assert validate(model).ok
+    assert compose_policy(model, Policy({("s", "a"): 0.4, ("s", "b"): 0.6})).kind == "mdp-fixed"
+    with pytest.raises(PolicyError) as err:
+        compose_policy(model, Policy(probs))
     assert str(err.value) == detail

@@ -5,7 +5,6 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -44,7 +43,7 @@ from stochworld import (
     track,
 )
 
-from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE
+from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE, replace
 from stochworld.markov import _chi2_p_value, _chi2_tail
 
 from helpers import (
@@ -395,8 +394,6 @@ class TestEnumeratePast:
 
     def test_chain_one_step_back(self):
         chain = chain_model({"A": {"B": 1.0}, "B": {"A": 0.5, "B": 0.5}}, initial="A")
-        from dataclasses import replace
-
         at_b = replace(
             chain,
             states=tuple(replace(s, initial=(s.id == "B")) for s in chain.states),

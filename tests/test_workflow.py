@@ -20,6 +20,9 @@ STARTUP = "".join(
         ),
         ("printf '0 move 1\\n1 move 1\\n3 move 1\\n' | ", "track house.traj --model models/house.model --events -"),
     )
+) + (
+    # compiled from source, as on a host that writes no bytecode
+    """python -B -X pycache_prefix="$(mktemp -d)" -X importtime -c 'import stochworld.cli' 2>&1 | grep stochworld\n"""
 )
 #: the golden smoke runs after this, so the runtime path is shown not to need scipy
 NO_SCIPY = "pip uninstall -y scipy"
