@@ -12,7 +12,7 @@ _MODULES = {
     "constructions": "EventSet FactSet belief_determinize event_to_fact fact_to_event"
     " minimize_forward parity_model quotient",
     "core": "Arrow Belief Development EventOccurrence EventStream FutureSet Model Partition"
-    " Policy Preference ProbInterval State Step TraceSpec Trajectory canonical memory_bits step_belief",
+    " Policy Preference ProbInterval State TraceSpec Trajectory canonical memory_bits step_belief",
     "errors": "CapExceededError CoverageError FormatError InconsistentObservationError JourneyError"
     " ModelError PolicyError ToolkitError TrackingError WhitePeakError",
     "events": "CharFn TrackResult ValiditySpan derived_events detect_direct detect_indirect"

@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property, partial
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import InconsistentObservationError, ModelError, PolicyError
 
 TOL = 1e-9
+#: The slack of the one sum rule, on ``math.fsum`` sums, of ``validate``'s
+#: probability groups, ``preference_to_policy`` and ``Policy.check``.
+SUM_TOL = 1e-6
 
 KINDS = ("fomm", "hmm", "mdp", "mdp-fixed", "smdp", "mdp-plus", "ed")
 #: Kinds whose only label is the always-occurring event "true".
@@ -498,8 +501,8 @@ class Policy(Value):
         for (s, a), p in self.probs.items():
             per_state.setdefault(s, []).append((a, p))
         for s, pairs in per_state.items():
-            total = sum(p for _, p in pairs)
-            if abs(total - 1.0) > 1e-6:
+            total = math.fsum(p for _, p in pairs)
+            if total < 1.0 - SUM_TOL or total > 1.0 + SUM_TOL:
                 raise PolicyError(f"policy for state {s} sums to {total}")
             i = compiled.index.get(s)
             out = compiled.out[i] if i is not None else {}
@@ -546,44 +549,39 @@ class Preference(Value):
                 )
 
 
-class Step(Value):
-    _fields = ("obs", "act")
-
-    def __init__(self, obs: str, act: Optional[str] = None):
-        _setattr(self, "obs", obs)
-        _setattr(self, "act", act)
-
-    def __eq__(self, other):
-        return (self.obs, self.act) == (other.obs, other.act) if other.__class__ is Step else NotImplemented
-
-    def __hash__(self):
-        return hash((self.obs, self.act))
-
-
 class Trajectory(Value):
     """Recorded observation/action word with a designated current moment.
 
-    Steps before ``t0`` are the past, steps at and after it the future.
+    ``obs`` holds the observation of each step and ``acts`` its action,
+    None where none was taken.  Steps before ``t0`` are the past, steps at
+    and after it the future.
     """
 
-    _fields = ("steps", "t0")
+    _fields = ("obs", "acts", "t0")
 
-    def __init__(self, steps: tuple, t0: int):
-        steps = tuple(steps)
-        if not 0 <= t0 <= len(steps):
-            raise ModelError(f"t0 = {t0} outside [0, {len(steps)}]")
-        self._set(steps, t0)
+    def __init__(self, obs: tuple, acts: tuple, t0: int):
+        obs, acts = tuple(obs), tuple(acts)
+        if len(acts) != len(obs):
+            raise ModelError(f"a trajectory needs one action per observation, got {len(acts)} for {len(obs)}")
+        if not 0 <= t0 <= len(obs):
+            raise ModelError(f"t0 = {t0} outside [0, {len(obs)}]")
+        self._set(obs, acts, t0)
 
     @classmethod
-    def of(cls, pairs: Sequence, t0: Optional[int] = None) -> "Trajectory":
-        steps = tuple(p if isinstance(p, Step) else Step(*p) for p in pairs)
-        return cls(steps, len(steps) if t0 is None else t0)
+    def of(cls, pairs: Iterable, t0: Optional[int] = None) -> "Trajectory":
+        """From (observation, action) pairs, the action None or left out where none was taken."""
+        steps = [_step(*p) for p in pairs]
+        return cls([o for o, _ in steps], [a for _, a in steps], len(steps) if t0 is None else t0)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.obs)
 
     def observations(self) -> tuple:
-        return tuple(s.obs for s in self.steps)
+        return self.obs
+
+
+def _step(obs: str, act: Optional[str] = None) -> tuple:
+    return obs, act
 
 
 class EventOccurrence(NamedTuple):

@@ -75,27 +75,26 @@ class CharFn(Value):
         return self.past_len + self.future_len
 
     def evaluate(self, trajectory: Trajectory, t: int) -> ProbInterval:
-        steps = trajectory.steps
-        if t - self.past_len < 0 or t + self.future_len > len(steps):
+        obs = trajectory.obs
+        if t - self.past_len < 0 or t + self.future_len > len(obs):
             return FULL
         if self.kind == "action-match":
-            act = steps[t].act
+            act = trajectory.acts[t]
             if act is None:
                 return FULL
             return POINT_ONE if act == self.action else POINT_ZERO
         if self.kind == "obs-match":
-            return POINT_ONE if steps[t].obs == self.obs else POINT_ZERO
-        past = steps[t - self.past_len : t]
-        future = steps[t : t + self.future_len]
+            return POINT_ONE if obs[t] == self.obs else POINT_ZERO
+        past = obs[t - self.past_len : t]
+        future = obs[t : t + self.future_len]
         if self.kind == "pattern":
             windows = ((self.past_pattern, past), (self.future_pattern, future))
-            ok = all(p is None or re.fullmatch(p, ",".join(s.obs for s in w)) for p, w in windows)
+            ok = all(p is None or re.fullmatch(p, ",".join(w)) for p, w in windows)
             return POINT_ONE if ok else POINT_ZERO
-        key = (tuple(s.obs for s in past), tuple(s.obs for s in future))  # a table
-        return self.table.get(key, FULL)
+        return self.table.get((past, future), FULL)  # a table
 
 
-def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) -> list:
+def _fired_at(fn: CharFn, trajectory: Trajectory, threshold: float) -> list:
     """fn's occurrences under the threshold, in step order.  Matchers look
     their verdict up by symbol; a pattern or table is evaluated once per
     distinct observation window."""
@@ -103,6 +102,7 @@ def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) 
     def fired(value: ProbInterval) -> Optional[ProbInterval]:
         return value if value.lo >= threshold and value.hi > 0.0 else None
 
+    obs = trajectory.obs
     n = len(obs)
     plen, flen = fn.past_len, fn.future_len
     first = min(plen, n)
@@ -113,7 +113,7 @@ def _fired_at(fn: CharFn, trajectory: Trajectory, obs: tuple, threshold: float) 
         inside = map({fn.obs: fired(POINT_ONE)}.get, obs[first:end])
     elif fn.kind == "action-match":  # no action reads as outside, even for action=None
         verdict = {fn.action: fired(POINT_ONE), None: outside}.get
-        inside = (verdict(s.act) for s in trajectory.steps[first:end])
+        inside = map(verdict, trajectory.acts[first:end])
     else:
         memo: dict = {}  # observation window -> verdict
         inside = []
@@ -146,10 +146,9 @@ def detect_direct(
     by_name: dict = {}
     for fn in fns:
         by_name.setdefault(fn.name, []).append(fn)
-    obs = trajectory.observations()
     occurrences = []
     for name in sorted(by_name):
-        occurrences += _fired_at(max(by_name[name], key=lambda f: f.window), trajectory, obs, threshold)
+        occurrences += _fired_at(max(by_name[name], key=lambda f: f.window), trajectory, threshold)
     occurrences.sort(key=itemgetter(0))
     return EventStream(tuple(occurrences))
 
@@ -181,7 +180,7 @@ def detect_indirect(
         raise ModelError(f"indirect detection needs a finite threshold, got {threshold!r}")
     cut = math.floor(2 * window * Fraction(threshold)) + 1
     number: dict = {}  # observation -> its index into diff
-    codes = [number.setdefault(o, len(number)) for o in trajectory.observations()]
+    codes = [number.setdefault(o, len(number)) for o in trajectory.obs]
     diff = [0] * len(number)  # count before t minus count from t on
     for o in codes[:window]:
         diff[o] += 1
@@ -314,8 +313,7 @@ def track(
     approx = False
     beliefs: list = []
     memory: TraceMemory = {}
-    for t, step in enumerate(trajectory.steps):
-        obs = step.obs
+    for t, obs in enumerate(trajectory.obs):
         key = (b, approx, obs)
         entry = observed.get(key)
         if entry is None:
@@ -392,8 +390,8 @@ def phenomenon_validity(
     # observation, n when none is
     oldest = []
     earliest: dict = {}
-    for t, step in enumerate(trajectory.steps):
-        earliest = {s: earliest.get(s, t) for s in allowed.get(step.obs, allowed[None])}
+    for t, obs in enumerate(trajectory.obs):
+        earliest = {s: earliest.get(s, t) for s in allowed.get(obs, allowed[None])}
         oldest.append(min(earliest.values(), default=n))
         for label in labels_at.get(t, ()):
             moved: dict = {}

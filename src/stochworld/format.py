@@ -43,7 +43,6 @@ from .core import (
     Preference,
     ProbInterval,
     State,
-    Step,
     TraceSpec,
     Trajectory,
     _occurrence,
@@ -280,13 +279,11 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
     either is given; bare documents declare their symbols by use.  A missing
     t0 header defaults to the end: all recorded data is past.  Headers come
     before the first step, so a step line means the same at every repeat:
-    each distinct line is split and checked once, and each distinct step
-    built once.  A symbol that ``serialize_trajectory`` would refuse is
-    refused here too.
+    each distinct line is split and checked once.  A symbol that
+    ``serialize_trajectory`` would refuse is refused here too.
     """
     steps: list = []
-    interned: dict = {}  # (observation, action token) -> Step
-    seen: dict = {}  # raw step line -> Step
+    seen: dict = {}  # raw step line -> (observation, action)
     t0 = None
     obs_alpha = set(model.obs) if model else None
     act_alpha = set(model.labels) if model else None
@@ -319,33 +316,31 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
         if len(tokens) > 2:
             raise FormatError("expected: <obs> [<act>|-]", num)
         a = tokens[1] if len(tokens) == 2 else "-"
-        step = interned.get((head, a))
-        if step is None:
-            if obs_alpha is not None and head not in obs_alpha:
-                raise FormatError(f"unknown observation {head!r}", num)
-            act = None if a == "-" else a
-            if act is not None and act_alpha is not None and act not in act_alpha:
-                raise FormatError(f"unknown action {a!r}", num)
-            _check_symbols((head,), "observation", num)
-            _check_symbols({act} - {None}, "action", num)
-            step = interned[(head, a)] = Step(head, act)
+        if obs_alpha is not None and head not in obs_alpha:
+            raise FormatError(f"unknown observation {head!r}", num)
+        act = None if a == "-" else a
+        if act is not None and act_alpha is not None and act not in act_alpha:
+            raise FormatError(f"unknown action {a!r}", num)
+        _check_symbols((head,), "observation", num)
+        _check_symbols({act} - {None}, "action", num)
+        step = seen[raw] = (head, act)
         steps.append(step)
-        seen[raw] = step
 
     if t0 is None:
         t0 = len(steps)
     if not 0 <= t0 <= len(steps):
         raise FormatError(f"t0 = {t0} outside [0, {len(steps)}]")
-    return Trajectory(tuple(steps), t0)
+    obs, acts = tuple(zip(*steps)) or ((), ())
+    return Trajectory(obs, acts, t0)
 
 
 def serialize_trajectory(trajectory: Trajectory) -> str:
     """Text form; refuses symbols that would not parse back."""
-    _check_symbols({s.obs for s in trajectory.steps}, "observation")
-    _check_symbols({s.act for s in trajectory.steps} - {None}, "action")
+    _check_symbols(set(trajectory.obs), "observation")
+    _check_symbols(set(trajectory.acts) - {None}, "action")
     lines = [f"t0 {trajectory.t0}"]
-    for s in trajectory.steps:
-        lines.append(f"{s.obs} {s.act if s.act is not None else '-'}")
+    for o, a in zip(trajectory.obs, trajectory.acts):
+        lines.append(f"{o} {a if a is not None else '-'}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import (
     POINT_ONE,
+    SUM_TOL,
     TOL,
     TRUE_LABEL,
     Arrow,
@@ -156,7 +157,7 @@ def estimate_fomm(trajectory: Trajectory) -> Model:
     observed are structurally absent.  The initial (current) state is the
     observation at the current moment, or the last one when all data is past.
     """
-    obs_seq = trajectory.observations()
+    obs_seq = trajectory.obs
     if len(obs_seq) < 2:
         raise ModelError("trajectory too short to estimate (need at least 2 steps)")
     counts: Counter = Counter(zip(obs_seq, obs_seq[1:]))
@@ -183,7 +184,9 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
 
     Probabilities falling below an action's lower bound are raised to it and
     the shortfall is taken from the remaining mass; such states are flagged
-    as adjusted.
+    as adjusted.  An agent is refused by ``validate``'s rule; one that only
+    the rule's slack admits puts every action at its upper bound, or at its
+    lower bound when those sum above 1, and is flagged too.
     """
     preference.check(model)
     compiled = model.compiled
@@ -192,12 +195,16 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
     for sid, ranked in preference.order.items():
         out = compiled.out[compiled.index[sid]]
         bounds = [model.arrows[out[a][0]].label_prob for a in ranked]
-        lo_sum = sum(b.lo for b in bounds)
-        hi_sum = sum(b.hi for b in bounds)
-        if lo_sum > 1.0 + 1e-9 or hi_sum < 1.0 - 1e-9:
+        lo_sum, hi_sum = math.fsum(b.lo for b in bounds), math.fsum(b.hi for b in bounds)
+        if hi_sum < 1.0 - SUM_TOL or lo_sum > 1.0 + SUM_TOL:
             raise PolicyError(
                 f"state {sid}: no feasible policy within the agent intervals"
             )
+        if hi_sum < 1.0 - TOL or lo_sum > 1.0 + TOL:
+            adjusted.add(sid)
+            for a, b in zip(ranked, bounds):
+                probs[(sid, a)] = b.hi if hi_sum < 1.0 else b.lo
+            continue
         n = len(ranked)
         remaining = 1.0
         values = []
@@ -228,7 +235,7 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
                 if overflow <= TOL:
                     break
             # the rooms sum to the overflow less 1 - hi_sum, so what is left
-            # is at most the feasibility check's slack, 1e-9, plus rounding
+            # is at most TOL, 1e-9, plus rounding
         for a, p in zip(ranked, values):
             probs[(sid, a)] = p
     return Policy(probs, frozenset(adjusted))

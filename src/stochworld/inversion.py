@@ -205,8 +205,6 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
         out = compiled.out[i]
         per_state[i] = [k for label in sorted(out) for k in sorted(out[label], key=lambda j: ids[compiled.dst[j]])]
     arrows = [k for ks in per_state.values() for k in ks]
-    if not arrows:
-        raise JourneyError("no statistics: the initial state has no outgoing arrows")
 
     max_deg = max(len(ks) for ks in per_state.values())
     cum = np.ones((len(ids), max_deg))
@@ -341,8 +339,6 @@ def invert_mdp_plus(
     bounds are certified only over the explored family (an inner
     approximation of the true intervals).
     """
-    if mode == "vertex-enumeration":
-        mode = "vertex"
     budget = checked_int(budget, "interval inversion budget", 0)
     if model.kind not in ACTION_KINDS:
         raise ModelError(f"invert_mdp_plus does not apply to {model.kind} models")
@@ -445,17 +441,16 @@ class MinimalModelResult(Value):
 
 def _fresh_initial(model: Model) -> Model:
     """Duplicate the initial state's exits, after the model's arrows, into a
-    fresh initial state "now" (primed while taken) that nothing points at."""
-    fresh = "now"
-    while fresh in model.by_id:
-        fresh += "'"
+    fresh initial state "now" that nothing points at.  The model is a
+    determinized or minimized one, whose states are named ``q<i>`` or
+    ``q<i>+q<j>...``, so "now" is never taken."""
     init = model.initial_state
     states = tuple(
-        [State(fresh, initial=True, trace=init.trace)]
+        [State("now", initial=True, trace=init.trace)]
         + [replace(s, initial=False) for s in model.states]
     )
     arrows = model.arrows + tuple(
-        replace(a, source=fresh) for a in model.arrows if a.source == init.id
+        replace(a, source="now") for a in model.arrows if a.source == init.id
     )
     return replace(model, states=states, arrows=arrows)
 
@@ -480,8 +475,7 @@ def minimal_model_parts(model: Model, depth: int) -> MinimalModelResult:
     forward_part = _fresh_initial(forward0)
     backward_part = _fresh_initial(backward1)
 
-    fresh = forward_part.initial_state.id
-    fut = {s.id: "now" if s.id == fresh else f"fut:{s.id}" for s in forward_part.states}
+    fut = {s.id: "now" if s.id == "now" else f"fut:{s.id}" for s in forward_part.states}
     past = {s.id: f"past:{s.id}" for s in backflow.states}
     into_past = {**past, backflow.initial_state.id: "now"}
     forward = [replace(a, source=fut[a.source], target=fut[a.target]) for a in forward_part.arrows]

@@ -95,7 +95,7 @@ def check_markov(
     min_count = checked_int(min_count, "Markov check minimum count", 0)
     if not isinstance(significance, Real) or math.isnan(significance):
         raise ModelError(f"the Markov check needs a significance that is a number, got {significance!r}")
-    seq = trajectory.observations()
+    seq = trajectory.obs
     rows: dict = {}  # symbol -> context -> next symbol -> count
     for window, count in Counter(zip(*(seq[k:] for k in range(order + 2)))).items():
         ctx = window[:-1]

@@ -11,6 +11,7 @@ states may legally leave the sums short of one.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import attrgetter
 
@@ -18,13 +19,13 @@ from .analysis import find_white_peak
 from .core import (
     KINDS,
     SINGLE_LABEL_KINDS,
+    SUM_TOL,
     TOL,
     TRUE_LABEL,
     Model,
     ProbInterval,
 )
 
-_SUM_TOL = 1e-6
 _LO, _HI = attrgetter("lo"), attrgetter("hi")
 
 
@@ -198,18 +199,19 @@ _POINT_TRACE = ("{}: trace probabilities sum to {:g}, expected 1",) * 2
 
 def _check_group(report: ValidationReport, bounds, where: str, texts: tuple, white: bool) -> None:
     """A probability group admits a distribution when its lower bounds sum
-    to at most 1 and its upper bounds to at least 1, within ``_SUM_TOL``.
+    to at most 1 and its upper bounds to at least 1, within ``SUM_TOL``;
+    the sums are ``math.fsum``'s, the same in any order.
     Each lo <= hi, so the sums cannot fail both ways; a shortfall inside a
     white peak is a warning."""
-    hi = sum(map(_HI, bounds))
-    if hi < 1.0 - _SUM_TOL:
+    hi = math.fsum(map(_HI, bounds))
+    if hi < 1.0 - SUM_TOL:
         if white:
             report.warnings.append(texts[0].format(where, hi) + " (inside a white peak)")
         else:
             report.violations.append(texts[0].format(where, hi))
         return
-    lo = sum(map(_LO, bounds))
-    if lo > 1.0 + _SUM_TOL:
+    lo = math.fsum(map(_LO, bounds))
+    if lo > 1.0 + SUM_TOL:
         report.violations.append(texts[1].format(where, lo))
 
 

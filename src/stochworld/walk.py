@@ -28,7 +28,6 @@ from .core import (
     Model,
     Policy,
     Preference,
-    Step,
     Trajectory,
     Value,
     _occurrence,
@@ -99,23 +98,23 @@ def _unresolved(what: str) -> ModelError:
 
 
 def _rows(model: Model) -> list:
-    """Per state, what a step there reads: (refusal, steps, cum, choices, moves).
+    """Per state, what a step there reads: (refusal, symbols, cum, choices,
+    moves, acts).
 
-    ``steps`` holds per trace symbol, sorted, its ``Step`` per action (for
-    ed and single-label kinds, the one Step without), and ``cum`` their
+    ``symbols`` are the state's trace symbols, sorted, and ``cum`` their
     cumulative probabilities (see ``_cumulative``).  ``moves`` holds per
     label the arrows' targets in key order and their cumulative
     probabilities, None for an interval: for ed by event, and ``choices``
     are the events that can fire in collision order with their
     probabilities; for an action kind by action in alphabet order, and
     ``choices`` the actions' cumulative probabilities; for a single-label
-    kind, only "true", and ``choices`` is None.  ``refusal`` is the error
-    a step from the state raises, or None.
+    kind, only "true", and ``choices`` is None.  ``acts`` are the actions
+    in the order of ``moves``, (None,) for the other kinds.
+    ``refusal`` is the error a step from the state raises, or None.
     """
     compiled = model.compiled
     ids, dst, arrows = compiled.ids, compiled.dst, model.arrows
     ed, agent = model.kind == "ed", model.kind in ACTION_KINDS
-    shared: dict = {}  # (symbols, actions) -> their steps, built once per walk
     rows = []
     for s, out in zip(model.states, compiled.out):
         symbols = tuple(sorted(s.trace.probs))
@@ -138,14 +137,11 @@ def _rows(model: Model) -> list:
         else:
             moves = [moves[TRUE_LABEL]] if TRUE_LABEL in moves else []
             refusal = None if moves else JourneyError(f"state {s.id} has no {TRUE_LABEL!r} arrows")
-        steps = shared.get((symbols, acts))
-        if steps is None:
-            steps = shared[symbols, acts] = [tuple(Step(o, a) for a in acts) for o in symbols]
         if not symbols:
             refusal = ModelError(f"state {s.id} has no trace to observe")
         if cum is None:
             refusal = _unresolved(f"trace of {s.id}")
-        rows.append((refusal, steps, cum, choices, moves))
+        rows.append((refusal, symbols, cum, choices, moves, acts))
     return rows
 
 
@@ -166,14 +162,15 @@ def simulate_events(model: Model, config: SimulationConfig):
     draw = _uniforms(seeded_generator(config.seed, "the walk")).__next__
     state = resolved.compiled.index[resolved.initial_state.id]
     priority = config.collision == "priority"
-    steps = []
+    obs = []
+    acts = []
     occurrences = []
     if resolved.kind == "ed":
         for t in range(n):
-            refusal, by_obs, cum, events, _ = rows[state]
+            refusal, symbols, cum, events, _, _ = rows[state]
             if refusal is not None:
                 raise refusal
-            steps.append(by_obs[bisect_right(cum, draw())][0])
+            obs.append(symbols[bisect_right(cum, draw())])
             fired = []
             for e, p in events:
                 if draw() < p:
@@ -188,19 +185,20 @@ def simulate_events(model: Model, config: SimulationConfig):
                         raise _unresolved("arrow")
                     state = targets[bisect_right(cum, draw())]
                     occurrences.append(_occurrence((t, e, POINT_ONE, "direct")))
+        acts = [None] * len(obs)
     else:
         for _ in range(n):
-            refusal, by_obs, cum, choices, moves = rows[state]
+            refusal, symbols, cum, choices, moves, actions = rows[state]
             if refusal is not None:
                 raise refusal
-            by_act = by_obs[bisect_right(cum, draw())]
+            obs.append(symbols[bisect_right(cum, draw())])
             j = bisect_right(choices, draw()) if choices else 0
+            acts.append(actions[j])
             targets, cum = moves[j]
             if cum is None:
                 raise _unresolved("arrow")
             state = targets[bisect_right(cum, draw())]
-            steps.append(by_act[j])
-    return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
+    return Trajectory(obs, acts, len(obs)), EventStream(tuple(occurrences))
 
 
 def simulate(model: Model, config: SimulationConfig) -> Trajectory:

@@ -31,7 +31,6 @@ from stochworld import (
     ProbInterval,
     SimulationConfig,
     State,
-    Step,
     TraceSpec,
     Trajectory,
     belief_determinize,
@@ -554,7 +553,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
     rng = np.random.default_rng(config.seed)
     state = resolved.initial_state
     order = sorted(resolved.labels, key=lambda e: (resolved.priorities.get(e, float("inf")), e))
-    steps = []
+    steps = []  # (observation, action) per step
     occurrences = []
     for t in range(config.steps):
         trace = [(o, _point_mid(p, f"trace of {state.id}")) for o, p in sorted(state.trace.probs.items())]
@@ -577,7 +576,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
                     continue
                 occurrences.append(EventOccurrence(t, e, POINT_ONE, "direct"))
                 state = target
-            steps.append(Step(obs, None))
+            steps.append((obs, None))
             continue
         act = None
         if resolved.kind in ACTION_KINDS:
@@ -592,16 +591,14 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
         target = _move_by_scan(resolved, index, state, label, rng)
         if target is None:
             raise JourneyError(f"state {state.id} has no {label!r} arrows")
-        steps.append(Step(obs, act))
+        steps.append((obs, act))
         state = target
-    return Trajectory(tuple(steps), len(steps)), EventStream(tuple(occurrences))
+    return Trajectory.of(steps), EventStream(tuple(occurrences))
 
 
 def parse_trajectory_by_lines(text: str, model: Model | None = None) -> Trajectory:
-    """Reference trajectory reader: strips, splits and checks every line,
-    building each distinct (observation, action) Step once."""
+    """Reference trajectory reader: strips, splits and checks every line."""
     steps: list = []
-    interned: dict = {}
     t0 = None
     obs_alpha = set(model.obs) if model else None
     act_alpha = set(model.labels) if model else None
@@ -626,23 +623,20 @@ def parse_trajectory_by_lines(text: str, model: Model | None = None) -> Trajecto
         if len(tokens) > 2:
             raise FormatError("expected: <obs> [<act>|-]", num)
         a = tokens[1] if len(tokens) == 2 else "-"
-        step = interned.get((head, a))
-        if step is None:
-            if obs_alpha is not None and head not in obs_alpha:
-                raise FormatError(f"unknown observation {head!r}", num)
-            act = None if a == "-" else a
-            if act is not None and act_alpha is not None and act not in act_alpha:
-                raise FormatError(f"unknown action {a!r}", num)
-            _check_symbols((head,), "observation", num)
-            _check_symbols({act} - {None}, "action", num)
-            step = interned[(head, a)] = Step(head, act)
-        steps.append(step)
+        if obs_alpha is not None and head not in obs_alpha:
+            raise FormatError(f"unknown observation {head!r}", num)
+        act = None if a == "-" else a
+        if act is not None and act_alpha is not None and act not in act_alpha:
+            raise FormatError(f"unknown action {a!r}", num)
+        _check_symbols((head,), "observation", num)
+        _check_symbols({act} - {None}, "action", num)
+        steps.append((head, act))
 
     if t0 is None:
         t0 = len(steps)
     if not 0 <= t0 <= len(steps):
         raise FormatError(f"t0 = {t0} outside [0, {len(steps)}]")
-    return Trajectory(tuple(steps), t0)
+    return Trajectory.of(steps, t0)
 
 
 def parse_event_stream_by_lines(text: str) -> EventStream:
@@ -1013,9 +1007,8 @@ def track_by_steps(
     approx = False
     beliefs: list = []
     memory: dict = {}
-    steps = trajectory.steps
-    for t in range(start, len(steps)):
-        obs = steps[t].obs
+    for t in range(start, len(trajectory)):
+        obs = trajectory.obs[t]
         allowed = {s.id for s in model.states if s.trace.prob(obs).hi > 0.0}
         conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
         if len(conditioned) != len(belief):

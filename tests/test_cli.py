@@ -462,6 +462,24 @@ class TestCommandBranches:
         assert (code, out, err) == (0, "s a 0.7\ns b 0.3\n", "adjusted: s\n")
 
     @pytest.mark.parametrize(
+        "a, b, policy",
+        [("[0,0.4999995]", "[0,0.5]", "s a 0.4999995\ns b 0.5\n"), ("[0.5000005,1]", "[0.5,1]", "s a 0.5000005\ns b 0.5\n")],
+        ids=["upper sum 1 - 5e-7", "lower sum 1 + 5e-7"],
+    )
+    def test_preference_within_validates_slack(self, capsys, tmp_path, a, b, policy):
+        model_path, pref = tmp_path / "edge.model", tmp_path / "edge.pref"
+        model_path.write_text(
+            "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\n"
+            f"arrow s a s lp={a} ap=1\narrow s b s lp={b} ap=1\n"
+        )
+        pref.write_text("state s: a > b\n")
+        assert run(capsys, "validate", str(model_path)) == (0, "ok\n", "")
+        code, out, err = run(capsys, "policy-from-preference", str(model_path), "--preference", str(pref))
+        assert (code, out, err) == (0, policy, "adjusted: s\n")
+        code, out, err = run(capsys, "simulate", str(model_path), "--steps", "3", "--seed", "1", "--preference", str(pref))
+        assert (code, err) == (0, "") and out.splitlines()[0] == "t0 3" and set(out.splitlines()[1:]) <= {"x a", "x b"}
+
+    @pytest.mark.parametrize(
         "options, message",
         [
             (["--direct", "DOC", "--indirect", "--window", "1"], "choose one of --direct and --indirect"),

@@ -17,7 +17,7 @@ EXPORTS = [
     "EventOccurrence", "EventSet", "EventStream", "FactSet", "FormatError", "FutureSet",
     "InconsistentObservationError", "JourneyError", "JourneyStatistics", "MarkovReport",
     "MinimalModelResult", "Model", "ModelError", "Partition", "Policy", "PolicyError",
-    "Preference", "ProbInterval", "SimulationConfig", "State", "Step", "StructureReport",
+    "Preference", "ProbInterval", "SimulationConfig", "State", "StructureReport",
     "ToolkitError", "TraceSpec", "TrackResult", "TrackingError", "Trajectory", "ValidationReport",
     "ValiditySpan", "WhitePeakError", "analyze", "belief_determinize", "canonical",
     "check_markov", "derived_events", "detect_direct", "detect_indirect", "enumerate_future",

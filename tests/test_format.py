@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from stochworld import (
     FormatError,
     ProbInterval,
-    Step,
     TraceSpec,
     Trajectory,
     canonical,
@@ -212,15 +211,14 @@ class TestTrajectoryFormat:
 
     @pytest.mark.parametrize("header", ["t0 1", "obs a b", "act go"])
     def test_header_after_first_step_refused(self, header):
-        # read as a step, "t0 1" became Step('t0', '1'), which does not serialize
+        # read as a step, "t0 1" became the step ('t0', '1'), which does not serialize
         with pytest.raises(FormatError, match="line 3") as err:
             parse_trajectory(f"a\nb\n{header}\n")
         assert header.split()[0] in str(err.value)
 
     def test_steps_built_once(self):
         t = parse_trajectory("a go\nb -\na go\nb\na\n")
-        assert t.steps == (Step("a", "go"), Step("b"), Step("a", "go"), Step("b"), Step("a"))
-        assert t.steps[0] is t.steps[2] and t.steps[1] is t.steps[3]
+        assert t == Trajectory(("a", "b", "a", "b", "a"), ("go", None, "go", None, None), 5)
         with pytest.raises(FormatError, match="line 3: unknown action 'stay'"):
             parse_trajectory("act go\na go\na stay\na stay\n")
 
@@ -263,8 +261,8 @@ class TestTrajectoryFormat:
 
     def test_reader_equals_line_oracle(self):
         """The reader that parses each distinct line once returns what the
-        line-by-line reader returns, with the same steps shared, or raises
-        the same refusal at the same line."""
+        line-by-line reader returns, or raises the same refusal at the same
+        line."""
         rng = random.Random(20261019)
         model = parse_model("model mdp\nobs a b c\nact go stay\nstate s initial trace a=1\narrow s go s lp=1 ap=1\n")
         seen = Counter()
@@ -275,19 +273,16 @@ class TestTrajectoryFormat:
             got = _read(parse_trajectory, text, given_model)
             assert got == want, (i, text)
             seen["refused" if isinstance(want, str) else "read"] += 1
-            seen["repeated step lines"] += not isinstance(want, str) and len(set(want[1])) < len(want[1])
+            seen["repeated step lines"] += not isinstance(want, str) and len(set(zip(want.obs, want.acts))) < len(want)
         assert seen["read"] >= 500 and seen["refused"] >= 500 and seen["repeated step lines"] >= 300, seen
 
 
 def _read(reader, text, model):
-    """The trajectory and, per step, the index of the first step that is
-    the same object; or the refusal's text."""
+    """The trajectory, or the refusal's text."""
     try:
-        t = reader(text, model)
+        return reader(text, model)
     except FormatError as exc:
         return str(exc)
-    first: dict = {}
-    return t, tuple(first.setdefault(id(s), k) for k, s in enumerate(t.steps))
 
 
 DOT_EDGE = re.compile(r'^\s+"[^"]*" -> "[^"]*" \[label="[^"]*", color="[^"]*"\];$')

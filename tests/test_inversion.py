@@ -539,16 +539,6 @@ class TestInvertMdpPlus:
                     iv = hull[a.key]
                     assert iv.lo - 1e-9 <= a.arrow_prob.mid <= iv.hi + 1e-9
 
-    def test_mode_name_alias(self):
-        model = parse_model(
-            "model mdp-plus\nobs x y\nact a\n"
-            "state sx initial trace x=1\nstate sy trace y=1\n"
-            "arrow sx a sy lp=1 ap=1\narrow sy a sx lp=1 ap=1\n"
-        )
-        assert invert_mdp_plus(model, "vertex-enumeration", budget=50) == invert_mdp_plus(
-            model, "vertex", budget=50
-        )
-
     def test_monte_carlo_deterministic(self):
         model = parse_model(
             "model mdp-plus\nobs x y\nact a\n"

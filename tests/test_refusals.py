@@ -1,25 +1,40 @@
 """Refusal texts: one table per parser, one for ``validate``, one for the
-journey flow and one for a policy's check, each case pinned to its exact
-detail text (``line N: ...`` where the line is known)."""
+journey flow, one for a policy's check and one for the library's other
+argument checks, each case pinned to its exact detail text (``line N: ...``
+where the line is known)."""
 
 import pytest
 
 from stochworld import (
     Arrow,
+    Belief,
+    EventSet,
     FormatError,
     JourneyError,
     Model,
+    ModelError,
+    Partition,
     Policy,
     PolicyError,
+    Preference,
     ProbInterval,
+    SimulationConfig,
     State,
     TraceSpec,
+    WhitePeakError,
+    invert_mdp_fixed,
+    invert_mdp_plus,
     journey_statistics,
+    minimize_forward,
+    monte_carlo_invert,
     parse_charfns,
     parse_event_stream,
     parse_model,
     parse_policy,
     parse_preference,
+    quotient,
+    simulate,
+    step_belief,
     validate,
 )
 from stochworld.core import compose_policy
@@ -351,3 +366,89 @@ def test_policy_check_refusals(probs, detail):
     with pytest.raises(PolicyError) as err:
         compose_policy(model, Policy(probs))
     assert str(err.value) == detail
+
+
+#: a two-state chain, a white peak w beside a looping initial state, and
+#: states a, b without an initial one or with an arrow to an undeclared z
+_CHAIN = "model fomm\nobs x y\nstate a initial trace x=1\nstate b trace y=1\narrow a true b ap=1\narrow b true a ap=1\n"
+_PEAK = "model hmm\nobs x y\nstate s initial trace x=1\nstate w trace y=1\narrow s true s ap=1\narrow w true s ap=1\n"
+_NO_INITIAL = Model("fomm", ("x",), ("true",), (State("a"), State("b")), ())
+_DANGLING = Model("fomm", ("x",), ("true",), (State("a", True),), (Arrow("a", "true", "z"),))
+_BOTH = SimulationConfig(1, 0, policy=Policy({("s", "a"): 0.4, ("s", "b"): 0.6}), preference=Preference({"s": ("a", "b")}))
+
+#: argument checks of the library, as (call, error type, exact text)
+LIBRARY_REFUSALS = {
+    # core
+    "hull of nothing": (lambda: ProbInterval.hull([]), ModelError, "hull of no intervals"),
+    "no initial state": (lambda: _NO_INITIAL.initial_state, ModelError, "model must have exactly one initial state, found 0"),
+    "undeclared arrow end": (lambda: _DANGLING.compiled, ModelError, "arrow a true z joins an undeclared state"),
+    "empty class": (lambda: Partition([["a", "b"], []]).check(parse_model(_CHAIN)), ModelError, "empty partition class"),
+    "overlapping classes": (lambda: Partition([["a", "b"], ["b"]]).check(parse_model(_CHAIN)), ModelError, "partition classes overlap"),
+    "partition cover": (
+        lambda: Partition([["a"], ["z"]]).check(parse_model(_CHAIN)),
+        ModelError,
+        "partition does not cover the states (missing ['b'], unknown ['z'])",
+    ),
+    "preference for an unknown state": (
+        lambda: Preference({"z": ("a",)}).check(parse_model(_AGENT)), ModelError, "preference for unknown state 'z'"
+    ),
+    "preference ranking": (
+        lambda: Preference({"s": ("a",)}).check(parse_model(_AGENT)),
+        ModelError,
+        "preference for s must rank exactly the available actions ['a', 'b']",
+    ),
+    "filter label": (
+        lambda: step_belief(parse_model(_CHAIN), Belief.point("a"), "go", "x"), ModelError, "label 'go' not in the model's alphabet"
+    ),
+    "filter belief": (
+        lambda: step_belief(parse_model(_CHAIN), Belief.point("z"), "true", "x"), ModelError, "belief over unknown state 'z'"
+    ),
+    # constructions
+    "event arrow": (
+        lambda: EventSet("e", frozenset({Arrow("a", "true", "a")})).check(parse_model(_CHAIN)),
+        ModelError,
+        "event 'e': arrow ('a', 'true', 'a') not in the model",
+    ),
+    "event names": (
+        lambda: quotient(parse_model(_CHAIN), Partition([["a", "b"]]), [EventSet("e", frozenset())] * 2),
+        ModelError,
+        "monitored events must have distinct names",
+    ),
+    "minimized intervals": (lambda: minimize_forward(parse_model(_AGENT)), ModelError, "minimization needs point probabilities"),
+    # inversion
+    "monte-carlo inversion of an agent": (
+        lambda: monte_carlo_invert(parse_model(_AGENT), 10, 1), ModelError, "monte_carlo_invert needs a single-label model"
+    ),
+    "monte-carlo inversion of a white peak": (lambda: monte_carlo_invert(parse_model(_PEAK), 10, 1), WhitePeakError, "w"),
+    "fixed inversion of an interval agent": (
+        lambda: invert_mdp_fixed(parse_model(_AGENT)),
+        ModelError,
+        "model carries interval agent probabilities; supply an explicit policy",
+    ),
+    "fixed inversion of a chain": (
+        lambda: invert_mdp_fixed(parse_model(_CHAIN)), ModelError, "invert_mdp_fixed does not apply to fomm models"
+    ),
+    "interval inversion of a chain": (
+        lambda: invert_mdp_plus(parse_model(_CHAIN)), ModelError, "invert_mdp_plus does not apply to fomm models"
+    ),
+    "interval inversion without a seed": (
+        lambda: invert_mdp_plus(parse_model(_AGENT), "monte-carlo"), ModelError, "monte-carlo interval inversion needs a seed"
+    ),
+    "interval inversion mode": (
+        lambda: invert_mdp_plus(parse_model(_AGENT), "vertex-enumeration"),
+        ModelError,
+        "unknown inversion mode 'vertex-enumeration'",
+    ),
+    # walk
+    "policy and preference": (lambda: simulate(parse_model(_AGENT), _BOTH), ModelError, "give either a policy or a preference, not both"),
+    "collision rule": (
+        lambda: simulate(parse_model(_CHAIN), SimulationConfig(1, 0, collision="random")), ModelError, "unknown collision rule 'random'"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, detail", list(LIBRARY_REFUSALS.values()), ids=list(LIBRARY_REFUSALS))
+def test_library_refusals(call, error, detail):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == detail

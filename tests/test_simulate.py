@@ -41,9 +41,10 @@ from stochworld import (
     simulate_events,
     simulate_journeys,
     track,
+    validate,
 )
 
-from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE, replace
+from stochworld.core import ACTION_KINDS, KINDS, POINT_ONE, compose_policy, replace
 from stochworld.markov import _chi2_p_value, _chi2_tail
 
 from helpers import (
@@ -173,7 +174,7 @@ class TestSimulate:
         )
         pref = Preference({"w": ("rain", "dry")})
         traj = simulate(model, SimulationConfig(steps=200, seed=8, preference=pref))
-        acts = [s.act for s in traj.steps]
+        acts = list(traj.acts)
         assert set(acts) <= {"rain", "dry"}
         assert acts.count("rain") > acts.count("dry")  # 80% rain under Royal rain
 
@@ -528,6 +529,62 @@ class TestPreferenceToPolicy:
         policy = preference_to_policy(model, Preference({"s": ("a", "b")}))
         assert policy.probs == {("s", "a"): his[0], ("s", "b"): his[1]} and policy.adjusted == {"s"}
         assert 1.0 - sum(policy.probs.values()) == 9.999999717180685e-10
+
+
+#: agents that ``validate`` admits only within its slack, 1e-6: upper bounds
+#: that sum to 1 - 5e-7, lower bounds that sum to 1 + 5e-7
+SLACK_AGENTS = {
+    "upper sum short": ([("a", (0.0, 0.4999995)), ("b", (0.0, 0.5))], {"a": 0.4999995, "b": 0.5}),
+    "lower sum over": ([("a", (0.5000005, 1.0)), ("b", (0.5, 1.0))], {"a": 0.5000005, "b": 0.5}),
+}
+
+
+def slack_agent_model(intervals):
+    lines = ["model mdp-plus", "obs x", "act a b", "state s initial trace x=1"]
+    lines += [f"arrow s {action} s lp=[{lo},{hi}] ap=1" for action, (lo, hi) in intervals]
+    return parse_model("\n".join(lines) + "\n")
+
+
+class TestPreferenceFeasibilityIsValidates:
+    """``preference_to_policy`` refuses an agent exactly when ``validate``
+    does, and the policy it returns passes ``compose_policy``."""
+
+    @pytest.mark.parametrize("intervals, want", list(SLACK_AGENTS.values()), ids=list(SLACK_AGENTS))
+    def test_slack_agent_takes_its_bounds(self, intervals, want):
+        model = slack_agent_model(intervals)
+        assert validate(model).ok
+        policy = preference_to_policy(model, Preference({"s": ("a", "b")}))
+        assert policy.probs == {("s", a): p for a, p in want.items()} and policy.adjusted == {"s"}
+        assert compose_policy(model, policy).kind == "mdp-fixed"
+        config = SimulationConfig(steps=20, seed=3, preference=Preference({"s": ("b", "a")}))
+        assert set(simulate(model, config).acts) == {"a", "b"}
+
+    def test_refused_exactly_where_validate_refuses(self):
+        """Groups of 2 to 4 actions whose upper bounds sum to 1 - eps or lower
+        bounds to 1 + eps, eps at and around the slack, in any ranking."""
+        rng = random.Random(24)
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randint(2, 4)
+            eps = rng.choice((1e-6, 5e-7, 0.0, rng.uniform(0.0, 2e-6)))
+            weights = [rng.random() for _ in range(n)]
+            if rng.random() < 0.5:
+                his = [w / sum(weights) * (1.0 - eps) for w in weights]
+                los = [h * rng.choice((0.0, rng.random())) for h in his]
+            else:
+                los = [w / sum(weights) * (1.0 + eps) for w in weights]
+                his = [min(1.0, lo + rng.choice((0.0, rng.random()))) for lo in los]
+            names = [f"a{i}" for i in range(n)]
+            model = one_state_model([(a, (repr(lo), repr(hi))) for a, lo, hi in zip(names, los, his)])
+            rng.shuffle(names)
+            try:
+                compose_policy(model, preference_to_policy(model, Preference({"s": tuple(names)})))
+                composed = True
+            except PolicyError:
+                composed = False
+            assert composed == validate(model).ok, (los, his, names)
+            seen[composed] += 1
+        assert seen[True] >= 500 and seen[False] >= 100, seen
 
 
 def p_values_close(got, want, rel):

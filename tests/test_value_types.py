@@ -29,7 +29,6 @@ from stochworld import (
     ProbInterval,
     SimulationConfig,
     State,
-    Step,
     StructureReport,
     TraceSpec,
     TrackResult,
@@ -83,8 +82,7 @@ SAMPLES = [
     (Partition([["a"], ["b"]]), "Partition(classes=(frozenset({'a'}), frozenset({'b'})))", {"classes": [["a", "b"]]}),
     (Policy({("s", "a"): 1.0}, frozenset({"s"})), "Policy(probs={('s', 'a'): 1.0}, adjusted=frozenset({'s'}))", {"adjusted": frozenset()}),
     (Preference({"s": ["a", "b"]}), "Preference(order={'s': ('a', 'b')})", {"order": {"s": ["b", "a"]}}),
-    (Step("x", "a"), "Step(obs='x', act='a')", {"act": None}),
-    (Trajectory([Step("x")], 0), "Trajectory(steps=(Step(obs='x', act=None),), t0=0)", {"t0": 1}),
+    (Trajectory(("x",), (None,), 0), "Trajectory(obs=('x',), acts=(None,), t0=0)", {"t0": 1}),
     (
         EventStream([EventOccurrence(1, "e", iv(1))]),
         f"EventStream(occurrences=(EventOccurrence(time=1, label='e', confidence={ONE}, provenance='direct'),))",
@@ -140,7 +138,7 @@ def compared(obj) -> tuple:
 
 def test_every_value_type_has_a_sample():
     assert {type(obj) for obj, _, _ in SAMPLES} == set(Value.__subclasses__())
-    assert len(SAMPLES) == 24
+    assert len(SAMPLES) == 23
 
 
 @each_sample
@@ -197,12 +195,13 @@ def test_pickle_and_copies_keep_the_type(obj, text, change):
         (iv(0.25, 0.5), {"lo": 0.75}, "invalid probability interval [0.75, 0.5]"),
         (Belief({"s": 1.0}), {"probs": {"s": 0.5}}, "belief must sum to 1, got 0.5"),
         (DEV, {"direction": "sideways"}, "bad direction 'sideways'"),
-        (Trajectory([Step("x")], 0), {"t0": 2}, "t0 = 2 outside [0, 1]"),
+        (Trajectory(("x",), (None,), 0), {"t0": 2}, "t0 = 2 outside [0, 1]"),
+        (Trajectory(("x",), (None,), 0), {"acts": ()}, "a trajectory needs one action per observation, got 0 for 1"),
         (CharFn("e", "obs-match", obs="x"), {"kind": "guess"}, "charfn e: unknown kind 'guess'"),
         (CharFn("e", "obs-match", obs="x"), {"past_len": -1}, "charfn e: past_len must be 0 or more, got -1"),
         (EventStream([]), {"occurrences": [(1, "e", iv(1), "direct")]}, "event stream holds (1, 'e', "),
     ],
-    ids=["interval", "belief", "development", "trajectory", "charfn-kind", "charfn-length", "stream"],
+    ids=["interval", "belief", "development", "trajectory", "trajectory-words", "charfn-kind", "charfn-length", "stream"],
 )
 def test_replace_checks_again(obj, change, error):
     with pytest.raises(ModelError, match="^" + re.escape(error)):
