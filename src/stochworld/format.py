@@ -282,7 +282,8 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
     each distinct line is split and checked once.  A symbol that
     ``serialize_trajectory`` would refuse is refused here too.
     """
-    steps: list = []
+    obs: list = []
+    acts: list = []
     seen: dict = {}  # raw step line -> (observation, action)
     t0 = None
     obs_alpha = set(model.obs) if model else None
@@ -291,7 +292,8 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
     for num, raw in enumerate(text.splitlines(), start=1):
         step = seen.get(raw)
         if step is not None:
-            steps.append(step)
+            obs.append(step[0])
+            acts.append(step[1])
             continue
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -299,7 +301,7 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
         tokens = line.split()
         head = tokens[0]
         if head in ("t0", "obs", "act"):
-            if steps:
+            if obs:
                 raise FormatError(f"{head} header after the first step", num)
             if head == "obs":
                 obs_alpha = (obs_alpha or set()) | set(tokens[1:])
@@ -323,14 +325,14 @@ def parse_trajectory(text: str, model: Optional[Model] = None) -> Trajectory:
             raise FormatError(f"unknown action {a!r}", num)
         _check_symbols((head,), "observation", num)
         _check_symbols({act} - {None}, "action", num)
-        step = seen[raw] = (head, act)
-        steps.append(step)
+        seen[raw] = (head, act)
+        obs.append(head)
+        acts.append(act)
 
     if t0 is None:
-        t0 = len(steps)
-    if not 0 <= t0 <= len(steps):
-        raise FormatError(f"t0 = {t0} outside [0, {len(steps)}]")
-    obs, acts = tuple(zip(*steps)) or ((), ())
+        t0 = len(obs)
+    if not 0 <= t0 <= len(obs):
+        raise FormatError(f"t0 = {t0} outside [0, {len(obs)}]")
     return Trajectory(obs, acts, t0)
 
 

@@ -27,7 +27,7 @@ import stochworld as sw
 
 from .analysis import find_black_hole, find_white_peak
 from .core import (
-    ACTION_KINDS, TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical,
+    ACTION_KINDS, SUM_TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical,
     checked_int, compose_policy, replace,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
@@ -48,7 +48,7 @@ class JourneyStatistics(Value):
 
 def _propagating_states(model: Model) -> tuple:
     """The states journeys can stand on, reachable and outside black holes,
-    as a mask over the state numbers, and the black hole.
+    as a flag per state number, and the black hole.
 
     Refuses an interval arrow out of such a state, and an outgoing sum other
     than 1; the first such state in model order is named.
@@ -56,26 +56,25 @@ def _propagating_states(model: Model) -> tuple:
     compiled = model.compiled
     black = find_black_hole(model)
     white = find_white_peak(model)
-    standing = np.array([sid not in white and sid not in black for sid in compiled.ids], dtype=bool)
-    src = np.array(compiled.src, dtype=np.intp)
-    live = standing[src]
-    totals = np.zeros(len(compiled.ids))
-    np.add.at(totals, src[live], np.array(compiled.mid)[live])
-    interval = np.zeros(len(compiled.ids), dtype=bool)
-    interval[src[live & ~np.array(compiled.point, dtype=bool)]] = True
-    bad = np.flatnonzero(standing & (interval | (np.abs(totals - 1.0) > 1e-6)))
-    if bad.size:
-        i = int(bad[0])
-        if interval[i]:
-            k = next(k for k, s in enumerate(compiled.src) if s == i and not compiled.point[k])
-            a = model.arrows[k]
+    standing = [sid not in white and sid not in black for sid in compiled.ids]
+    totals = [0.0] * len(standing)  # summed in model order
+    interval: dict = {}  # standing state -> its first interval arrow
+    for k, (i, m, point) in enumerate(zip(compiled.src, compiled.mid, compiled.point)):
+        if standing[i]:
+            totals[i] += m
+            if not point:
+                interval.setdefault(i, k)
+    for i, stands in enumerate(standing):
+        if stands and i in interval:
+            a = model.arrows[interval[i]]
             raise JourneyError(
                 f"journey statistics need point probabilities (arrow {a.source} "
                 f"{a.label} {a.target} is an interval)"
             )
-        raise JourneyError(
-            f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {float(totals[i]):g}"
-        )
+        if stands and abs(totals[i] - 1.0) > 1e-6:
+            raise JourneyError(
+                f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {totals[i]:g}"
+            )
     return standing, black
 
 
@@ -92,27 +91,32 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     ids = compiled.ids
     s0 = compiled.index[model.initial_state.id]
     standing, black = _propagating_states(model)
-    src = np.array(compiled.src, dtype=np.intp)
-    dst = np.array(compiled.dst, dtype=np.intp)
-    mid = np.array(compiled.mid)
-    others = np.flatnonzero(standing)
-    others = others[others != s0]
+    others = [i for i, stands in enumerate(standing) if stands and i != s0]
     n = len(others)
-    pos = np.full(len(ids), -1)
-    pos[others] = np.arange(n)
+    pos = [-1] * len(ids)
+    for p, i in enumerate(others):
+        pos[i] = p
 
     # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in
-    # model order as np.add.at applies repeated indices one after another
-    live = standing[src]
-    inner = live & (pos[dst] >= 0)
-    first = inner & (src == s0)
-    inner &= ~first
+    # model order as np.subtract.at applies repeated indices one after another
+    live = []  # the arrows out of standing states, in model order
+    rows, cols, vals = [], [], []
+    c = [0.0] * n
+    for k, (i, j, m) in enumerate(zip(compiled.src, compiled.dst, compiled.mid)):
+        if standing[i]:
+            live.append(k)
+            if pos[j] < 0:
+                continue
+            if i == s0:
+                c[pos[j]] += m
+            else:
+                rows.append(pos[j])
+                cols.append(pos[i])
+                vals.append(m)
     # I - Q^T in place, equal to np.eye(n) - q.T bit for bit: rounding is sign-symmetric
     a = np.zeros((n, n))
-    c = np.zeros(n)
-    np.subtract.at(a, (pos[dst[inner]], pos[src[inner]]), mid[inner])
+    np.subtract.at(a, (rows, cols), vals)
     a.flat[:: n + 1] += 1.0
-    np.add.at(c, pos[dst[first]], mid[first])
     try:
         x = np.linalg.solve(a, c) if n else np.zeros(0)
     except np.linalg.LinAlgError as exc:
@@ -120,17 +124,17 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     if not np.all(np.isfinite(x)):
         raise JourneyError("flow system produced non-finite visit counts")
 
-    visits = {ids[s0]: 1.0}
-    visits.update(zip((ids[i] for i in others), x.tolist()))
-    per_state = np.zeros(len(ids))
+    per_state = [0.0] * len(ids)
     per_state[s0] = 1.0
-    per_state[others] = x
-    counts = (per_state[src[live]] * mid[live]).tolist()
-    used = np.flatnonzero(live).tolist()
-    arrow_counts = {model.arrows[k].key: count for k, count in zip(used, counts)}
+    for i, v in zip(others, x.tolist()):
+        per_state[i] = v
+    visits = {ids[i]: per_state[i] for i in (s0, *others)}
+    arrow_counts = {}
     return_count = 0.0
     absorption: dict = {}
-    for k, count in zip(used, counts):
+    for k in live:
+        count = per_state[compiled.src[k]] * compiled.mid[k]
+        arrow_counts[model.arrows[k].key] = count
         j = compiled.dst[k]
         if j == s0:
             return_count += count
@@ -154,7 +158,9 @@ def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str)
     inflow = [0.0] * len(ids)
     for (_, _, target), c in counts.items():
         inflow[compiled.index[target]] += c
-    indegree = np.bincount(dst, minlength=len(ids)).tolist()
+    indegree = [0] * len(ids)
+    for j in dst:
+        indegree[j] += 1
     inbound = [
         counts.get(key[::-1], 0.0) / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j]
         for key, j in zip(reversed_keys, dst)
@@ -201,7 +207,7 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
     standing, black = _propagating_states(model)
     # per standing state, in id order, its arrows in key order
     per_state = {}
-    for i in sorted(np.flatnonzero(standing).tolist(), key=ids.__getitem__):
+    for i in sorted((i for i, stands in enumerate(standing) if stands), key=ids.__getitem__):
         out = compiled.out[i]
         per_state[i] = [k for label in sorted(out) for k in sorted(out[label], key=lambda j: ids[compiled.dst[j]])]
     arrows = [k for ks in per_state.values() for k in ks]
@@ -218,39 +224,34 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
         first += len(ks)
 
     rng = seeded_generator(seed, "journey simulation")
-    s0_idx = compiled.index[model.initial_state.id]
-    black_mask = np.array([sid in black for sid in ids], dtype=bool)
+    s0 = compiled.index[model.initial_state.id]
+    ends = np.array([sid in black for sid in ids], dtype=bool)
+    ends[s0] = True  # a journey ends on its return or its absorption
 
-    cur = np.full(journeys, s0_idx, dtype=np.int64)
-    arrow_counts = np.zeros(len(arrows))
-    visit_counts = np.zeros(len(ids))
-    visit_counts[s0_idx] = journeys
-    returns = 0
-    absorbed_at = np.zeros(len(ids))
+    cur = np.full(journeys, s0, dtype=np.int64)
+    arrow_counts = np.zeros(len(arrows), dtype=np.int64)
     for _ in range(1_000_000):
         if cur.size == 0:
             break
         u = rng.random(cur.size)
-        choice = (u[:, None] > cum[cur]).sum(axis=1)
-        taken = aid[cur, choice]
+        taken = aid[cur, (u[:, None] > cum[cur]).sum(axis=1)]
         arrow_counts += np.bincount(taken, minlength=len(arrows))
         nxt = tgt[taken]
-        done_return = nxt == s0_idx
-        done_black = black_mask[nxt]
-        returns += int(done_return.sum())
-        absorbed_at += np.bincount(nxt[done_black], minlength=len(ids))
-        alive = ~(done_return | done_black)
-        visit_counts += np.bincount(nxt[alive], minlength=len(ids))
-        cur = nxt[alive]
+        cur = nxt[~ends[nxt]]
     else:
         raise JourneyError("journeys do not terminate within the step cap")
 
+    # visits, returns and absorptions are the arrivals the arrow counts make;
+    # their sums are of integers, so exact
+    arrivals = np.bincount(tgt, weights=arrow_counts, minlength=len(ids)).tolist()
+    returns = arrivals[s0]
+    arrivals[s0] = journeys  # each journey visits s0 once, at its start; s0 is never in the black hole
     scale = 1.0 / journeys
     return JourneyStatistics(
-        visit_counts={ids[i]: float(v) * scale for i, v in enumerate(visit_counts) if v},
-        arrow_counts={model.arrows[k].key: float(c) * scale for k, c in zip(arrows, arrow_counts)},
+        visit_counts={ids[i]: v * scale for i, v in enumerate(arrivals) if v and ids[i] not in black},
+        arrow_counts={model.arrows[k].key: c * scale for k, c in zip(arrows, arrow_counts.tolist())},
         return_count=returns * scale,
-        absorption_counts={ids[i]: float(v) * scale for i, v in enumerate(absorbed_at) if v},
+        absorption_counts={ids[i]: v * scale for i, v in enumerate(arrivals) if v and ids[i] in black},
     )
 
 
@@ -287,10 +288,12 @@ def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
 
 
 def _simplex_box_vertices(bounds):
-    """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes (one or more) given as intervals."""
+    """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes (one or more)
+    given as intervals; a corner within ``SUM_TOL`` of a sum of 1, as
+    ``validate`` admits, is clamped onto its box."""
     n = len(bounds)
     if n == 1:
-        return [(1.0,)] if bounds[0].contains(1.0) else []
+        return [(1.0,)] if bounds[0].contains(1.0, SUM_TOL) else []
     verts = set()
     for free in range(n):
         rest = [i for i in range(n) if i != free]
@@ -302,14 +305,15 @@ def _simplex_box_vertices(bounds):
                 total += x[i]
             xf = 1.0 - total
             lo, hi = bounds[free].lo, bounds[free].hi
-            if lo - TOL <= xf <= hi + TOL:
+            if lo - SUM_TOL <= xf <= hi + SUM_TOL:
                 x[free] = min(max(xf, lo), hi)
                 verts.add(tuple(round(v, 12) for v in x))
     return sorted(verts)
 
 
 def _sample_simplex_box(bounds, rng):
-    """Random point of {x in prod [lo,hi] : sum x = 1}, coordinate by coordinate."""
+    """Random point of {x in prod [lo,hi] : sum x = 1}, coordinate by
+    coordinate, or None where the boxes miss a sum of 1 by more than ``SUM_TOL``."""
     n = len(bounds)
     x = [0.0] * n
     done = 0.0
@@ -318,7 +322,7 @@ def _sample_simplex_box(bounds, rng):
         hi_rest = sum(b.hi for b in bounds[i + 1 :])
         lo = max(bounds[i].lo, 1.0 - done - hi_rest)
         hi = min(bounds[i].hi, 1.0 - done - lo_rest)
-        if hi < lo - 1e-12:
+        if hi < lo - SUM_TOL:
             return None
         x[i] = lo if i == n - 1 else lo + (hi - lo) * rng.random()
         done += x[i]

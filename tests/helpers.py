@@ -44,7 +44,7 @@ from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_p
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.markov import MarkovReport, SymbolTest
-from stochworld.walk import _resolve_agent
+from stochworld.walk import _resolve_agent, seeded_generator
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -706,10 +706,9 @@ def unreached_by_scan(model: Model, reverse: bool) -> frozenset:
     return frozenset(s.id for s in model.states if s.id not in seen)
 
 
-def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
-    """Reference journey flow: the system filled arrow by arrow in model
-    order, per-arrow ``Arrow.effective()`` values, the same dense solve."""
-    s0 = model.initial_state.id
+def _standing_by_scan(model: Model) -> tuple:
+    """The states journeys stand on, in model order, and the black hole;
+    refuses an interval arrow out of one, or an outgoing sum other than 1."""
     black = unreached_by_scan(model, reverse=True)
     white = unreached_by_scan(model, reverse=False)
     nt = [s.id for s in model.states if s.id not in white and s.id not in black]
@@ -726,6 +725,14 @@ def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
             total += eff.mid
         if abs(total - 1.0) > 1e-6:
             raise JourneyError(f"journeys do not terminate: state {sid} outgoing probability sum {total:g}")
+    return nt, black
+
+
+def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
+    """Reference journey flow: the system filled arrow by arrow in model
+    order, per-arrow ``Arrow.effective()`` values, the same dense solve."""
+    s0 = model.initial_state.id
+    nt, black = _standing_by_scan(model)
     others = [s for s in nt if s != s0]
     pos = {s: i for i, s in enumerate(others)}
     n = len(others)
@@ -762,6 +769,67 @@ def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
         elif a.target in black:
             absorption[a.target] = absorption.get(a.target, 0.0) + count
     return JourneyStatistics(visits, arrow_counts, return_count, absorption)
+
+
+def simulate_journeys_by_rounds(model: Model, journeys: int, seed: int) -> JourneyStatistics:
+    """Reference Monte-Carlo journeys: the same draws, and per round one
+    bincount each of the arrows taken, of the absorptions and of the visits."""
+    journeys = checked_int(journeys, "journey count", 1)
+    compiled = model.compiled
+    ids = compiled.ids
+    nt, black = _standing_by_scan(model)
+    per_state = {}
+    for i in sorted((compiled.index[sid] for sid in nt), key=ids.__getitem__):
+        out = compiled.out[i]
+        per_state[i] = [k for label in sorted(out) for k in sorted(out[label], key=lambda j: ids[compiled.dst[j]])]
+    arrows = [k for ks in per_state.values() for k in ks]
+
+    max_deg = max(len(ks) for ks in per_state.values())
+    cum = np.ones((len(ids), max_deg))
+    aid = np.zeros((len(ids), max_deg), dtype=np.int64)
+    tgt = np.array([compiled.dst[k] for k in arrows], dtype=np.int64)
+    first = 0
+    for si, ks in per_state.items():
+        cum[si, : len(ks)] = np.cumsum([compiled.mid[k] for k in ks])
+        cum[si, len(ks) - 1 :] = np.inf
+        aid[si, : len(ks)] = np.arange(first, first + len(ks))
+        first += len(ks)
+
+    rng = seeded_generator(seed, "journey simulation")
+    s0_idx = compiled.index[model.initial_state.id]
+    black_mask = np.array([sid in black for sid in ids], dtype=bool)
+
+    cur = np.full(journeys, s0_idx, dtype=np.int64)
+    arrow_counts = np.zeros(len(arrows))
+    visit_counts = np.zeros(len(ids))
+    visit_counts[s0_idx] = journeys
+    returns = 0
+    absorbed_at = np.zeros(len(ids))
+    for _ in range(1_000_000):
+        if cur.size == 0:
+            break
+        u = rng.random(cur.size)
+        choice = (u[:, None] > cum[cur]).sum(axis=1)
+        taken = aid[cur, choice]
+        arrow_counts += np.bincount(taken, minlength=len(arrows))
+        nxt = tgt[taken]
+        done_return = nxt == s0_idx
+        done_black = black_mask[nxt]
+        returns += int(done_return.sum())
+        absorbed_at += np.bincount(nxt[done_black], minlength=len(ids))
+        alive = ~(done_return | done_black)
+        visit_counts += np.bincount(nxt[alive], minlength=len(ids))
+        cur = nxt[alive]
+    else:
+        raise JourneyError("journeys do not terminate within the step cap")
+
+    scale = 1.0 / journeys
+    return JourneyStatistics(
+        visit_counts={ids[i]: float(v) * scale for i, v in enumerate(visit_counts) if v},
+        arrow_counts={model.arrows[k].key: float(c) * scale for k, c in zip(arrows, arrow_counts)},
+        return_count=returns * scale,
+        absorption_counts={ids[i]: float(v) * scale for i, v in enumerate(absorbed_at) if v},
+    )
 
 
 def reverse_by_branches(model: Model, counts: dict, kind: str) -> Model:

@@ -23,6 +23,7 @@ from stochworld import (
     validate,
 )
 
+from stochworld.cli import main
 from stochworld.core import replace
 from stochworld.inversion import _reverse_from_counts
 
@@ -34,6 +35,7 @@ from helpers import (
     random_connected_chain,
     random_flow_model,
     reverse_by_branches,
+    simulate_journeys_by_rounds,
 )
 
 
@@ -127,6 +129,28 @@ class TestJourneyStatistics:
             seen["white peak"] += solved and len(want[0]) + len(want[3]) < len(model.states)
         assert seen["fomm"] + seen["hmm"] >= 300 and seen["mdp-fixed"] >= 200, seen
         for feature in ("refused", "absorbed", "white peak"):
+            assert seen[feature] >= 30, seen
+
+
+class TestSimulateJourneys:
+    def test_equals_round_oracle(self):
+        """One arrow count per round, and the arrivals it makes, give the
+        per-round visit, return and absorption counts bit for bit, in the
+        same order, and the same refusals."""
+        rng = random.Random(20261020)
+        seen: Counter = Counter()
+        for i in range(320):
+            model = random_flow_model(rng)
+            for journeys in (1, 50, 500):
+                seed = rng.randrange(2**31)
+                want = _flow_outcome(lambda m: simulate_journeys_by_rounds(m, journeys, seed), model)
+                assert _flow_outcome(lambda m: simulate_journeys(m, journeys, seed), model) == want, (i, journeys)
+                solved = not isinstance(want[0], type)
+                seen["solved"] += solved
+                seen["refused"] += not solved
+                seen["absorbed"] += solved and bool(want[3])
+        assert seen["solved"] >= 450, seen
+        for feature in ("refused", "absorbed"):
             assert seen[feature] >= 30, seen
 
 
@@ -550,6 +574,29 @@ class TestInvertMdpPlus:
         two = invert_mdp_plus(model, "monte-carlo", budget=50, seed=77)
         assert one == two
         assert "approximate" in one.meta[0]
+
+    @pytest.mark.parametrize(
+        "a, b, mode, inverse",
+        [
+            ("[0,0.4999997]", "[0,0.5]", ("plus-vertex",), ("0.49999985", "0.50000015")),
+            ("[0,0.4999997]", "[0,0.5]", ("plus-mc", "--seed", "1", "--budget", "20"),
+             ("[0.499999714861,0.499999991732]", "[0.500000008268,0.500000285139]")),
+            ("[0.5000003,1]", "[0.5,1]", ("plus-vertex",), ("0.50000015", "0.49999985")),
+            ("[0.5000003,1]", "[0.5,1]", ("plus-mc", "--seed", "1", "--budget", "20"),
+             ("[0.500000014861,0.500000291732]", "[0.499999708268,0.499999985139]")),
+        ],
+        ids=["vertex upper sum 1 - 3e-7", "mc upper sum 1 - 3e-7", "vertex lower sum 1 + 3e-7", "mc lower sum 1 + 3e-7"],
+    )
+    def test_agent_within_validates_slack(self, capsys, tmp_path, a, b, mode, inverse):
+        """An agent validate admits, within 1e-6 of a sum of 1, resolves in
+        both modes."""
+        head = "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\n"
+        path = tmp_path / "slack.model"
+        path.write_text(head + f"arrow s a s lp={a} ap=1\narrow s b s lp={b} ap=1\n")
+        assert main(["validate", str(path)]) == 0 and capsys.readouterr() == ("ok\n", "")
+        code = main(["invert", str(path), "--mode", *mode])
+        want = head + f"arrow s a s lp={inverse[0]} ap=1\narrow s b s lp={inverse[1]} ap=1\n"
+        assert (code, *capsys.readouterr()) == (0, want, "")
 
     def test_white_peak_rejected(self):
         model = parse_model(

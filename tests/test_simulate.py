@@ -497,8 +497,9 @@ class TestPreferenceToPolicy:
     def test_always_feasible_inside_bounds(self, n, pressed, ulps, data):
         """A policy inside the bounds that sums to 1.  ``pressed`` sets the
         last upper bound so that the upper sum is 1 - 1e-9 within ``ulps``
-        ulps, the feasibility check's edge: such a preference is never
-        refused either."""
+        ulps, where the Royal algorithm gives way to the bounds (``TOL``;
+        the feasibility edge is 1 - 1e-6, ``SUM_TOL``): such a preference is
+        never refused either."""
         his = [data.draw(st.floats(0.0, 1.0)) for _ in range(n)]
         if pressed:
             his[-1] = (1.0 - 1e-9) - sum(his[:-1])
@@ -518,11 +519,13 @@ class TestPreferenceToPolicy:
             assert lo - 1e-9 <= policy.of("s", name) <= hi + 1e-9
 
     def test_overflow_that_does_not_fit_kept(self):
-        """Upper bounds that sum to 1 - 1e-9 pass the feasibility check; the
-        overflow handed back from the last action is 1e-9 and a few ulps, and
-        the first action, at its upper bound, has no room for it.  What is
-        left over stays unassigned: the policy is both upper bounds, short of
-        1 by the check's slack."""
+        """Upper bounds that sum to 1 - 1e-9, the least upper sum the Royal
+        algorithm takes (``TOL``; below it, and down to the feasibility edge
+        1 - 1e-6, ``SUM_TOL``, the policy is the bounds); the overflow handed
+        back from the last action is 1e-9 and a few ulps, and the first
+        action, at its upper bound, has no room for it.  What is left over
+        stays unassigned: the policy is both upper bounds, short of 1 by
+        ``TOL``."""
         his = [0.8988382879679935, 0.10116171103200651]
         assert sum(his) >= 1.0 - 1e-9 and (1.0 - his[0]) - his[1] > 1e-9
         model = one_state_model([("a", (0.0, his[0])), ("b", (0.0, his[1]))])

@@ -19,6 +19,7 @@ STARTUP = "".join(
             "detect house.traj --direct -",
         ),
         ("printf '0 move 1\\n1 move 1\\n3 move 1\\n' | ", "track house.traj --model models/house.model --events -"),
+        ("", "invert models/m1_coin.model"),
     )
 ) + (
     # compiled from source, as on a host that writes no bytecode
