@@ -31,9 +31,13 @@ from .core import (
     checked_int, compose_policy, replace,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
-from .walk import seeded_generator
 
 _EPS = 1e-12
+
+
+def seeded_generator(seed: int, what: str) -> np.random.Generator:
+    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
+    return np.random.default_rng(None if seed is None else checked_int(seed, f"{what} seed", 0))
 
 
 class JourneyStatistics(Value):

@@ -1,20 +1,18 @@
 """Seeded walks of a generator, recorded as trajectories and, for
 event-driven models, as the events fired.
 
-numpy's PCG64 generator drives every draw, so a walk is a deterministic
-function of its seed.  A step follows the convention of ``future``: the
-observation of the current state, then the action or the events fired,
-then the move.
+The standard library's ``random.Random`` drives every draw, so a walk is a
+deterministic function of its seed.  A step follows the convention of
+``future``: the observation of the current state, then the action or the
+events fired, then the move.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
-from itertools import chain
 from typing import Optional
-
-import numpy as np
 
 # preference_to_policy comes through the package's exports, imported on first use
 import stochworld as sw
@@ -59,22 +57,6 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
     if all(a.label_prob.is_point for a in model.arrows):
         return model
     raise ModelError("interval agent probabilities need a policy or preference")
-
-
-#: Uniforms drawn per call to the generator: enough to amortize the call,
-#: few enough that a short walk draws little it does not use.
-_BLOCK = 1024
-
-
-def seeded_generator(seed: int, what: str) -> np.random.Generator:
-    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
-    return np.random.default_rng(None if seed is None else checked_int(seed, f"{what} seed", 0))
-
-
-def _uniforms(rng):
-    """The generator's uniforms, drawn in blocks: the same sequence as one
-    ``rng.random()`` call per value."""
-    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
 def _cumulative(intervals) -> Optional[list]:
@@ -159,7 +141,8 @@ def simulate_events(model: Model, config: SimulationConfig):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
     rows = _rows(resolved)
-    draw = _uniforms(seeded_generator(config.seed, "the walk")).__next__
+    seed = None if config.seed is None else checked_int(config.seed, "the walk seed", 0)
+    draw = random.Random(seed).random
     state = resolved.compiled.index[resolved.initial_state.id]
     priority = config.collision == "priority"
     obs = []

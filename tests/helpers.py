@@ -43,8 +43,9 @@ from stochworld.constructions import _doubled_kind
 from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
+from stochworld.inversion import seeded_generator
 from stochworld.markov import MarkovReport, SymbolTest
-from stochworld.walk import _resolve_agent, seeded_generator
+from stochworld.walk import _resolve_agent
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -550,7 +551,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
     index = ArrowIndex(resolved)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     state = resolved.initial_state
     order = sorted(resolved.labels, key=lambda e: (resolved.priorities.get(e, float("inf")), e))
     steps = []  # (observation, action) per step

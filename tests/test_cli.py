@@ -726,13 +726,13 @@ COMMANDS = [
     (["minimize", M2, "--depth", "3", "--determinize"], "constructions fractions"),
     (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "fractions future"),
     (["export-dot", M1], ""),
-    (["invert", M1], "inversion walk"),
-    (["past", CYCLE3, "--depth", "2"], "fractions future inversion walk"),
-    (["minimal", CYCLE3, "--depth", "3"], "constructions fractions inversion walk"),
+    (["invert", M1], "inversion"),
+    (["past", CYCLE3, "--depth", "2"], "fractions future inversion"),
+    (["minimal", CYCLE3, "--depth", "3"], "constructions fractions inversion"),
     (["simulate", M1, "--steps", "10", "--seed", "1"], "walk"),
     (["markov-check", "{d}/walk.traj", "--min-count", "5"], "markov"),
 ]
-NUMPY_COMMANDS = {"invert", "past", "minimal", "simulate"}
+NUMPY_COMMANDS = {"invert", "past", "minimal"}
 
 
 class TestStartup:
@@ -794,6 +794,18 @@ class TestStartup:
         ]
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
         assert "p=" in runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+    def test_simulate_with_preference_loads_no_numpy(self, docs, tmp_path):
+        """The preference's policy comes from ``future``; the walk draws from
+        the standard library."""
+        (tmp_path / "rain.model").write_text(
+            "model mdp-plus\nobs wet\nact rain dry\nstate w initial trace wet=1\n"
+            "arrow w rain w lp=[0.1,0.8] ap=1\narrow w dry w lp=[0.2,0.9] ap=1\n"
+        )
+        argv = ["simulate", f"{tmp_path}/rain.model", "--steps", "10", "--seed", "1", "--preference", "{d}/royal.pref"]
+        out, modules, loaded = self.probe(argv, docs)
+        assert out.startswith("t0 10\n")
+        assert modules == CLI_MODULES | {"fractions", "future", "walk"} and loaded == []
 
     def test_cli_import_loads_no_computing_module(self, docs):
         _, modules, loaded = self.probe([], docs)

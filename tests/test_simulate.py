@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from stochworld import (
     CapExceededError,
@@ -77,7 +78,7 @@ class TestSimulate:
     def test_negative_seed_refused(self, m1, walk):
         with pytest.raises(ModelError, match="^the walk seed must be 0 or more, got -1$"):
             walk(m1, SimulationConfig(steps=3, seed=-1))
-        walk(m1, SimulationConfig(steps=3, seed=None))  # numpy's fresh entropy, as before
+        walk(m1, SimulationConfig(steps=3, seed=None))  # fresh entropy, as before
 
     @pytest.mark.parametrize("walk", [simulate, simulate_events])
     def test_negative_steps_refused(self, m1, walk):
@@ -166,6 +167,53 @@ class TestSimulate:
             assert seen[feature] >= 50, seen
         assert seen["priority"] >= 25 and seen["both-arrows"] >= 25, seen
 
+    def test_numpy_integer_seeds_walk_as_int(self, m1):
+        """A numpy integer seed walks as the int of the same value; None walks
+        on fresh entropy.  Seed 1 pins the coin's walk: ``random.Random``
+        with an int seed draws the same uniforms on every Python version."""
+        for s in (0, 1, 41, 255):
+            want = simulate(m1, SimulationConfig(steps=200, seed=s))
+            for seed in (np.int64(s), np.uint8(s)):
+                assert simulate(m1, SimulationConfig(steps=200, seed=seed)) == want, (s, seed)
+        assert "".join(simulate(m1, SimulationConfig(steps=24, seed=1)).observations()) == PINNED_COIN_WALK
+        fresh = [simulate(m1, SimulationConfig(steps=200, seed=None)) for _ in range(2)]
+        assert [len(t.observations()) for t in fresh] == [200, 200] and fresh[0] != fresh[1]
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_transition_frequencies_fit_the_chain(self, m1, cycle3, seed):
+        """Long walks of fomm chains, whose states emit distinct symbols: the
+        moves out of each state fit its arrow probabilities by a chi-squared
+        test (scipy as the oracle) at a fixed significance."""
+        rng = random.Random(seed)
+        chains = [m1, cycle3] + [random_connected_chain(rng, rng.randint(3, 6)) for _ in range(10)]
+        tested = 0
+        for model in chains:
+            assert model.kind == "fomm"
+            obs = simulate(model, SimulationConfig(steps=20_000, seed=seed)).observations()
+            moves = Counter(zip(obs, obs[1:]))
+            for s in model.states:
+                arrows = [a for a in model.arrows if a.source == s.id]
+                counts = [moves[s.id, a.target] for a in arrows]
+                assert sum(counts) == sum(n for (src, _), n in moves.items() if src == s.id)
+                tested += _fits(counts, [a.arrow_prob.mid for a in arrows], (model.name, s.id))
+        assert tested >= 20
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_emission_frequencies_fit_the_hmm(self, seed):
+        """An hmm that cycles through its states, so that a step's state is
+        its index modulo 3: each state's observations fit its trace."""
+        model = parse_model(
+            "model hmm\nobs x y z\n"
+            "state a initial trace x=0.5 y=0.25 z=0.25\nstate b trace x=0.125 y=0.875\nstate c trace x=0.3 y=0.3 z=0.4\n"
+            "arrow a true b ap=1\narrow b true c ap=1\narrow c true a ap=1\n"
+        )
+        obs = simulate(model, SimulationConfig(steps=30_000, seed=seed)).observations()
+        for i, s in enumerate(model.states):
+            seen = Counter(obs[i::3])
+            symbols = sorted(s.trace.probs)
+            assert set(seen) <= set(symbols)
+            assert _fits([seen[o] for o in symbols], [s.trace.probs[o].mid for o in symbols], s.id)
+
     def test_preference_resolves_intervals(self):
         model = parse_model(
             "model mdp-plus\nobs wet\nact rain dry\n"
@@ -177,6 +225,22 @@ class TestSimulate:
         acts = list(traj.acts)
         assert set(acts) <= {"rain", "dry"}
         assert acts.count("rain") > acts.count("dry")  # 80% rain under Royal rain
+
+
+#: the first 24 observations of the coin's walk at seed 1
+PINNED_COIN_WALK = "BWBBWBBBWWBWBBBBBBBWBWBW"
+
+
+def _fits(counts, probs, where) -> bool:
+    """Asserts that ``counts`` fit ``probs`` by a chi-squared test at
+    p > 1e-4; False when there is only one outcome to test."""
+    assert math.isclose(sum(probs), 1.0), where
+    if len(counts) < 2:
+        return False
+    n = sum(counts)
+    p = stats.chisquare(counts, [n * q for q in probs]).pvalue
+    assert p > 1e-4, (where, counts, probs, p)
+    return True
 
 
 def _walk_outcome(walk, model, config):
