@@ -2,8 +2,8 @@
 abstractions, with inversion (predicting the past), doubling and quotient
 constructions, minimization, estimation, simulation and event detection.
 
-Each export is imported from its module on first use (PEP 562), so a
-program loads numpy only when it calls a name that computes with it.
+Each export is imported from its module on first use (PEP 562); numpy loads only with
+``journeys``, whose private ``_dense_solve`` (not in ``__all__``) solves large flow systems.
 """
 
 #: module -> the names it exports
@@ -21,14 +21,14 @@ _MODULES = {
     " parse_preference parse_trajectory serialize_event_stream serialize_model serialize_trajectory",
     "future": "enumerate_future estimate_fomm exact_future preference_to_policy",
     "inversion": "JourneyStatistics MinimalModelResult enumerate_past invert_chain invert_mdp_fixed"
-    " invert_mdp_plus journey_statistics minimal_model minimal_model_parts monte_carlo_invert"
-    " simulate_journeys",
+    " invert_mdp_plus journey_statistics minimal_model minimal_model_parts",
+    "journeys": "_dense_solve monte_carlo_invert simulate_journeys",
     "markov": "MarkovReport check_markov",
     "validation": "ValidationReport validate",
     "walk": "SimulationConfig simulate simulate_events",
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
-__all__ = sorted(_EXPORTS)
+__all__ = sorted(name for name in _EXPORTS if not name.startswith("_"))
 __version__ = "0.1.0"
 
 

@@ -4,8 +4,8 @@ A journey starts in the initial state and walks arrows until it first
 returns there or enters a black hole.  Expected per-arrow traversal counts
 per journey satisfy a linear flow system; normalizing the counts per target
 state yields the inbound probabilities, i.e. the arrows of the inverse
-model.  Monte-Carlo journey simulation provides the same statistics
-empirically and serves as an independent oracle.
+model.  A small system is solved here in plain Python; a large one, and the
+Monte-Carlo journeys that estimate the same statistics, are in ``journeys``.
 
 Inversion requires the absence of white peaks: over those, any inbound
 probabilities whatsoever would be consistent, so the toolkit refuses to
@@ -18,11 +18,11 @@ minimized model with its minimized inverse at a fresh initial state.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from typing import Mapping, Optional
 
-import numpy as np
-
-# belief_determinize, minimize_forward and enumerate_future: package exports, imported on first use
+# belief_determinize, minimize_forward, enumerate_future, _dense_solve: package exports, imported on first use
 import stochworld as sw
 
 from .analysis import find_black_hole, find_white_peak
@@ -33,11 +33,12 @@ from .core import (
 from .errors import JourneyError, ModelError, WhitePeakError
 
 _EPS = 1e-12
-
-
-def seeded_generator(seed: int, what: str) -> np.random.Generator:
-    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
-    return np.random.default_rng(None if seed is None else checked_int(seed, f"{what} seed", 0))
+#: The most unknowns solved in plain Python; LAPACK takes larger flow systems.  Each wins on
+#: its side: a command's model has 2-4 unknowns and a batch's at most 14, solved in microseconds
+#: where importing numpy takes 140 ms; chains of 99 unknowns and more need LAPACK, which
+#: solves 2000 in 0.14 s where a plain-Python elimination takes seconds.
+_ELIMINATION_MAX = 32
+_SINGULAR = "singular flow system: the visit counts are unbounded"
 
 
 class JourneyStatistics(Value):
@@ -88,6 +89,31 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     return JourneyStatistics(dict(s.visit_counts), dict(s.arrow_counts), s.return_count, dict(s.absorption_counts))
 
 
+def _eliminated(n: int, rows: list, cols: list, vals: list, c: list) -> list:
+    """x with (I - Q^T) x = c, Q^T as (row, column, value) triples, by Gaussian elimination in
+    the Grassmann-Taksar-Heyman form: a pivot is its column's exit mass plus the flow below it,
+    so no step cancels and chains of long journeys keep the digits LAPACK loses on them."""
+    a = [[0.0] * n + [ci] for ci in c]  # -Q^T beside c; each pivot is set when its row is reached
+    for r, k, v in zip(rows, cols, vals):
+        a[r][k] -= v
+    exits = [math.fsum([1.0, *(row[k] for row in a)]) for k in range(n)]  # 1 - a column of Q^T, rounded once
+    for k, pivot in enumerate(a):
+        below = a[k + 1 :]
+        d = pivot[k] = exits[k] - sum(row[k] for row in below)
+        if not d:
+            raise JourneyError(_SINGULAR)
+        for row in below:
+            f = row[k] / d
+            if f:
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * pivot[j]
+        for j in range(k + 1, n):
+            exits[j] -= pivot[j] * exits[k] / d
+    for i in reversed(range(n)):
+        a[i][n] = (a[i][n] - sum(a[i][j] * a[j][n] for j in range(i + 1, n))) / a[i][i]
+    return [row[n] for row in a]
+
+
 def _solved_flow(model: Model) -> JourneyStatistics:
     compiled = model.compiled
     if compiled.journeys is not None:  # the model was solved before
@@ -101,8 +127,7 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     for p, i in enumerate(others):
         pos[i] = p
 
-    # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in
-    # model order as np.subtract.at applies repeated indices one after another
+    # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in model order
     live = []  # the arrows out of standing states, in model order
     rows, cols, vals = [], [], []
     c = [0.0] * n
@@ -117,22 +142,12 @@ def _solved_flow(model: Model) -> JourneyStatistics:
                 rows.append(pos[j])
                 cols.append(pos[i])
                 vals.append(m)
-    # I - Q^T in place, equal to np.eye(n) - q.T bit for bit: rounding is sign-symmetric
-    a = np.zeros((n, n))
-    np.subtract.at(a, (rows, cols), vals)
-    a.flat[:: n + 1] += 1.0
-    try:
-        x = np.linalg.solve(a, c) if n else np.zeros(0)
-    except np.linalg.LinAlgError as exc:
-        raise JourneyError("singular flow system: the visit counts are unbounded") from exc
-    if not np.all(np.isfinite(x)):
+    x = (_eliminated if n <= _ELIMINATION_MAX else sw._dense_solve)(n, rows, cols, vals, c)
+    if not all(map(math.isfinite, x)):
         raise JourneyError("flow system produced non-finite visit counts")
 
-    per_state = [0.0] * len(ids)
-    per_state[s0] = 1.0
-    for i, v in zip(others, x.tolist()):
-        per_state[i] = v
-    visits = {ids[i]: per_state[i] for i in (s0, *others)}
+    per_state = dict(zip((s0, *others), (1.0, *x)))  # state number -> visits
+    visits = {ids[i]: v for i, v in per_state.items()}
     arrow_counts = {}
     return_count = 0.0
     absorption: dict = {}
@@ -188,12 +203,12 @@ def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str)
     return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=notes))
 
 
-def _invert_by_flow(model: Model) -> Model:
-    """Reverse a point model by its journey flow; the inverse keeps its kind."""
+def _invert_by_flow(model: Model, flow=_solved_flow) -> Model:
+    """Reverse a point model by its solved journey flow, or by ``flow``'s; the inverse keeps its kind."""
     peak = find_white_peak(model)
     if peak:
         raise WhitePeakError(peak)
-    return _reverse_from_counts(model, _solved_flow(model).arrow_counts, model.kind)
+    return _reverse_from_counts(model, flow(model).arrow_counts, model.kind)
 
 
 def invert_chain(model: Model) -> Model:
@@ -201,72 +216,6 @@ def invert_chain(model: Model) -> Model:
     if not model.single_label:
         raise ModelError("invert_chain needs a single-label model; see invert_mdp_fixed")
     return _invert_by_flow(model)
-
-
-def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatistics:
-    """Empirical journey statistics from vectorized random walks."""
-    journeys = checked_int(journeys, "journey count", 1)
-    compiled = model.compiled
-    ids = compiled.ids
-    standing, black = _propagating_states(model)
-    # per standing state, in id order, its arrows in key order
-    per_state = {}
-    for i in sorted((i for i, stands in enumerate(standing) if stands), key=ids.__getitem__):
-        out = compiled.out[i]
-        per_state[i] = [k for label in sorted(out) for k in sorted(out[label], key=lambda j: ids[compiled.dst[j]])]
-    arrows = [k for ks in per_state.values() for k in ks]
-
-    max_deg = max(len(ks) for ks in per_state.values())
-    cum = np.ones((len(ids), max_deg))
-    aid = np.zeros((len(ids), max_deg), dtype=np.int64)
-    tgt = np.array([compiled.dst[k] for k in arrows], dtype=np.int64)
-    first = 0
-    for si, ks in per_state.items():
-        cum[si, : len(ks)] = np.cumsum([compiled.mid[k] for k in ks])
-        cum[si, len(ks) - 1 :] = np.inf  # a draw above the rounded total takes the last arrow
-        aid[si, : len(ks)] = np.arange(first, first + len(ks))
-        first += len(ks)
-
-    rng = seeded_generator(seed, "journey simulation")
-    s0 = compiled.index[model.initial_state.id]
-    ends = np.array([sid in black for sid in ids], dtype=bool)
-    ends[s0] = True  # a journey ends on its return or its absorption
-
-    cur = np.full(journeys, s0, dtype=np.int64)
-    arrow_counts = np.zeros(len(arrows), dtype=np.int64)
-    for _ in range(1_000_000):
-        if cur.size == 0:
-            break
-        u = rng.random(cur.size)
-        taken = aid[cur, (u[:, None] > cum[cur]).sum(axis=1)]
-        arrow_counts += np.bincount(taken, minlength=len(arrows))
-        nxt = tgt[taken]
-        cur = nxt[~ends[nxt]]
-    else:
-        raise JourneyError("journeys do not terminate within the step cap")
-
-    # visits, returns and absorptions are the arrivals the arrow counts make;
-    # their sums are of integers, so exact
-    arrivals = np.bincount(tgt, weights=arrow_counts, minlength=len(ids)).tolist()
-    returns = arrivals[s0]
-    arrivals[s0] = journeys  # each journey visits s0 once, at its start; s0 is never in the black hole
-    scale = 1.0 / journeys
-    return JourneyStatistics(
-        visit_counts={ids[i]: v * scale for i, v in enumerate(arrivals) if v and ids[i] not in black},
-        arrow_counts={model.arrows[k].key: c * scale for k, c in zip(arrows, arrow_counts.tolist())},
-        return_count=returns * scale,
-        absorption_counts={ids[i]: v * scale for i, v in enumerate(arrivals) if v and ids[i] in black},
-    )
-
-
-def monte_carlo_invert(model: Model, journeys: int, seed: int) -> Model:
-    """Like invert_chain but with empirical counts; deterministic given seed."""
-    if not model.single_label:
-        raise ModelError("monte_carlo_invert needs a single-label model")
-    peak = find_white_peak(model)
-    if peak:
-        raise WhitePeakError(peak)
-    return _reverse_from_counts(model, simulate_journeys(model, journeys, seed).arrow_counts, model.kind)
 
 
 # -- decision-process inversion -------------------------------------------------
@@ -375,7 +324,7 @@ def invert_mdp_plus(
         elif mode == "monte-carlo":
             if seed is None:
                 raise ModelError("monte-carlo interval inversion needs a seed")
-            rng = seeded_generator(seed, "monte-carlo interval inversion")
+            rng = random.Random(checked_int(seed, "monte-carlo interval inversion seed", 0))
             for _ in range(budget):
                 pick = [_sample_simplex_box(b, rng) for _, _, b in groups]
                 if all(p is not None for p in pick):

@@ -43,7 +43,7 @@ from stochworld.constructions import _doubled_kind
 from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
-from stochworld.inversion import seeded_generator
+from stochworld.journeys import seeded_generator
 from stochworld.markov import MarkovReport, SymbolTest
 from stochworld.walk import _resolve_agent
 
@@ -551,7 +551,7 @@ def simulate_by_steps(model: Model, config: SimulationConfig):
         raise ModelError(f"unknown collision rule {config.collision!r}")
     resolved = _resolve_agent(model, config)
     index = ArrowIndex(resolved)
-    rng = random.Random(config.seed)
+    rng = random.Random(None if config.seed is None else checked_int(config.seed, "the walk seed", 0))
     state = resolved.initial_state
     order = sorted(resolved.labels, key=lambda e: (resolved.priorities.get(e, float("inf")), e))
     steps = []  # (observation, action) per step
@@ -731,45 +731,62 @@ def _standing_by_scan(model: Model) -> tuple:
 
 def journey_statistics_by_loops(model: Model) -> JourneyStatistics:
     """Reference journey flow: the system filled arrow by arrow in model
-    order, per-arrow ``Arrow.effective()`` values, the same dense solve."""
+    order from per-arrow ``Arrow.effective()`` values, and solved exactly;
+    every count is the exact ``Fraction`` for those float probabilities."""
     s0 = model.initial_state.id
     nt, black = _standing_by_scan(model)
     others = [s for s in nt if s != s0]
     pos = {s: i for i, s in enumerate(others)}
     n = len(others)
-    q = np.zeros((n, n))
-    c = np.zeros(n)
+    # I - Q^T beside c
+    system = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(0)] for i in range(n)]
     nt_set = set(nt)
     for a in model.arrows:
         if a.source not in nt_set or a.target not in pos:
             continue
-        p = a.effective().mid
+        p = Fraction(a.effective().mid)
         j = pos[a.target]
         if a.source == s0:
-            c[j] += p
+            system[j][n] += p
         else:
-            q[pos[a.source], j] += p
-    try:
-        x = np.linalg.solve(np.eye(n) - q.T, c) if n else np.zeros(0)
-    except np.linalg.LinAlgError as exc:
-        raise JourneyError(f"singular flow system: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise JourneyError("flow system produced non-finite visit counts")
-    visits = {s0: 1.0}
-    visits.update({s: float(x[i]) for s, i in pos.items()})
+            system[j][pos[a.source]] -= p
+    visits = {s0: Fraction(1)}
+    visits.update(zip(others, _solved_exactly(system)))
     arrow_counts: dict = {}
-    return_count = 0.0
+    return_count = Fraction(0)
     absorption: dict = {}
     for a in model.arrows:
         if a.source not in nt_set:
             continue
-        count = visits[a.source] * a.effective().mid
+        count = visits[a.source] * Fraction(a.effective().mid)
         arrow_counts[a.key] = count
         if a.target == s0:
             return_count += count
         elif a.target in black:
-            absorption[a.target] = absorption.get(a.target, 0.0) + count
+            absorption[a.target] = absorption.get(a.target, 0) + count
     return JourneyStatistics(visits, arrow_counts, return_count, absorption)
+
+
+def _solved_exactly(system: list) -> list:
+    """x with A x = b, ``system`` being the rows of A beside b in
+    ``Fraction``s, by exact elimination; a column without a nonzero pivot is
+    the flow system's singular refusal."""
+    n = len(system)
+    for k in range(n):
+        p = next((i for i in range(k, n) if system[i][k]), None)
+        if p is None:
+            raise JourneyError("singular flow system: the visit counts are unbounded")
+        system[k], system[p] = system[p], system[k]
+        pivot = system[k]
+        for row in system[k + 1 :]:
+            if row[k]:
+                f = row[k] / pivot[k]
+                row[k:] = [r - f * q for r, q in zip(row[k:], pivot[k:])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = system[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+    return x
 
 
 def simulate_journeys_by_rounds(model: Model, journeys: int, seed: int) -> JourneyStatistics:

@@ -727,12 +727,14 @@ COMMANDS = [
     (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "fractions future"),
     (["export-dot", M1], ""),
     (["invert", M1], "inversion"),
+    (["invert", M1, "--mode", "mc", "--seed", "1"], "inversion journeys"),
     (["past", CYCLE3, "--depth", "2"], "fractions future inversion"),
     (["minimal", CYCLE3, "--depth", "3"], "constructions fractions inversion"),
     (["simulate", M1, "--steps", "10", "--seed", "1"], "walk"),
     (["markov-check", "{d}/walk.traj", "--min-count", "5"], "markov"),
 ]
-NUMPY_COMMANDS = {"invert", "past", "minimal"}
+#: the commands that load numpy: Monte-Carlo journeys
+NUMPY_COMMANDS = [["invert", M1, "--mode", "mc", "--seed", "1"]]
 
 
 class TestStartup:
@@ -764,7 +766,7 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv",
-        [argv for argv, _ in COMMANDS if argv[0] not in NUMPY_COMMANDS],
+        [argv for argv, _ in COMMANDS if argv not in NUMPY_COMMANDS],
         ids=lambda argv: argv[0],
     )
     def test_pure_command_loads_no_numpy(self, docs, argv):
@@ -773,7 +775,7 @@ class TestStartup:
         _, _, loaded = self.probe(argv, docs)
         assert loaded == []
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS if argv[0] in NUMPY_COMMANDS], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
     def test_numpy_command_loads_no_dataclasses(self, docs, argv):
         """numpy imports inspect itself, so only dataclasses is pinned."""
         _, _, loaded = self.probe(argv, docs)
@@ -807,11 +809,29 @@ class TestStartup:
         assert out.startswith("t0 10\n")
         assert modules == CLI_MODULES | {"fractions", "future", "walk"} and loaded == []
 
+    @pytest.mark.parametrize("states", [33, 34])
+    def test_invert_loads_numpy_above_the_elimination_cut(self, docs, tmp_path, states):
+        """A fomm ring of 33 states has 32 unknowns, the most the plain-Python
+        elimination solves; one more state leaves the solve to LAPACK."""
+        ids = [f"s{i}" for i in range(states)]
+        text = f"model fomm\nobs {' '.join(ids)}\nstate s0 initial trace s0=1\n"
+        text += "".join(f"state {s} trace {s}=1\n" for s in ids[1:])
+        text += "".join(f"arrow {s} true {s} ap=0.5\narrow {s} true {t} ap=0.5\n" for s, t in zip(ids, ids[1:] + ids[:1]))
+        (tmp_path / "ring.model").write_text(text)
+        out, modules, loaded = self.probe(["invert", f"{tmp_path}/ring.model"], docs)
+        assert out.count("\narrow ") == 2 * states
+        if states == 33:
+            assert modules == CLI_MODULES | {"inversion"} and loaded == []
+        else:
+            assert modules == CLI_MODULES | {"inversion", "journeys"} and "numpy" in loaded
+
     def test_cli_import_loads_no_computing_module(self, docs):
         _, modules, loaded = self.probe([], docs)
         assert modules == CLI_MODULES and loaded == []
 
-    @pytest.mark.parametrize("argv, extra", [pytest.param(*c, id=c[0][0]) for c in COMMANDS])
+    @pytest.mark.parametrize(
+        "argv, extra", [pytest.param(*c, id="invert-mc" if c[0] in NUMPY_COMMANDS else c[0][0]) for c in COMMANDS]
+    )
     def test_command_loads_only_its_modules(self, docs, argv, extra):
         _, modules, _ = self.probe(argv, docs)
         assert modules == CLI_MODULES | set(extra.split())

@@ -2,8 +2,12 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+
+import stochworld
+import stochworld.inversion as inversion
 
 from stochworld import (
     JourneyError,
@@ -112,16 +116,16 @@ class TestJourneyStatistics:
 
 
     def test_equals_loop_oracle(self):
-        """The array-built flow system gives the loop-built one's counts bit
-        for bit, in the same order, and its refusals, on chains and on
-        composed mdp-fixed models with rounding sums, black holes and white
-        peaks."""
+        """The flow system built from the compiled view and solved in floats
+        gives the loop-built exact solution's keys in the same order, every
+        count within 1e-13 of it, and its refusals, on chains and on composed
+        mdp-fixed models with rounding sums, black holes and white peaks."""
         rng = random.Random(20261018)
         seen: Counter = Counter()
         for i in range(1000):
             model = random_flow_model(rng)
-            want = _flow_outcome(journey_statistics_by_loops, model)
-            assert _flow_outcome(journey_statistics, model) == want, i
+            want = _flow_values(journey_statistics_by_loops, model)
+            _assert_flow_close(_flow_values(journey_statistics, model), want, i)
             solved = not isinstance(want[0], type)
             seen[model.kind] += solved
             seen["refused"] += not solved
@@ -130,6 +134,44 @@ class TestJourneyStatistics:
         assert seen["fomm"] + seen["hmm"] >= 300 and seen["mdp-fixed"] >= 200, seen
         for feature in ("refused", "absorbed", "white peak"):
             assert seen[feature] >= 30, seen
+
+    @pytest.mark.parametrize("unknowns", [32, 33])
+    def test_both_solvers_at_the_cut(self, monkeypatch, unknowns):
+        """Chains of 32 unknowns, the most the plain-Python elimination
+        takes, and of 33, the fewest it leaves to LAPACK: the size picks the
+        solver, and each solver's counts are within 1e-13 of the exact ones
+        and of the other's."""
+        dense = stochworld._dense_solve
+        lapack_calls = []
+        monkeypatch.setattr(stochworld, "_dense_solve", lambda *system: lapack_calls.append(1) or dense(*system))
+        shipped = inversion._ELIMINATION_MAX
+        assert shipped == 32
+        rng = random.Random(unknowns)
+        for _ in range(3):
+            text = serialize_model(random_connected_chain(rng, unknowns + 1))
+            want = _flow_values(journey_statistics_by_loops, parse_model(text))
+            solved = {}
+            for cut in (shipped, 0, 1000):  # as shipped, every system to LAPACK, every one to the elimination
+                monkeypatch.setattr(inversion, "_ELIMINATION_MAX", cut)
+                lapack_calls.clear()
+                solved[cut] = _flow_values(journey_statistics, parse_model(text))
+                assert lapack_calls == [1] * (unknowns > cut), cut
+                _assert_flow_close(solved[cut], want, cut)
+            _assert_flow_close(solved[0], solved[1000], "LAPACK against the elimination")
+
+    @pytest.mark.parametrize("cut", [32, 0])
+    def test_zero_pivot_refused(self, monkeypatch, cut):
+        """b loops on itself with probability 1 and returns with 1e-7, a sum
+        ``validate`` admits: its column of I - Q^T is zero, so both solvers
+        refuse, as the exact oracle does."""
+        monkeypatch.setattr(inversion, "_ELIMINATION_MAX", cut)
+        model = parse_model(
+            "model hmm\nobs x\nstate a initial trace x=1\nstate b trace x=1\n"
+            "arrow a true b ap=1\narrow b true b ap=1\narrow b true a ap=1e-7\n"
+        )
+        want = (JourneyError, "singular flow system: the visit counts are unbounded")
+        assert _flow_values(journey_statistics_by_loops, model) == want
+        assert _flow_values(journey_statistics, model) == want
 
 
 class TestSimulateJourneys:
@@ -167,6 +209,34 @@ def _flow_outcome(solve, model):
         float(stats.return_count).hex(),
         bits(stats.absorption_counts),
     )
+
+
+def _flow_values(solve, model):
+    """Visit, arrow, return and absorption counts as (key, count) lists in
+    their order, or the refusal."""
+    try:
+        stats = solve(model)
+    except JourneyError as exc:
+        return type(exc), str(exc)
+    return (
+        list(stats.visit_counts.items()),
+        list(stats.arrow_counts.items()),
+        [("return", stats.return_count)],
+        list(stats.absorption_counts.items()),
+    )
+
+
+def _assert_flow_close(got, want, tag):
+    """The same refusal, or the same keys in the same order, each count
+    within 1e-13 of ``want``'s, relative to it (both read exactly)."""
+    if isinstance(want[0], type):
+        assert got == want, tag
+        return
+    assert not isinstance(got[0], type), (tag, got)
+    for g, w in zip(got, want):
+        assert [k for k, _ in g] == [k for k, _ in w], tag
+        for (k, gv), (_, wv) in zip(g, w):
+            assert abs(Fraction(gv) - Fraction(wv)) <= abs(Fraction(wv)) * Fraction(1, 10**13), (tag, k, gv, wv)
 
 
 def _model_bits(model):
@@ -580,10 +650,10 @@ class TestInvertMdpPlus:
         [
             ("[0,0.4999997]", "[0,0.5]", ("plus-vertex",), ("0.49999985", "0.50000015")),
             ("[0,0.4999997]", "[0,0.5]", ("plus-mc", "--seed", "1", "--budget", "20"),
-             ("[0.499999714861,0.499999991732]", "[0.500000008268,0.500000285139]")),
+             ("[0.499999716419,0.499999999368]", "[0.500000000632,0.500000283581]")),
             ("[0.5000003,1]", "[0.5,1]", ("plus-vertex",), ("0.50000015", "0.49999985")),
             ("[0.5000003,1]", "[0.5,1]", ("plus-mc", "--seed", "1", "--budget", "20"),
-             ("[0.500000014861,0.500000291732]", "[0.499999708268,0.499999985139]")),
+             ("[0.500000016419,0.500000299368]", "[0.499999700632,0.499999983581]")),
         ],
         ids=["vertex upper sum 1 - 3e-7", "mc upper sum 1 - 3e-7", "vertex lower sum 1 + 3e-7", "mc lower sum 1 + 3e-7"],
     )

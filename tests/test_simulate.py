@@ -134,7 +134,8 @@ class TestSimulate:
     def test_walk_equals_step_oracle(self):
         """The table walk gives the reference walk's trajectory, events and
         refusals (class and text): under policies and preferences, both
-        collision rules, and with intervals the walk reaches or never does."""
+        collision rules, int and numpy integer seeds, and with intervals the
+        walk reaches or never does."""
         rng = random.Random(20261018)
         seen: Counter = Counter()
         for i in range(1400):
@@ -145,7 +146,7 @@ class TestSimulate:
                 agent = Policy({})  # refused: this kind takes no policy
             config = SimulationConfig(
                 rng.randint(0, 30),
-                rng.randrange(2**31),
+                (np.int64 if i % 3 == 0 else int)(rng.randrange(2**31)),
                 policy=agent if isinstance(agent, Policy) else None,
                 preference=agent if isinstance(agent, Preference) else None,
                 collision=rng.choice(("priority", "both-arrows")),
@@ -160,10 +161,11 @@ class TestSimulate:
             own += [p for a in model.arrows if a.source != "w" for p in (a.label_prob, a.arrow_prob)]
             seen["passed an interval by"] += walked and config.steps > 0 and not all(p.is_point for p in own)
             seen[type(agent).__name__] += walked and agent is not None
+            seen["numpy seed"] += walked and isinstance(config.seed, np.integer)
             seen[config.collision] += walked and kind == "ed" and len(want[1]) > 0
         assert sum(seen[k] for k in KINDS) >= 1000
         assert all(seen[k] >= 100 for k in KINDS), seen
-        for feature in ("walked", "reached an interval", "passed an interval by", "Policy", "Preference"):
+        for feature in ("walked", "reached an interval", "passed an interval by", "Policy", "Preference", "numpy seed"):
             assert seen[feature] >= 50, seen
         assert seen["priority"] >= 25 and seen["both-arrows"] >= 25, seen
 

@@ -20,6 +20,7 @@ STARTUP = "".join(
         ),
         ("printf '0 move 1\\n1 move 1\\n3 move 1\\n' | ", "track house.traj --model models/house.model --events -"),
         ("", "invert models/m1_coin.model"),
+        ("", "invert models/m1_coin.model --mode mc --seed 1"),
     )
 ) + (
     # compiled from source, as on a host that writes no bytecode
