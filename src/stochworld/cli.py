@@ -66,7 +66,7 @@ def _at_least(low: int):
 
 def _render_future(fs) -> str:
     lines = []
-    for dev in sorted(fs.entries, key=lambda d: d.word):
+    for dev in sorted(fs.entries):
         lines.append(f"{dev.render()} {fmt.fmt_interval(fs.entries[dev])}")
     return "\n".join(lines) + "\n"
 
@@ -146,8 +146,8 @@ def cmd_quotient(args) -> int:
 
 def cmd_minimize(args) -> int:
     model = _load_model(args.model)
-    if args.determinize:
-        model = sw.belief_determinize(model, args.depth)
+    if args.determinize is not None:
+        model = sw.belief_determinize(model, args.determinize)
     reduced, partition = sw.minimize_forward(model)
     if args.partition_out:
         _write(fmt.serialize_partition(partition), args.partition_out)
@@ -227,20 +227,14 @@ def cmd_policy_from_preference(args) -> int:
 
 def cmd_detect(args) -> int:
     trajectory = fmt.parse_trajectory(_read(args.trajectory))
-    if args.direct and args.indirect:
-        return _usage_error("choose one of --direct and --indirect")
-    if args.direct:
+    if args.direct is not None:
         base = None if args.direct == "-" else Path(args.direct).parent
         fns = fmt.parse_charfns(_read(args.direct), base_dir=base)
         stream = sw.detect_direct(trajectory, fns, args.threshold)
-    elif args.indirect:
-        if args.window is None:
-            return _usage_error("--indirect needs --window")
-        stream, segments = sw.detect_indirect(trajectory, args.window, args.threshold)
+    else:
+        stream, segments = sw.detect_indirect(trajectory, args.indirect, args.threshold)
         for start, end in segments:
             print(f"segment {start} {end}", file=sys.stderr)
-    else:
-        return _usage_error("choose one of --direct and --indirect")
     _write(fmt.serialize_event_stream(stream), args.output)
     return 0
 
@@ -292,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("invert", cmd_invert, help="build the inverse model that predicts the past")
     p.add_argument("model")
     p.add_argument("--mode", choices=("analytic", "mc", "plus-vertex", "plus-mc"), default="analytic")
-    p.add_argument("--journeys", type=_at_least(0), default=100_000)
+    p.add_argument("--journeys", type=_at_least(1), default=100_000)
     p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--budget", type=_at_least(0), default=10_000)
     p.add_argument("--policy", default=None, help="policy file for decision processes")
@@ -314,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minimize", cmd_minimize, help="merge states whose futures coincide")
     p.add_argument("model")
-    p.add_argument("--depth", type=_at_least(0), required=True, help="bounds --determinize only")
-    p.add_argument("--determinize", action="store_true", help="belief-determinize first")
+    p.add_argument("--determinize", type=_at_least(0), default=None, metavar="DEPTH",
+                   help="belief-determinize first, to this depth")
     p.add_argument("--partition-out", default=None)
     out(p)
 
     p = add("minimal", cmd_minimal, help="joined forward/backward minimal model")
     p.add_argument("model")
-    p.add_argument("--depth", type=_at_least(0), required=True)
+    p.add_argument("--depth", type=_at_least(1), required=True)
     out(p)
 
     p = add("simulate", cmd_simulate, help="walk the generator and record a trajectory")
@@ -361,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("detect", cmd_detect, help="detect events directly or indirectly")
     p.add_argument("trajectory")
-    p.add_argument("--direct", default=None, help="characteristic function file")
-    p.add_argument("--indirect", action="store_true")
-    p.add_argument("--window", type=_at_least(1), default=None)
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--direct", help="characteristic function file")
+    how.add_argument("--indirect", type=_at_least(1), metavar="WINDOW", help="segment over windows of this many steps")
     p.add_argument("--threshold", type=float, default=0.5)
     out(p)
 

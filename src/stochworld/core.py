@@ -416,32 +416,26 @@ class Belief(Value):
         return min(self.probs, key=lambda s: (-self.probs[s], s))
 
 
-class Development(Value):
-    """Finite word that begins a possible future or ends a possible past.
+class Development(tuple):
+    """Finite word that begins a possible future or ends a possible past: the
+    chronological tuple of its (label, observation) steps.  For the future
+    the first step leaves the current state, for the past the last step
+    arrives at it; the ``FutureSet`` holding it knows which.  It hashes,
+    compares and sorts as the plain tuple, so a plain word looks it up."""
 
-    ``word`` is a chronological tuple of (label, observation) steps; for the
-    future the first step leaves the current state, for the past the last
-    step arrives at it.
-    """
-
-    _fields = ("direction", "word")
-
-    def __init__(self, direction: str, word: tuple):
-        if direction not in ("past", "future"):
-            raise ModelError(f"bad direction {direction!r}")
-        _setattr(self, "direction", direction)
-        _setattr(self, "word", tuple(tuple(step) for step in word))
+    __slots__ = ()
 
     def render(self, elide_label: bool = True) -> str:
-        if not self.word:
+        if not self:
             return "-"
-        if elide_label and all(l == TRUE_LABEL for l, _ in self.word):
-            return ",".join(o for _, o in self.word)
-        return ",".join(f"{l}:{o}" for l, o in self.word)
+        if elide_label and all(l == TRUE_LABEL for l, _ in self):
+            return ",".join(o for _, o in self)
+        return ",".join(f"{l}:{o}" for l, o in self)
 
 
 class FutureSet(Value):
-    """Truncated (quasi-)perfect description of the future or the past."""
+    """Truncated (quasi-)perfect description of the future or the past:
+    ``entries`` maps each development word to its probability interval."""
 
     _fields = ("depth", "direction", "entries")
 

@@ -143,7 +143,7 @@ def enumerate_future(
         # int / int rounds once, correctly, as float(Fraction) does
         lo, hi = (p / scale,) * 2 if exact else (min(totals[0][word], 1.0), min(p, 1.0))
         if exact or hi > 0:  # an exact total is above 0, even where its double is 0.0
-            entries[Development("future", word)] = ProbInterval(lo, hi)
+            entries[Development(word)] = ProbInterval(lo, hi)
     return FutureSet(depth, "future", entries)
 
 

@@ -240,6 +240,12 @@ def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
     return _invert_by_flow(compose_policy(model, policy if policy is not None else _model_policy(model)))
 
 
+def _clamped(x: float, box: ProbInterval) -> float:
+    """``x`` moved onto ``box``, so a resolution lies inside its boxes; where
+    ``validate`` admits the group, its sum stays within ``SUM_TOL`` of 1."""
+    return min(max(x, box.lo), box.hi)
+
+
 def _simplex_box_vertices(bounds):
     """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes (one or more)
     given as intervals; a corner within ``SUM_TOL`` of a sum of 1, as
@@ -257,29 +263,27 @@ def _simplex_box_vertices(bounds):
                 x[i] = bounds[i].hi if b else bounds[i].lo
                 total += x[i]
             xf = 1.0 - total
-            lo, hi = bounds[free].lo, bounds[free].hi
-            if lo - SUM_TOL <= xf <= hi + SUM_TOL:
-                x[free] = min(max(xf, lo), hi)
+            if bounds[free].contains(xf, SUM_TOL):
+                x[free] = _clamped(xf, bounds[free])
                 verts.add(tuple(round(v, 12) for v in x))
     return sorted(verts)
 
 
 def _sample_simplex_box(bounds, rng):
     """Random point of {x in prod [lo,hi] : sum x = 1}, coordinate by
-    coordinate, or None where the boxes miss a sum of 1 by more than ``SUM_TOL``."""
+    coordinate, each clamped onto its box, or None where ``validate``
+    refuses the group: its bounds miss a sum of 1 by more than ``SUM_TOL``."""
+    if math.fsum(b.hi for b in bounds) < 1.0 - SUM_TOL or math.fsum(b.lo for b in bounds) > 1.0 + SUM_TOL:
+        return None
     n = len(bounds)
     x = [0.0] * n
     done = 0.0
-    for i in range(n):
-        lo_rest = sum(b.lo for b in bounds[i + 1 :])
-        hi_rest = sum(b.hi for b in bounds[i + 1 :])
-        lo = max(bounds[i].lo, 1.0 - done - hi_rest)
-        hi = min(bounds[i].hi, 1.0 - done - lo_rest)
-        if hi < lo - SUM_TOL:
-            return None
-        x[i] = lo if i == n - 1 else lo + (hi - lo) * rng.random()
+    for i in range(n - 1):
+        lo = max(bounds[i].lo, 1.0 - done - sum(b.hi for b in bounds[i + 1 :]))
+        hi = min(bounds[i].hi, 1.0 - done - sum(b.lo for b in bounds[i + 1 :]))
+        x[i] = _clamped(lo + (hi - lo) * rng.random(), bounds[i])
         done += x[i]
-    x[-1] = 1.0 - sum(x[:-1])
+    x[-1] = _clamped(1.0 - done, bounds[-1])
     return tuple(x)
 
 
@@ -376,10 +380,7 @@ def enumerate_past(model: Model, depth: int, cap: int = 200_000) -> FutureSet:
     into chronological order."""
     inverse = invert_chain(model)
     fs = sw.enumerate_future(inverse, depth, cap=cap)
-    entries = {
-        Development("past", tuple(reversed(dev.word))): p for dev, p in fs.entries.items()
-    }
-    return FutureSet(depth, "past", entries)
+    return FutureSet(depth, "past", {Development(reversed(word)): p for word, p in fs.entries.items()})
 
 
 class MinimalModelResult(Value):

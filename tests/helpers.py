@@ -16,7 +16,6 @@ from stochworld import (
     Arrow,
     Belief,
     CapExceededError,
-    Development,
     EventOccurrence,
     EventStream,
     FormatError,
@@ -434,12 +433,12 @@ def future_by_layers(model: Model, depth: int, cap: int) -> FutureSet:
     ):
         dist = exact_future_by_layers(model, depth, cap)
         entries = {
-            Development("future", w): ProbInterval.point(float(p)) for w, p in dist.items() if p > 0
+            w: ProbInterval.point(float(p)) for w, p in dist.items() if p > 0
         }
     else:
         dist = interval_future_by_layers(model, depth, cap)
         entries = {
-            Development("future", w): ProbInterval(lo, hi) for w, (lo, hi) in dist.items() if hi > 0.0
+            w: ProbInterval(lo, hi) for w, (lo, hi) in dist.items() if hi > 0.0
         }
     return FutureSet(depth, "future", entries)
 

@@ -149,7 +149,7 @@ def test_criterion_05_past_prediction(acceptance_chains):
         counts, total = _journey_windows(model, 100_000, depth, seed=4000 + i)
         seen = set()
         for dev, p in past.entries.items():
-            word = tuple(o for _, o in dev.word)
+            word = tuple(o for _, o in dev)
             seen.add(word)
             assert abs(counts.get(word, 0) / total - p.mid) <= 0.02, (i, word)
         for word in counts:

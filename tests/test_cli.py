@@ -121,8 +121,8 @@ class TestModelDocuments:
     @pytest.mark.parametrize(
         "t2, argv",
         [
-            ("b", ("minimize", "--depth", "1")),  # t1 and t2 merge
-            ("c", ("minimize", "--depth", "1")),  # nothing merges
+            ("b", ("minimize",)),  # t1 and t2 merge
+            ("c", ("minimize",)),  # nothing merges
             ("b", ("future", "--depth", "1")),
         ],
     )
@@ -141,7 +141,7 @@ class TestCounts:
             ("future", M1, "--depth", "-2"),
             ("past", M1, "--depth", "-2"),
             ("minimal", M1, "--depth", "-1"),
-            ("minimize", M1, "--determinize", "--depth", "-1"),
+            ("minimize", M1, "--determinize", "-1"),
             ("simulate", M1, "--seed", "1", "--steps", "-3"),
             ("invert", M1, "--mode", "mc", "--seed", "1", "--journeys", "-5"),
             ("invert", RAIN, "--mode", "plus-vertex", "--budget", "-1"),
@@ -151,8 +151,10 @@ class TestCounts:
             ("simulate", M1, "--steps", "3", "--seed", "-1"),
             ("invert", M1, "--mode", "mc", "--journeys", "5", "--seed", "-1"),
             ("invert", RAIN, "--mode", "plus-mc", "--seed", "-3"),
-            ("detect", "{traj}", "--indirect", "--window", "-2"),
-            ("detect", "{traj}", "--indirect", "--window", "0"),
+            ("detect", "{traj}", "--indirect", "-2"),
+            ("detect", "{traj}", "--indirect", "0"),
+            ("minimal", M1, "--depth", "0"),
+            ("invert", M1, "--mode", "mc", "--seed", "1", "--journeys", "0"),
         ],
     )
     def test_negative_count_is_usage_error(self, capsys, tmp_path, argv):
@@ -169,9 +171,11 @@ class TestCounts:
 
     @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3"])
     def test_minimal_depth_zero_names_the_depth(self, capsys, name):
-        code, out, err = run(capsys, "minimal", str(MODELS_DIR / f"{name}.model"), "--depth", "0")
-        assert code == 1 and out == ""
-        assert err == "error: model: minimal model depth must be 1 or more, got 0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["minimal", str(MODELS_DIR / f"{name}.model"), "--depth", "0"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(" error: argument --depth: must be at least 1, got 0\n")
 
     def test_minimal_depth_one(self, capsys):
         code, out, _ = run(capsys, "minimal", M1, "--depth", "1")
@@ -271,7 +275,7 @@ class TestPipelines:
         traj_path = tmp_path / "shift.traj"
         traj_path.write_text("\n".join(f"{o} -" for o in obs) + "\n")
         code, out, err = run(
-            capsys, "detect", str(traj_path), "--indirect", "--window", "50", "--threshold", "0.5"
+            capsys, "detect", str(traj_path), "--indirect", "50", "--threshold", "0.5"
         )
         assert code == 0
         assert "invisible" in out
@@ -306,7 +310,7 @@ class TestPipelines:
         assert "B2 true W1" in err and "W2 true B1" in err
 
     def test_minimize_and_minimal(self, capsys):
-        code, out, _ = run(capsys, "minimize", M2, "--depth", "10")
+        code, out, _ = run(capsys, "minimize", M2)
         assert code == 0
         assert len(parse_model(out).states) == 4
         code, out, _ = run(capsys, "minimal", CYCLE3, "--depth", "10")
@@ -315,11 +319,14 @@ class TestPipelines:
         assert joined.initial_state.id == "now"
 
     def test_minimize_depth_bounds_determinization_only(self, capsys, tmp_path):
+        """Minimization takes no depth and keeps all 30 states of the cycle;
+        ``--determinize 10`` expands 10 steps and so keeps 11 beliefs."""
         cycle = tmp_path / "cycle30.model"
         cycle.write_text(serialize_model(cycle_model(30)))
-        code, out, _ = run(capsys, "minimize", str(cycle), "--depth", "10")
-        assert code == 0
-        assert len(parse_model(out).states) == 30
+        for options, states in (((), 30), (("--determinize", "10"), 11)):
+            code, out, _ = run(capsys, "minimize", str(cycle), *options)
+            assert code == 0
+            assert len(parse_model(out).states) == states
 
     def test_detect_threshold_zero_emits_only_possible_events(self, capsys, tmp_path):
         traj_path = tmp_path / "x.traj"
@@ -427,7 +434,7 @@ class TestCommandBranches:
         )
         model_path, classes = tmp_path / "twins.model", tmp_path / "classes.txt"
         model_path.write_text(doc)
-        code, out, _ = run(capsys, "minimize", str(model_path), "--depth", "3", "--partition-out", str(classes))
+        code, out, _ = run(capsys, "minimize", str(model_path), "--partition-out", str(classes))
         reduced, partition = minimize_forward(parse_model(doc))
         assert code == 0 and out == serialize_model(reduced)
         assert classes.read_text() == "a\nb1 b2\n"
@@ -482,9 +489,9 @@ class TestCommandBranches:
     @pytest.mark.parametrize(
         "options, message",
         [
-            (["--direct", "DOC", "--indirect", "--window", "1"], "choose one of --direct and --indirect"),
-            (["--indirect"], "--indirect needs --window"),
-            ([], "choose one of --direct and --indirect"),
+            (["--direct", "DOC", "--indirect", "1"], "argument --indirect: not allowed with argument --direct"),
+            (["--indirect"], "argument --indirect: expected one argument"),
+            ([], "one of the arguments --direct --indirect is required"),
         ],
         ids=["both", "indirect-without-window", "neither"],
     )
@@ -493,7 +500,11 @@ class TestCommandBranches:
         traj_path.write_text("a -\nb -\na -\n")
         fns.write_text("charfn seen obs=a\n")
         argv = [str(fns) if o == "DOC" else o for o in options]
-        assert run(capsys, "detect", str(traj_path), *argv) == (2, "", f"usage error: {message}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(traj_path), *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"stochworld detect: error: {message}\n")
 
     def test_track_prints_warnings(self, capsys, tmp_path):
         traj_path, events = tmp_path / "day.traj", tmp_path / "day.stream"
@@ -581,11 +592,11 @@ GUARDED = {
     "future": ("model", (), {"--depth": 8}),
     "past": ("model", (), {"--depth": 8}),
     "minimal": ("model", (), {"--depth": 8}),
-    "minimize": ("model", ("--determinize",), {"--depth": 8}),
+    "minimize": ("model", (), {"--determinize": 8}),
     "invert": ("model", ("--mode", "mc"), {"--journeys": 1000, "--seed": 50}),
     "invert plus": ("model", ("--mode", "plus-mc"), {"--budget": 50, "--seed": 50}),
     "markov-check": ("trajectory", (), {"--order": 8, "--min-count": 50}),
-    "detect": ("trajectory", ("--indirect",), {"--window": 50}),
+    "detect": ("trajectory", (), {"--indirect": 50}),
 }
 SHIPPED = {path.stem: path.read_text() for path in sorted(MODELS_DIR.glob("*.model"))}
 WALKS = [serialize_trajectory(simulate(load_model(n), SimulationConfig(60, 1))) for n in ("m1_coin", "daynight")]
@@ -719,11 +730,11 @@ COMMANDS = [
     (["analyze", FIG3], ""),
     (["future", M1, "--depth", "3"], "fractions future"),
     (["estimate", "{d}/walk.traj"], "fractions future"),
-    (["detect", "{d}/walk.traj", "--indirect", "--window", "20"], "events fractions"),
+    (["detect", "{d}/walk.traj", "--indirect", "20"], "events fractions"),
     (["track", "{d}/house.traj", "--model", HOUSE, "--events", "{d}/house.stream"], "events fractions"),
     (["double", M2, "--mode", "parity", "--event", "flip", "--arrows", "{d}/flip.arrows"], "constructions fractions"),
     (["quotient", M2, "--classes", "{d}/classes.txt", "--monitor", "flip={d}/flip.arrows"], "constructions fractions"),
-    (["minimize", M2, "--depth", "3", "--determinize"], "constructions fractions"),
+    (["minimize", M2, "--determinize", "3"], "constructions fractions"),
     (["policy-from-preference", RAIN, "--preference", "{d}/royal.pref"], "fractions future"),
     (["export-dot", M1], ""),
     (["invert", M1], "inversion"),

@@ -1,5 +1,6 @@
 """inversion: journey statistics, analytic/Monte-Carlo/interval inversion."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +29,7 @@ from stochworld import (
 )
 
 from stochworld.cli import main
-from stochworld.core import replace
+from stochworld.core import SUM_TOL, replace
 from stochworld.inversion import _reverse_from_counts
 
 from helpers import (
@@ -499,7 +500,7 @@ class TestMonteCarloInvert:
                 word = tuple(history[-depth - 1 : -1])
                 windows[word] = windows.get(word, 0) + 1
         for dev, p in past.entries.items():
-            word = tuple(o for _, o in dev.word)
+            word = tuple(o for _, o in dev)
             assert windows.get(word, 0) / visits == pytest.approx(p.mid, abs=0.02)
 
 
@@ -649,17 +650,15 @@ class TestInvertMdpPlus:
         "a, b, mode, inverse",
         [
             ("[0,0.4999997]", "[0,0.5]", ("plus-vertex",), ("0.49999985", "0.50000015")),
-            ("[0,0.4999997]", "[0,0.5]", ("plus-mc", "--seed", "1", "--budget", "20"),
-             ("[0.499999716419,0.499999999368]", "[0.500000000632,0.500000283581]")),
+            ("[0,0.4999997]", "[0,0.5]", ("plus-mc", "--seed", "1", "--budget", "20"), ("0.49999985", "0.50000015")),
             ("[0.5000003,1]", "[0.5,1]", ("plus-vertex",), ("0.50000015", "0.49999985")),
-            ("[0.5000003,1]", "[0.5,1]", ("plus-mc", "--seed", "1", "--budget", "20"),
-             ("[0.500000016419,0.500000299368]", "[0.499999700632,0.499999983581]")),
+            ("[0.5000003,1]", "[0.5,1]", ("plus-mc", "--seed", "1", "--budget", "20"), ("0.50000015", "0.49999985")),
         ],
         ids=["vertex upper sum 1 - 3e-7", "mc upper sum 1 - 3e-7", "vertex lower sum 1 + 3e-7", "mc lower sum 1 + 3e-7"],
     )
     def test_agent_within_validates_slack(self, capsys, tmp_path, a, b, mode, inverse):
         """An agent validate admits, within 1e-6 of a sum of 1, resolves in
-        both modes."""
+        both modes; its one resolution inside the box is its corner."""
         head = "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\n"
         path = tmp_path / "slack.model"
         path.write_text(head + f"arrow s a s lp={a} ap=1\narrow s b s lp={b} ap=1\n")
@@ -667,6 +666,38 @@ class TestInvertMdpPlus:
         code = main(["invert", str(path), "--mode", *mode])
         want = head + f"arrow s a s lp={inverse[0]} ap=1\narrow s b s lp={inverse[1]} ap=1\n"
         assert (code, *capsys.readouterr()) == (0, want, "")
+
+    def test_samples_lie_in_their_boxes(self):
+        """Every resolution ``plus-mc`` draws lies inside its box and sums to 1
+        within ``SUM_TOL``, for agents of 1 to 4 actions whose upper bounds sum
+        to 1 - eps or lower bounds to 1 + eps, eps at and around the slack;
+        none is drawn exactly where ``validate`` refuses the agent."""
+        rng = random.Random(28)
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 4)
+            eps = rng.choice((1e-6, 5e-7, 0.0, rng.uniform(0.0, 2e-6)))
+            weights = [rng.random() for _ in range(n)]
+            if n == 1 or rng.random() < 0.5:  # one action's lower bound cannot pass 1
+                his = [w / sum(weights) * (1.0 - eps) for w in weights]
+                los = [h * rng.choice((0.0, rng.random())) for h in his]
+            else:
+                los = [w / sum(weights) * (1.0 + eps) for w in weights]
+                his = [min(1.0, lo + rng.choice((0.0, rng.random()))) for lo in los]
+            model = parse_model(
+                f"model mdp-plus\nobs x\nact {' '.join(f'a{i}' for i in range(n))}\nstate s initial trace x=1\n"
+                + "".join(f"arrow s a{i} s lp=[{lo!r},{hi!r}] ap=1\n" for i, (lo, hi) in enumerate(zip(los, his)))
+            )
+            bounds = [a.label_prob for a in model.arrows]
+            admitted = validate(model).ok
+            for _ in range(5):
+                x = inversion._sample_simplex_box(bounds, rng)
+                assert (x is not None) == admitted, (bounds, x)
+                if x is not None:
+                    assert len(x) == n and all(b.lo <= v <= b.hi for b, v in zip(bounds, x)), (bounds, x)
+                    assert 1.0 - SUM_TOL <= math.fsum(x) <= 1.0 + SUM_TOL, (bounds, x)
+                seen["refused" if x is None else "slack" if eps > 0.0 else "exact"] += 1
+        assert min(seen.values()) >= 500, seen
 
     def test_white_peak_rejected(self):
         model = parse_model(

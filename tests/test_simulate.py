@@ -16,12 +16,14 @@ from scipy import stats
 from stochworld import (
     CapExceededError,
     CharFn,
+    Development,
     EventOccurrence,
     EventStream,
     ModelError,
     Policy,
     PolicyError,
     Preference,
+    ProbInterval,
     SimulationConfig,
     ToolkitError,
     Trajectory,
@@ -33,6 +35,7 @@ from stochworld import (
     enumerate_past,
     estimate_fomm,
     exact_future,
+    invert_chain,
     invert_mdp_plus,
     minimal_model_parts,
     monte_carlo_invert,
@@ -263,7 +266,7 @@ def _outcome(call):
 class TestEnumerateFuture:
     def test_coin_depth_two(self, m1):
         fs = enumerate_future(m1, 2)
-        words = {tuple(o for _, o in dev.word): p for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev): p for dev, p in fs.entries.items()}
         assert set(words) == {("B", "B"), ("B", "W"), ("W", "B"), ("W", "W")}
         assert all(p.is_point and p.mid == pytest.approx(0.25) for p in words.values())
 
@@ -271,7 +274,7 @@ class TestEnumerateFuture:
         fs = enumerate_future(m1, 0)
         assert len(fs.entries) == 1
         (dev, p), = fs.entries.items()
-        assert dev.word == () and p.mid == 1.0
+        assert dev == () and p.mid == 1.0
 
     @pytest.mark.parametrize("develop", [enumerate_future, exact_future, enumerate_past])
     def test_negative_depth_refused(self, m1, develop):
@@ -326,7 +329,7 @@ class TestEnumerateFuture:
             "arrow s1 a s1\narrow s1 a s2\narrow s2 a s1\narrow s2 a s2\n"
         )
         fs = enumerate_future(model, 2)
-        words = {tuple(o for _, o in dev.word): p for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev): p for dev, p in fs.entries.items()}
         assert len(words) == 4  # nothing structurally impossible at depth 2
         for p in words.values():
             assert (p.lo, p.hi) == (0.0, 1.0)
@@ -338,12 +341,12 @@ class TestEnumerateFuture:
             "arrow s1 a s2\narrow s2 a s1\n"
         )
         fs = enumerate_future(model, 2)
-        words = {tuple(o for _, o in dev.word) for dev in fs.entries}
+        words = {tuple(o for _, o in dev) for dev in fs.entries}
         assert words == {("blue", "red")}
 
     def test_interval_bounds_on_rain_world(self, rain):
         fs = enumerate_future(rain, 1)
-        bounds = {dev.word[0][0]: (p.lo, p.hi) for dev, p in fs.entries.items()}
+        bounds = {dev[0][0]: (p.lo, p.hi) for dev, p in fs.entries.items()}
         # agent interval times the [0,1] trace: upper bounds survive, lower collapse
         assert bounds["rain"] == (0.0, pytest.approx(0.8))
         assert bounds["dry"] == (0.0, pytest.approx(0.9))
@@ -361,12 +364,27 @@ class TestEnumerateFuture:
             {("sx", "go"): 0.25, ("sx", "stay"): 0.75, ("sy", "go"): 1.0, ("sy", "stay"): 0.0}
         )
         fs = enumerate_future(model, 2, policy)
-        probs = {dev.word: p for dev, p in fs.entries.items()}
+        probs = fs.entries
         key = (("go", "y"), ("go", "x"))
         assert probs[key].is_point
         assert probs[key].mid == pytest.approx(0.25)
         assert sum(p.mid for p in probs.values()) == pytest.approx(1.0, abs=1e-9)
 
+
+    def test_exact_words_index_the_entries(self):
+        """A key of ``entries`` is its word: on point models ``exact_future``'s
+        plain tuples are the same set, and each looks its entry up."""
+        rng = random.Random(28)
+        words = 0
+        for i in range(150):
+            model = random_scaled_model(rng, ("fomm", "hmm", "mdp-fixed")[i % 3], rng.random)
+            exact = exact_future(model, i % 5)
+            entries = enumerate_future(model, i % 5).entries
+            assert set(exact) == set(entries) and all(type(dev) is Development for dev in entries), i
+            for word, p in exact.items():
+                assert type(word) is tuple and entries[word] == ProbInterval.point(float(p)), (i, word)
+            words += len(exact)
+        assert words >= 500
 
     def test_exact_future_refuses_untraced_state(self):
         model = parse_model(
@@ -435,7 +453,7 @@ class TestEnumerateFuture:
             want = _outcome(lambda: list(exact_future_by_layers(model, depth, cap).items()))
             assert _outcome(lambda: list(exact_future(model, depth, cap=cap).items())) == want, i
             got = _outcome(
-                lambda: [(d.word, p.lo.hex(), p.hi.hex()) for d, p in enumerate_future(model, depth, cap=cap).entries.items()]
+                lambda: [(d, p.lo.hex(), p.hi.hex()) for d, p in enumerate_future(model, depth, cap=cap).entries.items()]
             )
             if isinstance(want, tuple):
                 assert got == want, i
@@ -456,7 +474,7 @@ class TestEnumeratePast:
         fs = enumerate_past(cycle3, 2)
         assert len(fs.entries) == 1
         (dev, p), = fs.entries.items()
-        assert tuple(o for _, o in dev.word) == ("b", "c")
+        assert tuple(o for _, o in dev) == ("b", "c")
         assert p.mid == pytest.approx(1.0)
 
     def test_chain_one_step_back(self):
@@ -466,13 +484,24 @@ class TestEnumeratePast:
             states=tuple(replace(s, initial=(s.id == "B")) for s in chain.states),
         )
         fs = enumerate_past(at_b, 1)
-        words = {tuple(o for _, o in dev.word): p.mid for dev, p in fs.entries.items()}
+        words = {tuple(o for _, o in dev): p.mid for dev, p in fs.entries.items()}
         assert words[("A",)] == pytest.approx(0.5)
         assert words[("B",)] == pytest.approx(0.5)
 
     def test_white_peak_propagates(self, fig3):
         with pytest.raises(WhitePeakError):
             enumerate_past(fig3, 2)
+
+    @pytest.mark.parametrize("name", ["m1_coin", "m2_bbww", "cycle3"])
+    def test_keys_reverse_the_inverse_future(self, name):
+        """The past's keys are the inverse model's future words, reversed."""
+        model = load_model(name)
+        for depth in range(5):
+            past = enumerate_past(model, depth)
+            future = enumerate_future(invert_chain(model), depth)
+            assert (past.depth, past.direction) == (depth, "past")
+            assert all(type(dev) is Development for dev in past.entries)
+            assert past.entries == {tuple(reversed(word)): p for word, p in future.entries.items()}
 
 
 class TestEstimateFomm:

@@ -1,6 +1,8 @@
 """value types: every immutable type of the library is a ``core.Value``,
 with field-wise equality, hashing and repr, refused assignment, pickling
-and ``core.replace``; the two mutable results are plain classes."""
+and ``core.replace``, except ``Development``, which is its word tuple: it
+has no fields, and its steps are what it compares, hashes and prints; the
+two mutable results are plain classes."""
 
 import copy
 import pickle
@@ -47,7 +49,7 @@ def iv(lo, hi=None):
 ARROW = Arrow("s", "a", "t", iv(0.5, 1), iv(0.25))
 TRACE = TraceSpec({"x": iv(1)}, True, ("p",))
 MODEL = Model("fomm", ["x"], ["true"], [State("x", True)], [Arrow("x", "true", "x")], name="m", meta=("note",))
-DEV = Development("future", [("true", "x")])
+DEV = Development([("true", "x")])
 TEST = SymbolTest("x", 0.5, False, 2, 1)
 
 ONE = "ProbInterval(lo=1.0, hi=1.0)"
@@ -61,7 +63,7 @@ MODEL_TEXT = (
     "trace=TraceSpec(probs={}, memory=False, phenomena=())),), arrows=(Arrow(source='x', label='true', "
     f"target='x', label_prob={ONE}, arrow_prob={ONE}),), priorities={{}}, name='m', meta=('note',))"
 )
-DEV_TEXT = "Development(direction='future', word=(('true', 'x'),))"
+DEV_TEXT = "(('true', 'x'),)"
 TEST_TEXT = "SymbolTest(symbol='x', p_value=0.5, flagged=False, contexts_tested=2, contexts_skipped=1)"
 
 #: a sample of each value type, its repr as the frozen dataclasses of earlier
@@ -73,7 +75,6 @@ SAMPLES = [
     (State("s", True, TRACE), f"State(id='s', initial=True, trace={TRACE_TEXT})", {"initial": False}),
     (MODEL, MODEL_TEXT, {"name": "n"}),
     (Belief({"s": 0.25, "t": 0.75}, True), "Belief(probs={'s': 0.25, 't': 0.75}, approximate=True)", {"approximate": False}),
-    (DEV, DEV_TEXT, {"direction": "past"}),
     (
         FutureSet(1, "future", {DEV: iv(0.5)}),
         f"FutureSet(depth=1, direction='future', entries={{{DEV_TEXT}: ProbInterval(lo=0.5, hi=0.5)}})",
@@ -130,23 +131,32 @@ each_sample = pytest.mark.parametrize(
     "obj, text, change", SAMPLES, ids=[type(obj).__name__ for obj, _, _ in SAMPLES]
 )
 
+#: the samples and a development, whose change is another word
+WORDS_TOO = [*SAMPLES, (DEV, DEV_TEXT, Development([("true", "y")]))]
+each_value = pytest.mark.parametrize(
+    "obj, text, change", WORDS_TOO, ids=[type(obj).__name__ for obj, _, _ in WORDS_TOO]
+)
+
 
 def compared(obj) -> tuple:
-    """The fields ``==`` and ``hash`` read: all but a model's ``meta``."""
+    """The fields ``==`` and ``hash`` read: all but a model's ``meta``, or
+    a development's steps."""
+    if isinstance(obj, Development):
+        return tuple(obj)
     return tuple(getattr(obj, f) for f in obj._fields if f != "meta")
 
 
 def test_every_value_type_has_a_sample():
     assert {type(obj) for obj, _, _ in SAMPLES} == set(Value.__subclasses__())
-    assert len(SAMPLES) == 23
+    assert len(SAMPLES) == 22
 
 
-@each_sample
+@each_value
 def test_repr_is_the_dataclass_text(obj, text, change):
     assert repr(obj) == text
 
 
-@each_sample
+@each_value
 def test_hash_is_the_hash_of_the_compared_fields(obj, text, change):
     try:
         expected = hash(compared(obj))
@@ -157,12 +167,16 @@ def test_hash_is_the_hash_of_the_compared_fields(obj, text, change):
         assert hash(obj) == expected
 
 
-@each_sample
+@each_value
 def test_equality_is_field_wise(obj, text, change):
-    same, other = replace(obj), replace(obj, **change)
+    if isinstance(obj, Development):  # no fields: it is equal to its word
+        same, other = Development(obj), change
+        assert obj == compared(obj)
+    else:
+        same, other = replace(obj), replace(obj, **change)
+        assert obj != compared(obj)
     assert same is not obj and same == obj and not same != obj
     assert other != obj and not other == obj
-    assert obj != compared(obj)
 
 
 def test_model_meta_is_not_compared():
@@ -171,9 +185,9 @@ def test_model_meta_is_not_compared():
     assert replace(MODEL, name="n", meta=MODEL.meta) != MODEL
 
 
-@each_sample
+@each_value
 def test_fields_cannot_be_assigned_or_deleted(obj, text, change):
-    for name in obj._fields:
+    for name in getattr(obj, "_fields", ()):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, None)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
@@ -194,18 +208,41 @@ def test_pickle_and_copies_keep_the_type(obj, text, change):
     [
         (iv(0.25, 0.5), {"lo": 0.75}, "invalid probability interval [0.75, 0.5]"),
         (Belief({"s": 1.0}), {"probs": {"s": 0.5}}, "belief must sum to 1, got 0.5"),
-        (DEV, {"direction": "sideways"}, "bad direction 'sideways'"),
         (Trajectory(("x",), (None,), 0), {"t0": 2}, "t0 = 2 outside [0, 1]"),
         (Trajectory(("x",), (None,), 0), {"acts": ()}, "a trajectory needs one action per observation, got 0 for 1"),
         (CharFn("e", "obs-match", obs="x"), {"kind": "guess"}, "charfn e: unknown kind 'guess'"),
         (CharFn("e", "obs-match", obs="x"), {"past_len": -1}, "charfn e: past_len must be 0 or more, got -1"),
         (EventStream([]), {"occurrences": [(1, "e", iv(1), "direct")]}, "event stream holds (1, 'e', "),
     ],
-    ids=["interval", "belief", "development", "trajectory", "trajectory-words", "charfn-kind", "charfn-length", "stream"],
+    ids=["interval", "belief", "trajectory", "trajectory-words", "charfn-kind", "charfn-length", "stream"],
 )
 def test_replace_checks_again(obj, change, error):
     with pytest.raises(ModelError, match="^" + re.escape(error)):
         replace(obj, **change)
+
+
+def test_development_is_its_word():
+    """A development is a tuple of its steps, with no fields: it equals,
+    hashes, sorts and prints as the plain word, and looks up its entry."""
+    word = (("true", "x"), ("go", "y"))
+    dev = Development(word)
+    assert isinstance(dev, tuple) and not isinstance(dev, Value)
+    assert dev == word and hash(dev) == hash(word) and repr(dev) == repr(word)
+    assert {word: 1}[dev] == 1 and {dev: 1}[word] == 1
+    assert sorted([dev, Development(word[:1]), Development(())]) == [(), word[:1], word]
+    for name in ("direction", "word", "__dict__"):
+        assert not hasattr(dev, name)
+    with pytest.raises(AttributeError):
+        dev.direction = "past"
+    assert (dev.render(), dev.render(False)) == ("true:x,go:y", "true:x,go:y")
+    assert (DEV.render(), DEV.render(False), Development(()).render()) == ("x", "true:x", "-")
+
+
+def test_development_pickles_and_copies_as_itself():
+    dev = Development([("true", "x"), ("true", "y")])
+    copies = [pickle.loads(pickle.dumps(dev, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(dev), copy.deepcopy(dev)):
+        assert type(copied) is Development and copied == dev and copied.render() == "x,y"
 
 
 def test_replace_refuses_an_unknown_field():
