@@ -3,7 +3,8 @@ abstractions, with inversion (predicting the past), doubling and quotient
 constructions, minimization, estimation, simulation and event detection.
 
 Each export is imported from its module on first use (PEP 562); numpy loads only with
-``journeys``, whose private ``_dense_solve`` (not in ``__all__``) solves large flow systems.
+``journeys``, whose private ``_dense_solve`` (not in ``__all__``) solves what the sparse
+reduction of a flow system leaves.
 """
 
 #: module -> the names it exports

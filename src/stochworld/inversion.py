@@ -4,8 +4,9 @@ A journey starts in the initial state and walks arrows until it first
 returns there or enters a black hole.  Expected per-arrow traversal counts
 per journey satisfy a linear flow system; normalizing the counts per target
 state yields the inbound probabilities, i.e. the arrows of the inverse
-model.  A small system is solved here in plain Python; a large one, and the
-Monte-Carlo journeys that estimate the same statistics, are in ``journeys``.
+model.  The system is reduced here in plain Python, cheapest state first;
+what a dense graph leaves of it, and the Monte-Carlo journeys that estimate
+the same statistics, are in ``journeys``.
 
 Inversion requires the absence of white peaks: over those, any inbound
 probabilities whatsoever would be consistent, so the toolkit refuses to
@@ -17,6 +18,7 @@ minimized model with its minimized inverse at a fresh initial state.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -33,10 +35,10 @@ from .core import (
 from .errors import JourneyError, ModelError, WhitePeakError
 
 _EPS = 1e-12
-#: The most unknowns solved in plain Python; LAPACK takes larger flow systems.  Each wins on
-#: its side: a command's model has 2-4 unknowns and a batch's at most 14, solved in microseconds
-#: where importing numpy takes 140 ms; chains of 99 unknowns and more need LAPACK, which
-#: solves 2000 in 0.14 s where a plain-Python elimination takes seconds.
+#: The reduction censors unknowns while its cheapest step updates at most this many entries, or
+#: while at most this many are left; LAPACK solves the rest.  So a command's model (2-4 unknowns),
+#: a batch's (at most 14) and a ring of any size need no numpy, which takes 140 ms to import, and
+#: a 2000-state chain of three arrows a state leaves about 900 unknowns; 16 and 64 were no faster.
 _ELIMINATION_MAX = 32
 _SINGULAR = "singular flow system: the visit counts are unbounded"
 
@@ -55,18 +57,19 @@ def _propagating_states(model: Model) -> tuple:
     """The states journeys can stand on, reachable and outside black holes,
     as a flag per state number, and the black hole.
 
-    Refuses an interval arrow out of such a state, and an outgoing sum other
-    than 1; the first such state in model order is named.
+    Refuses an interval arrow out of such a state, and an outgoing sum that
+    ``validate`` refuses, a ``math.fsum`` more than ``SUM_TOL`` from 1; the
+    first such state in model order is named.
     """
     compiled = model.compiled
     black = find_black_hole(model)
     white = find_white_peak(model)
     standing = [sid not in white and sid not in black for sid in compiled.ids]
-    totals = [0.0] * len(standing)  # summed in model order
+    outgoing = [[] for _ in standing]
     interval: dict = {}  # standing state -> its first interval arrow
     for k, (i, m, point) in enumerate(zip(compiled.src, compiled.mid, compiled.point)):
         if standing[i]:
-            totals[i] += m
+            outgoing[i].append(m)
             if not point:
                 interval.setdefault(i, k)
     for i, stands in enumerate(standing):
@@ -76,10 +79,9 @@ def _propagating_states(model: Model) -> tuple:
                 f"journey statistics need point probabilities (arrow {a.source} "
                 f"{a.label} {a.target} is an interval)"
             )
-        if stands and abs(totals[i] - 1.0) > 1e-6:
-            raise JourneyError(
-                f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {totals[i]:g}"
-            )
+        total = math.fsum(outgoing[i])  # 0 for a state not standing
+        if stands and (total < 1.0 - SUM_TOL or total > 1.0 + SUM_TOL):
+            raise JourneyError(f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {total:g}")
     return standing, black
 
 
@@ -89,29 +91,55 @@ def journey_statistics(model: Model) -> JourneyStatistics:
     return JourneyStatistics(dict(s.visit_counts), dict(s.arrow_counts), s.return_count, dict(s.absorption_counts))
 
 
-def _eliminated(n: int, rows: list, cols: list, vals: list, c: list) -> list:
-    """x with (I - Q^T) x = c, Q^T as (row, column, value) triples, by Gaussian elimination in
-    the Grassmann-Taksar-Heyman form: a pivot is its column's exit mass plus the flow below it,
-    so no step cancels and chains of long journeys keep the digits LAPACK loses on them."""
-    a = [[0.0] * n + [ci] for ci in c]  # -Q^T beside c; each pivot is set when its row is reached
-    for r, k, v in zip(rows, cols, vals):
-        a[r][k] -= v
-    exits = [math.fsum([1.0, *(row[k] for row in a)]) for k in range(n)]  # 1 - a column of Q^T, rounded once
-    for k, pivot in enumerate(a):
-        below = a[k + 1 :]
-        d = pivot[k] = exits[k] - sum(row[k] for row in below)
+def _reduced(out: list, inn: list, exits: list, c: list) -> list:
+    """x with x[r] = c[r] + sum_k p(k->r) x[k], p off the diagonal as ``out[k] = {r: p(k->r)}`` and
+    ``inn[r] = {k: p(k->r)}``, ``exits[k]`` the rest of k's pivot (1 minus its column of Q^T); all four
+    are used up.  Grassmann-Taksar-Heyman state reduction censors the unknowns in Markowitz order, the
+    one whose elimination updates the fewest entries first.  A pivot is its exit mass plus its flow to
+    the unknowns left, so no step subtracts; a self loop a step makes is dropped, as the pivot leaves it
+    out.  Censoring stops once the cheapest step would update more than ``_ELIMINATION_MAX`` entries
+    and more than that many unknowns are left; LAPACK solves those."""
+    n = len(c)
+    heap = [(len(inn[k]) * len(row), k) for k, row in enumerate(out)]
+    heapq.heapify(heap)
+    censored = []  # (k, its pivot), in elimination order
+    while heap:
+        cost, k = heapq.heappop(heap)
+        row = out[k]
+        if row is None or cost != len(inn[k]) * len(row):  # censored, or pushed again since
+            continue
+        if cost > _ELIMINATION_MAX and n - len(censored) > _ELIMINATION_MAX:
+            break
+        d = exits[k] + sum(row.values())
         if not d:
             raise JourneyError(_SINGULAR)
-        for row in below:
-            f = row[k] / d
-            if f:
-                for j in range(k + 1, n + 1):
-                    row[j] -= f * pivot[j]
-        for j in range(k + 1, n):
-            exits[j] -= pivot[j] * exits[k] / d
-    for i in reversed(range(n)):
-        a[i][n] = (a[i][n] - sum(a[i][j] * a[j][n] for j in range(i + 1, n))) / a[i][i]
-    return [row[n] for row in a]
+        out[k] = None
+        censored.append((k, d))
+        col, ek, ck = inn[k], exits[k] / d, c[k] / d
+        for r, p in row.items():
+            del inn[r][k]
+            c[r] += p * ck
+        for j, q in col.items():
+            exits[j] += q * ek
+            to = out[j]
+            del to[k]
+            f = q / d
+            for r, p in row.items():
+                if r != j:
+                    to[r] = inn[r][j] = to.get(r, 0.0) + f * p
+        for t in (*row, *col):
+            heapq.heappush(heap, (len(inn[t]) * len(out[t]), t))
+    x = c[:]
+    left = [k for k, row in enumerate(out) if row is not None]
+    if left:  # the matrix's entries: each pivot on the diagonal, and minus each arrow's p off it
+        at = dict(zip(left, range(len(left))))
+        entries = [(i, i, exits[k] + sum(out[k].values())) for i, k in enumerate(left)]
+        entries += [(at[r], i, -p) for i, k in enumerate(left) for r, p in out[k].items()]
+        for k, v in zip(left, sw._dense_solve(len(left), *zip(*entries), [c[k] for k in left])):
+            x[k] = v
+    for k, d in reversed(censored):
+        x[k] = (c[k] + sum(q * x[j] for j, q in inn[k].items())) / d
+    return x
 
 
 def _solved_flow(model: Model) -> JourneyStatistics:
@@ -129,20 +157,22 @@ def _solved_flow(model: Model) -> JourneyStatistics:
 
     # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in model order
     live = []  # the arrows out of standing states, in model order
-    rows, cols, vals = [], [], []
+    out, inn = [{} for _ in range(n)], [{} for _ in range(n)]  # p(k->r) as out[k][r] and inn[r][k]
+    column = [[1.0] for _ in range(n)]  # per unknown, 1 and minus each of its arrows into the unknowns
     c = [0.0] * n
     for k, (i, j, m) in enumerate(zip(compiled.src, compiled.dst, compiled.mid)):
         if standing[i]:
             live.append(k)
-            if pos[j] < 0:
+            r, s = pos[j], pos[i]
+            if r < 0:
                 continue
             if i == s0:
-                c[pos[j]] += m
+                c[r] += m
             else:
-                rows.append(pos[j])
-                cols.append(pos[i])
-                vals.append(m)
-    x = (_eliminated if n <= _ELIMINATION_MAX else sw._dense_solve)(n, rows, cols, vals, c)
+                column[s].append(-m)
+                if s != r:
+                    out[s][r] = inn[r][s] = out[s].get(r, 0.0) + m
+    x = _reduced(out, inn, [math.fsum(col) for col in column], c)
     if not all(map(math.isfinite, x)):
         raise JourneyError("flow system produced non-finite visit counts")
 

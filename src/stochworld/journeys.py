@@ -1,6 +1,6 @@
 """The toolkit's numpy code: Monte-Carlo journeys, vectorized over all journeys, whose counts
-estimate the journey statistics and give the sampled inverse, and the dense solve of a flow
-system too large for ``inversion``'s plain-Python elimination, reached as a package export."""
+estimate the journey statistics and give the sampled inverse, and the dense solve of what
+``inversion``'s sparse reduction leaves of a flow system, reached as a package export."""
 
 from __future__ import annotations
 
@@ -17,10 +17,9 @@ def seeded_generator(seed: int, what: str) -> np.random.Generator:
 
 
 def _dense_solve(n: int, rows: list, cols: list, vals: list, c: list) -> list:
-    """x with (I - Q^T) x = c by LAPACK, Q^T as (row, column, value) triples summed in order."""
+    """x with A x = c by LAPACK, A's nonzero entries as (row, column, value) triples, each once."""
     a = np.zeros((n, n))
-    np.subtract.at(a, (rows, cols), vals)
-    a.flat[:: n + 1] += 1.0
+    a[rows, cols] = vals
     try:
         return np.linalg.solve(a, c).tolist()
     except np.linalg.LinAlgError as exc:

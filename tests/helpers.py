@@ -39,7 +39,7 @@ from stochworld import (
     parse_model,
 )
 from stochworld.constructions import _doubled_kind
-from stochworld.core import ACTION_KINDS, POINT_ONE, TOL, checked_int, compose_policy, replace
+from stochworld.core import ACTION_KINDS, POINT_ONE, SUM_TOL, TOL, checked_int, compose_policy, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.journeys import seeded_generator
@@ -93,16 +93,17 @@ def chain_model(transitions: dict, initial: str, obs_of: dict | None = None) -> 
     return Model(kind, tuple(sorted(set(obs_of.values()))), ("true",), model_states, arrows)
 
 
-def random_connected_chain(rng: random.Random, n_states: int) -> Model:
+def random_connected_chain(rng: random.Random, n_states: int, extra: int = 2) -> Model:
     """Strongly connected random chain (no white peaks, no black holes) with
-    dyadic probabilities, so float and rational arithmetic agree exactly."""
+    dyadic probabilities, so float and rational arithmetic agree exactly;
+    each state draws 0 to ``extra`` random arrows besides its ring arrow."""
     names = [f"s{i}" for i in range(n_states)]
     targets: dict = {s: set() for s in names}
     ring = names[1:] + names[:1]
     for src, dst in zip(names, ring):  # a covering cycle keeps it connected
         targets[src].add(dst)
     for src in names:
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, extra)):
             targets[src].add(rng.choice(names))
     transitions = {}
     for src in names:
@@ -708,13 +709,14 @@ def unreached_by_scan(model: Model, reverse: bool) -> frozenset:
 
 def _standing_by_scan(model: Model) -> tuple:
     """The states journeys stand on, in model order, and the black hole;
-    refuses an interval arrow out of one, or an outgoing sum other than 1."""
+    refuses an interval arrow out of one, or an outgoing sum that
+    ``validate`` refuses: an ``fsum`` more than ``SUM_TOL`` from 1."""
     black = unreached_by_scan(model, reverse=True)
     white = unreached_by_scan(model, reverse=False)
     nt = [s.id for s in model.states if s.id not in white and s.id not in black]
     index = ArrowIndex(model)
     for sid in nt:
-        total = 0.0
+        probs = []
         for a in index.out.get(sid, ()):
             eff = a.effective()
             if not eff.is_point:
@@ -722,8 +724,9 @@ def _standing_by_scan(model: Model) -> tuple:
                     f"journey statistics need point probabilities (arrow {a.source} "
                     f"{a.label} {a.target} is an interval)"
                 )
-            total += eff.mid
-        if abs(total - 1.0) > 1e-6:
+            probs.append(eff.mid)
+        total = math.fsum(probs)
+        if total < 1.0 - SUM_TOL or total > 1.0 + SUM_TOL:
             raise JourneyError(f"journeys do not terminate: state {sid} outgoing probability sum {total:g}")
     return nt, black
 

@@ -820,18 +820,24 @@ class TestStartup:
         assert out.startswith("t0 10\n")
         assert modules == CLI_MODULES | {"fractions", "future", "walk"} and loaded == []
 
-    @pytest.mark.parametrize("states", [33, 34])
-    def test_invert_loads_numpy_above_the_elimination_cut(self, docs, tmp_path, states):
-        """A fomm ring of 33 states has 32 unknowns, the most the plain-Python
-        elimination solves; one more state leaves the solve to LAPACK."""
+    @pytest.mark.parametrize(
+        "shape, states", [("ring", 34), ("ring", 400), ("all-to-all", 34)], ids=["ring-34", "ring-400", "all-to-all-34"]
+    )
+    def test_invert_loads_numpy_for_a_dense_remainder(self, docs, tmp_path, shape, states):
+        """A fomm ring of any size is censored state by state in plain Python,
+        one entry per step; an all-to-all chain of 34 states, 33 unknowns
+        whose cheapest step updates 32 x 32 entries, leaves them all to LAPACK."""
         ids = [f"s{i}" for i in range(states)]
         text = f"model fomm\nobs {' '.join(ids)}\nstate s0 initial trace s0=1\n"
         text += "".join(f"state {s} trace {s}=1\n" for s in ids[1:])
-        text += "".join(f"arrow {s} true {s} ap=0.5\narrow {s} true {t} ap=0.5\n" for s, t in zip(ids, ids[1:] + ids[:1]))
-        (tmp_path / "ring.model").write_text(text)
-        out, modules, loaded = self.probe(["invert", f"{tmp_path}/ring.model"], docs)
-        assert out.count("\narrow ") == 2 * states
-        if states == 33:
+        if shape == "ring":
+            text += "".join(f"arrow {s} true {s} ap=0.5\narrow {s} true {t} ap=0.5\n" for s, t in zip(ids, ids[1:] + ids[:1]))
+        else:
+            text += "".join(f"arrow {s} true {t} ap={1 / states!r}\n" for s in ids for t in ids)
+        (tmp_path / "chain.model").write_text(text)
+        out, modules, loaded = self.probe(["invert", f"{tmp_path}/chain.model"], docs)
+        assert out.count("\narrow ") == text.count("\narrow ")
+        if shape == "ring":
             assert modules == CLI_MODULES | {"inversion"} and loaded == []
         else:
             assert modules == CLI_MODULES | {"inversion", "journeys"} and "numpy" in loaded

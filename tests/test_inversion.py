@@ -136,12 +136,32 @@ class TestJourneyStatistics:
         for feature in ("refused", "absorbed", "white peak"):
             assert seen[feature] >= 30, seen
 
+    def test_mixed_path_equals_loop_oracle(self, monkeypatch):
+        """Sparse strongly connected chains of 40-85 unknowns, about three
+        arrows per state: the reduction censors the cheap states and LAPACK
+        solves the rest, and every count is within 1e-13 of the exact
+        solution.  A cut of 8 makes systems this small leave a remainder: as
+        shipped, the first does at about 95 unknowns, where the exact oracle
+        is already slow."""
+        dense = stochworld._dense_solve
+        lapack_calls = []
+        monkeypatch.setattr(stochworld, "_dense_solve", lambda *system: lapack_calls.append(system[0]) or dense(*system))
+        monkeypatch.setattr(inversion, "_ELIMINATION_MAX", 8)
+        rng = random.Random(2029)
+        for i in range(24):
+            text = serialize_model(random_connected_chain(rng, rng.randint(41, 86), extra=4))
+            want = _flow_values(journey_statistics_by_loops, parse_model(text))
+            _assert_flow_close(_flow_values(journey_statistics, parse_model(text)), want, i)
+        assert len(lapack_calls) >= 20 and all(lapack_calls), lapack_calls
+
     @pytest.mark.parametrize("unknowns", [32, 33])
     def test_both_solvers_at_the_cut(self, monkeypatch, unknowns):
-        """Chains of 32 unknowns, the most the plain-Python elimination
-        takes, and of 33, the fewest it leaves to LAPACK: the size picks the
-        solver, and each solver's counts are within 1e-13 of the exact ones
-        and of the other's."""
+        """Chains of 32 unknowns, which the reduction always finishes, and of
+        33, which it finishes as soon as a cheap step leaves 32: as shipped
+        no system reaches LAPACK.  At a cut of 0 the reduction stops at the
+        first step that updates an entry and LAPACK solves the rest; at 1000
+        it never stops.  Each path's counts are within 1e-13 of the exact
+        ones and of the others'."""
         dense = stochworld._dense_solve
         lapack_calls = []
         monkeypatch.setattr(stochworld, "_dense_solve", lambda *system: lapack_calls.append(1) or dense(*system))
@@ -152,27 +172,30 @@ class TestJourneyStatistics:
             text = serialize_model(random_connected_chain(rng, unknowns + 1))
             want = _flow_values(journey_statistics_by_loops, parse_model(text))
             solved = {}
-            for cut in (shipped, 0, 1000):  # as shipped, every system to LAPACK, every one to the elimination
+            for cut in (shipped, 0, 1000):  # as shipped, the most to LAPACK, none to LAPACK
                 monkeypatch.setattr(inversion, "_ELIMINATION_MAX", cut)
                 lapack_calls.clear()
                 solved[cut] = _flow_values(journey_statistics, parse_model(text))
-                assert lapack_calls == [1] * (unknowns > cut), cut
+                assert lapack_calls == [1] * (cut == 0), cut
                 _assert_flow_close(solved[cut], want, cut)
-            _assert_flow_close(solved[0], solved[1000], "LAPACK against the elimination")
+            _assert_flow_close(solved[0], solved[1000], "LAPACK against the reduction")
 
     @pytest.mark.parametrize("cut", [32, 0])
     def test_zero_pivot_refused(self, monkeypatch, cut):
         """b loops on itself with probability 1 and returns with 1e-7, a sum
-        ``validate`` admits: its column of I - Q^T is zero, so both solvers
-        refuse, as the exact oracle does."""
+        ``validate`` admits: its column of I - Q^T is zero.  Or b and c swap
+        surely and c returns with 1e-7: censoring b leaves c a zero pivot.
+        Both solvers refuse, as the exact oracle does."""
         monkeypatch.setattr(inversion, "_ELIMINATION_MAX", cut)
-        model = parse_model(
-            "model hmm\nobs x\nstate a initial trace x=1\nstate b trace x=1\n"
-            "arrow a true b ap=1\narrow b true b ap=1\narrow b true a ap=1e-7\n"
-        )
-        want = (JourneyError, "singular flow system: the visit counts are unbounded")
-        assert _flow_values(journey_statistics_by_loops, model) == want
-        assert _flow_values(journey_statistics, model) == want
+        head = "model hmm\nobs x\nstate a initial trace x=1\nstate b trace x=1\n"
+        for text in (
+            head + "arrow a true b ap=1\narrow b true b ap=1\narrow b true a ap=1e-7\n",
+            head + "state c trace x=1\narrow a true b ap=1\narrow b true c ap=1\narrow c true b ap=1\narrow c true a ap=1e-7\n",
+        ):
+            model = parse_model(text)
+            want = (JourneyError, "singular flow system: the visit counts are unbounded")
+            assert _flow_values(journey_statistics_by_loops, model) == want
+            assert _flow_values(journey_statistics, model) == want
 
 
 class TestSimulateJourneys:
@@ -653,8 +676,20 @@ class TestInvertMdpPlus:
             ("[0,0.4999997]", "[0,0.5]", ("plus-mc", "--seed", "1", "--budget", "20"), ("0.49999985", "0.50000015")),
             ("[0.5000003,1]", "[0.5,1]", ("plus-vertex",), ("0.50000015", "0.49999985")),
             ("[0.5000003,1]", "[0.5,1]", ("plus-mc", "--seed", "1", "--budget", "20"), ("0.50000015", "0.49999985")),
+            (
+                "[0.2153682629917959,0.7091209691427717]",
+                "[0.10753605667330744,0.2908780308572283]",
+                ("plus-mc", "--seed", "1", "--budget", "20"),
+                ("0.709121678264", "0.290878321736"),
+            ),
         ],
-        ids=["vertex upper sum 1 - 3e-7", "mc upper sum 1 - 3e-7", "vertex lower sum 1 + 3e-7", "mc lower sum 1 + 3e-7"],
+        ids=[
+            "vertex upper sum 1 - 3e-7",
+            "mc upper sum 1 - 3e-7",
+            "vertex lower sum 1 + 3e-7",
+            "mc lower sum 1 + 3e-7",
+            "mc upper fsum 1 - 1e-6",
+        ],
     )
     def test_agent_within_validates_slack(self, capsys, tmp_path, a, b, mode, inverse):
         """An agent validate admits, within 1e-6 of a sum of 1, resolves in
@@ -666,6 +701,33 @@ class TestInvertMdpPlus:
         code = main(["invert", str(path), "--mode", *mode])
         want = head + f"arrow s a s lp={inverse[0]} ap=1\narrow s b s lp={inverse[1]} ap=1\n"
         assert (code, *capsys.readouterr()) == (0, want, "")
+
+    def test_journey_check_refuses_where_validate_does(self):
+        """A resolved one-state agent of 1 to 4 actions whose points sum to
+        1 - eps or 1 + eps, eps at and around the slack: the journey check
+        refuses it exactly where ``validate`` does."""
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 4)
+            eps = rng.choice((1e-6, 1e-6 * (1 - 2**-40), 1e-6 * (1 + 2**-40), 0.0, rng.uniform(0.0, 2e-6)))
+            weights = [rng.random() for _ in range(n)]
+            sign = -1 if n == 1 else rng.choice((-1, 1))  # one action's probability cannot pass 1
+            lps = [w / sum(weights) * (1.0 + sign * eps) for w in weights]
+            model = parse_model(
+                f"model mdp-fixed\nobs x\nact {' '.join(f'a{i}' for i in range(n))}\nstate s initial trace x=1\n"
+                + "".join(f"arrow s a{i} s lp={lp!r} ap=1\n" for i, lp in enumerate(lps))
+            )
+            admitted = validate(model).ok
+            try:
+                journey_statistics(model)
+                refused = False
+            except JourneyError as exc:
+                assert str(exc).startswith("journeys do not terminate: state s outgoing probability sum "), exc
+                refused = True
+            assert refused != admitted, lps
+            seen["refused" if refused else "admitted"] += 1
+        assert min(seen.values()) >= 250, seen
 
     def test_samples_lie_in_their_boxes(self):
         """Every resolution ``plus-mc`` draws lies inside its box and sums to 1

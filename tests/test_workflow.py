@@ -23,6 +23,12 @@ STARTUP = "".join(
         ("", "invert models/m1_coin.model --mode mc --seed 1"),
     )
 ) + (
+    # a 400-state ring, inverted by the sparse flow reduction without numpy
+    r"""python -c 'ids = [f"s{i}" for i in range(400)]; print("model fomm\nobs " + " ".join(ids) + "\nstate s0 initial trace s0=1");"""
+    r""" print("".join(f"state {s} trace {s}=1\n" for s in ids[1:]) + "".join(f"arrow {s} true {s} ap=0.5\narrow {s} true {t} ap=0.5\n" """
+    r"""for s, t in zip(ids, ids[1:] + ids[:1])), end="")' | python -X importtime -m stochworld.cli invert - 2>&1 >/dev/null"""
+    """ | grep -E 'stochworld|numpy'\n"""
+) + (
     # compiled from source, as on a host that writes no bytecode
     """python -B -X pycache_prefix="$(mktemp -d)" -X importtime -c 'import stochworld.cli' 2>&1 | grep stochworld\n"""
 )
