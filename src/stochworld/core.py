@@ -21,9 +21,22 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .errors import InconsistentObservationError, ModelError, PolicyError
 
 TOL = 1e-9
-#: The slack of the one sum rule, on ``math.fsum`` sums, of ``validate``'s
-#: probability groups, ``preference_to_policy`` and ``Policy.check``.
+#: The slack of the one sum rule, ``sum_fault``: every probability group,
+#: belief, policy, journey check and interval resolution is held to it.
 SUM_TOL = 1e-6
+
+
+def sum_fault(los: Iterable[float], his: Optional[Iterable[float]] = None) -> tuple:
+    """The one sum rule of a probability group: its lower bounds ``los`` and
+    upper bounds ``his`` (``los`` alone for points) admit a distribution when
+    Σlo <= 1 <= Σhi within ``SUM_TOL``, each a ``math.fsum``, the same in any
+    order.  ``()`` where they do, else (0, Σhi) for a shortfall or (1, Σlo)
+    for an excess; as each lo <= hi, never both."""
+    hi = math.fsum(los if his is None else his)
+    if hi < 1.0 - SUM_TOL:
+        return 0, hi
+    lo = hi if his is None else math.fsum(los)
+    return (1, lo) if lo > 1.0 + SUM_TOL else ()
 
 KINDS = ("fomm", "hmm", "mdp", "mdp-fixed", "smdp", "mdp-plus", "ed")
 #: Kinds whose only label is the always-occurring event "true".
@@ -397,12 +410,13 @@ class Belief(Value):
 
     def __init__(self, probs: Mapping[str, float], approximate: bool = False):
         probs = dict(probs)
-        total = sum(probs.values())
         if any(p <= 0.0 for p in probs.values()):
             raise ModelError("belief entries must be strictly positive")
-        if abs(total - 1.0) > 1e-6:
-            raise ModelError(f"belief must sum to 1, got {total}")
-        if abs(total - 1.0) > TOL:
+        total = sum(probs.values())
+        if abs(total - 1.0) > TOL:  # a sum this far from 1 meets the rule, then is normalized
+            fault = sum_fault(probs.values())
+            if fault:
+                raise ModelError(f"belief must sum to 1, got {fault[1]}")
             probs = {s: p / total for s, p in probs.items()}
         _setattr(self, "probs", probs)
         _setattr(self, "approximate", approximate)
@@ -495,9 +509,9 @@ class Policy(Value):
         for (s, a), p in self.probs.items():
             per_state.setdefault(s, []).append((a, p))
         for s, pairs in per_state.items():
-            total = math.fsum(p for _, p in pairs)
-            if total < 1.0 - SUM_TOL or total > 1.0 + SUM_TOL:
-                raise PolicyError(f"policy for state {s} sums to {total}")
+            fault = sum_fault(p for _, p in pairs)
+            if fault:
+                raise PolicyError(f"policy for state {s} sums to {fault[1]}")
             i = compiled.index.get(s)
             out = compiled.out[i] if i is not None else {}
             for a, p in pairs:
@@ -506,7 +520,7 @@ class Policy(Value):
                         raise PolicyError(f"policy gives mass to missing action {a} in {s}")
                     continue
                 iv = model.arrows[out[a][0]].label_prob
-                if not iv.contains(p, tol=1e-6):
+                if not iv.contains(p, tol=SUM_TOL):
                     raise PolicyError(
                         f"policy({s}, {a}) = {p} outside agent interval [{iv.lo}, {iv.hi}]"
                     )

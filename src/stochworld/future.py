@@ -17,7 +17,6 @@ from typing import Optional
 
 from .core import (
     POINT_ONE,
-    SUM_TOL,
     TOL,
     TRUE_LABEL,
     Arrow,
@@ -33,6 +32,7 @@ from .core import (
     checked_int,
     compose_policy,
     dyadic,
+    sum_fault,
 )
 from .errors import CapExceededError, ModelError, PolicyError
 
@@ -195,12 +195,11 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
     for sid, ranked in preference.order.items():
         out = compiled.out[compiled.index[sid]]
         bounds = [model.arrows[out[a][0]].label_prob for a in ranked]
-        lo_sum, hi_sum = math.fsum(b.lo for b in bounds), math.fsum(b.hi for b in bounds)
-        if hi_sum < 1.0 - SUM_TOL or lo_sum > 1.0 + SUM_TOL:
-            raise PolicyError(
-                f"state {sid}: no feasible policy within the agent intervals"
-            )
-        if hi_sum < 1.0 - TOL or lo_sum > 1.0 + TOL:
+        los, his = [b.lo for b in bounds], [b.hi for b in bounds]
+        if sum_fault(los, his):
+            raise PolicyError(f"state {sid}: no feasible policy within the agent intervals")
+        hi_sum = math.fsum(his)
+        if hi_sum < 1.0 - TOL or math.fsum(los) > 1.0 + TOL:
             adjusted.add(sid)
             for a, b in zip(ranked, bounds):
                 probs[(sid, a)] = b.hi if hi_sum < 1.0 else b.lo

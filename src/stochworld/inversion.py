@@ -29,8 +29,8 @@ import stochworld as sw
 
 from .analysis import find_black_hole, find_white_peak
 from .core import (
-    ACTION_KINDS, SUM_TOL, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical,
-    checked_int, compose_policy, replace,
+    ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical, checked_int,
+    compose_policy, replace, sum_fault,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
 
@@ -58,8 +58,8 @@ def _propagating_states(model: Model) -> tuple:
     as a flag per state number, and the black hole.
 
     Refuses an interval arrow out of such a state, and an outgoing sum that
-    ``validate`` refuses, a ``math.fsum`` more than ``SUM_TOL`` from 1; the
-    first such state in model order is named.
+    ``validate`` refuses by ``sum_fault``; the first such state in model order
+    is named.
     """
     compiled = model.compiled
     black = find_black_hole(model)
@@ -79,9 +79,9 @@ def _propagating_states(model: Model) -> tuple:
                 f"journey statistics need point probabilities (arrow {a.source} "
                 f"{a.label} {a.target} is an interval)"
             )
-        total = math.fsum(outgoing[i])  # 0 for a state not standing
-        if stands and (total < 1.0 - SUM_TOL or total > 1.0 + SUM_TOL):
-            raise JourneyError(f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {total:g}")
+        fault = stands and sum_fault(outgoing[i])
+        if fault:
+            raise JourneyError(f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {fault[1]:g}")
     return standing, black
 
 
@@ -271,39 +271,32 @@ def invert_mdp_fixed(model: Model, policy: Optional[Policy] = None) -> Model:
 
 
 def _clamped(x: float, box: ProbInterval) -> float:
-    """``x`` moved onto ``box``, so a resolution lies inside its boxes; where
-    ``validate`` admits the group, its sum stays within ``SUM_TOL`` of 1."""
+    """``x`` moved onto ``box``, so a resolution lies inside its boxes."""
     return min(max(x, box.lo), box.hi)
 
 
 def _simplex_box_vertices(bounds):
     """Vertices of {x in prod [lo,hi] : sum x = 1}, the boxes (one or more)
-    given as intervals; a corner within ``SUM_TOL`` of a sum of 1, as
-    ``validate`` admits, is clamped onto its box."""
-    n = len(bounds)
-    if n == 1:
-        return [(1.0,)] if bounds[0].contains(1.0, SUM_TOL) else []
-    verts = set()
-    for free in range(n):
-        rest = [i for i in range(n) if i != free]
-        for bits in itertools.product((0, 1), repeat=n - 1):
-            x = [0.0] * n
-            total = 0.0
-            for i, b in zip(rest, bits):
-                x[i] = bounds[i].hi if b else bounds[i].lo
-                total += x[i]
-            xf = 1.0 - total
-            if bounds[free].contains(xf, SUM_TOL):
-                x[free] = _clamped(xf, bounds[free])
-                verts.add(tuple(round(v, 12) for v in x))
-    return sorted(verts)
+    given as intervals: each corner of all boxes but one, the free coordinate
+    1 minus the rest clamped onto its box, kept where ``sum_fault`` admits
+    it.  Corners equal to 12 decimals are one, the first kept unmoved, in
+    the order of their rounded coordinates."""
+    verts: dict = {}
+    for free, box in enumerate(bounds):
+        rest = bounds[:free] + bounds[free + 1 :]
+        for bits in itertools.product((0, 1), repeat=len(rest)):
+            x = [b.hi if bit else b.lo for b, bit in zip(rest, bits)]
+            x.insert(free, _clamped(1.0 - math.fsum(x), box))
+            if not sum_fault(x):
+                verts.setdefault(tuple(round(v, 12) for v in x), tuple(x))
+    return [verts[key] for key in sorted(verts)]
 
 
 def _sample_simplex_box(bounds, rng):
     """Random point of {x in prod [lo,hi] : sum x = 1}, coordinate by
-    coordinate, each clamped onto its box, or None where ``validate``
-    refuses the group: its bounds miss a sum of 1 by more than ``SUM_TOL``."""
-    if math.fsum(b.hi for b in bounds) < 1.0 - SUM_TOL or math.fsum(b.lo for b in bounds) > 1.0 + SUM_TOL:
+    coordinate, each clamped onto its box, or None where ``sum_fault``
+    refuses the group."""
+    if sum_fault([b.lo for b in bounds], [b.hi for b in bounds]):
         return None
     n = len(bounds)
     x = [0.0] * n

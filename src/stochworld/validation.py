@@ -11,7 +11,6 @@ states may legally leave the sums short of one.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from operator import attrgetter
 
@@ -19,11 +18,11 @@ from .analysis import find_white_peak
 from .core import (
     KINDS,
     SINGLE_LABEL_KINDS,
-    SUM_TOL,
     TOL,
     TRUE_LABEL,
     Model,
     ProbInterval,
+    sum_fault,
 )
 
 _LO, _HI = attrgetter("lo"), attrgetter("hi")
@@ -198,21 +197,15 @@ _POINT_TRACE = ("{}: trace probabilities sum to {:g}, expected 1",) * 2
 
 
 def _check_group(report: ValidationReport, bounds, where: str, texts: tuple, white: bool) -> None:
-    """A probability group admits a distribution when its lower bounds sum
-    to at most 1 and its upper bounds to at least 1, within ``SUM_TOL``;
-    the sums are ``math.fsum``'s, the same in any order.
-    Each lo <= hi, so the sums cannot fail both ways; a shortfall inside a
-    white peak is a warning."""
-    hi = math.fsum(map(_HI, bounds))
-    if hi < 1.0 - SUM_TOL:
-        if white:
-            report.warnings.append(texts[0].format(where, hi) + " (inside a white peak)")
+    """A probability group must admit a distribution by ``sum_fault``'s rule;
+    a shortfall inside a white peak is a warning."""
+    fault = sum_fault(map(_LO, bounds), map(_HI, bounds))
+    if fault:
+        side, total = fault
+        if white and side == 0:
+            report.warnings.append(texts[0].format(where, total) + " (inside a white peak)")
         else:
-            report.violations.append(texts[0].format(where, hi))
-        return
-    lo = math.fsum(map(_LO, bounds))
-    if lo > 1.0 + SUM_TOL:
-        report.violations.append(texts[1].format(where, lo))
+            report.violations.append(texts[side].format(where, total))
 
 
 def _check_sums(model: Model, report: ValidationReport) -> None:

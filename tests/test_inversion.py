@@ -30,6 +30,7 @@ from stochworld import (
 
 from stochworld.cli import main
 from stochworld.core import SUM_TOL, replace
+from stochworld.format import fmt_num
 from stochworld.inversion import _reverse_from_counts
 
 from helpers import (
@@ -136,23 +137,29 @@ class TestJourneyStatistics:
         for feature in ("refused", "absorbed", "white peak"):
             assert seen[feature] >= 30, seen
 
-    def test_mixed_path_equals_loop_oracle(self, monkeypatch):
-        """Sparse strongly connected chains of 40-85 unknowns, about three
-        arrows per state: the reduction censors the cheap states and LAPACK
-        solves the rest, and every count is within 1e-13 of the exact
-        solution.  A cut of 8 makes systems this small leave a remainder: as
-        shipped, the first does at about 95 unknowns, where the exact oracle
-        is already slow."""
+    @pytest.mark.parametrize(
+        "cut, seed, systems, unknowns, lapack_least",
+        [(8, 2029, 24, (40, 85), 20), (32, 7, 3, (110, 130), 3)],
+        ids=["cut 8", "shipped cut"],
+    )
+    def test_mixed_path_equals_loop_oracle(self, monkeypatch, cut, seed, systems, unknowns, lapack_least):
+        """Sparse strongly connected chains, about three arrows per state: the
+        reduction censors the cheap states and LAPACK solves the rest, and
+        every count is within 1e-13 of the exact solution.  A cut of 8 makes
+        chains of 40-85 unknowns leave a remainder; at the shipped cut, 32,
+        the first does at about 95 unknowns, and chains of 110-130 leave 30
+        to 50, where the exact oracle takes most of a second each."""
         dense = stochworld._dense_solve
         lapack_calls = []
         monkeypatch.setattr(stochworld, "_dense_solve", lambda *system: lapack_calls.append(system[0]) or dense(*system))
-        monkeypatch.setattr(inversion, "_ELIMINATION_MAX", 8)
-        rng = random.Random(2029)
-        for i in range(24):
-            text = serialize_model(random_connected_chain(rng, rng.randint(41, 86), extra=4))
+        assert inversion._ELIMINATION_MAX == 32
+        monkeypatch.setattr(inversion, "_ELIMINATION_MAX", cut)
+        rng = random.Random(seed)
+        for i in range(systems):
+            text = serialize_model(random_connected_chain(rng, rng.randint(unknowns[0] + 1, unknowns[1] + 1), extra=4))
             want = _flow_values(journey_statistics_by_loops, parse_model(text))
             _assert_flow_close(_flow_values(journey_statistics, parse_model(text)), want, i)
-        assert len(lapack_calls) >= 20 and all(lapack_calls), lapack_calls
+        assert len(lapack_calls) >= lapack_least and all(lapack_calls), lapack_calls
 
     @pytest.mark.parametrize("unknowns", [32, 33])
     def test_both_solvers_at_the_cut(self, monkeypatch, unknowns):
@@ -730,10 +737,12 @@ class TestInvertMdpPlus:
         assert min(seen.values()) >= 250, seen
 
     def test_samples_lie_in_their_boxes(self):
-        """Every resolution ``plus-mc`` draws lies inside its box and sums to 1
-        within ``SUM_TOL``, for agents of 1 to 4 actions whose upper bounds sum
-        to 1 - eps or lower bounds to 1 + eps, eps at and around the slack;
-        none is drawn exactly where ``validate`` refuses the agent."""
+        """Every ``plus-vertex`` vertex and every resolution ``plus-mc`` draws
+        lies inside its box and fsums to 1 within ``SUM_TOL``, for agents of
+        1 to 4 actions whose upper bounds sum to 1 - eps or lower bounds to
+        1 + eps, eps at and around the slack, their bounds written at
+        ``repr`` and at the 12 digits ``serialize_model`` writes.  A group
+        has a vertex, and a draw, exactly where ``validate`` admits it."""
         rng = random.Random(28)
         seen = Counter()
         for _ in range(1500):
@@ -746,20 +755,47 @@ class TestInvertMdpPlus:
             else:
                 los = [w / sum(weights) * (1.0 + eps) for w in weights]
                 his = [min(1.0, lo + rng.choice((0.0, rng.random()))) for lo in los]
-            model = parse_model(
-                f"model mdp-plus\nobs x\nact {' '.join(f'a{i}' for i in range(n))}\nstate s initial trace x=1\n"
-                + "".join(f"arrow s a{i} s lp=[{lo!r},{hi!r}] ap=1\n" for i, (lo, hi) in enumerate(zip(los, his)))
-            )
-            bounds = [a.label_prob for a in model.arrows]
-            admitted = validate(model).ok
-            for _ in range(5):
-                x = inversion._sample_simplex_box(bounds, rng)
-                assert (x is not None) == admitted, (bounds, x)
-                if x is not None:
+            for number in (repr, fmt_num):
+                model = parse_model(
+                    f"model mdp-plus\nobs x\nact {' '.join(f'a{i}' for i in range(n))}\nstate s initial trace x=1\n"
+                    + "".join(
+                        f"arrow s a{i} s lp=[{number(lo)},{number(hi)}] ap=1\n" for i, (lo, hi) in enumerate(zip(los, his))
+                    )
+                )
+                bounds = [a.label_prob for a in model.arrows]
+                admitted = validate(model).ok
+                vertices = inversion._simplex_box_vertices(bounds)
+                assert bool(vertices) == admitted, (bounds, vertices)
+                draws = [inversion._sample_simplex_box(bounds, rng) for _ in range(5)]
+                assert all((x is not None) == admitted for x in draws), (bounds, draws)
+                for x in vertices + [x for x in draws if x is not None]:
                     assert len(x) == n and all(b.lo <= v <= b.hi for b, v in zip(bounds, x)), (bounds, x)
                     assert 1.0 - SUM_TOL <= math.fsum(x) <= 1.0 + SUM_TOL, (bounds, x)
-                seen["refused" if x is None else "slack" if eps > 0.0 else "exact"] += 1
+                seen["refused" if not admitted else "slack" if eps > 0.0 else "exact"] += 1
         assert min(seen.values()) >= 500, seen
+
+    def test_vertices_keep_their_coordinates(self):
+        """A vertex is a corner of the model's own boxes: one action's corner
+        is its upper bound, not 1, and corners equal to 12 decimals merge
+        without their coordinates being rounded."""
+        assert inversion._simplex_box_vertices([ProbInterval(0.2, 0.9999995)]) == [(0.9999995,)]
+        bounds = [ProbInterval(0.0123456789012, 0.5), ProbInterval(0.2, 0.9876543210988)]
+        assert inversion._simplex_box_vertices(bounds) == [(0.0123456789012, 0.9876543210988), (0.5, 0.5)]
+
+    def test_vertex_inverse_keeps_the_models_bounds(self, capsys, tmp_path):
+        """``plus-vertex`` prints the self loop's lower bound as the model
+        writes it, not rounded below it."""
+        head = "model mdp-plus\nobs x y\nact a b\nstate s initial trace x=1\nstate t trace y=1\n"
+        path = tmp_path / "digits.model"
+        path.write_text(
+            head + "arrow s a s lp=[0.0123456789012,0.5] ap=1\narrow s b t lp=[0.2,0.9876543210988] ap=1\n"
+            "arrow t a s lp=1 ap=1\n"
+        )
+        want = head + (
+            "arrow s a s lp=1 ap=[0.0123456789012,0.5]\narrow s a t lp=1 ap=[0.5,0.987654321099]\n"
+            "arrow t b s lp=1 ap=1\n"
+        )
+        assert (main(["invert", str(path), "--mode", "plus-vertex"]), *capsys.readouterr()) == (0, want, "")
 
     def test_white_peak_rejected(self):
         model = parse_model(
