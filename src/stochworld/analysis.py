@@ -12,10 +12,8 @@ from __future__ import annotations
 from .core import Model, Value, replace
 
 
-def _unreached(model: Model, adjacency: list) -> frozenset:
-    """The states the closure of the adjacency misses from the initial state."""
-    compiled = model.compiled
-    start = compiled.index[model.initial_state.id]
+def reached(adjacency: list, start: int) -> list:
+    """Per state number, whether the closure of the adjacency from ``start`` holds it."""
     seen = [False] * len(adjacency)
     seen[start] = True
     stack = [start]
@@ -24,7 +22,14 @@ def _unreached(model: Model, adjacency: list) -> frozenset:
             if not seen[nxt]:
                 seen[nxt] = True
                 stack.append(nxt)
-    return frozenset(sid for sid, reached in zip(compiled.ids, seen) if not reached)
+    return seen
+
+
+def _unreached(model: Model, adjacency: list) -> frozenset:
+    """The states the closure of the adjacency misses from the initial state."""
+    compiled = model.compiled
+    seen = reached(adjacency, compiled.index[model.initial_state.id])
+    return frozenset(sid for sid, hit in zip(compiled.ids, seen) if not hit)
 
 
 def find_white_peak(model: Model) -> frozenset:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import InconsistentObservationError, ModelError, PolicyError
@@ -37,6 +37,13 @@ def sum_fault(los: Iterable[float], his: Optional[Iterable[float]] = None) -> tu
         return 0, hi
     lo = hi if his is None else math.fsum(los)
     return (1, lo) if lo > 1.0 + SUM_TOL else ()
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, on every Python the bits ``sum`` gives up to 3.11: from
+    3.12, ``sum`` compensates its rounding, so its last bit may differ."""
+    return reduce(operator.add, values, 0.0)
+
 
 KINDS = ("fomm", "hmm", "mdp", "mdp-fixed", "smdp", "mdp-plus", "ed")
 #: Kinds whose only label is the always-occurring event "true".
@@ -301,7 +308,7 @@ class CompiledModel:
     label to its arrows out of state ``i``, in model order.  The other tables
     are built on first use: the belief filters' ``emissions``, ``shares``,
     ``allowed`` and ``event_order`` (the walk's collision order too); and the
-    adjacency lists ``forward`` and ``backward``.
+    ``adjacency`` lists of ``hi``, ``forward`` and ``backward``.
     Each costs O(|S| + |arrows|) once per model (``allowed`` O(|S| *
     |observations|)); the view holds the model's tuples, not the model, and
     no exact weights: exact paths apply ``dyadic`` to the doubles they read.
@@ -330,22 +337,17 @@ class CompiledModel:
             self.point.append(hi - lo <= TOL)
             self.out[i].setdefault(a.label, []).append(k)
 
-    def _adjacency(self, sources: list, targets: list) -> list:
+    def adjacency(self, weights: list, backward: bool = False) -> list:
+        """Per state, the targets of its arrows whose weight is above 0 (``backward``: the sources of
+        such arrows into it), for per-arrow weights such as ``hi`` or one resolution's points."""
         adj: list = [[] for _ in self.ids]
-        for i, j, hi in zip(sources, targets, self.hi):
-            if hi > 0.0:
+        for i, j, w in zip(*((self.dst, self.src) if backward else (self.src, self.dst)), weights):
+            if w > 0.0:
                 adj[i].append(j)
         return adj
 
-    @cached_property
-    def forward(self) -> list:
-        """Per state, the targets of its arrows whose upper bound is above 0."""
-        return self._adjacency(self.src, self.dst)
-
-    @cached_property
-    def backward(self) -> list:
-        """Per state, the sources of its arrows into it whose upper bound is above 0."""
-        return self._adjacency(self.dst, self.src)
+    forward = cached_property(lambda self: self.adjacency(self.hi))
+    backward = cached_property(lambda self: self.adjacency(self.hi, backward=True))
 
     @cached_property
     def emissions(self) -> list:

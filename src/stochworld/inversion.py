@@ -21,16 +21,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from typing import Mapping, Optional
 
 # belief_determinize, minimize_forward, enumerate_future, _dense_solve: package exports, imported on first use
 import stochworld as sw
 
-from .analysis import find_black_hole, find_white_peak
+from .analysis import find_white_peak, reached
 from .core import (
     ACTION_KINDS, Arrow, Development, FutureSet, Model, Policy, ProbInterval, State, Value, canonical, checked_int,
-    compose_policy, replace, sum_fault,
+    compose_policy, ordered_sum, replace, sum_fault,
 )
 from .errors import JourneyError, ModelError, WhitePeakError
 
@@ -54,23 +55,28 @@ class JourneyStatistics(Value):
 
 
 def _propagating_states(model: Model) -> tuple:
-    """The states journeys can stand on, reachable and outside black holes,
-    as a flag per state number, and the black hole.
-
-    Refuses an interval arrow out of such a state, and an outgoing sum that
-    ``validate`` refuses by ``sum_fault``; the first such state in model order
-    is named.
-    """
+    """The states journeys can stand on, reachable and outside black holes, as a flag per state
+    number, and the black hole; refused as by ``_check_journeys`` over the arrows' midpoints."""
     compiled = model.compiled
-    black = find_black_hole(model)
-    white = find_white_peak(model)
-    standing = [sid not in white and sid not in black for sid in compiled.ids]
+    s0 = compiled.index[model.initial_state.id]
+    returns = reached(compiled.backward, s0)
+    standing = list(map(operator.and_, reached(compiled.forward, s0), returns))
+    _check_journeys(model, standing, compiled.mid, compiled.point)
+    return standing, frozenset(sid for sid, back in zip(compiled.ids, returns) if not back)
+
+
+def _check_journeys(model: Model, standing: list, mid: list, point: Optional[list] = None) -> None:
+    """Refuses, out of the states ``standing`` flags, an arrow that ``point``
+    (where given) does not flag as a point, and an outgoing sum of ``mid``
+    that ``validate`` refuses by ``sum_fault``; the first such state in model
+    order is named."""
+    compiled = model.compiled
     outgoing = [[] for _ in standing]
     interval: dict = {}  # standing state -> its first interval arrow
-    for k, (i, m, point) in enumerate(zip(compiled.src, compiled.mid, compiled.point)):
+    for k, (i, m) in enumerate(zip(compiled.src, mid)):
         if standing[i]:
             outgoing[i].append(m)
-            if not point:
+            if point is not None and not point[k]:
                 interval.setdefault(i, k)
     for i, stands in enumerate(standing):
         if stands and i in interval:
@@ -82,7 +88,6 @@ def _propagating_states(model: Model) -> tuple:
         fault = stands and sum_fault(outgoing[i])
         if fault:
             raise JourneyError(f"journeys do not terminate: state {compiled.ids[i]} outgoing probability sum {fault[1]:g}")
-    return standing, black
 
 
 def journey_statistics(model: Model) -> JourneyStatistics:
@@ -110,7 +115,7 @@ def _reduced(out: list, inn: list, exits: list, c: list) -> list:
             continue
         if cost > _ELIMINATION_MAX and n - len(censored) > _ELIMINATION_MAX:
             break
-        d = exits[k] + sum(row.values())
+        d = exits[k] + ordered_sum(row.values())
         if not d:
             raise JourneyError(_SINGULAR)
         out[k] = None
@@ -133,12 +138,12 @@ def _reduced(out: list, inn: list, exits: list, c: list) -> list:
     left = [k for k, row in enumerate(out) if row is not None]
     if left:  # the matrix's entries: each pivot on the diagonal, and minus each arrow's p off it
         at = dict(zip(left, range(len(left))))
-        entries = [(i, i, exits[k] + sum(out[k].values())) for i, k in enumerate(left)]
+        entries = [(i, i, exits[k] + ordered_sum(out[k].values())) for i, k in enumerate(left)]
         entries += [(at[r], i, -p) for i, k in enumerate(left) for r, p in out[k].items()]
         for k, v in zip(left, sw._dense_solve(len(left), *zip(*entries), [c[k] for k in left])):
             x[k] = v
     for k, d in reversed(censored):
-        x[k] = (c[k] + sum(q * x[j] for j, q in inn[k].items())) / d
+        x[k] = (c[k] + ordered_sum(q * x[j] for j, q in inn[k].items())) / d
     return x
 
 
@@ -146,23 +151,39 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     compiled = model.compiled
     if compiled.journeys is not None:  # the model was solved before
         return compiled.journeys
-    ids = compiled.ids
-    s0 = compiled.index[model.initial_state.id]
+    ids, s0 = compiled.ids, compiled.index[model.initial_state.id]
     standing, black = _propagating_states(model)
+    visits, counts = _flow(compiled, s0, standing, compiled.mid)
+    arrow_counts = {}
+    return_count = 0.0
+    absorption: dict = {}
+    for k, (i, j) in enumerate(zip(compiled.src, compiled.dst)):
+        if standing[i]:
+            arrow_counts[model.arrows[k].key] = count = counts[k]
+            if j == s0:
+                return_count += count
+            elif ids[j] in black:
+                absorption[ids[j]] = absorption.get(ids[j], 0.0) + count
+    compiled.journeys = JourneyStatistics({ids[i]: v for i, v in visits.items()}, arrow_counts, return_count, absorption)
+    return compiled.journeys
+
+
+def _flow(compiled, s0: int, standing: list, mid: list) -> tuple:
+    """The journey flow over the arrow probabilities ``mid`` out of the states
+    ``standing`` flags, solved: their expected visits per journey by state
+    number, and per arrow its expected traversals, 0.0 out of the others."""
     others = [i for i, stands in enumerate(standing) if stands and i != s0]
     n = len(others)
-    pos = [-1] * len(ids)
+    pos = [-1] * len(standing)
     for p, i in enumerate(others):
         pos[i] = p
 
     # v(s0) = 1; v(s) = sum_k v(k) p(k, s) over propagating k, summed in model order
-    live = []  # the arrows out of standing states, in model order
     out, inn = [{} for _ in range(n)], [{} for _ in range(n)]  # p(k->r) as out[k][r] and inn[r][k]
     column = [[1.0] for _ in range(n)]  # per unknown, 1 and minus each of its arrows into the unknowns
     c = [0.0] * n
-    for k, (i, j, m) in enumerate(zip(compiled.src, compiled.dst, compiled.mid)):
+    for i, j, m in zip(compiled.src, compiled.dst, mid):
         if standing[i]:
-            live.append(k)
             r, s = pos[j], pos[i]
             if r < 0:
                 continue
@@ -175,62 +196,58 @@ def _solved_flow(model: Model) -> JourneyStatistics:
     x = _reduced(out, inn, [math.fsum(col) for col in column], c)
     if not all(map(math.isfinite, x)):
         raise JourneyError("flow system produced non-finite visit counts")
-
-    per_state = dict(zip((s0, *others), (1.0, *x)))  # state number -> visits
-    visits = {ids[i]: v for i, v in per_state.items()}
-    arrow_counts = {}
-    return_count = 0.0
-    absorption: dict = {}
-    for k in live:
-        count = per_state[compiled.src[k]] * compiled.mid[k]
-        arrow_counts[model.arrows[k].key] = count
-        j = compiled.dst[k]
-        if j == s0:
-            return_count += count
-        elif ids[j] in black:
-            absorption[ids[j]] = absorption.get(ids[j], 0.0) + count
-    compiled.journeys = JourneyStatistics(visits, arrow_counts, return_count, absorption)
-    return compiled.journeys
+    visits = dict(zip((s0, *others), (1.0, *x)))
+    return visits, [visits[i] * m if standing[i] else 0.0 for i, m in zip(compiled.src, mid)]
 
 
 def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str) -> Model:
-    """Build the reversed model with inbound probabilities from counts.
-
-    Each reversed arrow gets its count over its target's inflow, or one over
-    the target's in-degree where nothing flows in.  Decision kinds split that
-    into a label probability, the sum over the label's reversed arrows, and
-    the arrow's part of it; the other kinds keep the label probability.
-    """
+    """Build the reversed model with inbound probabilities from counts (see ``_reversed``)."""
     compiled = model.compiled
-    ids, dst = compiled.ids, compiled.dst
-    reversed_keys = [(a.target, a.label, a.source) for a in model.arrows]  # [::-1] gives the arrow's key
-    inflow = [0.0] * len(ids)
-    for (_, _, target), c in counts.items():
-        inflow[compiled.index[target]] += c
-    indegree = [0] * len(ids)
+    flows = [(compiled.index[target], c) for (_, _, target), c in counts.items()]
+    counted = [counts.get((a.source, a.label, a.target), 0.0) for a in model.arrows]
+    lps, aps, uniform = _reversed(model, counted, flows, kind in ("mdp", "mdp-fixed"))
+    reversed_arrows = [
+        Arrow(a.target, a.label, a.source, a.label_prob if lp is None else ProbInterval(lp, lp), ProbInterval(p, p))
+        for a, lp, p in zip(model.arrows, lps, aps)
+    ]
+    notes = ("uniform-inbound: " + " ".join(sorted(compiled.ids[j] for j in uniform)),) if uniform else ()
+    return canonical(replace(model, kind=kind, arrows=reversed_arrows, meta=notes))
+
+
+def _unit(p: float) -> float:
+    """``p`` as ``ProbInterval(p, p)`` keeps it: drift within ``TOL`` of [0, 1] clamped, more refused."""
+    return p if 0.0 <= p <= 1.0 else ProbInterval(p, p).lo
+
+
+def _reversed(model: Model, counts: list, flows, decision: bool) -> tuple:
+    """Per arrow, its reversed label and arrow probability as ``ProbInterval`` keeps them (the
+    label's None, to keep the model's, unless ``decision``), and the state numbers of uniform inbound.
+
+    Each reversed arrow gets its count over its target's inflow, the sum of the counts ``flows``
+    pairs with it in their order, or one over the target's in-degree where nothing flows in.
+    Decision kinds split that into a label probability, the sum over the label's reversed arrows,
+    and the arrow's part of it.
+    """
+    dst = model.compiled.dst
+    inflow, indegree = [0.0] * len(model.compiled.ids), [0] * len(model.compiled.ids)
+    for j, c in flows:
+        inflow[j] += c
     for j in dst:
         indegree[j] += 1
-    inbound = [
-        counts.get(key[::-1], 0.0) / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j]
-        for key, j in zip(reversed_keys, dst)
-    ]
-    decision = kind in ("mdp", "mdp-fixed")
-    label_mass: dict = {}  # (reversed source, label) -> [inbound sum, arrows]
-    if decision:
-        for key, p in zip(reversed_keys, inbound):
-            mass = label_mass.setdefault(key[:2], [0.0, 0])
-            mass[0] += p
-            mass[1] += 1
-    reversed_arrows = []
-    for key, p, a in zip(reversed_keys, inbound, model.arrows):
-        lp = a.label_prob
-        if decision:
-            total, n = label_mass[key[:2]]
-            lp, p = ProbInterval(total, total), (p / total if total > _EPS else 1.0 / n)
-        reversed_arrows.append(Arrow(*key, lp, ProbInterval(p, p)))
-    uniform = [sid for sid, deg, flow in zip(ids, indegree, inflow) if deg and flow <= _EPS]
-    notes = ("uniform-inbound: " + " ".join(sorted(uniform)),) if uniform else ()
-    return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=notes))
+    inbound = [c / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j] for c, j in zip(counts, dst)]
+    uniform = [j for j, (deg, flow) in enumerate(zip(indegree, inflow)) if deg and flow <= _EPS]
+    if not decision:
+        return [None] * len(inbound), list(map(_unit, inbound)), uniform
+    groups = [(j, a.label) for j, a in zip(dst, model.arrows)]  # (reversed source, label)
+    mass = dict.fromkeys(groups, 0.0)
+    for g, p in zip(groups, inbound):
+        mass[g] += p
+    lps, aps = [], []
+    for g, p in zip(groups, inbound):
+        total = mass[g]
+        lps.append(_unit(total))
+        aps.append(_unit(p / total if total > _EPS else 1.0 / groups.count(g)))
+    return lps, aps, uniform
 
 
 def _invert_by_flow(model: Model, flow=_solved_flow) -> Model:
@@ -302,8 +319,8 @@ def _sample_simplex_box(bounds, rng):
     x = [0.0] * n
     done = 0.0
     for i in range(n - 1):
-        lo = max(bounds[i].lo, 1.0 - done - sum(b.hi for b in bounds[i + 1 :]))
-        hi = min(bounds[i].hi, 1.0 - done - sum(b.lo for b in bounds[i + 1 :]))
+        lo = max(bounds[i].lo, 1.0 - done - ordered_sum(b.hi for b in bounds[i + 1 :]))
+        hi = min(bounds[i].hi, 1.0 - done - ordered_sum(b.lo for b in bounds[i + 1 :]))
         x[i] = _clamped(lo + (hi - lo) * rng.random(), bounds[i])
         done += x[i]
     x[-1] = _clamped(1.0 - done, bounds[-1])
@@ -318,8 +335,11 @@ def invert_mdp_plus(
 ) -> Model:
     """Approximate interval inversion over a family of interval resolutions.
 
-    Every resolution pins the agent and the world to points, is inverted as
-    an MDP Fixed, and the reversed probabilities are hulled per arrow.  The
+    Every resolution pins the agent and the world to points and is inverted
+    as an MDP Fixed would be, on the model's own tables: its per-arrow
+    products go through the same journey check, flow solve and reversal, and
+    the reversed label and arrow probabilities are hulled per arrow.  A
+    resolution with a white peak or a refused journey check is skipped.  The
     bounds are certified only over the explored family (an inner
     approximation of the true intervals).
     """
@@ -331,6 +351,7 @@ def invert_mdp_plus(
         raise WhitePeakError(peak)
 
     compiled = model.compiled
+    s0 = compiled.index[model.initial_state.id]
     # resolution groups, agents first: (which probability the points set, 0
     # label or 1 arrow; per point, the arrows it sets; the points' bounds)
     groups = []
@@ -341,6 +362,10 @@ def invert_mdp_plus(
     world = sorted((sid, label, ks) for sid, out in zip(compiled.ids, compiled.out) for label, ks in out.items())
     for _, _, ks in world:
         groups.append((1, [[k] for k in ks], [model.arrows[k].arrow_prob for k in ks]))
+    at = [[None, None] for _ in model.arrows]  # per arrow, where a resolution's points hold its label and arrow probability
+    for n, (side, ks) in enumerate((side, ks) for side, targets, _ in groups for ks in targets):
+        for k in ks:
+            at[k][side] = n
 
     def resolutions():
         if mode == "vertex":
@@ -359,37 +384,30 @@ def invert_mdp_plus(
         else:
             raise ModelError(f"unknown inversion mode {mode!r}")
 
-    lp_hull: dict = {}
-    ap_hull: dict = {}
-    explored = 0
-    valid = 0
+    hull = [[b] * len(model.arrows) for b in (1.0, 0.0, 1.0, 0.0)]  # per arrow: its reversed lp's lo and hi, its ap's
+    explored = valid = 0
     for combo in resolutions():
         explored += 1
-        probs = [[None, None] for _ in model.arrows]  # per arrow, its label and arrow probability
-        for (side, targets, _), vec in zip(groups, combo):
-            for ks, p in zip(targets, vec):
-                for k in ks:
-                    probs[k][side] = p
-        resolved = tuple(
-            Arrow(a.source, a.label, a.target, ProbInterval.point(lp), ProbInterval.point(ap))
-            for a, (lp, ap) in zip(model.arrows, probs)
-        )
+        flat = [p for vec in combo for p in vec]
+        points = [flat[i] * flat[j] for i, j in at]  # per arrow, its label times its arrow probability
+        if not all(reached(compiled.adjacency(points), s0)):  # a white peak
+            continue
+        standing = reached(compiled.adjacency(points, backward=True), s0)
         try:
-            inv = _invert_by_flow(replace(model, kind="mdp-fixed", arrows=resolved))
-        except (WhitePeakError, JourneyError):
+            _check_journeys(model, standing, points)
+            counts = _flow(compiled, s0, standing, points)[1]
+        except JourneyError:
             continue
         valid += 1
-        for a in inv.arrows:
-            lo, hi = lp_hull.get((a.source, a.label), (1.0, 0.0))
-            lp_hull[(a.source, a.label)] = (min(lo, a.label_prob.lo), max(hi, a.label_prob.hi))
-            lo, hi = ap_hull.get(a.key, (1.0, 0.0))
-            ap_hull[a.key] = (min(lo, a.arrow_prob.lo), max(hi, a.arrow_prob.hi))
+        lps, aps, _ = _reversed(model, counts, zip(compiled.dst, counts), True)
+        hull = [list(map(f, h, v)) for f, h, v in zip((min, max, min, max), hull, (lps, lps, aps, aps))]
 
     if valid == 0:
         raise JourneyError(f"budget exhausted with zero valid resolutions (explored {explored})")
 
     arrows = tuple(
-        Arrow(*key, ProbInterval(*lp_hull[key[:2]]), ProbInterval(*ap_hull[key])) for key in ap_hull
+        Arrow(a.target, a.label, a.source, ProbInterval(lo, hi), ProbInterval(ap_lo, ap_hi))
+        for a, lo, hi, ap_lo, ap_hi in zip(model.arrows, *hull)
     )
     meta = (f"approximate: bounds certified over {valid} explored resolutions",)
     return canonical(replace(model, kind="mdp-plus", arrows=arrows, meta=meta))

@@ -3,6 +3,7 @@ reference implementations that fast paths are compared against."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -32,8 +33,10 @@ from stochworld import (
     State,
     TraceSpec,
     Trajectory,
+    WhitePeakError,
     belief_determinize,
     canonical,
+    find_white_peak,
     invert_chain,
     minimize_forward,
     parse_model,
@@ -42,6 +45,7 @@ from stochworld.constructions import _doubled_kind
 from stochworld.core import ACTION_KINDS, POINT_ONE, SUM_TOL, TOL, checked_int, compose_policy, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
+from stochworld.inversion import _invert_by_flow, _sample_simplex_box, _simplex_box_vertices
 from stochworld.journeys import seeded_generator
 from stochworld.markov import MarkovReport, SymbolTest
 from stochworld.walk import _resolve_agent
@@ -900,6 +904,77 @@ def reverse_by_branches(model: Model, counts: dict, kind: str) -> Model:
             notes.append("uniform-inbound: " + " ".join(sorted(uniform_states)))
 
     return canonical(replace(model, kind=kind, arrows=tuple(reversed_arrows), meta=tuple(notes)))
+
+
+def invert_mdp_plus_by_models(model: Model, mode: str = "vertex", budget: int = 10_000, seed=None) -> Model:
+    """Reference interval inversion, one model per resolution: each resolution
+    becomes a resolved ``mdp-fixed`` model, with its own compiled tables,
+    reachability sets and flow solve, inverted through ``_invert_by_flow``;
+    the reversed model's probabilities are hulled per reversed arrow key."""
+    budget = checked_int(budget, "interval inversion budget", 0)
+    if model.kind not in ACTION_KINDS:
+        raise ModelError(f"invert_mdp_plus does not apply to {model.kind} models")
+    peak = find_white_peak(model)
+    if peak:
+        raise WhitePeakError(peak)
+
+    compiled = model.compiled
+    groups = []  # (0 label or 1 arrow probability; per point, the arrows it sets; the points' bounds)
+    for out in compiled.out:
+        labels = [l for l in model.labels if l in out]
+        if labels:
+            groups.append((0, [out[l] for l in labels], [model.arrows[out[l][0]].label_prob for l in labels]))
+    world = sorted((sid, label, ks) for sid, out in zip(compiled.ids, compiled.out) for label, ks in out.items())
+    for _, _, ks in world:
+        groups.append((1, [[k] for k in ks], [model.arrows[k].arrow_prob for k in ks]))
+
+    def resolutions():
+        if mode == "vertex":
+            per_group = [_simplex_box_vertices(b) for _, _, b in groups]
+            if any(not g for g in per_group):
+                return
+            yield from itertools.islice(itertools.product(*per_group), budget)
+        elif mode == "monte-carlo":
+            if seed is None:
+                raise ModelError("monte-carlo interval inversion needs a seed")
+            rng = random.Random(checked_int(seed, "monte-carlo interval inversion seed", 0))
+            for _ in range(budget):
+                pick = [_sample_simplex_box(b, rng) for _, _, b in groups]
+                if all(p is not None for p in pick):
+                    yield tuple(pick)
+        else:
+            raise ModelError(f"unknown inversion mode {mode!r}")
+
+    lp_hull: dict = {}
+    ap_hull: dict = {}
+    explored = valid = 0
+    for combo in resolutions():
+        explored += 1
+        probs = [[None, None] for _ in model.arrows]  # per arrow, its label and arrow probability
+        for (side, targets, _), vec in zip(groups, combo):
+            for ks, p in zip(targets, vec):
+                for k in ks:
+                    probs[k][side] = p
+        resolved = tuple(
+            Arrow(a.source, a.label, a.target, ProbInterval.point(lp), ProbInterval.point(ap))
+            for a, (lp, ap) in zip(model.arrows, probs)
+        )
+        try:
+            inv = _invert_by_flow(replace(model, kind="mdp-fixed", arrows=resolved))
+        except (WhitePeakError, JourneyError):
+            continue
+        valid += 1
+        for a in inv.arrows:
+            lo, hi = lp_hull.get((a.source, a.label), (1.0, 0.0))
+            lp_hull[(a.source, a.label)] = (min(lo, a.label_prob.lo), max(hi, a.label_prob.hi))
+            lo, hi = ap_hull.get(a.key, (1.0, 0.0))
+            ap_hull[a.key] = (min(lo, a.arrow_prob.lo), max(hi, a.arrow_prob.hi))
+
+    if valid == 0:
+        raise JourneyError(f"budget exhausted with zero valid resolutions (explored {explored})")
+    arrows = tuple(Arrow(*key, ProbInterval(*lp_hull[key[:2]]), ProbInterval(*ap_hull[key])) for key in ap_hull)
+    meta = (f"approximate: bounds certified over {valid} explored resolutions",)
+    return canonical(replace(model, kind="mdp-plus", arrows=arrows, meta=meta))
 
 
 def joined_by_assembly(model: Model, depth: int) -> Model:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 import stochworld
 import stochworld.inversion as inversion
 
@@ -17,6 +18,7 @@ from stochworld import (
     PolicyError,
     ProbInterval,
     WhitePeakError,
+    find_black_hole,
     invert_chain,
     invert_mdp_fixed,
     invert_mdp_plus,
@@ -33,9 +35,11 @@ from stochworld.core import SUM_TOL, replace
 from stochworld.format import fmt_num
 from stochworld.inversion import _reverse_from_counts
 
+from genmodels import random_model
 from helpers import (
     ArrowIndex,
     chain_model,
+    invert_mdp_plus_by_models,
     journey_statistics_by_loops,
     load_model,
     random_connected_chain,
@@ -805,3 +809,126 @@ class TestInvertMdpPlus:
         )
         with pytest.raises(WhitePeakError):
             invert_mdp_plus(model, "vertex", budget=10)
+
+
+def _plus_outcome(invert, model, mode, budget):
+    """``invert``'s interval inverse as plain bits, or its refusal's type and text."""
+    try:
+        return _model_bits(invert(model, mode, budget, 3))
+    except (JourneyError, ModelError, WhitePeakError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_SHORT = (
+    "arrow s a s lp=[0.9999991,1] ap=0.4999991\narrow s a t lp=[0.9999991,1] ap=0.5\n"
+    "arrow s b s lp=0 ap=1\narrow t a s lp=1\n"
+)
+
+
+def _random_plus_model(rng: random.Random):
+    """An mdp-plus model of 1 to 4 states whose boxes sit around random
+    distributions, often reaching 0, so that many resolutions cut an arrow:
+    a white peak, a black hole or a zero label at that resolution."""
+    n = rng.randint(1, 4)
+    ids = [f"s{i}" for i in range(n)]
+
+    def boxes(k):
+        weights = [rng.choice((0, 1, 1, 2, 3)) for _ in range(k)]
+        weights[0] += not any(weights)
+        spread = rng.choice((0.0, 0.1, 0.5, 1.0))
+        return [f"[{max(0.0, w / sum(weights) - spread)!r},{min(1.0, w / sum(weights) + spread)!r}]" for w in weights]
+
+    lines = ["model mdp-plus", "obs x", "act a b c"] + [f"state {s}{' initial' * (s == 's0')} trace x=1" for s in ids]
+    for s in ids:
+        labels = rng.sample("abc", rng.randint(1, 3))
+        for label, lp in zip(labels, boxes(len(labels))):
+            targets = rng.sample(ids, rng.randint(1, n))
+            lines += [f"arrow {s} {label} {t} lp={lp} ap={ap}" for t, ap in zip(targets, boxes(len(targets)))]
+    return parse_model("\n".join(lines) + "\n")
+
+
+class TestIntervalInversionOracle:
+    """``invert_mdp_plus`` solves each resolution on the model's own tables;
+    its reference builds, compiles and inverts one ``mdp-fixed`` model per
+    resolution.  Both agree on every bound's bits, the resolution note and
+    every refusal."""
+
+    BUDGETS = (1, 8, 200)
+
+    def test_generated_models(self, monkeypatch):
+        cut = Counter()  # what the reference met at a resolution
+
+        def counted(resolved):
+            try:
+                inverse = inversion._invert_by_flow(resolved)
+            except WhitePeakError:
+                cut["white peak"] += 1
+                raise
+            except JourneyError as exc:
+                cut["sum fault" if "do not terminate" in str(exc) else str(exc)] += 1
+                raise
+            cut["black hole"] += bool(find_black_hole(resolved))
+            return inverse
+
+        monkeypatch.setattr(helpers, "_invert_by_flow", counted)
+        rng = random.Random(31)
+        models = [_random_plus_model(rng) for _ in range(16)]
+        while len(models) < 40:
+            model = random_model(rng)
+            if model.kind == "mdp-plus":
+                models.append(model)
+        seen = Counter()
+        for i, model in enumerate(models):
+            for mode in ("vertex", "monte-carlo"):
+                for budget in self.BUDGETS:
+                    want = _plus_outcome(invert_mdp_plus_by_models, model, mode, budget)
+                    assert _plus_outcome(invert_mdp_plus, model, mode, budget) == want, (i, mode, budget)
+                    seen[want[0]] += 1  # the inverse's kind, or the refusal's type
+        assert seen["mdp-plus"] >= 60 and seen["JourneyError"] >= 20 and seen["WhitePeakError"] >= 20, seen
+        assert cut["white peak"] >= 20 and cut["black hole"] >= 20, cut
+
+    HEAD = "model mdp-plus\nobs x y\nact a b\nstate s initial trace x=1\nstate t trace y=1\n"
+
+    @pytest.mark.parametrize(
+        "arrows, budget, want",
+        [
+            # the vertex s->t = 0 leaves t a white peak; the other is valid
+            ("arrow s a s lp=1 ap=[0,1]\narrow s a t lp=1 ap=[0,1]\narrow t a s lp=1\n", 8, "over 1 explored"),
+            # the vertex t->s = 0 makes t a black hole, which absorbs every journey
+            ("arrow s a t lp=1\narrow t a s lp=1 ap=[0,1]\narrow t a t lp=1 ap=[0,1]\n", 8, "over 2 explored"),
+            # at lp(a) = 0.9999991, beside lp(b) = 0, s's points sum to 1 - 1.8e-6, which sum_fault refuses
+            (_SHORT, 8, "over 1 explored"),
+            (_SHORT, 1, "zero valid resolutions (explored 1)"),
+        ],
+        ids=["white peak", "black hole", "sum fault", "zero valid"],
+    )
+    def test_resolutions_that_cut_an_arrow(self, arrows, budget, want):
+        model = parse_model(self.HEAD + arrows)
+        got = _plus_outcome(invert_mdp_plus, model, "vertex", budget)
+        assert got == _plus_outcome(invert_mdp_plus_by_models, model, "vertex", budget)
+        assert want in (got[1] if got[0] == "JourneyError" else got[-1][0]), got
+        assert _plus_outcome(invert_mdp_plus, model, "monte-carlo", budget) == _plus_outcome(
+            invert_mdp_plus_by_models, model, "monte-carlo", budget
+        )
+
+    def test_plus_mc_hull_is_the_same_on_every_python(self):
+        """A ``plus-mc`` hull that Python 3.12's compensated ``sum`` moved by
+        an ulp in two bounds (to ...72p-6 and ...6dp-2) while the sampler and
+        the flow reduction summed with it.  ``ordered_sum`` adds left to right
+        on every version, so these are its bits on 3.10 to 3.13."""
+        model = parse_model(
+            "model mdp-plus\nobs x y z\nact a0 a1 a2\n"
+            "state n0 initial trace x=[0.198,0.268] y=[0.244,0.39] z=[0.366,0.534]\n"
+            "state n1 trace x=[0.331,0.367] z=[0.643,0.659]\nstate n2 trace x=[0.977,1]\n"
+            "state n3 trace x=[0.946,1]\nstate n4 trace y=[0.361,0.431] z=[0.405,0.803]\n"
+            "state n5 trace x=[0.897,1]\n"
+            "arrow n0 a2 n1 lp=[0.853,1] ap=[0.87,1]\narrow n1 a0 n2 lp=[0.089,0.477] ap=[0.995,1]\n"
+            "arrow n1 a1 n2 lp=[0.626,0.65] ap=[0.029,0.133]\narrow n1 a1 n3 lp=[0.626,0.65] ap=[0.818,1]\n"
+            "arrow n1 a2 n2 lp=[0.001,0.224] ap=[0.893,1]\narrow n1 a2 n5 lp=[0.001,0.224] ap=[0.001,0.172]\n"
+            "arrow n2 a0 n3 lp=[0.862,1] ap=[0.915,1]\narrow n3 a0 n4 lp=[0.231,0.535] ap=[0.977,1]\n"
+            "arrow n3 a2 n4 lp=[0.448,0.786] ap=[0.175,0.559]\narrow n3 a2 n5 lp=[0.448,0.786] ap=[0.528,0.738]\n"
+            "arrow n4 a0 n5 lp=[0.93,1] ap=[0.984,1]\narrow n5 a1 n0 lp=[0.864,1] ap=[0.831,1]\n"
+        )
+        hull = {a.key: (a.label_prob.lo.hex(), a.label_prob.hi.hex()) for a in invert_mdp_plus(model, "monte-carlo", 20, 3).arrows}
+        assert hull[("n2", "a2", "n1")] == ("0x1.e3f31fc79fc73p-6", "0x1.25f07a7207c15p-1")
+        assert hull[("n3", "a0", "n2")] == ("0x1.7e08e7aee5a6cp-2", "0x1.cde559dbf002fp-2")

@@ -32,6 +32,12 @@ STARTUP = "".join(
     # compiled from source, as on a host that writes no bytecode
     """python -B -X pycache_prefix="$(mktemp -d)" -X importtime -c 'import stochworld.cli' 2>&1 | grep stochworld\n"""
 )
+#: the time of 10 000 seeded plus-mc resolutions of the rain model; it only reports
+INTERVAL_INVERSION = (
+    """python -c 'import time, stochworld as sw; m = sw.parse_model(open("models/rain.model").read());"""
+    """ t = time.perf_counter(); sw.invert_mdp_plus(m, "monte-carlo", 10_000, 3);"""
+    """ print(f"invert_mdp_plus rain monte-carlo 10000 seed 3: {time.perf_counter() - t:.3f} s")'\n"""
+)
 #: the golden smoke runs after this, so the runtime path is shown not to need scipy
 NO_SCIPY = "pip uninstall -y scipy"
 GOLDENS = (
@@ -48,8 +54,8 @@ def test_tier1_workflow_parses():
     assert 0 < job["timeout-minutes"] <= 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the tier-1 command, logging the slowest tests on every matrix Python
-    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", NO_SCIPY, SOURCE_SIZE, STARTUP, GOLDENS]
+    assert runs == ['pip install -e ".[test]"', TIER1 + " --durations=15", NO_SCIPY, SOURCE_SIZE, STARTUP, INTERVAL_INVERSION, GOLDENS]
     # the start-up report runs under the default shell, without pipefail
-    assert "shell" not in job["steps"][-2]
+    assert "shell" not in job["steps"][-3]
     # pipefail, so a crashed benchmark run fails the step too
     assert job["steps"][-1]["shell"] == "bash"
