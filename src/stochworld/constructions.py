@@ -26,6 +26,7 @@ from .core import (
     canonical,
     checked_int,
     dyadic,
+    ordered_sum,
     replace,
 )
 from .errors import CapExceededError, CoverageError, ModelError
@@ -126,8 +127,8 @@ def parity_model(model: Model, event: EventSet) -> Model:
 
 
 def _interval_sum(intervals) -> ProbInterval:
-    lo = min(sum(i.lo for i in intervals), 1.0)
-    hi = min(sum(i.hi for i in intervals), 1.0)
+    lo = min(ordered_sum(i.lo for i in intervals), 1.0)
+    hi = min(ordered_sum(i.hi for i in intervals), 1.0)
     return ProbInterval(lo, hi)
 
 
@@ -277,11 +278,11 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         layer, frontier = frontier, []
         for belief in layer:
             rows = [(out[index[sid]], mass) for sid, mass in belief]
-            whole = sum(mass for _, mass in belief) * lu  # a label probability's denominator
+            whole = ordered_sum(mass for _, mass in belief) * lu  # a label probability's denominator
             label_mass = 0
             for label in model.labels:
                 offered = [(row[label], mass) for row, mass in rows if label in row]
-                lp = sum(mass * lps[ks[0]] for ks, mass in offered)
+                lp = ordered_sum(mass * lps[ks[0]] for ks, mass in offered)
                 label_mass += lp
                 if not lp:
                     continue
@@ -301,7 +302,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
                             raise CapExceededError(f"belief expansion exceeds the cap of {cap} states")
                         names[successor] = f"q{len(names)}"
                         frontier.append(successor)
-                    ap = ProbInterval.point(sum(moved.values()) / (lp * au))
+                    ap = ProbInterval.point(ordered_sum(moved.values()) / (lp * au))
                     arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
             label_mass = Fraction(label_mass, whole)
             if model.kind not in ("ed", "smdp") and 0 < label_mass < 1 - TOL:  # their labels need not sum to 1
@@ -311,7 +312,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
         State(names[b], initial=(b == start), trace=TraceSpec({obs_of[index[b[0][0]]]: POINT_ONE}))
         for b in names
     )
-    totals = {b: sum(m for _, m in b) for b in names}
+    totals = {b: ordered_sum(m for _, m in b) for b in names}
     meta = tuple(f"{names[b]} = " + " ".join(f"{sid}:{Fraction(m, totals[b])}" for sid, m in b) for b in names)
     if frontier:  # deepest-layer beliefs stay unexpanded: they keep no outgoing arrows
         meta += ("frontier truncated at depth; outgoing sums may fall short",)
@@ -359,7 +360,7 @@ def _coarsest_blocks(model: Model) -> list:
         initial.setdefault((frozenset(s.trace.probs.items()), s.trace.memory, offered), set()).add(i)
     members = list(initial.values())
     block_of = {i: b for b, m in enumerate(members) for i in m}
-    zeros = [sum(zero_in[i] for i in m) for m in members]
+    zeros = [ordered_sum(zero_in[i] for i in m) for m in members]
     work = list(range(len(members)))
     queued = set(work)
 
@@ -386,7 +387,7 @@ def _coarsest_blocks(model: Model) -> list:
                 members[d].difference_update(part)
                 for s in part:
                     block_of[s] = split[-1]
-                zeros.append(sum(zero_in[s] for s in part))
+                zeros.append(ordered_sum(zero_in[s] for s in part))
                 zeros[d] -= zeros[-1]
             if not queue_all:
                 split.remove(max(split, key=lambda x: len(members[x])))

@@ -40,9 +40,9 @@ def sum_fault(los: Iterable[float], his: Optional[Iterable[float]] = None) -> tu
 
 
 def ordered_sum(values: Iterable[float]) -> float:
-    """The floats added left to right, on every Python the bits ``sum`` gives up to 3.11: from
-    3.12, ``sum`` compensates its rounding, so its last bit may differ."""
-    return reduce(operator.add, values, 0.0)
+    """The library's one sum, left to right from the int 0: on every Python, the built-in ``sum`` of
+    3.10 and 3.11, ints exact and empty 0 (from 3.12, ``sum`` compensates float rounding)."""
+    return reduce(operator.add, values, 0)
 
 
 KINDS = ("fomm", "hmm", "mdp", "mdp-fixed", "smdp", "mdp-plus", "ed")
@@ -328,6 +328,8 @@ class CompiledModel:
             i, j = self.index.get(a.source), self.index.get(a.target)
             if i is None or j is None:
                 raise ModelError(f"arrow {a.source} {a.label} {a.target} joins an undeclared state")
+            if a.label not in self.label_index:
+                raise ModelError(f"arrow {a.source} {a.label} {a.target} has a label outside the label alphabet")
             lp, ap = a.label_prob, a.arrow_prob
             lo, hi = lp.lo * ap.lo, lp.hi * ap.hi  # as Arrow.effective(), whose clamps are no-ops here
             self.src.append(i)
@@ -386,7 +388,7 @@ class CompiledModel:
         for i, row in enumerate(self.out):
             for label, ks in row.items():
                 weights = [arrows[k].arrow_prob.mid for k in ks]
-                total = sum(weights)
+                total = ordered_sum(weights)
                 if total > 0.0:
                     shares = tuple((ids[dst[k]], w / total) for k, w in zip(ks, weights) if w > 0.0)
                     table[(ids[i], label)] = (shares, any(not arrows[k].arrow_prob.is_point for k in ks))
@@ -414,7 +416,7 @@ class Belief(Value):
         probs = dict(probs)
         if any(p <= 0.0 for p in probs.values()):
             raise ModelError("belief entries must be strictly positive")
-        total = sum(probs.values())
+        total = ordered_sum(probs.values())
         if abs(total - 1.0) > TOL:  # a sum this far from 1 meets the rule, then is normalized
             fault = sum_fault(probs.values())
             if fault:
@@ -674,7 +676,7 @@ def step_belief(model: Model, belief: Belief, label: str, obs: str) -> Belief:
             w = mass * mid[k] * trace_mid
             if w > 0.0:
                 posterior[ids[j]] = posterior.get(ids[j], 0.0) + w
-    total = sum(posterior.values())
+    total = ordered_sum(posterior.values())
     if total <= 0.0:
         raise InconsistentObservationError(
             f"observation {obs!r} impossible under the current belief"

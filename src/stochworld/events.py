@@ -36,6 +36,7 @@ from .core import (
     Value,
     _occurrence,
     checked_int,
+    ordered_sum,
 )
 from .errors import ModelError, TrackingError
 
@@ -186,7 +187,7 @@ def detect_indirect(
         diff[o] += 1
     for o in codes[window : 2 * window]:
         diff[o] -= 1
-    d = sum(map(abs, diff))
+    d = ordered_sum(map(abs, diff))
     hits = [(window, d)] if d >= cut else []
     # at step t, codes[t - 1 - window] leaves the first window, codes[t - 1]
     # crosses into it and codes[t - 1 + window] joins the second
@@ -320,7 +321,7 @@ def track(
             belief = dicts[b]
             admitted = allowed.get(obs, allowed[None])
             conditioned = {sid: mass for sid, mass in belief.items() if sid in admitted}
-            total = sum(conditioned.values())
+            total = ordered_sum(conditioned.values())
             if total <= 0.0:
                 raise TrackingError(t)
             probs = {sid: mass / total for sid, mass in conditioned.items()}

@@ -32,6 +32,7 @@ from .core import (
     checked_int,
     compose_policy,
     dyadic,
+    ordered_sum,
     sum_fault,
 )
 from .errors import CapExceededError, ModelError, PolicyError
@@ -103,7 +104,7 @@ def _develop(m: Model, depth: int, cap: int, exact: bool) -> tuple:
                                     w = top
                             bucket[target] = w
             layer = nxt
-        totals.append({word: sum(dist.values()) for word, dist in layer.items()})
+        totals.append({word: ordered_sum(dist.values()) for word, dist in layer.items()})
     return totals, scale
 
 
@@ -211,7 +212,7 @@ def preference_to_policy(model: Model, preference: Preference) -> Policy:
             if k == n - 1:
                 p = remaining
             else:
-                reserve = sum(b.lo for b in bounds[k + 1 :])
+                reserve = ordered_sum(b.lo for b in bounds[k + 1 :])
                 p = bounds[k].hi * remaining
                 cap = remaining - reserve
                 if p > cap + TOL:

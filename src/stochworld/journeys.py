@@ -11,11 +11,6 @@ from .errors import JourneyError, ModelError
 from .inversion import _SINGULAR, JourneyStatistics, _invert_by_flow, _propagating_states
 
 
-def seeded_generator(seed: int, what: str) -> np.random.Generator:
-    """numpy's PCG64 generator for ``seed`` (None: fresh entropy); a negative or non-integer seed is refused."""
-    return np.random.default_rng(None if seed is None else checked_int(seed, f"{what} seed", 0))
-
-
 def _dense_solve(n: int, rows: list, cols: list, vals: list, c: list) -> list:
     """x with A x = c by LAPACK, A's nonzero entries as (row, column, value) triples, each once."""
     a = np.zeros((n, n))
@@ -50,7 +45,7 @@ def simulate_journeys(model: Model, journeys: int, seed: int) -> JourneyStatisti
         aid[si, : len(ks)] = np.arange(first, first + len(ks))
         first += len(ks)
 
-    rng = seeded_generator(seed, "journey simulation")
+    rng = np.random.default_rng(None if seed is None else checked_int(seed, "journey simulation seed", 0))
     s0 = compiled.index[model.initial_state.id]
     ends = np.array([sid in black for sid in ids], dtype=bool)
     ends[s0] = True  # a journey ends on its return or its absorption

@@ -7,7 +7,7 @@ from collections import Counter
 from numbers import Real
 from typing import Optional
 
-from .core import Trajectory, Value, checked_int, dyadic
+from .core import Trajectory, Value, checked_int, dyadic, ordered_sum
 from .errors import ModelError
 
 
@@ -69,8 +69,8 @@ def _chi2_tail(k: int, x: float) -> float:
 
 def _chi2_p_value(table) -> float:
     """p-value of Pearson's uncorrected chi-squared test of independence on counts with no empty row or column."""
-    rows, cols = [sum(row) for row in table], [sum(col) for col in zip(*table)]
-    n = sum(rows)
+    rows, cols = [ordered_sum(row) for row in table], [ordered_sum(col) for col in zip(*table)]
+    n = ordered_sum(rows)
     terms = ((o - e) ** 2 / e for r, row in zip(rows, table) for c, o in zip(cols, row) for e in [r * c / n])
     return _chi2_tail((len(rows) - 1) * (len(cols) - 1), math.fsum(terms))
 
@@ -103,7 +103,7 @@ def check_markov(
     tests = []
     for sym in sorted(set(seq)):
         counts = rows.get(sym, {})
-        usable = {c: cnt for c, cnt in counts.items() if sum(cnt.values()) >= min_count}
+        usable = {c: cnt for c, cnt in counts.items() if ordered_sum(cnt.values()) >= min_count}
         skipped = len(counts) - len(usable)
         cols = sorted({o for cnt in usable.values() for o in cnt})
         if len(usable) < 2 or len(cols) < 2:

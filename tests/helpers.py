@@ -46,7 +46,6 @@ from stochworld.core import ACTION_KINDS, POINT_ONE, SUM_TOL, TOL, checked_int, 
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.inversion import _invert_by_flow, _sample_simplex_box, _simplex_box_vertices
-from stochworld.journeys import seeded_generator
 from stochworld.markov import MarkovReport, SymbolTest
 from stochworld.walk import _resolve_agent
 
@@ -819,7 +818,7 @@ def simulate_journeys_by_rounds(model: Model, journeys: int, seed: int) -> Journ
         aid[si, : len(ks)] = np.arange(first, first + len(ks))
         first += len(ks)
 
-    rng = seeded_generator(seed, "journey simulation")
+    rng = np.random.default_rng(checked_int(seed, "journey simulation seed", 0))
     s0_idx = compiled.index[model.initial_state.id]
     black_mask = np.array([sid in black for sid in ids], dtype=bool)
 

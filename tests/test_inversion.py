@@ -629,6 +629,22 @@ class TestInvertMdpPlus:
         with pytest.raises(JourneyError, match=r"zero valid resolutions \(explored 0\)"):
             invert_mdp_plus(rain, mode, 0, 1)
 
+    @pytest.mark.parametrize("mode", ["vertex", "monte-carlo"])
+    def test_arrow_label_outside_the_labels_refused(self, mode):
+        """A model built in code with an arrow whose label is not among its
+        labels: ``validate`` names the fault, and inversion refuses the
+        arrow as the compiled view does, not with a bare ``TypeError``."""
+        model = replace(
+            parse_model(
+                "model mdp-plus\nobs x\nact a b\nstate s initial trace x=1\n"
+                "arrow s a s lp=[0.2,1] ap=1\narrow s b s lp=[0,0.8] ap=1\n"
+            ),
+            labels=("a",),
+        )
+        assert validate(model).structural == ["arrow label 'b' not in the label alphabet"]
+        with pytest.raises(ModelError, match="^arrow s b s has a label outside the label alphabet$"):
+            invert_mdp_plus(model, mode, 8, 1)
+
     def test_smdp_contains_vertex_extremes(self):
         from itertools import product
 

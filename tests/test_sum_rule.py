@@ -1,14 +1,22 @@
-"""layout: one place holds the sum rule.
+"""layout: one place holds the sum rule, and one function adds.
 
 Every probability group, belief, policy, journey check and interval
 resolution of the library is held to one rule, ``core.sum_fault``: the
 ``math.fsum`` of its lower bounds at most ``1 + SUM_TOL`` and of its upper
 bounds at least ``1 - SUM_TOL``.  A bound written anywhere else, or the
 slack written as its own ``1e-6``, would state the rule a second time.
+
+Every other sum of the library is ``core.ordered_sum``, a left fold from 0.
+The built-in ``sum`` compensates float rounding since Python 3.12, so one
+call of it gives other bits on 3.12 and 3.13 than on 3.10 and 3.11.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from stochworld import Belief, EventSet, Partition, enumerate_future, parse_model, quotient, step_belief
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochworld"
 
@@ -70,3 +78,71 @@ def test_finder_sees_both_bounds_and_every_slack():
     assert rule_sites(source) == [
         ("1e-6", "SUM_TOL"), ("1e-6", "EPS"), ("1e-6", None), ("bound", "inner"), ("bound", "check"), ("1e-6", "check"),
     ]
+
+
+def sum_names(source: str) -> list:
+    """The line of every read of the name ``sum``: a call of the built-in,
+    or the built-in passed on.  An attribute such as numpy's ``.sum`` is not
+    the name."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name) and n.id == "sum"]
+
+
+def test_no_builtin_sum_in_src():
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in sum_names(path.read_text())]
+    assert found == []
+
+
+def test_finder_sees_every_sum_and_no_attribute():
+    source = (
+        "def f(rows, a):\n"
+        "    total = sum(r[0] for r in rows)\n"
+        "    return list(map(sum, rows)), a.sum(axis=1), np.sum(a), ordered_sum(rows), total\n"
+    )
+    assert sum_names(source) == [2, 3]
+
+
+# one hmm: s goes to t1, t2, t3 (all observing y) and u with 0.1, 0.2, 0.3, 0.4
+_HMM = (
+    "model hmm\nobs x y\nstate s initial trace x=1\nstate t1 trace y=1\nstate t2 trace y=1\n"
+    "state t3 trace y=1\nstate u trace x=1\narrow s true t1 ap=0.1\narrow s true t2 ap=0.2\n"
+    "arrow s true t3 ap=0.3\narrow s true u ap=0.4\narrow t1 true s ap=1\narrow t2 true s ap=1\n"
+    "arrow t3 true s ap=1\narrow u true s ap=1\n"
+)
+
+
+def _future_lower_bound() -> float:
+    model = parse_model(
+        "model mdp-plus\nobs x\nact a\nstate s initial trace x=1\n"
+        "state t1 trace x=1\nstate t2 trace x=1\nstate t3 trace x=1\n"
+        "arrow s a t1 lp=1 ap=[0.1,0.2]\narrow s a t2 lp=1 ap=[0.2,0.3]\narrow s a t3 lp=1 ap=[0.3,0.5]\n"
+        "arrow t1 a s lp=1 ap=1\narrow t2 a s lp=1 ap=1\narrow t3 a s lp=1 ap=1\n"
+    )
+    return enumerate_future(model, 1).entries[(("a", "x"),)].lo
+
+
+def _quotient_arrow_prob() -> float:
+    model = parse_model(_HMM)
+    classes = Partition(({"s"}, {"t1", "t2", "t3"}, {"u"}))
+    q = quotient(model, classes, [EventSet("e", frozenset(model.arrows))])
+    (ap,) = [a.arrow_prob for a in q.arrows if a.key == ("s", "e", "t1+t2+t3")]
+    assert ap.lo == ap.hi
+    return ap.lo
+
+
+def _belief_mass() -> float:
+    return step_belief(parse_model(_HMM), Belief.point("s"), "true", "y").probs["t3"]
+
+
+@pytest.mark.parametrize(
+    "compute, want",
+    [
+        (_future_lower_bound, "0x1.3333333333334p-1"),  # 3.12's sum gave 0x1.3333333333333p-1
+        (_quotient_arrow_prob, "0x1.3333333333334p-1"),  # 3.12's sum gave 0x1.3333333333333p-1
+        (_belief_mass, "0x1.ffffffffffffep-2"),  # 3.12's sum gave 0x1.0000000000000p-1
+    ],
+    ids=["interval future", "quotient", "belief"],
+)
+def test_bits_are_those_of_python_3_11(compute, want):
+    """Answers the compensated ``sum`` of Python 3.12 and 3.13 moved by an
+    ulp: ``ordered_sum`` gives the 3.10 and 3.11 bits on every version."""
+    assert compute().hex() == want
