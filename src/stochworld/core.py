@@ -39,7 +39,7 @@ def sum_fault(los: Iterable[float], his: Optional[Iterable[float]] = None) -> tu
     return (1, lo) if lo > 1.0 + SUM_TOL else ()
 
 
-def ordered_sum(values: Iterable[float]) -> float:
+def ordered_sum(values: Iterable[int | float]) -> int | float:
     """The library's one sum, left to right from the int 0: on every Python, the built-in ``sum`` of
     3.10 and 3.11, ints exact and empty 0 (from 3.12, ``sum`` compensates float rounding)."""
     return reduce(operator.add, values, 0)

@@ -42,7 +42,7 @@ from stochworld import (
     parse_model,
 )
 from stochworld.constructions import _doubled_kind
-from stochworld.core import ACTION_KINDS, POINT_ONE, SUM_TOL, TOL, checked_int, compose_policy, replace
+from stochworld.core import ACTION_KINDS, POINT_ONE, SUM_TOL, TOL, checked_int, compose_policy, ordered_sum, replace
 from stochworld.events import _labels_at
 from stochworld.format import _check_symbols, _lines, parse_interval
 from stochworld.inversion import _invert_by_flow, _sample_simplex_box, _simplex_box_vertices
@@ -395,7 +395,7 @@ def exact_future_by_layers(model: Model, depth: int, cap: int = 200_000) -> dict
 
 def interval_future_by_layers(model: Model, depth: int, cap: int) -> dict:
     """Reference interval expansion: float (lo, hi) bounds per word,
-    multiplied per step, sums capped at 1."""
+    multiplied per step, sums (left to right, as the library adds) capped at 1."""
     index = ArrowIndex(model)
     layer = {(): {model.initial_state.id: (1.0, 1.0)}}
     for _ in range(depth):
@@ -422,8 +422,8 @@ def interval_future_by_layers(model: Model, depth: int, cap: int) -> dict:
             raise CapExceededError(f"future enumeration exceeds {cap} developments")
     out = {}
     for word, dist in layer.items():
-        lo = min(sum(v[0] for v in dist.values()), 1.0)
-        hi = min(sum(v[1] for v in dist.values()), 1.0)
+        lo = min(ordered_sum(v[0] for v in dist.values()), 1.0)
+        hi = min(ordered_sum(v[1] for v in dist.values()), 1.0)
         out[word] = (lo, hi)
     return out
 
@@ -1175,7 +1175,7 @@ def track_by_steps(
         conditioned = {sid: mass for sid, mass in belief.items() if sid in allowed}
         if len(conditioned) != len(belief):
             approx = True
-        total = sum(conditioned.values())
+        total = ordered_sum(conditioned.values())
         if total <= 0.0:
             return beliefs, None, memory, warnings, t
         belief = {sid: mass / total for sid, mass in conditioned.items()}
