@@ -126,7 +126,9 @@ def dyadic(values: Iterable[float]) -> tuple:
 
 
 class ProbInterval(Value):
-    """Closed subinterval of [0, 1]; a point value p is stored as [p, p].  Every
+    """Closed subinterval of [0, 1]; a point value p is stored as [p, p], and an
+    interval is a point exactly when ``lo == hi``.  ``__init__`` clamps float
+    drift within ``TOL`` of [0, 1], the only slack on a single value.  Every
     arrow has two, so ``__init__`` sets the slots through their descriptors."""
 
     __slots__ = _fields = ("lo", "hi")
@@ -154,7 +156,7 @@ class ProbInterval(Value):
 
     @property
     def is_point(self) -> bool:
-        return self.hi - self.lo <= TOL
+        return self.lo == self.hi
 
     @property
     def mid(self) -> float:
@@ -163,9 +165,6 @@ class ProbInterval(Value):
     def times(self, other: "ProbInterval") -> "ProbInterval":
         """Interval product [lo*lo, hi*hi] (monotone on [0,1])."""
         return ProbInterval(self.lo * other.lo, self.hi * other.hi)
-
-    def contains(self, p: float, tol: float = TOL) -> bool:
-        return self.lo - tol <= p <= self.hi + tol
 
     @staticmethod
     def hull(intervals: Iterable["ProbInterval"]) -> "ProbInterval":
@@ -242,7 +241,7 @@ class TraceSpec(Value):
     @property
     def deterministic_obs(self) -> Optional[str]:
         """The single certain observation, or None if the trace is not that."""
-        certain = [o for o, p in self.probs.items() if p.is_point and p.lo >= 1.0 - TOL]
+        certain = [o for o, p in self.probs.items() if p == POINT_ONE]
         if len(certain) == 1 and len(self.support()) == 1:
             return certain[0]
         return None
@@ -304,11 +303,12 @@ class CompiledModel:
     (``index``, ``obs_index``, ``label_index``), arrows by their position in
     ``model.arrows``.  Per arrow ``k``: source and target ``src[k]`` and
     ``dst[k]``, and the bounds ``Arrow.effective()`` gives as ``hi[k]``,
-    ``mid[k]`` and whether it is a point, ``point[k]``.  ``out[i]`` maps each
-    label to its arrows out of state ``i``, in model order.  The other tables
-    are built on first use: the belief filters' ``emissions``, ``shares``,
-    ``allowed`` and ``event_order`` (the walk's collision order too); and the
-    ``adjacency`` lists of ``hi``, ``forward`` and ``backward``.
+    ``mid[k]`` and whether it is a point, ``lo == hi``, as ``point[k]``.
+    ``out[i]`` maps each label to its arrows out of state ``i``, in model
+    order.  The other tables are built on first use: the belief filters'
+    ``emissions``, ``shares``, ``allowed`` and ``event_order`` (the walk's
+    collision order too); and the ``adjacency`` lists of ``hi``, ``forward``
+    and ``backward``.
     Each costs O(|S| + |arrows|) once per model (``allowed`` O(|S| *
     |observations|)); the view holds the model's tuples, not the model, and
     no exact weights: exact paths apply ``dyadic`` to the doubles they read.
@@ -336,7 +336,7 @@ class CompiledModel:
             self.dst.append(j)
             self.hi.append(hi)
             self.mid.append((lo + hi) / 2.0)
-            self.point.append(hi - lo <= TOL)
+            self.point.append(lo == hi)
             self.out[i].setdefault(a.label, []).append(k)
 
     def adjacency(self, weights: list, backward: bool = False) -> list:
@@ -524,7 +524,7 @@ class Policy(Value):
                         raise PolicyError(f"policy gives mass to missing action {a} in {s}")
                     continue
                 iv = model.arrows[out[a][0]].label_prob
-                if not iv.contains(p, tol=SUM_TOL):
+                if not iv.lo - SUM_TOL <= p <= iv.hi + SUM_TOL:
                     raise PolicyError(
                         f"policy({s}, {a}) = {p} outside agent interval [{iv.lo}, {iv.hi}]"
                     )

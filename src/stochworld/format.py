@@ -11,9 +11,11 @@ The model document::
     priority <event> <rank>  # ed only
     # comments and blank lines are ignored
 
-Numbers are decimal with up to 12 significant digits; point intervals print
-without brackets.  Serialization is canonical (sorted alphabets, states and
-arrows), so serialize . parse . serialize is byte-stable.  Symbols must read
+Numbers are decimal with up to 12 significant digits; a pair of bounds prints
+as one number, without brackets, exactly when both bounds print the same 12
+digits, so a pair that reads back as a point is written as one.
+Serialization is canonical (sorted alphabets, states and arrows), so
+serialize . parse . serialize is byte-stable.  Symbols must read
 back from a trajectory line, so ``obs``, ``act``, ``t0`` (its header words),
 ``-`` (no action) and anything starting with ``#`` (a comment) are refused.
 """
@@ -58,9 +60,8 @@ def fmt_num(x: float) -> str:
 
 
 def fmt_interval(iv: ProbInterval) -> str:
-    if iv.is_point:
-        return fmt_num(iv.lo)
-    return f"[{fmt_num(iv.lo)},{fmt_num(iv.hi)}]"
+    lo, hi = fmt_num(iv.lo), fmt_num(iv.hi)
+    return lo if lo == hi else f"[{lo},{hi}]"
 
 
 def parse_interval(token: str, line: Optional[int] = None) -> ProbInterval:

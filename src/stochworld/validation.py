@@ -16,16 +16,18 @@ from operator import attrgetter
 
 from .analysis import find_white_peak
 from .core import (
+    FULL,
     KINDS,
+    POINT_ONE,
+    POINT_ZERO,
     SINGLE_LABEL_KINDS,
-    TOL,
     TRUE_LABEL,
     Model,
-    ProbInterval,
     sum_fault,
 )
 
 _LO, _HI = attrgetter("lo"), attrgetter("hi")
+_SMDP = (POINT_ZERO, FULL, POINT_ONE)  # the only intervals of an smdp arrow
 
 
 class ValidationReport:
@@ -35,13 +37,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.structural and not self.violations
-
-
-def _is_smdp_interval(iv: ProbInterval) -> bool:
-    for lo, hi in ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        if abs(iv.lo - lo) <= TOL and abs(iv.hi - hi) <= TOL:
-            return True
-    return False
 
 
 def validate(model: Model) -> ValidationReport:
@@ -132,31 +127,26 @@ def _check_kind(model: Model, report: ValidationReport) -> None:
     for src, out in zip(compiled.ids, compiled.out):
         for label, ks in out.items():
             first = model.arrows[ks[0]].label_prob
-            for k in ks[1:]:
-                lp = model.arrows[k].label_prob
-                if abs(lp.lo - first.lo) > TOL or abs(lp.hi - first.hi) > TOL:
-                    bad.append(f"inconsistent label probability for {label!r} out of {src}")
-                    break
+            if any(model.arrows[k].label_prob != first for k in ks[1:]):
+                bad.append(f"inconsistent label probability for {label!r} out of {src}")
 
     point_lp = kind in ("fomm", "hmm", "mdp-fixed")
     point_ap = kind in ("fomm", "hmm", "mdp", "mdp-fixed")
     for a in model.arrows:
         if kind == "smdp":
-            if not _is_smdp_interval(a.label_prob) or not _is_smdp_interval(a.arrow_prob):
+            if a.label_prob not in _SMDP or a.arrow_prob not in _SMDP:
                 bad.append(
                     f"smdp arrow {a.source} {a.label} {a.target}: intervals must be "
                     "[0,0], [0,1] or [1,1]"
                 )
             continue
-        if kind == "mdp" and not (a.label_prob.lo <= TOL and a.label_prob.hi >= 1.0 - TOL):
+        if kind == "mdp" and a.label_prob != FULL:
             bad.append(f"mdp agent interval out of {a.source} must be [0,1]")
         if point_lp and not a.label_prob.is_point:
             bad.append(f"arrow {a.source} {a.label} {a.target}: label probability must be a point")
         if point_ap and not a.arrow_prob.is_point:
             bad.append(f"arrow {a.source} {a.label} {a.target}: arrow probability must be a point")
-        if kind in SINGLE_LABEL_KINDS and not (
-            a.label_prob.is_point and a.label_prob.lo >= 1.0 - TOL
-        ):
+        if kind in SINGLE_LABEL_KINDS and a.label_prob != POINT_ONE:
             bad.append(f"arrow {a.source} {a.label} {a.target}: the event \"true\" has probability 1")
 
     if kind != "smdp":  # smdp intervals are structural: their sums constrain nothing

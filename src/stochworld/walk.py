@@ -60,9 +60,9 @@ def _resolve_agent(model: Model, config: SimulationConfig) -> Model:
 
 
 def _cumulative(intervals) -> Optional[list]:
-    """Running sums of the midpoints of point intervals, the last replaced
+    """Running sums of the values of point intervals, the last replaced
     by +inf so that a draw at or above the rounded total takes the last
-    item; None when one of them is an interval."""
+    item; None when one of them is an interval, however narrow."""
     cum = []
     total = 0.0
     for iv in intervals:

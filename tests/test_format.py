@@ -137,6 +137,9 @@ class TestSerializeModel:
     def test_point_interval_prints_bare(self):
         assert fmt_interval(ProbInterval(0.5, 0.5)) == "0.5"
         assert fmt_interval(ProbInterval(0.25, 0.75)) == "[0.25,0.75]"
+        # one number exactly when both bounds print the same 12 digits
+        assert fmt_interval(ProbInterval(0.1, 0.1 + 2**-55)) == "0.1"
+        assert fmt_interval(ProbInterval(0.4, 0.4000000005)) == "[0.4,0.4000000005]"
         assert fmt_num(1.0) == "1"
 
     def test_all_checked_in_models_round_trip(self):
