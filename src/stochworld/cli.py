@@ -20,6 +20,7 @@ from typing import Optional
 import stochworld as sw
 
 from . import format as fmt
+from .core import ACTION_KINDS
 from .errors import ModelError, ToolkitError
 
 
@@ -101,7 +102,7 @@ def cmd_invert(args) -> int:
         return _usage_error(f"--mode {args.mode} needs --seed")
     policy = fmt.parse_policy(_read(args.policy)) if args.policy else None
     if args.mode == "analytic":
-        if model.single_label:
+        if model.single_label and model.kind not in ACTION_KINDS:
             inverse = sw.invert_chain(model)
         else:
             inverse = sw.invert_mdp_fixed(model, policy)

@@ -28,6 +28,7 @@ from .core import (
     dyadic,
     ordered_sum,
     replace,
+    summed_prob,
 )
 from .errors import CapExceededError, CoverageError, ModelError
 
@@ -302,7 +303,7 @@ def belief_determinize(model: Model, depth: int, cap: int = 4096) -> Model:
                             raise CapExceededError(f"belief expansion exceeds the cap of {cap} states")
                         names[successor] = f"q{len(names)}"
                         frontier.append(successor)
-                    ap = ProbInterval.point(ordered_sum(moved.values()) / (lp * au))
+                    ap = ProbInterval.point(summed_prob(ordered_sum(moved.values()) / (lp * au)))
                     arrows.append(Arrow(names[belief], label, names[successor], label_prob, ap))
             label_mass = Fraction(label_mass, whole)
             if model.kind not in ("ed", "smdp") and 0 < label_mass < 1 - TOL:  # their labels need not sum to 1
@@ -437,7 +438,7 @@ def minimize_forward(model: Model):
             for a in outgoing:
                 mass[id_of[a.target]] = mass.get(id_of[a.target], 0.0) + a.arrow_prob.lo
             for tgt, p in sorted(mass.items()):
-                arrows.append(Arrow(name[c], label, tgt, outgoing[0].label_prob, ProbInterval.point(p)))
+                arrows.append(Arrow(name[c], label, tgt, outgoing[0].label_prob, ProbInterval.point(summed_prob(p))))
 
     kind = model.kind
     if kind == "fomm" and merged_any:

@@ -39,6 +39,11 @@ def sum_fault(los: Iterable[float], his: Optional[Iterable[float]] = None) -> tu
     return (1, lo) if lo > 1.0 + SUM_TOL else ()
 
 
+def summed_prob(p: float) -> float:
+    """A probability summed from admitted ones: 1 where ``sum_fault`` admits its excess over 1, else ``p``."""
+    return 1.0 if p > 1.0 and not sum_fault((p,)) else p
+
+
 def ordered_sum(values: Iterable[int | float]) -> int | float:
     """The library's one sum, left to right from the int 0: on every Python, the built-in ``sum`` of
     3.10 and 3.11, ints exact and empty 0 (from 3.12, ``sum`` compensates float rounding)."""
@@ -145,7 +150,7 @@ class ProbInterval(Value):
         _set_hi(self, fhi)
 
     def __eq__(self, other):
-        return (self.lo, self.hi) == (other.lo, other.hi) if other.__class__ is ProbInterval else NotImplemented
+        return self.lo == other.lo and self.hi == other.hi if other.__class__ is ProbInterval else NotImplemented
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -531,10 +536,10 @@ class Policy(Value):
 
 
 def compose_policy(model: Model, policy: Policy) -> Model:
-    """Fix the agent: replace label probabilities with the policy's points."""
+    """Fix the agent: replace label probabilities with the policy's points, clamped onto [0, 1]."""
     policy.check(model)
     arrows = tuple(
-        replace(a, label_prob=ProbInterval.point(policy.of(a.source, a.label)))
+        replace(a, label_prob=ProbInterval.point(min(max(policy.of(a.source, a.label), 0.0), 1.0)))
         for a in model.arrows
     )
     return replace(model, kind="mdp-fixed", arrows=arrows)

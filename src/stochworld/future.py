@@ -34,6 +34,7 @@ from .core import (
     dyadic,
     ordered_sum,
     sum_fault,
+    summed_prob,
 )
 from .errors import CapExceededError, ModelError, PolicyError
 
@@ -142,7 +143,7 @@ def enumerate_future(
     entries = {}
     for word, p in totals[-1].items():
         # int / int rounds once, correctly, as float(Fraction) does
-        lo, hi = (p / scale,) * 2 if exact else (min(totals[0][word], 1.0), min(p, 1.0))
+        lo, hi = (summed_prob(p / scale),) * 2 if exact else (min(totals[0][word], 1.0), min(p, 1.0))
         if exact or hi > 0:  # an exact total is above 0, even where its double is 0.0
             entries[Development(word)] = ProbInterval(lo, hi)
     return FutureSet(depth, "future", entries)

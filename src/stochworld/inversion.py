@@ -1,12 +1,12 @@
 """Inverse models that predict the past.
 
-A journey starts in the initial state and walks arrows until it first
-returns there or enters a black hole.  Expected per-arrow traversal counts
-per journey satisfy a linear flow system; normalizing the counts per target
-state yields the inbound probabilities, i.e. the arrows of the inverse
-model.  The system is reduced here in plain Python, cheapest state first;
-what a dense graph leaves of it, and the Monte-Carlo journeys that estimate
-the same statistics, are in ``journeys``.
+A journey starts in the initial state and walks arrows until it first returns
+there or enters a black hole.  Expected per-arrow traversal counts per journey,
+one list in model order that only ``JourneyStatistics`` keys by arrow, satisfy a
+linear flow system; normalizing the counts per target state yields the inbound
+probabilities, i.e. the arrows of the inverse model.  The system is reduced here
+in plain Python, cheapest state first; what a dense graph leaves of it, and the
+Monte-Carlo journeys that estimate the same statistics, are in ``journeys``.
 
 Inversion requires the absence of white peaks: over those, any inbound
 probabilities whatsoever would be consistent, so the toolkit refuses to
@@ -55,14 +55,14 @@ class JourneyStatistics(Value):
 
 
 def _propagating_states(model: Model) -> tuple:
-    """The states journeys can stand on, reachable and outside black holes, as a flag per state
-    number, and the black hole; refused as by ``_check_journeys`` over the arrows' midpoints."""
+    """Flags per state number: the states journeys can stand on, reachable and outside black holes,
+    and those they return from (the rest is the black hole); refused as ``_check_journeys`` does."""
     compiled = model.compiled
     s0 = compiled.index[model.initial_state.id]
     returns = reached(compiled.backward, s0)
     standing = list(map(operator.and_, reached(compiled.forward, s0), returns))
     _check_journeys(model, standing, compiled.mid, compiled.point)
-    return standing, frozenset(sid for sid, back in zip(compiled.ids, returns) if not back)
+    return standing, returns
 
 
 def _check_journeys(model: Model, standing: list, mid: list, point: Optional[list] = None) -> None:
@@ -92,8 +92,16 @@ def _check_journeys(model: Model, standing: list, mid: list, point: Optional[lis
 
 def journey_statistics(model: Model) -> JourneyStatistics:
     """Solve the journey flow system for expected visit and arrow counts."""
-    s = _solved_flow(model)  # once per model; fresh dicts per call, and no refusal is kept
-    return JourneyStatistics(dict(s.visit_counts), dict(s.arrow_counts), s.return_count, dict(s.absorption_counts))
+    compiled = model.compiled
+    ids, s0 = compiled.ids, compiled.index[model.initial_state.id]
+    standing, returns, visits, counts = _solved_flow(model)
+    arrow_counts, inflow = {}, {}  # inflow: per target state number, its standing arrows' counts in model order
+    for a, i, j, count in zip(model.arrows, compiled.src, compiled.dst, counts):
+        if standing[i]:
+            arrow_counts[a.key] = count
+            inflow[j] = inflow.get(j, 0.0) + count
+    absorption = {ids[j]: c for j, c in inflow.items() if not returns[j]}
+    return JourneyStatistics({ids[i]: v for i, v in visits.items()}, arrow_counts, inflow.get(s0, 0.0), absorption)
 
 
 def _reduced(out: list, inn: list, exits: list, c: list) -> list:
@@ -147,24 +155,14 @@ def _reduced(out: list, inn: list, exits: list, c: list) -> list:
     return x
 
 
-def _solved_flow(model: Model) -> JourneyStatistics:
+def _solved_flow(model: Model) -> tuple:
+    """The model's journey flow, solved at most once: ``_propagating_states``'s flags, then
+    ``_flow``'s visits and per-arrow counts.  A refusal is raised again on every call."""
     compiled = model.compiled
-    if compiled.journeys is not None:  # the model was solved before
-        return compiled.journeys
-    ids, s0 = compiled.ids, compiled.index[model.initial_state.id]
-    standing, black = _propagating_states(model)
-    visits, counts = _flow(compiled, s0, standing, compiled.mid)
-    arrow_counts = {}
-    return_count = 0.0
-    absorption: dict = {}
-    for k, (i, j) in enumerate(zip(compiled.src, compiled.dst)):
-        if standing[i]:
-            arrow_counts[model.arrows[k].key] = count = counts[k]
-            if j == s0:
-                return_count += count
-            elif ids[j] in black:
-                absorption[ids[j]] = absorption.get(ids[j], 0.0) + count
-    compiled.journeys = JourneyStatistics({ids[i]: v for i, v in visits.items()}, arrow_counts, return_count, absorption)
+    if compiled.journeys is None:
+        standing, returns = _propagating_states(model)
+        s0 = compiled.index[model.initial_state.id]
+        compiled.journeys = (standing, returns, *_flow(compiled, s0, standing, compiled.mid))
     return compiled.journeys
 
 
@@ -200,17 +198,14 @@ def _flow(compiled, s0: int, standing: list, mid: list) -> tuple:
     return visits, [visits[i] * m if standing[i] else 0.0 for i, m in zip(compiled.src, mid)]
 
 
-def _reverse_from_counts(model: Model, counts: Mapping[tuple, float], kind: str) -> Model:
-    """Build the reversed model with inbound probabilities from counts (see ``_reversed``)."""
-    compiled = model.compiled
-    flows = [(compiled.index[target], c) for (_, _, target), c in counts.items()]
-    counted = [counts.get((a.source, a.label, a.target), 0.0) for a in model.arrows]
-    lps, aps, uniform = _reversed(model, counted, flows, kind in ("mdp", "mdp-fixed"))
+def _reverse(model: Model, counts: list, kind: str) -> Model:
+    """The reversed model, of ``kind``, with inbound probabilities from per-arrow ``counts`` (see ``_reversed``)."""
+    lps, aps, uniform = _reversed(model, counts, kind in ("mdp", "mdp-fixed"))
     reversed_arrows = [
         Arrow(a.target, a.label, a.source, a.label_prob if lp is None else ProbInterval(lp, lp), ProbInterval(p, p))
         for a, lp, p in zip(model.arrows, lps, aps)
     ]
-    notes = ("uniform-inbound: " + " ".join(sorted(compiled.ids[j] for j in uniform)),) if uniform else ()
+    notes = ("uniform-inbound: " + " ".join(sorted(model.compiled.ids[j] for j in uniform)),) if uniform else ()
     return canonical(replace(model, kind=kind, arrows=reversed_arrows, meta=notes))
 
 
@@ -219,43 +214,43 @@ def _unit(p: float) -> float:
     return p if 0.0 <= p <= 1.0 else ProbInterval(p, p).lo
 
 
-def _reversed(model: Model, counts: list, flows, decision: bool) -> tuple:
+def _reversed(model: Model, counts: list, decision: bool) -> tuple:
     """Per arrow, its reversed label and arrow probability as ``ProbInterval`` keeps them (the
     label's None, to keep the model's, unless ``decision``), and the state numbers of uniform inbound.
 
-    Each reversed arrow gets its count over its target's inflow, the sum of the counts ``flows``
-    pairs with it in their order, or one over the target's in-degree where nothing flows in.
+    Each reversed arrow gets its count over its target's inflow, the sum of the ``counts`` of the
+    arrows into it in model order, or one over the target's in-degree where nothing flows in.
     Decision kinds split that into a label probability, the sum over the label's reversed arrows,
-    and the arrow's part of it.
+    and the arrow's part of it, or one over their number where the label has no mass.
     """
     dst = model.compiled.dst
     inflow, indegree = [0.0] * len(model.compiled.ids), [0] * len(model.compiled.ids)
-    for j, c in flows:
+    for j, c in zip(dst, counts):
         inflow[j] += c
-    for j in dst:
         indegree[j] += 1
     inbound = [c / inflow[j] if inflow[j] > _EPS else 1.0 / indegree[j] for c, j in zip(counts, dst)]
     uniform = [j for j, (deg, flow) in enumerate(zip(indegree, inflow)) if deg and flow <= _EPS]
     if not decision:
         return [None] * len(inbound), list(map(_unit, inbound)), uniform
     groups = [(j, a.label) for j, a in zip(dst, model.arrows)]  # (reversed source, label)
-    mass = dict.fromkeys(groups, 0.0)
+    mass, size = dict.fromkeys(groups, 0.0), dict.fromkeys(groups, 0)
     for g, p in zip(groups, inbound):
         mass[g] += p
+        size[g] += 1
     lps, aps = [], []
     for g, p in zip(groups, inbound):
         total = mass[g]
         lps.append(_unit(total))
-        aps.append(_unit(p / total if total > _EPS else 1.0 / groups.count(g)))
+        aps.append(_unit(p / total if total > _EPS else 1.0 / size[g]))
     return lps, aps, uniform
 
 
-def _invert_by_flow(model: Model, flow=_solved_flow) -> Model:
-    """Reverse a point model by its solved journey flow, or by ``flow``'s; the inverse keeps its kind."""
+def _invert_by_flow(model: Model, flow=lambda m: _solved_flow(m)[3]) -> Model:
+    """Reverse a point model by its solved journey flow's per-arrow counts, or by ``flow``'s; it keeps its kind."""
     peak = find_white_peak(model)
     if peak:
         raise WhitePeakError(peak)
-    return _reverse_from_counts(model, flow(model).arrow_counts, model.kind)
+    return _reverse(model, flow(model), model.kind)
 
 
 def invert_chain(model: Model) -> Model:
@@ -399,7 +394,7 @@ def invert_mdp_plus(
         except JourneyError:
             continue
         valid += 1
-        lps, aps, _ = _reversed(model, counts, zip(compiled.dst, counts), True)
+        lps, aps, _ = _reversed(model, counts, True)
         hull = [list(map(f, h, v)) for f, h, v in zip((min, max, min, max), hull, (lps, lps, aps, aps))]
 
     if valid == 0:

@@ -856,9 +856,10 @@ def simulate_journeys_by_rounds(model: Model, journeys: int, seed: int) -> Journ
 
 
 def reverse_by_branches(model: Model, counts: dict, kind: str) -> Model:
-    """Reference reversal: one branch for decision kinds, which keys the
-    inbound probabilities by reversed arrow, and one for the other kinds,
-    which groups the arrows by target."""
+    """Reference reversal of ``counts`` keyed by arrow in model order: one
+    branch for decision kinds, which keys the inbound probabilities by
+    reversed arrow, and one for the other kinds, which groups the arrows by
+    target."""
     eps = 1e-12
     inflow: dict = {s.id: 0.0 for s in model.states}
     for (src, label, dst), c in counts.items():

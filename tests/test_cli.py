@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from stochworld import (
     SimulationConfig,
+    invert_mdp_fixed,
     invert_mdp_plus,
     minimize_forward,
     monte_carlo_invert,
@@ -22,7 +23,7 @@ from stochworld import (
     simulate,
 )
 from stochworld.cli import main
-from stochworld.format import parse_event_stream, parse_partition, serialize_trajectory
+from stochworld.format import parse_event_stream, parse_partition, parse_policy, serialize_trajectory
 
 from genmodels import random_model
 from helpers import MODELS_DIR, cycle_model, load_model
@@ -219,6 +220,19 @@ def test_invert_mode_prints_the_library_inverse(capsys, tmp_path, doc, options, 
     code, out, err = run(capsys, "invert", str(path), *options)
     assert (code, err) == (0, "")
     assert out == serialize_model(call(parse_model(path.read_text())))
+
+
+def test_invert_policy_on_a_one_action_decision_model(capsys, tmp_path):
+    """A one-action mdp is single-label, yet ``--policy`` fixes its agent."""
+    path, policy = tmp_path / "one.model", tmp_path / "policy"
+    path.write_text(
+        "model mdp\nobs x y\nact a\nstate s initial trace x=1\nstate t trace y=1\n"
+        "arrow s a t ap=1\narrow t a s ap=1\n"
+    )
+    policy.write_text("s a 1\nt a 1\n")
+    code, out, err = run(capsys, "invert", str(path), "--policy", str(policy))
+    assert (code, err) == (0, "")
+    assert out == serialize_model(invert_mdp_fixed(parse_model(path.read_text()), parse_policy(policy.read_text())))
 
 
 class TestPipelines:

@@ -33,7 +33,8 @@ from stochworld import (
 from stochworld.cli import main
 from stochworld.core import SUM_TOL, replace
 from stochworld.format import fmt_num
-from stochworld.inversion import _reverse_from_counts
+from stochworld.inversion import _reverse, _solved_flow
+from stochworld.journeys import _walk
 
 from genmodels import random_model
 from helpers import (
@@ -330,9 +331,10 @@ class TestFlowMemo:
 
 class TestReverseFromCounts:
     def test_equals_branch_oracle(self):
-        """The one-pass reversal gives the two-branch one's model bit for
-        bit, from solved, sampled and arbitrary counts, on chains and
-        composed mdp-fixed models whose arrows come in shuffled order."""
+        """The one-pass reversal of per-arrow counts gives the two-branch
+        one's model bit for bit, from solved, sampled and arbitrary counts,
+        on chains and composed mdp-fixed models whose arrows come in shuffled
+        order."""
         rng = random.Random(20261019)
         seen: Counter = Counter()
         for i in range(600):
@@ -340,31 +342,30 @@ class TestReverseFromCounts:
             kinds = [model.kind] + (["mdp"] if model.single_label and rng.random() < 0.3 else [])
             sources = {"arbitrary": _arbitrary_counts(rng, model)}
             try:
-                sources["solved"] = journey_statistics(model).arrow_counts
-                sources["sampled"] = simulate_journeys(model, 50, i).arrow_counts
+                sources["solved"] = _solved_flow(model)[3]
+                sources["sampled"] = _walk(model, 50, i)[1]
             except JourneyError:
                 pass
             for source, counts in sources.items():
+                assert len(counts) == len(model.arrows), (i, source)
                 for kind in kinds:
-                    want = reverse_by_branches(model, counts, kind)
-                    got = _reverse_from_counts(model, counts, kind)
+                    want = reverse_by_branches(model, {a.key: c for a, c in zip(model.arrows, counts)}, kind)
+                    got = _reverse(model, counts, kind)
                     assert _model_bits(got) == _model_bits(want), (i, source, kind)
                     seen[source] += 1
                     seen["uniform-inbound"] += bool(want.meta)
                     seen["zero label mass"] += kind != "fomm" and kind != "hmm" and any(
                         a.label_prob.hi <= 1e-12 for a in want.arrows
                     )
-                    seen["counts out of arrow order"] += list(counts) != [a.key for a in model.arrows if a.key in counts]
         assert seen["solved"] >= 300 and seen["sampled"] >= 300 and seen["arbitrary"] >= 600, seen
-        for feature in ("uniform-inbound", "zero label mass", "counts out of arrow order"):
+        for feature in ("uniform-inbound", "zero label mass"):
             assert seen[feature] >= 50, seen
 
 
 def _arbitrary_counts(rng, model):
-    """Counts on a random subset of the arrows, some zero, in random order."""
-    keys = [a.key for a in model.arrows if rng.random() < 0.7]
-    rng.shuffle(keys)
-    return {k: rng.choice((0.0, rng.random(), rng.random() * 1e-13)) for k in keys}
+    """Per arrow a count: 0.0 on a random subset of the arrows, and on the
+    rest 0.0, a random double or one of about 1e-13."""
+    return [rng.choice((0.0, rng.random(), rng.random() * 1e-13)) if rng.random() < 0.7 else 0.0 for _ in model.arrows]
 
 
 def _model_bits(model):

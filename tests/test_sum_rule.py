@@ -16,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from stochworld import Belief, EventSet, Partition, enumerate_future, parse_model, quotient, step_belief
+from stochworld import (
+    Belief, EventSet, ModelError, Partition, enumerate_future, minimize_forward, parse_model, quotient, step_belief,
+)
+from stochworld.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochworld"
 
@@ -146,3 +149,56 @@ def test_bits_are_those_of_python_3_11(compute, want):
     """Answers the compensated ``sum`` of Python 3.12 and 3.13 moved by an
     ulp: ``ordered_sum`` gives the 3.10 and 3.11 bits on every version."""
     assert compute().hex() == want
+
+
+# s reaches t and u, both observing y, with 0.5000005 and 0.5: a sum within the rule's slack above 1
+_NEAR_ONE = (
+    "model hmm\nobs x y\nstate s initial trace x=1\nstate t trace y=1\nstate u trace y=1\n"
+    "arrow s true t ap={}\narrow s true u ap=0.5\narrow t true s ap=1\narrow u true s ap=1\n"
+)
+_ONE_ACTION = "model mdp-fixed\nobs x\nact a\nstate s initial trace x=1\narrow s a s lp=1 ap=1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("future", "{m}", "--depth", "2"), "y,x 1\n"),
+        (
+            ("minimize", "{m}"),
+            "model hmm\nobs x y\nstate s initial trace x=1\nstate t+u trace y=1\n"
+            "arrow s true t+u lp=1 ap=1\narrow t+u true s lp=1 ap=1\n",
+        ),
+        (
+            ("minimize", "{m}", "--determinize", "2"),
+            "model hmm\nobs x y\nstate q0 initial trace x=1\nstate q1 trace y=1\n"
+            "arrow q0 true q1 lp=1 ap=1\narrow q1 true q0 lp=1 ap=1\n",
+        ),
+        (
+            ("minimal", "{m}", "--depth", "2"),
+            "model hmm\nobs x y\nstate fut:q0 trace x=1\nstate fut:q1 trace y=1\nstate now initial trace x=1\n"
+            "state past:q0 trace x=1\nstate past:q1 trace y=1\narrow fut:q0 true fut:q1 lp=1 ap=1\n"
+            "arrow fut:q1 true fut:q0 lp=1 ap=1\narrow now true fut:q1 lp=1 ap=1\n"
+            "arrow past:q0 true past:q1 lp=1 ap=1\narrow past:q1 true now lp=1 ap=1\n",
+        ),
+        (("future", "{f}", "--depth", "1", "--policy", "{p}"), "a:x 1\n"),
+    ],
+    ids=["exact future", "minimize", "determinize", "minimal", "policy"],
+)
+def test_sums_within_the_slack_are_admitted(capsys, tmp_path, argv, want):
+    """A sum of admitted probabilities that exceeds 1 within ``SUM_TOL`` is
+    1, as ``validate`` and ``Policy.check`` admit it: merged arrows,
+    determinized arrows, exact future words and policy values."""
+    paths = {"m": tmp_path / "near.model", "f": tmp_path / "one.model", "p": tmp_path / "policy"}
+    paths["m"].write_text(_NEAR_ONE.format("0.5000005"))
+    paths["f"].write_text(_ONE_ACTION)
+    paths["p"].write_text("s a 1.0000005\n")
+    assert main(["validate", str(paths["m"])]) == 0 and capsys.readouterr().out == "ok\n"
+    code = main([arg.format(**paths) for arg in argv])
+    assert (code, *capsys.readouterr()) == (0, want, "")
+
+
+def test_a_sum_beyond_the_slack_is_still_refused():
+    """Merging t and u sums their arrows to 1.0000015, beyond ``SUM_TOL``."""
+    model = parse_model(_NEAR_ONE.format("0.5000015"))
+    with pytest.raises(ModelError, match=r"invalid probability interval \[1\.0000015, 1\.0000015\]"):
+        minimize_forward(model)
